@@ -229,9 +229,11 @@ def cmd_normal_form(gf: GermFile, report: Report) -> int:
         report.line(f"  {fmt_entry(j, m)}: {fmt_complex(c)}")
     report.line(f"conjugacy residual: {result.residual:.3e}")
     for degree, resonant, solved, divisor in result.diagnostics:
+        # a degree that solves no coefficient has no divisor
+        shown = "none" if divisor is None else f"{divisor:.3e}"
         report.line(
             f"  degree {degree}: {resonant} resonant, {solved} solved, "
-            f"min divisor {divisor:.3e}"
+            f"min divisor {shown}"
         )
     _put_jet(report, "normal_form", result.germ.nonlinear)
     _put_jet(report, "transform", result.transform)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -722,92 +723,124 @@ def _monomial_list(n: int, degree: int):
     return out
 
 
-def _composition_table(v: PolyJet, mons, index, n: int, degree: int):
-    """Rows (j, out_idx, flat factor indices, multiplier) for X's nonlinearity."""
-    rows = []
+def _composition_table(v: PolyJet, mons, n: int, degree: int):
+    """Gather/scatter plan of X's nonlinearity on the jet coefficients.
+
+    Applied to a jet with coefficient matrix C (n x M, columns ``mons``),
+    a term c y^m of component j contributes, for every way of picking an
+    m_i-element multiset of monomials for each coordinate i within the
+    degree budget, ``mult * prod C[i, t]`` to the coefficient of the summed
+    monomial.  One row per such pick: ``out`` is its flat output slot
+    j*M + column, ``factors[k]`` the flat state slot i*M + t of its k-th
+    factor (slot n*M, which holds 1, for rows with fewer factors) and
+    ``mult`` is c times the multinomial count of the pick.
+    """
     m_count = len(mons)
     degrees = [m.degree for m in mons]
+    index = {m: i for i, m in enumerate(mons)}
+    memo: dict = {}
 
     def multisets(power, budget, start):
-        """Nondecreasing index tuples of the given size within a degree budget."""
+        """(indices, degree, exponent sum, multiset coefficient) of each
+        nondecreasing index tuple of the given size within a degree budget.
+
+        Memoized: every term and component asks for the same few tables.
+        """
+        key = (power, budget, start)
+        if key in memo:
+            return memo[key]
         if power == 0:
-            yield (), 0
-            return
-        for idx in range(start, m_count):
-            d = degrees[idx]
-            if d > budget:
-                continue
-            for rest, dd in multisets(power - 1, budget - d, idx):
-                yield (idx,) + rest, d + dd
-
-    def multiset_coefficient(idxs):
-        dup: dict = {}
-        for t in idxs:
-            dup[t] = dup.get(t, 0) + 1
-        out = math.factorial(len(idxs))
-        for d in dup.values():
-            out //= math.factorial(d)
-        return out
-
-    for (j, m), c in v.coeffs.items():
-        comps = [(i, e) for i, e in enumerate(m) if e]
-        combos = [((), 0, 1)]
-        for i, e in comps:
-            new = []
-            for chosen, dtot, mult in combos:
-                budget = degree - dtot
-                for idxs, dd in multisets(e, budget, 0):
-                    new.append(
+            found = [((), 0, (0,) * n, 1)]
+        else:
+            found = []
+            for idx in range(start, m_count):
+                d = degrees[idx]
+                if d > budget:
+                    break  # mons is sorted by degree
+                for rest, dd, total, count in multisets(power - 1, budget - d, idx):
+                    # rest starts at idx or later: count(idx) is its leading run
+                    found.append(
                         (
-                            chosen + tuple((i, t) for t in idxs),
-                            dtot + dd,
-                            mult * multiset_coefficient(idxs),
+                            (idx,) + rest,
+                            d + dd,
+                            tuple(map(add, mons[idx], total)),
+                            count * power // (rest.count(idx) + 1),
                         )
                     )
-            combos = new
-        for chosen, dtot, mult in combos:
-            if dtot > degree:
+        memo[key] = found
+        return found
+
+    out, flats, mult = [], [], []
+    for (j, m), c in v.coeffs.items():
+        combos = [((), 0, (0,) * n, 1)]
+        later = sum(m)  # factors still to pick, each of degree at least 1
+        for i, e in enumerate(m):
+            if not e:
                 continue
-            out_m = MultiIndex.zeros(n)
-            for _, t in chosen:
-                out_m = out_m.plus(mons[t])
-            out_idx = index.get(out_m)
-            if out_idx is None:
-                continue
-            flat = tuple(i * len(mons) + t for i, t in chosen)
-            rows.append((j, out_idx, flat, complex(c) * mult))
-    return rows
+            later -= e
+            base = i * m_count
+            combos = [
+                (
+                    flat + tuple(base + t for t in idxs),
+                    dtot + dd,
+                    tuple(map(add, total, sub)),
+                    count * sub_count,
+                )
+                for flat, dtot, total, count in combos
+                for idxs, dd, sub, sub_count in multisets(e, degree - later - dtot, 0)
+            ]
+        for flat, _, total, count in combos:
+            out.append(j * m_count + index[total])
+            flats.append(flat)
+            mult.append(complex(c) * count)
+    pad = n * m_count
+    width = max(map(len, flats), default=0)
+    factors = [
+        np.array([f[k] if k < len(f) else pad for f in flats], dtype=np.intp)
+        for k in range(width)
+    ]
+    return np.array(out, dtype=np.intp), factors, np.array(mult, dtype=complex)
+
+
+def _ode_rhs(tri: TriangularLinear, v: PolyJet, degree: int):
+    """Right-hand side C -> B C + v(C) of the jet-coefficient equations.
+
+    C is the n x M coefficient matrix of a jet without constant term over
+    the returned monomial list; v(C) is the jet of v composed with it,
+    truncated at ``degree``.  The plan is built once; each evaluation is a
+    gather per factor column and one ``bincount`` scatter.
+    """
+    n = tri.dim
+    mons = _monomial_list(n, degree)
+    B = tri.dense()
+    size = n * len(mons)
+    out, factors, mult = _composition_table(v.to_float(), mons, n, degree)
+    # real and imaginary parts of row r land in float slots 2*out[r], 2*out[r]+1
+    slots = np.stack([2 * out, 2 * out + 1], axis=1).ravel()
+    flat = np.ones(size + 1, dtype=complex)  # slot ``size`` stays 1
+
+    def deriv(state):
+        result = B @ state
+        if factors:
+            flat[:size] = state.ravel()
+            contrib = flat[factors[0]]
+            for col in factors[1:]:
+                contrib *= flat[col]
+            contrib *= mult
+            scattered = np.bincount(slots, contrib.view(np.float64), 2 * size)
+            result += scattered.view(complex).reshape(state.shape)
+        return result
+
+    return mons, deriv
 
 
 def _rk4_time_one(tri: TriangularLinear, v: PolyJet, degree: int, steps: int):
     """Classical fixed-step integration of the jet-coefficient equations."""
     n = tri.dim
-    mons = _monomial_list(n, degree)
-    index = {m: i for i, m in enumerate(mons)}
-    m_count = len(mons)
-    B = tri.dense()
-    rows = _composition_table(v.to_float(), mons, index, n, degree)
-    if rows:
-        max_f = max(len(flat) for _, _, flat, _ in rows)
-        out_j = np.array([r[0] for r in rows], dtype=np.intp)
-        out_m = np.array([r[1] for r in rows], dtype=np.intp)
-        mult = np.array([r[3] for r in rows], dtype=complex)
-        pad = n * m_count
-        fidx = np.full((len(rows), max_f), pad, dtype=np.intp)
-        for t, (_, _, flat, _) in enumerate(rows):
-            fidx[t, : len(flat)] = flat
-    C = np.zeros((n, m_count), dtype=complex)
+    mons, deriv = _ode_rhs(tri, v, degree)
+    C = np.zeros((n, len(mons)), dtype=complex)
     for k in range(n):
-        C[k, index[MultiIndex.unit(n, k)]] = 1.0
-
-    def deriv(state):
-        out = B @ state
-        if rows:
-            flat = np.concatenate([state.reshape(-1), [1.0 + 0.0j]])
-            contrib = np.prod(flat[fidx], axis=1) * mult
-            np.add.at(out, (out_j, out_m), contrib)
-        return out
-
+        C[k, mons.index(MultiIndex.unit(n, k))] = 1.0
     h = 1.0 / steps
     for _ in range(steps):
         k1 = deriv(C)
@@ -828,6 +861,8 @@ def time_one_residuals(X: FieldGerm, G: GermSpec, steps: int = 1000):
     """Residuals of the two independent time-one oracles (exact flow, RK4)."""
     if G.dim != X.dim:
         raise ValueError("dimension mismatch")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     N = min(G.degree, X.degree)
     target = G.map_jet().to_float().truncate(N)
     phi = flow_jet(X, N)

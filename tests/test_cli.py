@@ -189,6 +189,17 @@ class TestNormalForm:
         # x1 x2 is nonresonant for (4, 2); it moves into the transform
         assert "(1,(1,1)):" in m["transform"]
 
+    def test_linear_germ_solves_nothing(self, capsys, monkeypatch):
+        text = (
+            "HEADER\ndimension 2\ndegree 3\nmode exact\nLINEAR\n"
+            "jordan 4 1\njordan 2 1\nNONLINEAR\n"
+        )
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "normal-form", "-")
+        m = machine(out)
+        assert code == 0 and m["status"] == "ok"
+        assert "min divisor none" in out
+
 
 class TestClassify2d:
     def test_equal_negative_pair(self, capsys, monkeypatch):

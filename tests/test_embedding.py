@@ -35,11 +35,13 @@ from embedflow import (
     embedding_residual,
     flow_jet,
     jet_distance,
+    multiindices,
     real_log,
     solve_embedding,
     time_one_check,
     time_one_residuals,
 )
+from embedflow.embedding import _ode_rhs
 from _gens import random_resonant_normal_form
 from _quadrature import tr_matrix_quadrature
 
@@ -373,6 +375,63 @@ class TestFlow:
             scale = max(1.0, germ.map_jet().to_float().max_abs())
             assert r_exp <= 1e-9 * scale
             assert r_ode <= 1e-6 * scale
+
+
+class TestOdeOracle:
+    @pytest.mark.parametrize(
+        "blocks, degree",
+        [
+            ((JordanBlock(4, 1), JordanBlock(2, 1)), 6),
+            ((JordanBlock(3, 2),), 5),
+            ((JordanBlock(3, 2), JordanBlock(5, 1)), 4),
+            ((JordanBlock(8, 1), JordanBlock(2, 1), JordanBlock(4, 1)), 6),
+        ],
+    )
+    def test_rhs_matches_compose(self, blocks, degree):
+        # one evaluation of the RK4 right-hand side is B C + (v o C), with
+        # v o C composed by the jet engine on the float jet of C
+        rng = np.random.default_rng(degree * 10 + len(blocks))
+        tri = real_log(BlockMatrix(blocks)).triangular()
+        n = tri.dim
+        exponents = [m for r in range(2, degree + 1) for m in multiindices(n, r)]
+        picks = rng.choice(len(exponents), size=6, replace=False)
+        terms = [
+            (int(rng.integers(n)), exponents[k], complex(*rng.normal(size=2)))
+            for k in picks
+        ]
+        terms.append((0, MultiIndex((degree,) + (0,) * (n - 1)), 0.5 - 0.25j))
+        v = PolyJet.build(n, degree, MODE_FLOAT, terms, tol=0.0)
+        mons, deriv = _ode_rhs(tri, v, degree)
+        C = rng.normal(size=(n, len(mons))) + 1j * rng.normal(size=(n, len(mons)))
+        got = deriv(C)
+        jet = PolyJet.build(
+            n,
+            degree,
+            MODE_FLOAT,
+            [(j, m, C[j, t]) for j in range(n) for t, m in enumerate(mons)],
+            tol=0.0,
+        )
+        vc = compose(v, jet, degree=degree, tol=0.0)
+        want = tri.dense() @ C
+        for (j, m), c in vc.coeffs.items():
+            want[j, mons.index(m)] += complex(c)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_linear_field_rhs_is_linear_part(self):
+        tri = real_log(BlockMatrix((JordanBlock(3, 2),))).triangular()
+        v = PolyJet.build(2, 3, MODE_FLOAT, [], tol=0.0)
+        mons, deriv = _ode_rhs(tri, v, 3)
+        C = np.arange(2 * len(mons), dtype=complex).reshape(2, len(mons))
+        assert np.array_equal(deriv(C), tri.dense() @ C)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_must_be_positive(self, steps):
+        G = _exact_diag_germ()
+        X = solve_embedding(G, real_log(G.linear))
+        with pytest.raises(ValueError, match="steps"):
+            time_one_residuals(X, G, steps=steps)
+        with pytest.raises(ValueError, match="steps"):
+            time_one_check(X, G, steps=steps)
 
 
 class TestAppendixIdentity:
