@@ -47,7 +47,6 @@ from .normal_form import (
     NearResonanceError,
     NormalFormResult,
     distinguished_normal_form,
-    homological_solve,
 )
 from .exppoly import ExpPoly
 from .embedding import (

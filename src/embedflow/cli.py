@@ -200,7 +200,7 @@ def cmd_analyze(gf: GermFile, report: Report) -> int:
         report.put("status", "no-real-log")
         return EXIT_PRECONDITION
     _put_resonances(report, B.triangular().eigen, gf.degree, gf.tol)
-    found = weakly_nonresonant_branch(paired, gf.degree)
+    found = weakly_nonresonant_branch(paired, gf.degree, tol=gf.tol)
     report.section("Branch search")
     if found is None:
         report.line("no weakly nonresonant branch with |k|,|l| <= 3")

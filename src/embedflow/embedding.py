@@ -25,14 +25,13 @@ exact coefficients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
 import numpy as np
 
-from .exppoly import ExpPoly, coeff_complex, key_two_pi_l
+from .exppoly import ExpPoly, coeff_complex
 from .jets import (
     MODE_EXACT,
     MODE_FLOAT,
@@ -44,6 +43,7 @@ from .jets import (
     multiindices,
 )
 from .normal_form import GermSpec
+from .resonance import ResonanceReport, _delta, _mu, field_class, field_resonances
 from .scalars import EigenScalar, ExactnessError, PiPoly, QQi
 from .spectral import BlockMatrix, SpectralError, TriangularLinear, log_residual
 
@@ -61,79 +61,6 @@ __all__ = [
 ]
 
 _TOL = 1e-9
-_TWO_PI = 2.0 * math.pi
-
-
-# -- class table -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _MonomialClass:
-    """Resonance class of one (j, m): the exponent <m,mu> - mu_j."""
-
-    kind: str  # "res" | "weak" | "non"
-    shift: int | None  # witness l with mu_j - <m,mu> = 2*pi*i*l (weak only)
-    key: object  # the exponent, exact or snapped complex
-
-
-class _ClassTable:
-    """Per-monomial resonance classes for one field linear part."""
-
-    def __init__(self, tri: TriangularLinear, degree: int, tol: float):
-        self.tri = tri
-        self.degree = degree
-        self.tol = tol
-        self.exact = tri.eigen.exact
-        self.entries: dict = {}
-        n = tri.dim
-        mus = tri.eigen.entries
-        for j in range(n):
-            for r in range(2, degree + 1):
-                for m in multiindices(n, r):
-                    if self.exact:
-                        delta = EigenScalar.zero()
-                        for e, mu in zip(m, mus):
-                            if e:
-                                delta = delta + mu.scaled(e)
-                        delta = delta - mus[j]
-                        l = delta.two_pi_integer()
-                        if l is None:
-                            cls = _MonomialClass("non", None, delta)
-                        elif l == 0:
-                            cls = _MonomialClass("res", None, delta)
-                        else:
-                            cls = _MonomialClass("weak", -l, delta)
-                    else:
-                        delta = sum(
-                            e * complex(mu) for e, mu in zip(m, mus) if e
-                        ) - complex(mus[j])
-                        l = key_two_pi_l(delta, tol)
-                        if l is None:
-                            cls = _MonomialClass("non", None, delta)
-                        else:
-                            snapped = complex(0.0, _TWO_PI * l) if l else 0j
-                            kind = "res" if l == 0 else "weak"
-                            cls = _MonomialClass(
-                                kind, -l if l else None, snapped
-                            )
-                    self.entries[(j, m)] = cls
-
-    def __getitem__(self, key) -> _MonomialClass:
-        return self.entries[key]
-
-    def basis(self, r: int, include_weak: bool = True):
-        """Resonant (+ weak) monomials of degree r: j ascending, reverse lex."""
-        out = [
-            (j, m)
-            for (j, m), cls in self.entries.items()
-            if m.degree == r
-            and (cls.kind == "res" or (include_weak and cls.kind == "weak"))
-        ]
-        out.sort(key=lambda jm: (jm[0], tuple(jm[1])))
-        return tuple(out)
-
-    def zero_key(self):
-        return EigenScalar.zero() if self.exact else 0j
 
 
 # -- jets with ExpPoly coefficients -------------------------------------------
@@ -334,25 +261,15 @@ def exp_tB_jet_matrix(tri: TriangularLinear, sign: int, exact_ring: bool):
 def exp_B_matrix(tri: TriangularLinear, sign: int, exact_ring: bool):
     """Dense scalar matrix e^(sign*B) = exp of the jet matrix at t = 1."""
     n = tri.dim
-    lam_exact = tri.eigen.lambda_exact() if exact_ring else None
-    if exact_ring and lam_exact is None:
+    lam = tri.eigen.lambda_exact() if exact_ring else tri.eigen.lambda_complex()
+    if lam is None:
         raise ExactnessError(
             "exact solve needs Gaussian-rational map eigenvalues; "
             "rerun in float mode"
         )
     mat = [[None] * n for _ in range(n)]
     for i in range(n):
-        if exact_ring:
-            lam = lam_exact[i]
-            mat[i][i] = lam if sign > 0 else QQi(1) / lam
-        else:
-            if isinstance(tri.eigen.entries[i], EigenScalar):
-                lam = tri.eigen.entries[i].exp_complex()
-            else:
-                import cmath
-
-                lam = cmath.exp(complex(tri.eigen.entries[i]))
-            mat[i][i] = lam if sign > 0 else 1.0 / lam
+        mat[i][i] = lam[i] if sign > 0 else _one(exact_ring) / lam[i]
     fact = 1
     for p, npow in enumerate(_nil_powers(tri, exact_ring), start=1):
         fact *= p
@@ -392,11 +309,11 @@ class FieldGerm:
             raise ValueError("nonlinear jet truncation must match degree")
         if self.nonlinear.coeffs and self.nonlinear.min_degree() < 2:
             raise ValueError("nonlinear part must vanish to second order")
-        table = _ClassTable(self.linear.triangular(), self.degree, _TOL)
+        mu = _mu(self.linear.triangular().eigen)
         bad = [
             (j, tuple(m))
             for (j, m) in self.nonlinear.coeffs
-            if table[(j, m)].kind == "non"
+            if field_class(mu, j, m, _TOL)[0] is None
         ]
         if bad:
             raise ValueError(
@@ -472,20 +389,21 @@ def _is_zero(c, exact_ring: bool, tol: float) -> bool:
     return abs(coeff_complex(c)) <= tol
 
 
-def Tr_matrix(B, r: int, basis=None, include_weak: bool = True, tol: float = _TOL):
+def Tr_matrix(B, r: int, basis=None, tol: float = _TOL):
     """Matrix of the degree-r averaging operator T^r on the resonance basis.
 
     Returns ``(matrix, basis)``: entries are exact scalars (QQi/PiPoly)
     when the logarithm has exact eigen data and rational couplings, else
-    complex.  With the default basis ordering the matrix is lower
-    triangular, diagonal 1 on resonant and 0 on weakly resonant rows.
+    complex.  The default basis is the degree-r part of the field-resonant
+    and weak monomials of :func:`field_resonances`; in that order the
+    matrix is lower triangular, diagonal 1 on resonant and 0 on weakly
+    resonant rows.
     """
     tri = B.triangular() if isinstance(B, BlockMatrix) else B
     if r < 2:
         raise ValueError("degree must be at least 2")
-    table = _ClassTable(tri, r, tol)
     if basis is None:
-        basis = table.basis(r, include_weak)
+        basis = field_resonances(tri.eigen, r, tol).basis(r)
     exact_keys = tri.eigen.exact
     exact_ring = exact_keys and all(isinstance(c, QQi) for _, _, c in tri.nil)
     E = exp_tB_jet_matrix(tri, +1, exact_ring)
@@ -505,7 +423,7 @@ def Tr_matrix(B, r: int, basis=None, include_weak: bool = True, tol: float = _TO
     size = len(basis)
     matrix = [[_zero_scalar(exact_ring)] * size for _ in range(size)]
     one = _one(exact_ring)
-    zk = table.zero_key()
+    zk = EigenScalar.zero() if exact_keys else 0j
     for col, (j, m) in enumerate(basis):
         probe = PolyJet(
             n, r, MODE_EXACT if exact_ring else MODE_FLOAT, {(j, m): one}
@@ -520,10 +438,11 @@ def Tr_matrix(B, r: int, basis=None, include_weak: bool = True, tol: float = _TO
     return matrix, tuple(basis)
 
 
-def _validate_normal_form(G: GermSpec, table: _ClassTable, tol: float):
+def _validate_normal_form(G: GermSpec, report: ResonanceReport, tol: float):
+    allowed = report.field_set() | report.weak_set()
     bad = []
     for (j, m), c in G.nonlinear.coeffs.items():
-        if table[(j, m)].kind == "non":
+        if (j, m) not in allowed:
             if G.mode == MODE_EXACT or abs(complex(c)) > tol:
                 bad.append((j, tuple(m)))
     if bad:
@@ -552,12 +471,13 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = _TOL)
             f"exp(B) differs from the germ's linear part by {res:.2e}"
         )
     tri = B.triangular()
-    _, exact_ring = _ring_flags(tri, G.mode)
-    table = _ClassTable(tri, N, tol)
-    _validate_normal_form(G, table, tol)
+    exact_keys, exact_ring = _ring_flags(tri, G.mode)
+    report = field_resonances(tri.eigen, max(N, 2), tol)  # N = 1 solves nothing
+    _validate_normal_form(G, report, tol)
+    weak = {(j, m): l for j, m, l in report.weak}
     n = tri.dim
     one = _one(exact_ring)
-    zk = table.zero_key()
+    zk = EigenScalar.zero() if exact_keys else 0j
     jet_mode = MODE_EXACT if exact_ring else MODE_FLOAT
     g = G.nonlinear if exact_ring else G.nonlinear.to_float()
 
@@ -595,7 +515,7 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = _TOL)
                 prev = rhs.get((i, m))
                 val = add if prev is None else prev + add
                 rhs[(i, m)] = val
-        basis = table.basis(r, include_weak=True)
+        basis = report.basis(r)
         basis_set = set(basis)
         stray = {
             k: v
@@ -618,12 +538,12 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = _TOL)
                     continue
                 prod = t * xc if exact_ring else coeff_complex(t) * coeff_complex(xc)
                 acc = acc - prod
-            cls = table[(j, m)]
-            if cls.kind == "res":
+            l = weak.get((j, m))
+            if l is None:
                 sol.append(acc)
             else:
                 if not _is_zero(acc, exact_ring, tol):
-                    blocked.append((j, m, cls.shift, coeff_complex(acc)))
+                    blocked.append((j, m, l, coeff_complex(acc)))
                 sol.append(_zero_scalar(exact_ring))
         if blocked:
             return Obstruction(
@@ -891,22 +811,13 @@ def appendix_identity_check(B: BlockMatrix, g: PolyJet) -> PolyJet:
         raise ValueError("the identity holds for diagonal linear parts only")
     if g.dim != tri.dim:
         raise ValueError("dimension mismatch")
-    mus = tri.eigen.entries
-    exact = tri.eigen.exact
+    mu = _mu(tri.eigen)
     terms = []
     for (j, m), c in g.coeffs.items():
-        if exact:
-            delta = EigenScalar.zero()
-            for e, mu in zip(m, mus):
-                if e:
-                    delta = delta + mu.scaled(e)
-            delta = delta - mus[j]
+        delta = _delta(mu, j, m)
+        if isinstance(delta, EigenScalar):
             if delta.is_zero:
                 continue
-            factor = complex(delta)
-        else:
-            factor = sum(e * complex(mu) for e, mu in zip(m, mus) if e) - complex(
-                mus[j]
-            )
-        terms.append((j, m, factor * complex(c)))
+            delta = complex(delta)
+        terms.append((j, m, delta * complex(c)))
     return PolyJet.build(g.dim, g.degree, MODE_FLOAT, terms, tol=0.0)

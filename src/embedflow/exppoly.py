@@ -29,18 +29,10 @@ _TWO_PI = 2.0 * math.pi
 _EXACT_COEFF = (QQi, PiPoly, int, Fraction)
 
 
-def key_is_exact(a) -> bool:
-    return isinstance(a, EigenScalar)
-
-
 def key_add(a, b):
     if isinstance(a, EigenScalar) and isinstance(b, EigenScalar):
         return a + b
     return key_complex(a) + key_complex(b)
-
-
-def key_neg(a):
-    return -a if isinstance(a, EigenScalar) else -key_complex(a)
 
 
 def key_complex(a) -> complex:
@@ -166,12 +158,6 @@ class ExpPoly:
                     out[key] = c
         return ExpPoly(out)
 
-    def mul_exp(self, a) -> "ExpPoly":
-        """Multiply by e^(a*t)."""
-        return ExpPoly(
-            {(k, key_add(aa, a)): c for (k, aa), c in self.terms.items()}
-        )
-
     def snap_exponents(self, tol: float) -> "ExpPoly":
         """Round float exponents onto the lattice 2*pi*i*Z when within tol.
 
@@ -259,16 +245,6 @@ class ExpPoly:
         for (k, a), c in self.terms.items():
             total += coeff_complex(c) * t**k * cmath.exp(complex(a) * t)
         return total
-
-    def constant_value(self):
-        """The coefficient when the function is constant, else None."""
-        if not self.terms:
-            return QQi(0)
-        if len(self.terms) == 1:
-            ((k, a), c), = self.terms.items()
-            if k == 0 and key_two_pi_l(a, 0.0) == 0:
-                return c
-        return None
 
     def max_abs(self) -> float:
         return max((abs(coeff_complex(c)) for c in self.terms.values()), default=0.0)

@@ -34,7 +34,7 @@ mode; decimals are accepted and, in exact mode, converted exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .jets import MODE_EXACT, MODE_FLOAT, MultiIndex, PolyJet, complexify, permute_jet

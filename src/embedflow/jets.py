@@ -31,7 +31,6 @@ __all__ = [
     "RealPairing",
     "compose",
     "jacobian_apply",
-    "lex_compare",
     "lex_sort_key",
     "multiindices",
     "complexify",
@@ -81,21 +80,6 @@ class MultiIndex(tuple):
     @staticmethod
     def zeros(n: int) -> "MultiIndex":
         return MultiIndex((0,) * n)
-
-
-def lex_compare(m1, m2) -> int:
-    """-1 if m1 precedes m2, +1 if it follows, 0 if equal.
-
-    A multi-index precedes another when, at the first position where they
-    differ, it has the *larger* entry; so for n = 2, degree 2 the order is
-    (2,0), (1,1), (0,2).
-    """
-    if len(m1) != len(m2):
-        raise ValueError("multi-index dimensions differ")
-    for a, b in zip(m1, m2):
-        if a != b:
-            return -1 if a > b else 1
-    return 0
 
 
 def lex_sort_key(m) -> tuple:

@@ -15,9 +15,10 @@ and nonresonant slices never mix, and within a row the cross terms of
 walks rows in coordinate order and monomials in reverse lexicographic
 order, carrying the cross terms in an accumulator.
 
-Divisors lambda^sigma - lambda_j that vanish exactly mark resonance; in
-float mode a nonresonant divisor below tolerance aborts with
-:class:`NearResonanceError` rather than dividing.
+Which (j, sigma) are resonant is decided by
+:func:`embedflow.resonance.map_class`; the divisors lambda^sigma - lambda_j
+of the others live in the jet's mode, and in float mode one below
+tolerance aborts with :class:`NearResonanceError` rather than dividing.
 """
 
 from __future__ import annotations
@@ -34,14 +35,14 @@ from .jets import (
     lex_sort_key,
     multiindices,
 )
-from .scalars import EigenScalar, ExactnessError, QQi
-from .spectral import BlockMatrix, TriangularLinear, is_hyperbolic
+from .resonance import _power, map_class
+from .scalars import ExactnessError, QQi
+from .spectral import BlockMatrix, is_hyperbolic
 
 __all__ = [
     "GermSpec",
     "NormalFormResult",
     "NearResonanceError",
-    "homological_solve",
     "distinguished_normal_form",
 ]
 
@@ -114,28 +115,6 @@ class NormalFormResult:
     diagnostics: tuple
 
 
-def _as_triangular(linear) -> TriangularLinear:
-    if isinstance(linear, TriangularLinear):
-        return linear
-    if isinstance(linear, BlockMatrix):
-        return linear.triangular()
-    raise TypeError("expected a BlockMatrix or TriangularLinear")
-
-
-def _power(lam, m):
-    """lambda^m over whichever scalar ring ``lam`` lives in."""
-    prod = None
-    for e, l in zip(m, lam):
-        if e:
-            p = l**e
-            prod = p if prod is None else prod * p
-    return prod
-
-
-def _power_diff(lam, j, m):
-    return _power(lam, m) - lam[j]
-
-
 def _cast_mode(c, mode):
     if mode == MODE_EXACT:
         if isinstance(c, QQi):
@@ -144,51 +123,20 @@ def _cast_mode(c, mode):
     return complex(c)
 
 
-class _Divisors:
-    """Resonance tests and divisors lambda^m - lambda_j for one linear part.
-
-    Classification uses the exact eigen data whenever available; the
-    divisor values used for division live in the jet's coefficient mode.
-    """
-
-    def __init__(self, tri: TriangularLinear, mode: str, tol: float):
-        self.tri = tri
-        self.tol = tol
-        self.mode = mode
-        self.exact_eigen = tri.eigen.exact
-        exact_diag = all(isinstance(d, QQi) for d in tri.diag)
-        if mode == MODE_EXACT:
-            if not exact_diag:
-                raise ExactnessError(
-                    "exact mode needs Gaussian-rational eigenvalues; "
-                    "rerun in float mode"
-                )
-            self.lam = list(tri.diag)
-        else:
-            self.lam = [complex(d) for d in tri.diag]
-        self.lam_exact = list(tri.diag) if exact_diag else None
-
-    def divisor(self, j: int, m: MultiIndex):
-        return _power_diff(self.lam, j, m)
-
-    def is_resonant(self, j: int, m: MultiIndex) -> bool:
-        if self.exact_eigen:
-            total = EigenScalar.zero()
-            for e, mu in zip(m, self.tri.eigen.entries):
-                if e:
-                    total = total + mu.scaled(e)
-            return (total - self.tri.eigen.entries[j]).two_pi_integer() is not None
-        if self.lam_exact is not None:
-            return not bool(_power_diff(self.lam_exact, j, m))
-        d = self.divisor(j, m)
-        return abs(d) <= self.tol * max(1.0, abs(self.lam[j]))
-
-
 def _homological_rows(tri, rhs, k, tol):
     """Row-by-row accumulator solve; returns (h, g, min divisor)."""
     mode = rhs.mode
     n = tri.dim
-    div = _Divisors(tri, mode, tol)
+    exact_diag = all(isinstance(d, QQi) for d in tri.diag)
+    if mode == MODE_EXACT and not exact_diag:
+        raise ExactnessError(
+            "exact mode needs Gaussian-rational eigenvalues; rerun in float mode"
+        )
+    # divisors live in the jet's mode; resonance is decided on the exact
+    # log data, else on the Gaussian-rational diagonal, else on lam
+    lam = list(tri.diag) if mode == MODE_EXACT else [complex(d) for d in tri.diag]
+    exact_mu = tri.eigen.entries if tri.eigen.exact else None
+    lam_class = tri.diag if exact_diag else lam
     order = sorted(multiindices(n, k), key=lex_sort_key, reverse=True)
     a_components = None
     nil = [(i, kk, _cast_mode(c, mode)) for i, kk, c in tri.nil]
@@ -207,7 +155,7 @@ def _homological_rows(tri, rhs, k, tol):
                 prod = _poly_mul(prod, a_components[i], k, mode, 0.0)
         out = dict(prod)
         sigma = MultiIndex(sigma)
-        lead = _power(div.lam, sigma)
+        lead = _power(lam, sigma)
         rest = out[sigma] - lead
         if _nonzero(rest, mode):
             out[sigma] = rest
@@ -235,10 +183,10 @@ def _homological_rows(tri, rhs, k, tol):
             val = acc.get(sigma)
             if val is None or not _nonzero(val, mode):
                 continue
-            if div.is_resonant(j, sigma):
+            if map_class(exact_mu, lam_class, j, sigma, tol)[0]:
                 g[(j, sigma)] = val
                 continue
-            d = div.divisor(j, sigma)
+            d = _power(lam, sigma) - lam[j]
             mag = abs(complex(d))
             min_div = mag if min_div is None else min(min_div, mag)
             if mode != MODE_EXACT and mag < max(tol, 1e-9):
@@ -264,30 +212,6 @@ def _one(mode):
 
 def _nonzero(c, mode):
     return bool(c) if mode == MODE_EXACT else abs(c) > 0.0
-
-
-def homological_solve(linear, rhs: PolyJet, k: int, tol: float = _TOL):
-    """Split a homogeneous degree-k jet into (h_k, g_k).
-
-    g_k collects the resonant coefficients of ``rhs``; h_k satisfies
-    h_k(Ay) - A h_k(y) = rhs - g_k and is supported on nonresonant
-    monomials only.
-    """
-    if k < 2:
-        raise ValueError("homological degrees start at 2")
-    if rhs.coeffs and not (rhs.min_degree() == rhs.max_degree() == k):
-        raise ValueError(f"right-hand side must be homogeneous of degree {k}")
-    tri = _as_triangular(linear)
-    if rhs.dim != tri.dim:
-        raise ValueError("dimension mismatch")
-    h, g, _ = _homological_rows(tri, rhs, k, tol)
-    h_jet = PolyJet.build(
-        rhs.dim, rhs.degree, rhs.mode, [(j, m, c) for (j, m), c in h.items()]
-    )
-    g_jet = PolyJet.build(
-        rhs.dim, rhs.degree, rhs.mode, [(j, m, c) for (j, m), c in g.items()]
-    )
-    return h_jet, g_jet
 
 
 def distinguished_normal_form(germ: GermSpec, tol: float = _TOL) -> NormalFormResult:

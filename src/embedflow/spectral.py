@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jets import MODE_EXACT, MODE_FLOAT, PolyJet, RealPairing
+from .jets import MODE_FLOAT, PolyJet, RealPairing
 from .scalars import EigenScalar, ExactnessError, QQi
 
 __all__ = [
@@ -64,10 +64,6 @@ def _is_rational(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-def _num(x) -> float:
-    return float(x)
-
-
 # -- block kinds ----------------------------------------------------------
 
 
@@ -86,7 +82,7 @@ class JordanBlock:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("block size must be positive")
-        if self.mu is not None and _num(self.eigenvalue) <= 0:
+        if self.mu is not None and float(self.eigenvalue) <= 0:
             raise ValueError("exact log form only for positive eigenvalues")
 
     @property
@@ -110,9 +106,9 @@ class RotationBlock:
     def __post_init__(self):
         if self.cells < 1:
             raise ValueError("cell count must be positive")
-        if _num(self.alpha) == 0 and _num(self.beta) == 0:
+        if float(self.alpha) == 0 and float(self.beta) == 0:
             raise ValueError("rotation block must be nonsingular")
-        if _num(self.beta) == 0:
+        if float(self.beta) == 0:
             raise ValueError("rotation block needs beta != 0")
 
     @property
@@ -135,7 +131,7 @@ class NegativePairBlock:
     def __post_init__(self):
         if self.cells < 1:
             raise ValueError("cell count must be positive")
-        if _num(self.eigenvalue) >= 0:
+        if float(self.eigenvalue) >= 0:
             raise ValueError("negative-pair block needs a negative eigenvalue")
 
     @property
@@ -668,7 +664,7 @@ def _block_modulus_is_one(block, tol):
 
 def _check_nonsingular(a: BlockMatrix):
     for b in a.blocks:
-        if isinstance(b, JordanBlock) and _num(b.eigenvalue) == 0:
+        if isinstance(b, JordanBlock) and float(b.eigenvalue) == 0:
             raise SpectralError("singular matrix: zero eigenvalue")
 
 
@@ -698,7 +694,7 @@ def has_real_log(a: BlockMatrix):
     pairs = []
     open_idx = None
     for i, b in enumerate(a.blocks):
-        if isinstance(b, JordanBlock) and _num(b.eigenvalue) < 0:
+        if isinstance(b, JordanBlock) and float(b.eigenvalue) < 0:
             if open_idx is not None and _jordan_eq(a.blocks[open_idx], b):
                 pairs.append((open_idx, i))
                 open_idx = None
@@ -762,7 +758,7 @@ def real_log(a: BlockMatrix, branch: BranchChoice | None = None) -> BlockMatrix:
     """
     _check_nonsingular(a)
     for b in a.blocks:
-        if isinstance(b, JordanBlock) and _num(b.eigenvalue) < 0:
+        if isinstance(b, JordanBlock) and float(b.eigenvalue) < 0:
             raise SpectralError(
                 "negative Jordan block: pair_negative_blocks first"
             )
@@ -843,10 +839,6 @@ def weakly_nonresonant_branch(
 # -- dense loader ------------------------------------------------------------
 
 
-def _entry(matrix, i, j):
-    return matrix[i][j]
-
-
 def block_matrix_from_dense(matrix, tol=_EIG_TOL) -> BlockMatrix:
     """Parse a dense matrix that is exactly in block normal form.
 
@@ -869,7 +861,7 @@ def block_matrix_from_dense(matrix, tol=_EIG_TOL) -> BlockMatrix:
     blocks = []
     o = 0
     while o < n:
-        if o + 1 < n and not eq(_entry(matrix, o, o + 1), 0):
+        if o + 1 < n and not eq(matrix[o][o + 1], 0):
             a, b = matrix[o][o], matrix[o][o + 1]
             if not (eq(matrix[o + 1][o], -b) and eq(matrix[o + 1][o + 1], a)):
                 raise ValueError(f"not a rotation cell at offset {o}")
@@ -896,8 +888,10 @@ def block_matrix_from_dense(matrix, tol=_EIG_TOL) -> BlockMatrix:
             continue
         lam = matrix[o][o]
         size = 1
-        while o + size < n and eq(_entry(matrix, o + size, o + size - 1), 1) and eq(
-            _entry(matrix, o + size, o + size), lam
+        while (
+            o + size < n
+            and eq(matrix[o + size][o + size - 1], 1)
+            and eq(matrix[o + size][o + size], lam)
         ):
             size += 1
         blocks.append(

@@ -153,6 +153,20 @@ class TestAnalyze:
         assert m["field_resonant"] == "(1,(0,2))"
         assert m["weak"] == ""
 
+    def test_branch_search_uses_tol(self, capsys, monkeypatch):
+        """The second pair is (-7, -24) relative 1e-7 off, so its squares are
+        weak only up to --tol 1e-6; the search must use that tolerance too."""
+        text = (
+            "HEADER\ndimension 4\ndegree 2\nmode float\nLINEAR\n"
+            "rotation -3 4 1\nrotation -7.0000007 -24.0000024 1\nNONLINEAR\n"
+        )
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "analyze", "-", "--tol", "1e-6")
+        m = machine(out)
+        assert code == 0
+        assert m["weak"] == "(3,(2,0,0,0),1);(4,(0,2,0,0),-1)"
+        assert m["weakly_nonresonant_branch"] == "0:1"
+
     def test_no_real_log(self, capsys, monkeypatch):
         text = (
             "HEADER\ndimension 2\ndegree 2\nmode float\nLINEAR\n"
