@@ -34,6 +34,7 @@ from .reports import Report, fmt_complex, fmt_entry
 from .resonance import field_resonances, map_resonances
 from .scalars import ExactnessError
 from .spectral import (
+    BRANCH_BOUND,
     BranchChoice,
     SpectralError,
     has_real_log,
@@ -203,7 +204,9 @@ def cmd_analyze(gf: GermFile, report: Report) -> int:
     found = weakly_nonresonant_branch(paired, gf.degree, tol=gf.tol)
     report.section("Branch search")
     if found is None:
-        report.line("no weakly nonresonant branch with |k|,|l| <= 3")
+        report.line(
+            f"no weakly nonresonant branch with |k|,|l| <= {BRANCH_BOUND}"
+        )
         report.put("weakly_nonresonant_branch", "none")
     else:
         report.line(
@@ -213,6 +216,7 @@ def cmd_analyze(gf: GermFile, report: Report) -> int:
         report.put(
             "weakly_nonresonant_branch", ":".join(map(str, found.values))
         )
+    report.put("branch_bound", BRANCH_BOUND)
     report.put("status", "ok")
     return EXIT_OK
 

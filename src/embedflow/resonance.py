@@ -14,6 +14,10 @@ embedding solve from one :func:`field_resonances` report per solve.
 
 In exact mode (``EigenScalar`` data) the tests reduce to integer
 arithmetic, and Gaussian-rational map eigenvalues are compared exactly.
+A scan of every (j, m) up to a degree forms all <m, mu> - mu_j as one
+product of the monomial matrix with the log data (integer coordinates when
+exact, complex otherwise); the scans and the per-pair classes apply the
+same rule, :func:`_witness`.
 Float data use two rules: map resonance is relative in lambda,
 |lambda^m - lambda_j| <= tol*max(1, |lambda_j|); field and weak resonance
 are absolute in mu, with <m, mu> - mu_j within tol of 2*pi*i*Z.  Misses
@@ -29,6 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .jets import multiindices
 from .scalars import EigenScalar, QQi
@@ -87,7 +93,7 @@ def _mu(eigen: EigenData):
 
 
 def _delta(mu, j: int, m):
-    """<m, mu> - mu_j: exact over EigenScalar entries, complex otherwise."""
+    """<m, mu> - mu_j as a value: an EigenScalar for exact entries, else complex."""
     if isinstance(mu[j], EigenScalar):
         total = EigenScalar.zero()
         for k, v in zip(m, mu):
@@ -107,17 +113,86 @@ def _power(values, m):
     return prod
 
 
+def _lattice(entries):
+    """Exact log data as integers: (W, D) with W[i] = D*mu_i.
+
+    Columns are the coordinates over {1, ln p (each prime p that occurs),
+    i*pi}; D is the common denominator of all of them.  W holds Python ints
+    in an object array, so products and sums never overflow.
+    """
+    primes = sorted({p for e in entries for p, _ in e.logs})
+    col = {p: 1 + t for t, p in enumerate(primes)}
+    D = math.lcm(
+        *(c.denominator for e in entries for c in (e.rat, e.pi_part)),
+        *(c.denominator for e in entries for _, c in e.logs),
+    )
+    W = np.zeros((len(entries), len(primes) + 2), dtype=object)
+    for i, e in enumerate(entries):
+        W[i, 0] = int(e.rat * D)
+        for p, c in e.logs:
+            W[i, col[p]] = int(c * D)
+        W[i, -1] = int(e.pi_part * D)
+    return W, D
+
+
+def _deltas(mu, M):
+    """<M[t], mu> - mu_j for every coordinate j (outer) and row t of M (inner).
+
+    Exact entries give ``(rows, D)``: integer coordinates of D times each
+    value, as in :func:`_lattice`.  Complex entries give ``(values, None)``;
+    <M[t], mu> is accumulated coordinate by coordinate, so each value is
+    the same float sum as :func:`_delta` forms.
+    """
+    if isinstance(mu[0], EigenScalar):
+        W, D = _lattice(mu)
+        S = M @ W
+        return (S[None, :, :] - W[:, None, :]).reshape(-1, W.shape[1]), D
+    acc = np.zeros(len(M), dtype=complex)
+    for i, v in enumerate(mu):
+        acc = acc + M[:, i] * v
+    return (acc[None, :] - np.asarray(mu, dtype=complex)[:, None]).reshape(-1), None
+
+
+def _witness(delta, D, tol):
+    """The one lattice rule: is <m, mu> - mu_j in 2*pi*i*Z?
+
+    Returns ``(hit, l, dist)`` per row.  ``l`` is the witness with
+    mu_j - <m, mu> = 2*pi*i*l wherever ``hit`` holds.  Exact rows hit when
+    every coordinate but the pi one is 0 and that one divides by 2D; their
+    ``dist`` is None.  Float rows hit within ``tol`` of the nearest lattice
+    point, and ``dist`` is the distance to it.
+    """
+    if D is not None:
+        pi = delta[:, -1]
+        hit = ~(delta[:, :-1] != 0).any(axis=1) & (pi % (2 * D) == 0)
+        return hit, -(pi // (2 * D)), None
+    l = np.round(delta.imag / _TWO_PI)
+    dist = np.hypot(delta.real, delta.imag - _TWO_PI * l)
+    return dist <= tol, -l, dist
+
+
+def _is_near(dist, cut):
+    """A float miss within 100 times its cut is reported as near."""
+    return dist <= _NEAR_FACTOR * cut
+
+
+def _one_pair(mu, j: int, m, tol):
+    """_witness for the single pair (j, m): (hit, l, dist) as scalars."""
+    hit, l, dist = _witness(*_deltas(mu, np.array([m], dtype=np.int64)), tol)
+    return bool(hit[j]), int(l[j]), None if dist is None else float(dist[j])
+
+
 def map_class(exact_mu, lam, j: int, m, tol: float = _TOL):
     """Decide lambda_j = lambda^m for one (j, m); returns (resonant, near).
 
     ``exact_mu`` is the exact log data (``EigenScalar`` entries) or None;
-    with it the test is exact on <m, mu> - mu_j.  Otherwise ``lam`` decides:
-    exactly for Gaussian-rational entries, else relative to
-    tol*max(1, |lambda_j|), and ``near`` is the distance of a float miss
-    inside 100 times that cut (None otherwise).
+    with it the test is the exact lattice rule on <m, mu> - mu_j.
+    Otherwise ``lam`` decides: exactly for Gaussian-rational entries, else
+    relative to tol*max(1, |lambda_j|), and ``near`` is the distance of a
+    float miss inside 100 times that cut (None otherwise).
     """
     if exact_mu is not None:
-        return _delta(exact_mu, j, m).two_pi_integer() is not None, None
+        return _one_pair(exact_mu, j, m, tol)[0], None
     gap = _power(lam, m) - lam[j]
     if isinstance(gap, QQi):
         return not gap, None
@@ -125,7 +200,7 @@ def map_class(exact_mu, lam, j: int, m, tol: float = _TOL):
     cut = tol * max(1.0, abs(lam[j]))
     if dist <= cut:
         return True, None
-    return False, dist if dist <= _NEAR_FACTOR * cut else None
+    return False, dist if _is_near(dist, cut) else None
 
 
 def field_class(mu, j: int, m, tol: float = _TOL):
@@ -136,39 +211,54 @@ def field_class(mu, j: int, m, tol: float = _TOL):
     ``tol`` of that lattice, and ``near`` is the distance of a miss inside
     100*tol (None otherwise).  ``mu`` is exact or complex, as from _mu.
     """
-    d = _delta(mu, j, m)
-    if isinstance(d, EigenScalar):
-        l = d.two_pi_integer()
-        # two_pi_integer sees <m,mu> - mu_j; the witness flips sign.
-        return (None if l is None else -l), None
-    l = round(d.imag / _TWO_PI)
-    dist = math.hypot(d.real, d.imag - _TWO_PI * l)
-    if dist <= tol:
-        return -l, None
-    return None, dist if dist <= _NEAR_FACTOR * tol else None
+    hit, l, dist = _one_pair(mu, j, m, tol)
+    if hit:
+        return l, None
+    return None, dist if dist is not None and _is_near(dist, tol) else None
+
+
+def _monomials(dim: int, degree: int) -> list:
+    """Exponents m with 2 <= |m| <= degree: by degree, then lex."""
+    return [m for r in range(2, degree + 1) for m in multiindices(dim, r)]
 
 
 def _pairs(dim: int, degree: int):
     """(j, m) for 2 <= |m| <= degree: j outer, then degree, then lex."""
-    mons = [m for r in range(2, degree + 1) for m in multiindices(dim, r)]
+    mons = _monomials(dim, degree)
     for j in range(dim):
         for m in mons:
             yield j, m
+
+
+def _scan(mu, degree: int, tol: float):
+    """_witness on every pair of _pairs(len(mu), degree), as one product.
+
+    Returns the pairs and the (hit, l, dist) arrays in that order.
+    """
+    n = len(mu)
+    mons = _monomials(n, degree)
+    M = np.array(mons, dtype=np.int64).reshape(len(mons), n)
+    pairs = [(j, m) for j in range(n) for m in mons]
+    return pairs, _witness(*_deltas(mu, M), tol)
 
 
 def map_resonances(eigen: EigenData, degree: int, tol: float = _TOL) -> ResonanceReport:
     """All (j, m) with lambda_j = lambda^m and 2 <= |m| <= degree."""
     if degree < 2:
         raise ValueError("degree must be at least 2")
-    exact_mu = eigen.entries if eigen.exact else None
-    lam = eigen.lambda_complex() if exact_mu is None else None
     found, near = [], []
-    for j, m in _pairs(len(eigen), degree):
-        resonant, dist = map_class(exact_mu, lam, j, m, tol)
-        if resonant:
-            found.append((j, m))
-        elif dist is not None:
-            near.append((j, m, dist))
+    if eigen.exact:
+        # exact map resonance is <m, mu> - mu_j in 2*pi*i*Z
+        pairs, (hit, _, _) = _scan(eigen.entries, degree, tol)
+        found = [p for p, h in zip(pairs, hit) if h]
+    else:
+        lam = eigen.lambda_complex()
+        for j, m in _pairs(len(eigen), degree):
+            resonant, dist = map_class(None, lam, j, m, tol)
+            if resonant:
+                found.append((j, m))
+            elif dist is not None:
+                near.append((j, m, dist))
     return ResonanceReport(
         len(eigen), degree, map_resonant=tuple(found), near=tuple(near)
     )
@@ -178,17 +268,18 @@ def field_resonances(eigen: EigenData, degree: int, tol: float = _TOL) -> Resona
     """Field-resonant (j, m) and weak (j, m, l) with mu_j - <m, mu> = 2*pi*i*l."""
     if degree < 2:
         raise ValueError("degree must be at least 2")
-    mu = _mu(eigen)
+    pairs, (hit, l, dist) = _scan(_mu(eigen), degree, tol)
     resonant, weak, near = [], [], []
-    for j, m in _pairs(len(eigen), degree):
-        l, dist = field_class(mu, j, m, tol)
-        if l is None:
-            if dist is not None:
-                near.append((j, m, dist))
-        elif l:
-            weak.append((j, m, l))
+    for t in np.flatnonzero(hit):
+        j, m = pairs[t]
+        if l[t]:
+            weak.append((j, m, int(l[t])))
         else:
             resonant.append((j, m))
+    if dist is not None:
+        for t in np.flatnonzero(~hit & _is_near(dist, tol)):
+            j, m = pairs[t]
+            near.append((j, m, float(dist[t])))
     return ResonanceReport(
         len(eigen),
         degree,

@@ -25,6 +25,7 @@ couplings only between equal-eigenvalue coordinates
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,11 +50,15 @@ __all__ = [
     "pair_negative_blocks",
     "real_log",
     "weakly_nonresonant_branch",
+    "BRANCH_BOUND",
     "block_matrix_from_dense",
     "dense_exp",
 ]
 
 _EIG_TOL = 1e-9
+# Branch integers |k| <= BRANCH_BOUND per block are searched for a weakly
+# nonresonant logarithm.
+BRANCH_BOUND = 3
 
 
 class SpectralError(ValueError):
@@ -276,22 +281,16 @@ def _shift_mu(mu, l: int):
     return mu + complex(0.0, 2.0 * math.pi * l)
 
 
-def _conj_mu(mu):
-    if isinstance(mu, EigenScalar):
-        return mu.conjugate()
-    return mu.conjugate()
-
-
 def _block_eigen(block, branch: int):
     """Eigenvalue logs per coordinate of one block (complexified order)."""
     if isinstance(block, JordanBlock):
         return [_jordan_mu(block)] * block.size
     if isinstance(block, RotationBlock):
         mu = _shift_mu(_rotation_mu(block), -branch)
-        return [mu, _conj_mu(mu)] * block.cells
+        return [mu, mu.conjugate()] * block.cells
     if isinstance(block, NegativePairBlock):
         mu = _shift_mu(_negpair_mu(block), -branch)
-        return [mu, _conj_mu(mu)] * block.cells
+        return [mu, mu.conjugate()] * block.cells
     raise TypeError(f"unknown block {type(block).__name__}")
 
 
@@ -797,8 +796,30 @@ def log_residual(a: BlockMatrix, b: BlockMatrix) -> float:
     return float(np.max(np.abs(dense_exp(b.to_dense()) - a.to_dense())))
 
 
+def _branch_shifts(a: BlockMatrix):
+    """Per-coordinate effect of the branch integers on the log eigenvalues.
+
+    Returns ``(slots, S)``: the indices of the branchable blocks, and the
+    integer matrix S with one row per coordinate and one column per slot.
+    Branch k on a block adds -2*pi*i*k to its z-side logs and +2*pi*i*k to
+    their conjugates, so S holds +1 on z-side and -1 on conjugate
+    coordinates: the weak witness l with mu_j - <m, mu> = 2*pi*i*l then
+    moves by (m @ S - S[j]) . k.
+    """
+    branchable = [
+        (i, o, b.order)
+        for i, (b, o) in enumerate(zip(a.blocks, a.offsets()))
+        if isinstance(b.source if isinstance(b, LogBlock) else b, _BRANCHABLE)
+    ]
+    S = np.zeros((a.dim, len(branchable)), dtype=np.int64)
+    for col, (_, o, order) in enumerate(branchable):
+        S[o : o + order : 2, col] = 1
+        S[o + 1 : o + order : 2, col] = -1
+    return [i for i, _, _ in branchable], S
+
+
 def weakly_nonresonant_branch(
-    a: BlockMatrix, degree: int, bound: int = 3, tol=_EIG_TOL
+    a: BlockMatrix, degree: int, bound: int = BRANCH_BOUND, tol=_EIG_TOL
 ):
     """Search for a branch whose log eigenvalues have no weak resonance.
 
@@ -806,34 +827,40 @@ def weakly_nonresonant_branch(
     so the principal branch is tried first.  Returns a
     :class:`BranchChoice` or ``None`` when every candidate within
     ``|k|, |l| <= bound`` has a weak resonance up to ``degree``.
+
+    The principal logarithm is scanned once.  A branch shift moves
+    <m, mu> - mu_j by 2*pi*i times an integer, so the pairs in 2*pi*i*Z are
+    the same on every branch, and the witness of such a pair on branch k is
+    l0 + c.k (l0 its principal witness, 0 when field resonant).  The search
+    is for the first candidate k that zeroes every row (l0, c).
     """
     from .resonance import field_resonances
 
-    slots = [
-        i
-        for i, b in enumerate(a.blocks)
-        if isinstance(
-            b.source if isinstance(b, LogBlock) else b, _BRANCHABLE
-        )
-    ]
-    if not slots:
-        candidates = [()]
-    else:
-        rng = range(-bound, bound + 1)
-        candidates = [()]
-        for _ in slots:
-            candidates = [c + (v,) for c in candidates for v in rng]
-        candidates.sort(key=lambda c: (sum(abs(v) for v in c), c))
-    for cand in candidates:
-        values = [0] * len(a.blocks)
-        for slot, v in zip(slots, cand):
-            values[slot] = v
-        choice = BranchChoice(tuple(values))
-        b = real_log(a, choice)
-        report = field_resonances(b.eigen(), degree, tol=tol)
-        if not report.weak:
-            return choice
-    return None
+    report = field_resonances(real_log(a).eigen(), degree, tol=tol)
+    slots, S = _branch_shifts(a)
+    hits = [(j, m, 0) for j, m in report.field_resonant] + list(report.weak)
+    rows = set()
+    for j, m, l0 in hits:
+        c = np.asarray(m, dtype=np.int64) @ S - S[j]
+        if abs(l0) > bound * int(np.abs(c).sum()):
+            return None  # no |k| <= bound zeroes this witness
+        if c.any():
+            rows.add((l0, tuple(int(v) for v in c)))
+    candidates = sorted(
+        itertools.product(range(-bound, bound + 1), repeat=len(slots)),
+        key=lambda k: (sum(abs(v) for v in k), k),
+    )
+    L0 = np.array([l0 for l0, _ in rows], dtype=np.int64)
+    C = np.array([c for _, c in rows], dtype=np.int64).reshape(len(rows), len(slots))
+    K = np.array(candidates, dtype=np.int64).reshape(len(candidates), len(slots))
+    ok = (K @ C.T + L0 == 0).all(axis=1)
+    if not ok.any():
+        return None
+    best = candidates[int(np.argmax(ok))]
+    values = [0] * len(a.blocks)
+    for slot, v in zip(slots, best):
+        values[slot] = v
+    return BranchChoice(tuple(values))
 
 
 # -- dense loader ------------------------------------------------------------

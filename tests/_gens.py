@@ -4,6 +4,7 @@ Everything takes an explicit numpy Generator so test runs are
 reproducible; nothing here touches global RNG state.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from embedflow import (
     MODE_EXACT,
     MODE_FLOAT,
     BlockMatrix,
+    EigenScalar,
     GermSpec,
     JordanBlock,
     MultiIndex,
@@ -65,6 +67,57 @@ def random_loggable_blocks(rng: np.random.Generator, n_max: int = 6) -> BlockMat
             blocks.append(JordanBlock(lam, size))
             dim += 2 * size
     return BlockMatrix(tuple(blocks))
+
+
+_ANGLES = [Fraction(s * a, b) for s in (-1, 1) for a, b in ((1, 4), (1, 3), (1, 2), (2, 3), (3, 4))]
+
+
+def _rotation(u: Fraction, q: Fraction, exact: bool) -> RotationBlock:
+    """Block with z-side eigenvalue e^(u + i*pi*q); exact log data if asked."""
+    r, theta = math.exp(u), math.pi * q
+    mu = EigenScalar.from_parts(rat=u, pi_part=q) if exact else None
+    return RotationBlock(r * math.cos(theta), -r * math.sin(theta), 1, mu=mu)
+
+
+def random_branch_spectrum(
+    rng: np.random.Generator, exact: bool, branchable: int
+) -> BlockMatrix:
+    """Spectrum with ``branchable`` rotation/negative-pair blocks (dim <= 5).
+
+    Log moduli are small multiples of one u and angles rational multiples
+    of pi; a second rotation is mostly a power of the first, so weak
+    resonances that some branches remove and others keep are common.
+    Exact spectra carry exact log data; float spectra are the same blocks
+    given by their float entries only.
+    """
+    u = Fraction(int(rng.choice([1, 2, 3])), int(rng.choice([1, 2])))
+    blocks, first = [], None
+    for _ in range(branchable):
+        if first is not None and rng.random() < 0.7:
+            p = int(rng.choice([2, 3]))
+            q = p * first[1]
+            q -= 2 * math.ceil((q - 1) / 2)  # into (-1, 1]
+            if q not in (0, 1):
+                blocks.append(_rotation(p * first[0], q, exact))
+                continue
+        if rng.random() < 0.7:
+            uu = u * Fraction(int(rng.choice([-2, -1, 1, 2])), int(rng.choice([1, 2])))
+            q = _ANGLES[int(rng.integers(0, len(_ANGLES)))]
+            blocks.append(_rotation(uu, q, exact))
+            first = first or (uu, q)
+        else:
+            lam = -Fraction(int(rng.choice([2, 3, 4])), int(rng.choice([1, 2])))
+            blocks.append(NegativePairBlock(lam if exact else float(lam), 1))
+    room = 5 - 2 * branchable
+    for _ in range(int(rng.integers(1, min(room, 4) + 1))):
+        k = int(rng.choice([1, 2, 4, 8]))
+        blocks.append(
+            JordanBlock(math.exp(k * u), 1, mu=EigenScalar.from_parts(rat=k * u))
+            if exact
+            else JordanBlock(math.exp(k * float(u)), 1)
+        )
+    order = rng.permutation(len(blocks))
+    return BlockMatrix(tuple(blocks[i] for i in order))
 
 
 def random_positive_rational_diag(rng: np.random.Generator, n: int) -> BlockMatrix:

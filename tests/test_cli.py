@@ -6,10 +6,13 @@ machine tail of the report plus the exit code.
 
 import io
 import math
+import os
+import subprocess
 import sys
 
 import pytest
 
+import embedflow
 from embedflow import parse_machine
 from embedflow.cli import main
 
@@ -144,6 +147,8 @@ class TestAnalyze:
             "(1,(0,0,2),-1)",
         }
         assert m["weakly_nonresonant_branch"] == "none"
+        assert m["branch_bound"] == "3"
+        assert "no weakly nonresonant branch with |k|,|l| <= 3" in out
         assert m["real_log"] == "yes"
 
     def test_resonant_2d(self, capsys):
@@ -178,6 +183,25 @@ class TestAnalyze:
         assert code == 3
         assert m["status"] == "no-real-log"
         assert m["real_log"] == "no"
+
+
+class TestModuleEntry:
+    def test_python_m_embedflow(self):
+        """``python -m embedflow`` runs the same CLI as the installed script."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(embedflow.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "embedflow", "analyze", "--fixture", "paper-F1"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert machine(proc.stdout)["status"] == "ok"
 
 
 class TestVerify:

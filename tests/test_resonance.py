@@ -27,8 +27,11 @@ from embedflow import (
     multiindices,
     operator_L_field_spectrum,
     operator_L_map_spectrum,
+    pair_negative_blocks,
     real_log,
 )
+from embedflow.resonance import _pairs, field_class, map_class
+from _gens import random_branch_spectrum, random_loggable_blocks
 
 
 def _eigen_2_3() -> EigenData:
@@ -142,6 +145,59 @@ def test_weak_detection_needs_exact_imaginary_part():
     ))
     rep = field_resonances(eigen, 4)
     assert (0, (0, 4), -1) in set(rep.weak)
+
+
+def _per_pair_reports(eigen, degree, tol):
+    """field_class/map_class over every pair, in _pairs order."""
+    mu = eigen.entries if eigen.exact else eigen.mu_complex()
+    exact_mu = eigen.entries if eigen.exact else None
+    lam = None if eigen.exact else eigen.lambda_complex()
+    field, weak, field_near, maps, map_near = [], [], [], [], []
+    for j, m in _pairs(len(eigen), degree):
+        l, dist = field_class(mu, j, m, tol)
+        if l is None:
+            if dist is not None:
+                field_near.append((j, m, dist))
+        elif l:
+            weak.append((j, m, l))
+        else:
+            field.append((j, m))
+        resonant, dist = map_class(exact_mu, lam, j, m, tol)
+        if resonant:
+            maps.append((j, m))
+        elif dist is not None:
+            map_near.append((j, m, dist))
+    return field, weak, field_near, maps, map_near
+
+
+def _same_near(got, want):
+    assert [(j, m) for j, m, _ in got] == [(j, m) for j, m, _ in want]
+    for (_, _, a), (_, _, b) in zip(got, want):
+        assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_scans_agree_with_per_pair_rules(tol):
+    rng = np.random.default_rng(4)
+    spectra = [real_log(random_branch_spectrum(rng, exact, k)).eigen()
+               for exact in (True, False) for k in (0, 1, 2, 2)]
+    spectra += [real_log(pair_negative_blocks(random_loggable_blocks(rng, 4))[0]).eigen()
+                for _ in range(4)]
+    assert any(e.exact for e in spectra) and not all(e.exact for e in spectra)
+    weak_seen = near_seen = False
+    for eigen in spectra:
+        for degree in (2, 3, 4):
+            field, weak, field_near, maps, map_near = _per_pair_reports(eigen, degree, tol)
+            frep = field_resonances(eigen, degree, tol)
+            mrep = map_resonances(eigen, degree, tol)
+            assert list(frep.field_resonant) == field
+            assert list(frep.weak) == weak
+            _same_near(frep.near, field_near)
+            assert list(mrep.map_resonant) == maps
+            _same_near(mrep.near, map_near)
+            weak_seen |= bool(weak)
+            near_seen |= bool(field_near)
+    assert weak_seen and (near_seen or tol < 1e-6)
 
 
 # -- operator spectra against assembled matrices ----------------------------

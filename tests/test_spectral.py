@@ -5,12 +5,14 @@ exponential; the frozen logarithms come from the closed forms
 [[ln r, theta], [-theta, ln r]] for rotations by angle theta.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
+import embedflow.resonance
 from embedflow import (
     BlockMatrix,
     BranchChoice,
@@ -20,13 +22,16 @@ from embedflow import (
     SpectralError,
     block_matrix_from_dense,
     dense_exp,
+    field_resonances,
     has_real_log,
     is_hyperbolic,
     pair_negative_blocks,
+    parse_germ,
     real_log,
     weakly_nonresonant_branch,
 )
-from _gens import random_loggable_blocks
+from embedflow.spectral import BRANCH_BOUND
+from _gens import random_branch_spectrum, random_loggable_blocks
 
 
 def test_negative_pair_log_closed_form():
@@ -178,6 +183,74 @@ def test_weakly_nonresonant_branch_none_when_all_blocked():
     # weak resonance on every branch at degree 2
     a = BlockMatrix((JordanBlock(4, 1), NegativePairBlock(-2, 1)))
     assert weakly_nonresonant_branch(a, 2) is None
+
+
+def _rescan_branch(a, degree, tol, bound=BRANCH_BOUND):
+    """Oracle: build the logarithm of every candidate branch and rescan it."""
+    slots = [
+        i for i, b in enumerate(a.blocks)
+        if isinstance(b, (RotationBlock, NegativePairBlock))
+    ]
+    candidates = sorted(
+        itertools.product(range(-bound, bound + 1), repeat=len(slots)),
+        key=lambda k: (sum(abs(v) for v in k), k),
+    )
+    for cand in candidates:
+        values = [0] * len(a.blocks)
+        for slot, v in zip(slots, cand):
+            values[slot] = v
+        choice = BranchChoice(tuple(values))
+        if not field_resonances(real_log(a, choice).eigen(), degree, tol).weak:
+            return choice
+    return None
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_branch_search_matches_rescan_oracle(exact, tol):
+    rng = np.random.default_rng(6 if exact else 3)
+    found = set()
+    for trial in range(24):
+        a = random_branch_spectrum(rng, exact, (0, 1, 2, 2)[trial % 4])
+        assert real_log(a).eigen().exact == exact
+        for degree in (2, 3, 4, 5):
+            got = weakly_nonresonant_branch(a, degree, tol=tol)
+            assert got == _rescan_branch(a, degree, tol), (a, degree)
+            found.add("none" if got is None else any(got.values))
+    # the spectra exercise all three outcomes: principal, other, none
+    assert found == {False, True, "none"}
+
+
+def test_branch_search_finds_non_principal_branch():
+    # witness of the weak pair on branch k: l = -1 + 2 k1 - k2
+    text = (
+        "HEADER\ndimension 4\ndegree 3\nmode float\nLINEAR\n"
+        "rotation-exp 1/2 3/4 1\nrotation-exp 1 -1/2 1\nNONLINEAR\n"
+    )
+    a = parse_germ(text).blocks
+    assert field_resonances(real_log(a).eigen(), 3).weak
+    got = weakly_nonresonant_branch(a, 3)
+    assert got.values == (0, -1)
+    assert got == _rescan_branch(a, 3, 1e-9)
+    assert not field_resonances(real_log(a, got).eigen(), 3).weak
+
+
+def test_branch_search_scans_once(monkeypatch):
+    # weak on all 7^2 branches; the search must not rescan any of them
+    text = (
+        "HEADER\ndimension 5\ndegree 8\nmode exact\nLINEAR\njordan-exp 8 1\n"
+        "rotation-exp 1 1/4 1\nrotation-exp 1/2 1/3 1\nNONLINEAR\n"
+    )
+    a = parse_germ(text).blocks
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return field_resonances(*args, **kwargs)
+
+    monkeypatch.setattr(embedflow.resonance, "field_resonances", counting)
+    assert weakly_nonresonant_branch(a, 8) is None
+    assert len(calls) == 1
 
 
 def test_eigen_exactness_for_rational_spectra():
