@@ -164,13 +164,17 @@ def _linear_section(gf: GermFile, report: Report) -> bool:
     return ok
 
 
-def _prepare(gf: GermFile, report: Report):
-    spec, paired, perm = gf.to_spec()
-    _linear_section(gf, report)
+def _coordinates_section(gf: GermFile, report: Report, paired, perm):
     if perm != tuple(range(gf.dim)):
         report.line(f"negative pairs interleaved; coordinate order {perm}")
     mus = [complex(m) for m in paired.triangular().eigen.entries]
     report.line("log eigenvalues (principal): " + ", ".join(fmt_complex(m) for m in mus))
+
+
+def _prepare(gf: GermFile, report: Report):
+    spec, paired, perm = gf.to_spec()
+    _linear_section(gf, report)
+    _coordinates_section(gf, report, paired, perm)
     return spec, paired, perm
 
 
@@ -187,10 +191,7 @@ def cmd_analyze(gf: GermFile, report: Report) -> int:
         report.line("resonances above use the principal complex logarithm")
         report.put("status", "no-real-log")
         return EXIT_PRECONDITION
-    if perm != tuple(range(gf.dim)):
-        report.line(f"negative pairs interleaved; coordinate order {perm}")
-    mus = [complex(m) for m in paired.triangular().eigen.entries]
-    report.line("log eigenvalues (principal): " + ", ".join(fmt_complex(m) for m in mus))
+    _coordinates_section(gf, report, paired, perm)
     branch = _branch_for(gf, paired)
     try:
         B = real_log(paired, branch)

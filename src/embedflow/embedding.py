@@ -31,12 +31,13 @@ from operator import add
 
 import numpy as np
 
-from .exppoly import ExpPoly, coeff_complex
+from .exppoly import ExpPoly
 from .jets import (
     MODE_EXACT,
     MODE_FLOAT,
     MultiIndex,
     PolyJet,
+    _substitute,
     compose,
     jacobian_apply,
     jet_distance,
@@ -100,62 +101,16 @@ class FlowJet:
         terms = [(j, m, p.eval_at(t)) for (j, m), p in self.coeffs.items()]
         return PolyJet.build(self.dim, self.degree, MODE_FLOAT, terms, tol=0.0)
 
-    def max_abs(self) -> float:
-        return max((p.max_abs() for p in self.coeffs.values()), default=0.0)
 
+def _substitute_flow(coeffs: dict, phi: FlowJet, r: int, unit: ExpPoly) -> FlowJet:
+    """Degree-r part of x(phi(t, y)) for the scalar terms ``coeffs`` of x.
 
-def _series_mul(p1: dict, p2: dict, limit: int) -> dict:
-    out: dict = {}
-    for m1, f1 in p1.items():
-        d1 = m1.degree
-        for m2, f2 in p2.items():
-            if d1 + m2.degree > limit:
-                continue
-            m = m1.plus(m2)
-            f = f1 * f2
-            s = out.get(m)
-            s = f if s is None else s + f
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
-
-
-def _substitute(xjet: PolyJet, phi: FlowJet, limit: int, one_coeff, zero_key) -> FlowJet:
-    """Compose a scalar-coefficient field with an ExpPoly-coefficient jet."""
-    n = xjet.dim
-    comps = [phi.component(i) for i in range(n)]
-    unit = {MultiIndex.zeros(n): ExpPoly.single(one_coeff, 0, zero_key)}
-    powers: dict = {}
-
-    def power(i: int, e: int) -> dict:
-        key = (i, e)
-        if key not in powers:
-            if e == 1:
-                powers[key] = comps[i]
-            else:
-                powers[key] = _series_mul(power(i, e - 1), comps[i], limit)
-        return powers[key]
-
-    out: dict = {}
-    for (j, m), c in xjet.coeffs.items():
-        poly = unit
-        for i, e in enumerate(m):
-            if e:
-                poly = _series_mul(poly, power(i, e), limit)
-        for mm, f in poly.items():
-            term = f.scale(c)
-            if not term:
-                continue
-            key = (j, mm)
-            s = out.get(key)
-            s = term if s is None else s + term
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return FlowJet(n, limit, out)
+    The jet composition kernel over the ExpPoly ring, whose 1 is ``unit``;
+    only exact zeros are dropped.
+    """
+    comps = [phi.component(i) for i in range(phi.dim)]
+    out = _substitute(coeffs, comps, r, unit, MODE_EXACT, 0.0)
+    return FlowJet(phi.dim, r, out).degree_slice(r)
 
 
 def _matrix_apply(mat, jet: FlowJet) -> FlowJet:
@@ -192,14 +147,6 @@ def _snap(jet: FlowJet, tol: float) -> FlowJet:
 
 
 # -- linear exponentials -------------------------------------------------------
-
-
-def _nil_matrix(tri: TriangularLinear, exact_ring: bool):
-    n = tri.dim
-    mat = [[None] * n for _ in range(n)]
-    for i, k, c in tri.nil:
-        mat[i][k] = c if exact_ring else complex(c)
-    return mat
 
 
 def _nil_powers(tri: TriangularLinear, exact_ring: bool):
@@ -282,6 +229,55 @@ def exp_B_matrix(tri: TriangularLinear, sign: int, exact_ring: bool):
     return mat
 
 
+def _exact_ring(tri: TriangularLinear, mode: str) -> bool:
+    """Whether flow coefficients stay exact (QQi/PiPoly): an exact-mode
+    jet over exact eigen data with Gaussian-rational couplings."""
+    return (
+        mode == MODE_EXACT
+        and tri.eigen.exact
+        and all(isinstance(c, QQi) for _, _, c in tri.nil)
+    )
+
+
+def _flow_unit(tri: TriangularLinear, exact_ring: bool) -> ExpPoly:
+    """The constant 1 of the flow-coefficient ring, keyed like tri's exponents."""
+    zero_key = EigenScalar.zero() if tri.eigen.exact else 0j
+    return ExpPoly.single(_one(exact_ring), 0, zero_key)
+
+
+def _linear_flow(tri: TriangularLinear, exact_ring: bool, degree: int):
+    """(e^(tB), e^(-tB), the linear flow y -> e^(tB) y as a FlowJet)."""
+    E = exp_tB_jet_matrix(tri, +1, exact_ring)
+    Em = exp_tB_jet_matrix(tri, -1, exact_ring)
+    n = tri.dim
+    phi0 = FlowJet(
+        n,
+        degree,
+        {
+            (i, MultiIndex.unit(n, k)): E[i][k]
+            for i in range(n)
+            for k in range(n)
+            if E[i][k] is not None
+        },
+    )
+    return E, Em, phi0
+
+
+def _flow_step(phi: FlowJet, slice_r: FlowJet, E, Em, tol: float) -> FlowJet:
+    """phi + e^(tB) integral_0^t e^(-sB) slice_r(s) ds: one degree of the flow.
+
+    ``slice_r`` is the degree-r part of the field's nonlinearity along the
+    flow known below degree r.
+    """
+    integrand = _snap(_matrix_apply(Em, slice_r), tol)
+    inner = FlowJet(
+        phi.dim,
+        phi.degree,
+        {k: q for k, p in integrand.coeffs.items() if (q := p.integrate_to_t())},
+    )
+    return phi + _matrix_apply(E, inner)
+
+
 # -- public types ---------------------------------------------------------------
 
 
@@ -359,20 +355,14 @@ class Obstruction:
 # -- T^r and the solve ----------------------------------------------------------
 
 
-def _ring_flags(tri: TriangularLinear, mode: str):
-    exact_keys = tri.eigen.exact
-    exact_ring = (
-        mode == MODE_EXACT
-        and exact_keys
-        and all(isinstance(c, QQi) for _, _, c in tri.nil)
-        and tri.eigen.lambda_exact() is not None
-    )
+def _ring_flags(tri: TriangularLinear, mode: str) -> bool:
+    exact_ring = _exact_ring(tri, mode) and tri.eigen.lambda_exact() is not None
     if mode == MODE_EXACT and not exact_ring:
         raise ExactnessError(
             "exact solve needs exact eigen data and Gaussian-rational "
             "eigenvalues; rerun in float mode"
         )
-    return exact_keys, exact_ring
+    return exact_ring
 
 
 def _one(exact_ring: bool):
@@ -386,7 +376,7 @@ def _zero_scalar(exact_ring: bool):
 def _is_zero(c, exact_ring: bool, tol: float) -> bool:
     if exact_ring or isinstance(c, (QQi, int, Fraction)):
         return not bool(c)
-    return abs(coeff_complex(c)) <= tol
+    return abs(complex(c)) <= tol
 
 
 def Tr_matrix(B, r: int, basis=None, tol: float = _TOL):
@@ -404,32 +394,16 @@ def Tr_matrix(B, r: int, basis=None, tol: float = _TOL):
         raise ValueError("degree must be at least 2")
     if basis is None:
         basis = field_resonances(tri.eigen, r, tol).basis(r)
-    exact_keys = tri.eigen.exact
-    exact_ring = exact_keys and all(isinstance(c, QQi) for _, _, c in tri.nil)
-    E = exp_tB_jet_matrix(tri, +1, exact_ring)
-    Em = exp_tB_jet_matrix(tri, -1, exact_ring)
-    n = tri.dim
-    phi1 = FlowJet(
-        n,
-        r,
-        {
-            (i, MultiIndex.unit(n, k)): E[i][k]
-            for i in range(n)
-            for k in range(n)
-            if E[i][k] is not None
-        },
-    )
+    exact_ring = _exact_ring(tri, MODE_EXACT)
+    _, Em, phi1 = _linear_flow(tri, exact_ring, r)
+    unit = _flow_unit(tri, exact_ring)
     index = {jm: t for t, jm in enumerate(basis)}
     size = len(basis)
     matrix = [[_zero_scalar(exact_ring)] * size for _ in range(size)]
     one = _one(exact_ring)
-    zk = EigenScalar.zero() if exact_keys else 0j
     for col, (j, m) in enumerate(basis):
-        probe = PolyJet(
-            n, r, MODE_EXACT if exact_ring else MODE_FLOAT, {(j, m): one}
-        )
-        image = _matrix_apply(Em, _substitute(probe, phi1, r, one, zk))
-        image = _snap(image, tol)
+        probe = {(j, MultiIndex(m)): one}
+        image = _snap(_matrix_apply(Em, _substitute_flow(probe, phi1, r, unit)), tol)
         for (i, mm), p in image.coeffs.items():
             row = index.get((i, mm))
             if row is None:
@@ -471,47 +445,32 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = _TOL)
             f"exp(B) differs from the germ's linear part by {res:.2e}"
         )
     tri = B.triangular()
-    exact_keys, exact_ring = _ring_flags(tri, G.mode)
+    exact_ring = _ring_flags(tri, G.mode)
     report = field_resonances(tri.eigen, max(N, 2), tol)  # N = 1 solves nothing
     _validate_normal_form(G, report, tol)
     weak = {(j, m): l for j, m, l in report.weak}
     n = tri.dim
-    one = _one(exact_ring)
-    zk = EigenScalar.zero() if exact_keys else 0j
+    unit = _flow_unit(tri, exact_ring)
     jet_mode = MODE_EXACT if exact_ring else MODE_FLOAT
     g = G.nonlinear if exact_ring else G.nonlinear.to_float()
 
-    E = exp_tB_jet_matrix(tri, +1, exact_ring)
-    Em = exp_tB_jet_matrix(tri, -1, exact_ring)
+    E, Em, phi = _linear_flow(tri, exact_ring, N)
     eBm = exp_B_matrix(tri, -1, exact_ring)
-    phi = FlowJet(
-        n,
-        N,
-        {
-            (i, MultiIndex.unit(n, k)): E[i][k]
-            for i in range(n)
-            for k in range(n)
-            if E[i][k] is not None
-        },
-    )
-    x_coeffs: dict = {}
+    x_coeffs: dict = {}  # the solved degrees, all below r at the top of the loop
     for r in range(2, N + 1):
-        x_below = PolyJet(
-            n, N, jet_mode, {k: c for k, c in x_coeffs.items() if k[1].degree < r}
-        )
-        P = _substitute(x_below, phi, r, one, zk).degree_slice(r)
+        P = _substitute_flow(x_coeffs, phi, r, unit)
         integrand = _snap(_matrix_apply(Em, P), tol)
         rhs: dict = {}
         for (i, m), p in integrand.coeffs.items():
             val = p.integrate_unit()
             if not _is_zero(val, exact_ring, 0.0):
-                rhs[(i, m)] = -val if exact_ring else -coeff_complex(val)
+                rhs[(i, m)] = -val if exact_ring else -complex(val)
         for (j, m), c in g.degree_slice(r).coeffs.items():
             for i in range(n):
                 w = eBm[i][j]
                 if w is None:
                     continue
-                add = w * c if exact_ring else coeff_complex(w) * coeff_complex(c)
+                add = w * c if exact_ring else complex(w) * complex(c)
                 prev = rhs.get((i, m))
                 val = add if prev is None else prev + add
                 rhs[(i, m)] = val
@@ -536,14 +495,14 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = _TOL)
                 xc = sol[col]
                 if _is_zero(t, exact_ring, 0.0) or _is_zero(xc, exact_ring, 0.0):
                     continue
-                prod = t * xc if exact_ring else coeff_complex(t) * coeff_complex(xc)
+                prod = t * xc if exact_ring else complex(t) * complex(xc)
                 acc = acc - prod
             l = weak.get((j, m))
             if l is None:
                 sol.append(acc)
             else:
                 if not _is_zero(acc, exact_ring, tol):
-                    blocked.append((j, m, l, coeff_complex(acc)))
+                    blocked.append((j, m, l, complex(acc)))
                 sol.append(_zero_scalar(exact_ring))
         if blocked:
             return Obstruction(
@@ -552,6 +511,7 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = _TOL)
                 "weakly resonant demand outside the range of the degree-"
                 f"{r} averaging operator (branch-specific certificate)",
             )
+        x_r: dict = {}
         for (j, m), v in zip(basis, sol):
             if _is_zero(v, exact_ring, 0.0):
                 continue
@@ -563,20 +523,11 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = _TOL)
                             "resonant coefficient left the Gaussian-rational ring"
                         )
                     v = q
-                x_coeffs[(j, m)] = QQi.coerce(v)
+                x_r[(j, m)] = QQi.coerce(v)
             else:
-                x_coeffs[(j, m)] = coeff_complex(v)
-        x_r = PolyJet(
-            n, N, jet_mode, {k: v for k, v in x_coeffs.items() if k[1].degree == r}
-        )
-        inhom = (P + _substitute(x_r, phi, r, one, zk).degree_slice(r))
-        integrand = _snap(_matrix_apply(Em, inhom), tol)
-        inner = FlowJet(
-            n,
-            N,
-            {k: q for k, p in integrand.coeffs.items() if (q := p.integrate_to_t())},
-        )
-        phi = phi + _matrix_apply(E, inner)
+                x_r[(j, m)] = complex(v)
+        x_coeffs.update(x_r)
+        phi = _flow_step(phi, P + _substitute_flow(x_r, phi, r, unit), E, Em, tol)
     v = PolyJet(n, N, jet_mode, x_coeffs)
     return FieldGerm(B, v, N)
 
@@ -585,39 +536,13 @@ def flow_jet(X: FieldGerm, degree=None, tol: float = _TOL) -> FlowJet:
     """Flow of X as a jet with ExpPoly coefficients; phi(0, y) = y."""
     N = X.degree if degree is None else degree
     tri = X.linear.triangular()
-    exact_ring = (
-        X.mode == MODE_EXACT
-        and tri.eigen.exact
-        and all(isinstance(c, QQi) for _, _, c in tri.nil)
-    )
-    zk = EigenScalar.zero() if tri.eigen.exact else 0j
-    one = _one(exact_ring)
-    E = exp_tB_jet_matrix(tri, +1, exact_ring)
-    Em = exp_tB_jet_matrix(tri, -1, exact_ring)
-    n = tri.dim
-    phi = FlowJet(
-        n,
-        N,
-        {
-            (i, MultiIndex.unit(n, k)): E[i][k]
-            for i in range(n)
-            for k in range(n)
-            if E[i][k] is not None
-        },
-    )
+    exact_ring = _exact_ring(tri, X.mode)
+    unit = _flow_unit(tri, exact_ring)
+    E, Em, phi = _linear_flow(tri, exact_ring, N)
     v = X.nonlinear if exact_ring else X.nonlinear.to_float()
     for r in range(2, N + 1):
-        below = PolyJet(
-            n, N, v.mode, {k: c for k, c in v.coeffs.items() if k[1].degree <= r}
-        )
-        slice_r = _substitute(below, phi, r, one, zk).degree_slice(r)
-        integrand = _snap(_matrix_apply(Em, slice_r), tol)
-        inner = FlowJet(
-            n,
-            N,
-            {k: q for k, p in integrand.coeffs.items() if (q := p.integrate_to_t())},
-        )
-        phi = phi + _matrix_apply(E, inner)
+        # terms of v above degree r are skipped by the substitution
+        phi = _flow_step(phi, _substitute_flow(v.coeffs, phi, r, unit), E, Em, tol)
     return phi
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .scalars import EigenScalar, ExactnessError, PiPoly, QQi
 
-__all__ = ["ExpPoly", "key_two_pi_l", "coeff_complex"]
+__all__ = ["ExpPoly", "key_two_pi_l"]
 
 _TWO_PI = 2.0 * math.pi
 _EXACT_COEFF = (QQi, PiPoly, int, Fraction)
@@ -32,11 +32,7 @@ _EXACT_COEFF = (QQi, PiPoly, int, Fraction)
 def key_add(a, b):
     if isinstance(a, EigenScalar) and isinstance(b, EigenScalar):
         return a + b
-    return key_complex(a) + key_complex(b)
-
-
-def key_complex(a) -> complex:
-    return complex(a)
+    return complex(a) + complex(b)
 
 
 def key_two_pi_l(a, tol: float = 0.0):
@@ -57,7 +53,7 @@ def coeff_is_exact(c) -> bool:
 def coeff_mul(c1, c2):
     if coeff_is_exact(c1) and coeff_is_exact(c2):
         return c1 * c2
-    return coeff_complex(c1) * coeff_complex(c2)
+    return complex(c1) * complex(c2)
 
 
 def coeff_add(c1, c2):
@@ -65,11 +61,7 @@ def coeff_add(c1, c2):
         if isinstance(c1, PiPoly) or isinstance(c2, PiPoly):
             return PiPoly.coerce(c1) + PiPoly.coerce(c2)
         return QQi.coerce(c1) + QQi.coerce(c2)
-    return coeff_complex(c1) + coeff_complex(c2)
-
-
-def coeff_complex(c) -> complex:
-    return complex(c)
+    return complex(c1) + complex(c2)
 
 
 def _is_zero_coeff(c) -> bool:
@@ -98,10 +90,6 @@ class ExpPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExpPoly is immutable")
-
-    @staticmethod
-    def zero() -> "ExpPoly":
-        return ExpPoly()
 
     @staticmethod
     def single(c, k: int = 0, a=None) -> "ExpPoly":
@@ -141,6 +129,8 @@ class ExpPoly:
         return ExpPoly(
             {key: coeff_mul(cc, c) for key, cc in self.terms.items()}
         )
+
+    __rmul__ = scale
 
     def __mul__(self, other):
         if not isinstance(other, ExpPoly):
@@ -201,11 +191,11 @@ class ExpPoly:
                 term = c * val if not isinstance(val, PiPoly) else val * c
                 exact_sum = term if exact_sum is None else coeff_add(exact_sum, term)
             else:
-                float_sum += coeff_complex(c) * coeff_complex(val)
+                float_sum += complex(c) * complex(val)
         if exact_sum is None:
             return float_sum
         if float_sum != 0:
-            return coeff_complex(exact_sum) + float_sum
+            return complex(exact_sum) + float_sum
         if isinstance(exact_sum, PiPoly):
             collapsed = exact_sum.as_qqi()
             return collapsed if collapsed is not None else exact_sum
@@ -243,11 +233,8 @@ class ExpPoly:
     def eval_at(self, t: float) -> complex:
         total = 0j
         for (k, a), c in self.terms.items():
-            total += coeff_complex(c) * t**k * cmath.exp(complex(a) * t)
+            total += complex(c) * t**k * cmath.exp(complex(a) * t)
         return total
-
-    def max_abs(self) -> float:
-        return max((abs(coeff_complex(c)) for c in self.terms.values()), default=0.0)
 
     def __repr__(self):
         if not self.terms:
@@ -323,7 +310,7 @@ def _anti_weak(c, k: int, a, l, exact_key: bool) -> ExpPoly:
             w = _inv_power_exact(l, k - j + 1) * QQi(sign * _fact_ratio(k, j)) * c
         else:
             w = (
-                coeff_complex(c)
+                complex(c)
                 * sign
                 * _fact_ratio(k, j)
                 / complex(a) ** (k - j + 1)
@@ -334,7 +321,7 @@ def _anti_weak(c, k: int, a, l, exact_key: bool) -> ExpPoly:
         w0 = _inv_power_exact(l, k + 1) * QQi((-1) ** (k + 1) * _fact_ratio(k, 0)) * c
     else:
         w0 = (
-            coeff_complex(c)
+            complex(c)
             * (-1) ** (k + 1)
             * _fact_ratio(k, 0)
             / complex(a) ** (k + 1)

@@ -104,11 +104,6 @@ def multiindices(n: int, degree: int):
         yield MultiIndex(parts)
 
 
-def _all_multiindices(n, lo, hi):
-    for d in range(lo, hi + 1):
-        yield from multiindices(n, d)
-
-
 def _coerce_scalar(c, mode):
     if mode == MODE_FLOAT:
         if isinstance(c, (QQi, PiPoly)):
@@ -181,19 +176,6 @@ class PolyJet:
             {(j, MultiIndex.unit(dim, j)): one for j in range(dim)},
         )
 
-    @staticmethod
-    def from_linear(matrix, degree, mode=MODE_FLOAT, tol=ZERO_TOL) -> "PolyJet":
-        """Jet of the linear map y -> M y given a dense row-major matrix."""
-        n = len(matrix)
-        terms = []
-        for j in range(n):
-            row = matrix[j]
-            if len(row) != n:
-                raise ValueError("linear part must be square")
-            for k in range(n):
-                terms.append((j, MultiIndex.unit(n, k), row[k]))
-        return PolyJet.build(n, degree, mode, terms, tol)
-
     # -- simple views ----------------------------------------------------
 
     def component(self, j) -> dict:
@@ -214,9 +196,6 @@ class PolyJet:
             self.mode,
             {key: c for key, c in self.coeffs.items() if key[1].degree <= n},
         )
-
-    def max_degree(self) -> int:
-        return max((m.degree for (_, m) in self.coeffs), default=0)
 
     def min_degree(self) -> int:
         return min((m.degree for (_, m) in self.coeffs), default=0)
@@ -331,25 +310,16 @@ def _poly_mul(p, q, limit, mode, tol):
     return {m: c for m, c in out.items() if not _scalar_zero(c, mode, tol)}
 
 
-def compose(f: PolyJet, g: PolyJet, degree=None, tol=ZERO_TOL) -> PolyJet:
-    """Jet of f(g(y)), truncated at ``degree``.
+def _substitute(coeffs, components, degree, one, mode, tol):
+    """Coefficients ``{(j, m): c}`` of f(g(y)), truncated at ``degree``.
 
-    ``g`` must fix the origin (no constant term); otherwise the truncated
-    composition would not be well defined degree by degree.
+    ``coeffs`` holds f's terms and ``components[i]`` g_i as ``{m: c}``.
+    The components may live in any ring that multiplies and adds with
+    itself and is multiplied by f's scalars; ``one`` is its unit.  Sums
+    are pruned as in ``_poly_mul`` (``mode``, ``tol``).
     """
-    f._check_compatible(g)
-    if degree is None:
-        degree = min(f.degree, g.degree)
-    n = f.dim
-    mode = f.mode
-    zero_mi = MultiIndex.zeros(n)
-    for j in range(n):
-        if (j, zero_mi) in g.coeffs:
-            raise ValueError("composition target must fix the origin")
-
-    components = [g.component(i) for i in range(n)]
-    one = 1.0 + 0.0j if mode == MODE_FLOAT else QQi(1)
-    powers = [[{zero_mi: one}] for _ in range(n)]
+    zero_mi = MultiIndex.zeros(len(components))
+    powers = [[{zero_mi: one}, comp] for comp in components]
 
     def power(i, k):
         cache = powers[i]
@@ -360,7 +330,7 @@ def compose(f: PolyJet, g: PolyJet, degree=None, tol=ZERO_TOL) -> PolyJet:
         return cache[k]
 
     out = {}
-    for (j, m), c in f.coeffs.items():
+    for (j, m), c in coeffs.items():
         if m.degree > degree:
             continue
         term = {zero_mi: one}
@@ -375,8 +345,27 @@ def compose(f: PolyJet, g: PolyJet, degree=None, tol=ZERO_TOL) -> PolyJet:
             s = out.get(key)
             v = c * cc
             out[key] = v if s is None else s + v
-    out = {k: c for k, c in out.items() if not _scalar_zero(c, mode, tol)}
-    return PolyJet(n, degree, mode, out)
+    return {k: c for k, c in out.items() if not _scalar_zero(c, mode, tol)}
+
+
+def compose(f: PolyJet, g: PolyJet, degree=None, tol=ZERO_TOL) -> PolyJet:
+    """Jet of f(g(y)), truncated at ``degree``.
+
+    ``g`` must fix the origin (no constant term); otherwise the truncated
+    composition would not be well defined degree by degree.
+    """
+    f._check_compatible(g)
+    if degree is None:
+        degree = min(f.degree, g.degree)
+    n = f.dim
+    zero_mi = MultiIndex.zeros(n)
+    for j in range(n):
+        if (j, zero_mi) in g.coeffs:
+            raise ValueError("composition target must fix the origin")
+    one = 1.0 + 0.0j if f.mode == MODE_FLOAT else QQi(1)
+    components = [g.component(i) for i in range(n)]
+    out = _substitute(f.coeffs, components, degree, one, f.mode, tol)
+    return PolyJet(n, degree, f.mode, out)
 
 
 def jacobian_apply(g: PolyJet, w: PolyJet, degree=None, tol=ZERO_TOL) -> PolyJet:

@@ -37,7 +37,7 @@ from .jets import (
 )
 from .resonance import _power, map_class
 from .scalars import ExactnessError, QQi
-from .spectral import BlockMatrix, is_hyperbolic
+from .spectral import BlockMatrix, _cast, is_hyperbolic
 
 __all__ = [
     "GermSpec",
@@ -115,14 +115,6 @@ class NormalFormResult:
     diagnostics: tuple
 
 
-def _cast_mode(c, mode):
-    if mode == MODE_EXACT:
-        if isinstance(c, QQi):
-            return c
-        raise ExactnessError("exact mode needs Gaussian-rational couplings")
-    return complex(c)
-
-
 def _homological_rows(tri, rhs, k, tol):
     """Row-by-row accumulator solve; returns (h, g, min divisor)."""
     mode = rhs.mode
@@ -139,7 +131,7 @@ def _homological_rows(tri, rhs, k, tol):
     lam_class = tri.diag if exact_diag else lam
     order = sorted(multiindices(n, k), key=lex_sort_key, reverse=True)
     a_components = None
-    nil = [(i, kk, _cast_mode(c, mode)) for i, kk, c in tri.nil]
+    nil = [(i, kk, _cast(c, mode)) for i, kk, c in tri.nil]
 
     def cross_terms(sigma):
         """(Ay)^sigma minus its leading term, as {exponent: coeff}."""

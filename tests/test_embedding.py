@@ -41,7 +41,16 @@ from embedflow import (
     time_one_check,
     time_one_residuals,
 )
-from embedflow.embedding import _ode_rhs
+from embedflow import embedding, jets
+from embedflow.embedding import (
+    _exact_ring,
+    _flow_unit,
+    _ode_rhs,
+    _rk4_time_one,
+    _substitute_flow,
+)
+from embedflow.exppoly import ExpPoly
+from embedflow.scalars import PiPoly
 from _gens import random_resonant_normal_form
 from _quadrature import tr_matrix_quadrature
 
@@ -377,6 +386,80 @@ class TestFlow:
             assert r_ode <= 1e-6 * scale
 
 
+def _resonant_field(blocks, degree, exact, rng):
+    """Field B y + v with random coefficients on every field-resonant monomial."""
+    from embedflow import field_resonances
+
+    B = real_log(BlockMatrix(blocks))
+    rep = field_resonances(B.triangular().eigen, degree)
+    terms = []
+    for j, m in rep.field_resonant:
+        if exact:
+            c = QQi(
+                Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))),
+                Fraction(int(rng.integers(-2, 3)), 2),
+            )
+        else:
+            c = complex(*rng.uniform(-1.0, 1.0, size=2))
+        terms.append((j, MultiIndex(m), c))
+    mode = MODE_EXACT if exact else MODE_FLOAT
+    v = PolyJet.build(B.dim, degree, mode, terms, tol=0.0)
+    return FieldGerm(B, v, degree)
+
+
+class TestSubstitutionKernel:
+    """The flow solver composes through ``jets._substitute`` over the
+    ExpPoly ring; at every fixed time that must be ``compose``."""
+
+    @pytest.mark.parametrize(
+        "blocks, exact",
+        [
+            # diagonal logarithms: exponents 0.8 = 2*0.4 = 4*0.2 ...
+            ((JordanBlock(math.exp(0.8), 1), JordanBlock(math.exp(0.4), 1),
+              JordanBlock(math.exp(0.2), 1)), False),
+            ((JordanBlock(16, 1), JordanBlock(4, 1), JordanBlock(2, 1)), True),
+            # Jordan blocks: nilpotent logarithms, t^k coefficients
+            ((JordanBlock(math.exp(0.8), 1), JordanBlock(math.exp(0.4), 2)), False),
+            ((JordanBlock(4, 1), JordanBlock(2, 2)), True),
+        ],
+        ids=["diag-float", "diag-exact", "jordan-float", "jordan-exact"],
+    )
+    def test_matches_compose_at_fixed_times(self, blocks, exact):
+        degree = 4
+        rng = np.random.default_rng(17 + 2 * len(blocks) + exact)
+        X = _resonant_field(blocks, degree, exact, rng)
+        tri = X.linear.triangular()
+        exact_ring = _exact_ring(tri, X.mode)
+        assert exact_ring == exact
+        phi = flow_jet(X)
+        n = X.dim
+        terms = []
+        for r in range(1, degree + 1):
+            for m in multiindices(n, r):
+                for j in range(n):
+                    if rng.random() < 0.5:
+                        if exact:
+                            c = QQi(Fraction(int(rng.integers(-5, 6)), 3))
+                        else:
+                            c = complex(*rng.normal(size=2))
+                        terms.append((j, m, c))
+        x = PolyJet.build(n, degree, X.mode, terms, tol=0.0)
+        unit = _flow_unit(tri, exact_ring)
+        slices = [_substitute_flow(x.coeffs, phi, r, unit) for r in range(1, degree + 1)]
+        if exact:
+            for part in slices:
+                for p in part.coeffs.values():
+                    for (_, a), c in p.terms.items():
+                        assert isinstance(c, (QQi, PiPoly))
+                        assert isinstance(a, EigenScalar)
+        for t in (0.0, 0.3, 1.0):
+            want = compose(x.to_float(), phi.at_time(t), degree=degree)
+            for r, part in enumerate(slices, start=1):
+                want_r = want.degree_slice(r)
+                got = part.at_time(t)
+                assert jet_distance(got, want_r) <= 1e-12 * max(1.0, want_r.max_abs())
+
+
 class TestOdeOracle:
     @pytest.mark.parametrize(
         "blocks, degree",
@@ -423,6 +506,28 @@ class TestOdeOracle:
         mons, deriv = _ode_rhs(tri, v, 3)
         C = np.arange(2 * len(mons), dtype=complex).reshape(2, len(mons))
         assert np.array_equal(deriv(C), tri.dense() @ C)
+
+    def test_shares_no_code_with_the_flow_solver(self, monkeypatch):
+        # the RK4 oracle must give the same jet with the composition kernel,
+        # the scalar product and the ExpPoly product all unavailable
+        class Called(Exception):
+            pass
+
+        def boom(*args, **kwargs):
+            raise Called
+
+        G = _paper_23_germ(a_coeff=0.7)
+        X = solve_embedding(G, real_log(G.linear))
+        tri = X.linear.triangular()
+        want = _rk4_time_one(tri, X.nonlinear, X.degree, 1000)
+        monkeypatch.setattr(jets, "_substitute", boom)
+        monkeypatch.setattr(embedding, "_substitute", boom)
+        monkeypatch.setattr(jets, "_poly_mul", boom)
+        monkeypatch.setattr(ExpPoly, "__mul__", boom)
+        with pytest.raises(Called):
+            flow_jet(X)
+        got = _rk4_time_one(tri, X.nonlinear, X.degree, 1000)
+        assert got.coeffs == want.coeffs
 
     @pytest.mark.parametrize("steps", [0, -1])
     def test_steps_must_be_positive(self, steps):
