@@ -12,7 +12,6 @@ from .jets import (
     complexify,
     jacobian_apply,
     jet_distance,
-    lex_sort_key,
     multiindices,
     permute_jet,
     realify,
@@ -57,7 +56,6 @@ from .embedding import (
     appendix_identity_check,
     embedding_residual,
     exp_B_matrix,
-    exp_tB_jet_matrix,
     flow_jet,
     solve_embedding,
     time_one_check,
@@ -70,6 +68,6 @@ from .classify import (
     positive_spectrum_log,
 )
 from .germfile import GermFile, GermParseError, parse_germ, serialize_germ
-from .reports import Report, fmt_complex, fmt_entry, fmt_monomial, parse_machine
+from .reports import Report, fmt_complex, fmt_entry, parse_machine
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .scalars import EigenScalar, ExactnessError, PiPoly, QQi
 
-__all__ = ["ExpPoly", "key_two_pi_l"]
+__all__ = ["ExpPoly"]
 
 _TWO_PI = 2.0 * math.pi
 _EXACT_COEFF = (QQi, PiPoly, int, Fraction)

@@ -31,7 +31,6 @@ __all__ = [
     "RealPairing",
     "compose",
     "jacobian_apply",
-    "lex_sort_key",
     "multiindices",
     "complexify",
     "realify",

@@ -8,7 +8,7 @@ rendered 1-based in both sections (the library itself is 0-based).
 
 from __future__ import annotations
 
-__all__ = ["Report", "fmt_monomial", "fmt_entry", "fmt_complex", "parse_machine"]
+__all__ = ["Report", "fmt_entry", "fmt_complex", "parse_machine"]
 
 
 def fmt_complex(c) -> str:

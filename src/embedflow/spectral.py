@@ -19,7 +19,10 @@ parameters permit, so resonance questions downstream are decided exactly.
 Complexified coordinates: each 2x2 cell gets z = x_i + i*x_{i+1}, turning
 every block lower triangular with the eigenvalues on the diagonal and
 couplings only between equal-eigenvalue coordinates
-(:class:`TriangularLinear`).
+(:class:`TriangularLinear`).  Every block, and every block of a logarithm,
+is described once as ``cells`` copies of a 1- or 2-coordinate cell coupled
+to the cells before it; the triangular form, the eigen data and the real
+dense form are all read off that description.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -152,8 +156,14 @@ class LogBlock:
     branch: int = 0
 
     def __post_init__(self):
-        if isinstance(self.source, JordanBlock) and self.branch != 0:
-            raise ValueError("Jordan blocks carry no branch freedom")
+        if isinstance(self.source, JordanBlock):
+            if self.branch != 0:
+                raise ValueError("Jordan blocks carry no branch freedom")
+            if float(self.source.eigenvalue) <= 0:
+                raise SpectralError(
+                    "negative Jordan block has no real log on its own; "
+                    "pair it first"
+                )
 
     @property
     def order(self) -> int:
@@ -281,103 +291,51 @@ def _shift_mu(mu, l: int):
     return mu + complex(0.0, 2.0 * math.pi * l)
 
 
-def _block_eigen(block, branch: int):
-    """Eigenvalue logs per coordinate of one block (complexified order)."""
+def _scalar(x):
+    return QQi(x) if _is_rational(x) else complex(float(x))
+
+
+def _describe(block, branch: int = 0):
+    """One source block as ``cells`` copies of a cell of ``stride`` coordinates.
+
+    Returns ``(stride, cells, lams, mus)``: ``lams`` are one cell's map
+    eigenvalues (QQi when rational, else complex) and ``mus`` their logs on
+    ``branch`` (EigenScalar when exact, else complex), z-side first.  Cell k
+    is coupled to the cells before it, slot to slot.
+    """
     if isinstance(block, JordanBlock):
-        return [_jordan_mu(block)] * block.size
+        return 1, block.size, (_scalar(block.eigenvalue),), (_jordan_mu(block),)
     if isinstance(block, RotationBlock):
-        mu = _shift_mu(_rotation_mu(block), -branch)
-        return [mu, mu.conjugate()] * block.cells
-    if isinstance(block, NegativePairBlock):
-        mu = _shift_mu(_negpair_mu(block), -branch)
-        return [mu, mu.conjugate()] * block.cells
-    raise TypeError(f"unknown block {type(block).__name__}")
+        a, b = block.alpha, block.beta
+        if _is_rational(a) and _is_rational(b):
+            lam = QQi(a, -b)
+        else:
+            lam = complex(float(a), -float(b))
+        lams, mu = (lam, lam.conjugate()), _rotation_mu(block)
+    elif isinstance(block, NegativePairBlock):
+        lam = _scalar(block.eigenvalue)
+        lams, mu = (lam, lam), _negpair_mu(block)
+    else:
+        raise TypeError(f"unknown block {type(block).__name__}")
+    mu = _shift_mu(mu, -branch)
+    return 2, block.cells, lams, (mu, mu.conjugate())
 
 
-# -- dense forms ------------------------------------------------------------
+def _log_coupling(lam, j: int):
+    """Coupling (-1)^(j+1)/(j*lam^j) of log A between cells k and k - j."""
+    if isinstance(lam, QQi):
+        return QQi(Fraction((-1) ** (j + 1), j)) * lam ** (-j)
+    if lam.imag == 0:  # a real eigenvalue: real power, no complex one
+        return complex((-1.0) ** (j + 1) / (j * lam.real**j))
+    return (-1.0) ** (j + 1) / j * lam ** (-j)
 
 
-def _rotation_cell(a: float, b: float) -> np.ndarray:
-    """Real 2x2 cell of the complex scalar w = a - i*b acting on z."""
-    return np.array([[a, b], [-b, a]], dtype=float)
-
-
-def _source_dense(block) -> np.ndarray:
-    if isinstance(block, JordanBlock):
-        s = block.size
-        out = np.eye(s) * float(block.eigenvalue)
-        for i in range(1, s):
-            out[i, i - 1] = 1.0
-        return out
-    if isinstance(block, RotationBlock):
-        c = block.cells
-        out = np.zeros((2 * c, 2 * c))
-        cell = _rotation_cell(float(block.alpha), float(block.beta))
-        for k in range(c):
-            out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = cell
-            if k:
-                out[2 * k : 2 * k + 2, 2 * k - 2 : 2 * k] = np.eye(2)
-        return out
-    if isinstance(block, NegativePairBlock):
-        c = block.cells
-        out = np.eye(2 * c) * float(block.eigenvalue)
-        for k in range(1, c):
-            out[2 * k : 2 * k + 2, 2 * k - 2 : 2 * k] = np.eye(2)
-        return out
-    raise TypeError(f"unknown block {type(block).__name__}")
-
-
-def _log_dense(block: LogBlock) -> np.ndarray:
-    src, l = block.source, block.branch
-    if isinstance(src, JordanBlock):
-        lam = float(src.eigenvalue)
-        if lam <= 0:
-            raise SpectralError(
-                "negative Jordan block has no real log on its own; "
-                "pair it first"
-            )
-        s = src.size
-        out = np.eye(s) * math.log(lam)
-        for j in range(1, s):
-            w = (-1.0) ** (j + 1) / (j * lam**j)
-            for i in range(j, s):
-                out[i, i - j] = w
-        return out
-    if isinstance(src, RotationBlock):
-        a, b = float(src.alpha), float(src.beta)
-        u = 0.5 * math.log(a * a + b * b)
-        theta = math.atan2(b, a) + 2.0 * math.pi * l
-        c = src.cells
-        out = np.zeros((2 * c, 2 * c))
-        for k in range(c):
-            out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = np.array(
-                [[u, theta], [-theta, u]]
-            )
-        lam_z = complex(a, -b)
-        for j in range(1, c):
-            w = (-1.0) ** (j + 1) / j * lam_z ** (-j)
-            cell = _rotation_cell(w.real, -w.imag)
-            for k in range(j, c):
-                out[2 * k : 2 * k + 2, 2 * (k - j) : 2 * (k - j) + 2] = cell
-        return out
-    if isinstance(src, NegativePairBlock):
-        lam = float(src.eigenvalue)
-        rho = abs(lam)
-        theta = (2 * l + 1) * math.pi
-        c = src.cells
-        out = np.zeros((2 * c, 2 * c))
-        for k in range(c):
-            out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = np.array(
-                [[math.log(rho), theta], [-theta, math.log(rho)]]
-            )
-        for j in range(1, c):
-            w = (-1.0) ** (j + 1) / (j * lam**j)
-            for k in range(j, c):
-                out[2 * k : 2 * k + 2, 2 * (k - j) : 2 * (k - j) + 2] = (
-                    np.eye(2) * w
-                )
-        return out
-    raise TypeError(f"unknown block {type(src).__name__}")
+def _modulus_is_one(lam, mu, tol) -> bool:
+    if isinstance(mu, EigenScalar):
+        return mu.real_is_zero
+    if isinstance(lam, QQi):
+        return lam.re * lam.re + lam.im * lam.im == 1
+    return abs(abs(lam) - 1.0) <= tol
 
 
 # -- triangular (complexified) form -----------------------------------------
@@ -440,99 +398,11 @@ def _cast(c, mode):
     )
 
 
-def _block_triangular_A(block, offset, diag, nil, eigen, branch):
-    mus = _block_eigen(block, branch)
-    eigen.extend(mus)
-    if isinstance(block, JordanBlock):
-        lam = block.eigenvalue
-        val = QQi(Fraction(lam)) if _is_rational(lam) else complex(float(lam))
-        for t in range(block.size):
-            diag.append(val)
-            if t:
-                nil.append((offset + t, offset + t - 1, _one_like(val)))
-        return
-    if isinstance(block, RotationBlock):
-        if _is_rational(block.alpha) and _is_rational(block.beta):
-            lam_z = QQi(Fraction(block.alpha), -Fraction(block.beta))
-        else:
-            lam_z = complex(float(block.alpha), -float(block.beta))
-        lam_zb = lam_z.conjugate()
-        for k in range(block.cells):
-            diag.append(lam_z)
-            diag.append(lam_zb)
-            if k:
-                one = _one_like(lam_z)
-                nil.append((offset + 2 * k, offset + 2 * k - 2, one))
-                nil.append((offset + 2 * k + 1, offset + 2 * k - 1, one))
-        return
-    if isinstance(block, NegativePairBlock):
-        lam = block.eigenvalue
-        val = QQi(Fraction(lam)) if _is_rational(lam) else complex(float(lam))
-        for k in range(block.cells):
-            diag.append(val)
-            diag.append(val)
-            if k:
-                one = _one_like(val)
-                nil.append((offset + 2 * k, offset + 2 * k - 2, one))
-                nil.append((offset + 2 * k + 1, offset + 2 * k - 1, one))
-        return
-    raise TypeError(f"unknown block {type(block).__name__}")
-
-
-def _one_like(val):
-    return QQi(1) if isinstance(val, QQi) else (1.0 + 0.0j)
-
-
-def _block_triangular_log(block: LogBlock, offset, diag, nil, eigen):
-    src, l = block.source, block.branch
-    mus = _block_eigen(src, l)
-    eigen.extend(mus)
-    for mu in mus:
-        diag.append(complex(mu))
-    if isinstance(src, JordanBlock):
-        lam = src.eigenvalue
-        exact = _is_rational(lam)
-        for j in range(1, src.size):
-            if exact:
-                w = QQi(Fraction(-1) ** (j + 1) / (j * Fraction(lam) ** j))
-            else:
-                w = complex((-1.0) ** (j + 1) / (j * float(lam) ** j))
-            for i in range(j, src.size):
-                nil.append((offset + i, offset + i - j, w))
-        return
-    if isinstance(src, RotationBlock):
-        exact = _is_rational(src.alpha) and _is_rational(src.beta)
-        if exact:
-            lam_z = QQi(Fraction(src.alpha), -Fraction(src.beta))
-        else:
-            lam_z = complex(float(src.alpha), -float(src.beta))
-        for j in range(1, src.cells):
-            coef = Fraction(-1) ** (j + 1) / j
-            if exact:
-                w = lam_z ** (-j) * QQi(coef)
-            else:
-                w = float(coef) * lam_z ** (-j)
-            wb = w.conjugate()
-            for k in range(j, src.cells):
-                nil.append((offset + 2 * k, offset + 2 * (k - j), w))
-                nil.append((offset + 2 * k + 1, offset + 2 * (k - j) + 1, wb))
-        return
-    if isinstance(src, NegativePairBlock):
-        lam = src.eigenvalue
-        exact = _is_rational(lam)
-        for j in range(1, src.cells):
-            if exact:
-                w = QQi(Fraction(-1) ** (j + 1) / (j * Fraction(lam) ** j))
-            else:
-                w = complex((-1.0) ** (j + 1) / (j * float(lam) ** j))
-            for k in range(j, src.cells):
-                nil.append((offset + 2 * k, offset + 2 * (k - j), w))
-                nil.append((offset + 2 * k + 1, offset + 2 * (k - j) + 1, w))
-        return
-    raise TypeError(f"unknown block {type(src).__name__}")
-
-
 # -- block matrix -----------------------------------------------------------
+
+
+def _source(b):
+    return b.source if isinstance(b, LogBlock) else b
 
 
 @dataclass(frozen=True)
@@ -563,42 +433,66 @@ class BlockMatrix:
             o += b.order
         return out
 
+    @cached_property
+    def _described(self) -> tuple:
+        """``(is_log, _describe(source, branch))`` per block."""
+        return tuple(
+            (True, _describe(b.source, b.branch))
+            if isinstance(b, LogBlock)
+            else (False, _describe(b))
+            for b in self.blocks
+        )
+
+    @cached_property
+    def _triangular(self) -> TriangularLinear:
+        # A couples cell k to cell k - 1 by 1 (lam**0, in lam's ring); log A
+        # couples it to every cell k - j by _log_coupling.
+        diag, nil, o = [], [], 0
+        for is_log, (stride, cells, lams, mus) in self._described:
+            diag.extend((tuple(complex(m) for m in mus) if is_log else lams) * cells)
+            for j in range(1, cells if is_log else min(cells, 2)):
+                ws = [_log_coupling(lam, j) if is_log else lam**0 for lam in lams]
+                for k in range(j, cells):
+                    for s, w in enumerate(ws):
+                        nil.append((o + stride * k + s, o + stride * (k - j) + s, w))
+            o += stride * cells
+        return TriangularLinear(self.dim, tuple(diag), tuple(nil), self.eigen())
+
+    def triangular(self) -> TriangularLinear:
+        return self._triangular
+
+    def eigen(self) -> EigenData:
+        return EigenData.from_values(
+            mu for _, (_, cells, _, mus) in self._described for mu in mus * cells
+        )
+
     def to_dense(self) -> np.ndarray:
-        n = self.dim
-        out = np.zeros((n, n))
-        for b, o in zip(self.blocks, self.offsets()):
-            d = _log_dense(b) if isinstance(b, LogBlock) else _source_dense(b)
-            out[o : o + b.order, o : o + b.order] = d
-        return out
+        """Real matrix of the triangular form.
+
+        A z-side entry c is the real cell [[Re c, -Im c], [Im c, Re c]] (its
+        conjugate twin is implied); an unpaired entry is real.
+        """
+        tri = self._triangular
+        pairing = self.pairing()
+        zside = {i for i, _ in pairing.pairs}
+        real = set(pairing.real_indices)
+        out = np.zeros((self.dim, self.dim))
+        for i, k, c in itertools.chain(
+            ((j, j, d) for j, d in enumerate(tri.diag)), tri.nil
+        ):
+            c = complex(c)
+            if i in zside:
+                out[i : i + 2, k : k + 2] = [[c.real, -c.imag], [c.imag, c.real]]
+            elif i in real:
+                out[i, k] = c.real
+        return out + 0.0  # no -0.0 from negated zero imaginary parts
 
     def pairing(self) -> RealPairing:
         pairs = []
         for b, o in zip(self.blocks, self.offsets()):
-            src = b.source if isinstance(b, LogBlock) else b
-            if isinstance(src, (RotationBlock, NegativePairBlock)):
-                for k in range(src.cells):
-                    pairs.append((o + 2 * k, o + 2 * k + 1))
+            if isinstance(_source(b), _BRANCHABLE):
+                pairs.extend((o + 2 * k, o + 2 * k + 1) for k in range(b.order // 2))
         return RealPairing(self.dim, tuple(pairs))
-
-    def eigen(self) -> EigenData:
-        entries = []
-        for b in self.blocks:
-            if isinstance(b, LogBlock):
-                entries.extend(_block_eigen(b.source, b.branch))
-            else:
-                entries.extend(_block_eigen(b, 0))
-        return EigenData.from_values(entries)
-
-    def triangular(self) -> TriangularLinear:
-        diag, nil, eigen = [], [], []
-        for b, o in zip(self.blocks, self.offsets()):
-            if isinstance(b, LogBlock):
-                _block_triangular_log(b, o, diag, nil, eigen)
-            else:
-                _block_triangular_A(b, o, diag, nil, eigen, 0)
-        return TriangularLinear(
-            self.dim, tuple(diag), tuple(nil), EigenData.from_values(eigen)
-        )
 
 
 @dataclass(frozen=True)
@@ -617,7 +511,7 @@ class BranchChoice:
         ks, ls = list(negpair_ks), list(rotation_ls)
         values = []
         for b in a.blocks:
-            src = b.source if isinstance(b, LogBlock) else b
+            src = _source(b)
             if isinstance(src, NegativePairBlock):
                 values.append(int(ks.pop(0)) if ks else 0)
             elif isinstance(src, RotationBlock):
@@ -632,33 +526,11 @@ class BranchChoice:
         if len(self.values) != len(a.blocks):
             raise ValueError("branch choice length mismatch")
         for b, v in zip(a.blocks, self.values):
-            src = b.source if isinstance(b, LogBlock) else b
-            if v and not isinstance(src, _BRANCHABLE):
+            if v and not isinstance(_source(b), _BRANCHABLE):
                 raise ValueError("branch integer on a branchless block")
 
 
 # -- predicates and constructions -------------------------------------------
-
-
-def _block_modulus_is_one(block, tol):
-    if isinstance(block, JordanBlock):
-        lam = block.eigenvalue
-        if _is_rational(lam):
-            return abs(Fraction(lam)) == 1
-        return abs(abs(float(lam)) - 1.0) <= tol
-    if isinstance(block, RotationBlock):
-        a, b = block.alpha, block.beta
-        if block.mu is not None:
-            return block.mu.real_is_zero
-        if _is_rational(a) and _is_rational(b):
-            return Fraction(a) ** 2 + Fraction(b) ** 2 == 1
-        return abs(math.hypot(float(a), float(b)) - 1.0) <= tol
-    if isinstance(block, NegativePairBlock):
-        lam = block.eigenvalue
-        if _is_rational(lam):
-            return abs(Fraction(lam)) == 1
-        return abs(abs(float(lam)) - 1.0) <= tol
-    raise TypeError(f"unknown block {type(block).__name__}")
 
 
 def _check_nonsingular(a: BlockMatrix):
@@ -668,9 +540,14 @@ def _check_nonsingular(a: BlockMatrix):
 
 
 def is_hyperbolic(a: BlockMatrix, tol=_EIG_TOL) -> bool:
-    """True when no eigenvalue has modulus 1 (within ``tol`` for floats)."""
+    """True when no eigenvalue has modulus 1 (within ``tol`` for floats).
+
+    The test is exact whenever the block's log or eigenvalue is.
+    """
     _check_nonsingular(a)
-    return not any(_block_modulus_is_one(b, tol) for b in a.blocks)
+    return not any(
+        _modulus_is_one(lams[0], mus[0], tol) for _, (_, _, lams, mus) in a._described
+    )
 
 
 def _jordan_eq(b1: JordanBlock, b2: JordanBlock, tol=_EIG_TOL) -> bool:
@@ -685,27 +562,23 @@ def _jordan_eq(b1: JordanBlock, b2: JordanBlock, tol=_EIG_TOL) -> bool:
 def has_real_log(a: BlockMatrix):
     """Decide existence of a real logarithm; return (bool, pairing).
 
-    A real log exists iff every negative-eigenvalue Jordan block can be
-    matched with an equal partner (negative pairs and rotation blocks are
-    always fine).  The returned pairing lists the matched block indices.
+    A real log exists iff the negative-eigenvalue Jordan blocks of each size
+    and eigenvalue come in pairs (Culver, Proc. AMS 17, 1966); negative
+    pairs and rotation blocks are always fine.  Each negative block is
+    matched with the first later unmatched equal block; the returned
+    pairing lists the matched block indices, sorted.
     """
     _check_nonsingular(a)
-    pairs = []
-    open_idx = None
+    pairs, open_idx = [], []
     for i, b in enumerate(a.blocks):
         if isinstance(b, JordanBlock) and float(b.eigenvalue) < 0:
-            if open_idx is not None and _jordan_eq(a.blocks[open_idx], b):
-                pairs.append((open_idx, i))
-                open_idx = None
-            elif open_idx is None:
-                open_idx = i
+            p = next((p for p in open_idx if _jordan_eq(a.blocks[p], b)), None)
+            if p is None:
+                open_idx.append(i)
             else:
-                return False, tuple(pairs)
-    if open_idx is not None:
-        # One unpaired candidate left; try any later equal block (non
-        # adjacent pairings certify existence but real_log wants adjacency).
-        return False, tuple(pairs)
-    return True, tuple(pairs)
+                open_idx.remove(p)
+                pairs.append((p, i))
+    return not open_idx, tuple(sorted(pairs))
 
 
 def pair_negative_blocks(a: BlockMatrix):
@@ -809,7 +682,7 @@ def _branch_shifts(a: BlockMatrix):
     branchable = [
         (i, o, b.order)
         for i, (b, o) in enumerate(zip(a.blocks, a.offsets()))
-        if isinstance(b.source if isinstance(b, LogBlock) else b, _BRANCHABLE)
+        if isinstance(_source(b), _BRANCHABLE)
     ]
     S = np.zeros((a.dim, len(branchable)), dtype=np.int64)
     for col, (_, o, order) in enumerate(branchable):

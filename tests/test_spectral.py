@@ -7,6 +7,7 @@ exponential; the frozen logarithms come from the closed forms
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ import embedflow.resonance
 from embedflow import (
     BlockMatrix,
     BranchChoice,
+    EigenScalar,
     JordanBlock,
+    LogBlock,
     NegativePairBlock,
     RotationBlock,
     SpectralError,
@@ -113,6 +116,19 @@ def test_has_real_log_verdicts():
     assert has_real_log(BlockMatrix((RotationBlock(0.3, 0.4, 2),)))[0]
 
 
+def test_has_real_log_ignores_block_order():
+    # Culver: a real log exists iff the negative Jordan blocks pair up by
+    # size and eigenvalue, wherever they sit in the block list
+    blocks = (JordanBlock(-2, 1), JordanBlock(-3, 1), JordanBlock(-3, 1), JordanBlock(-2, 1))
+    for order in itertools.permutations(blocks):
+        ok, pairs = has_real_log(BlockMatrix(order))
+        assert ok, order
+        assert sorted(i for pair in pairs for i in pair) == [0, 1, 2, 3]
+        assert all(i < j and order[i] == order[j] for i, j in pairs)
+    for order in itertools.permutations(blocks[:3]):
+        assert not has_real_log(BlockMatrix(order))[0]
+
+
 def test_real_log_raises_without_pairing():
     a = BlockMatrix((JordanBlock(-2, 1), JordanBlock(3, 1)))
     with pytest.raises(SpectralError):
@@ -148,6 +164,13 @@ def test_is_hyperbolic():
     assert is_hyperbolic(BlockMatrix((RotationBlock(1.2, 0.5, 1),)))
 
 
+def test_is_hyperbolic_jordan_exp_near_one():
+    # jordan-exp u: the exact log u decides, however close e^u is to 1
+    for u, want in ((Fraction(1, 10**12), True), (Fraction(0), False)):
+        block = JordanBlock(math.exp(u), 1, mu=EigenScalar.from_parts(rat=u))
+        assert is_hyperbolic(BlockMatrix((block,))) == want
+
+
 def test_nilpotent_log_structure():
     a = BlockMatrix((JordanBlock(2, 3),))
     b = real_log(a)
@@ -156,6 +179,49 @@ def test_nilpotent_log_structure():
     # strictly lower-triangular nil part, constant diagonal
     assert np.allclose(np.diag(dense), math.log(2))
     assert np.max(np.abs(np.triu(dense, 1))) == 0.0
+
+
+# Literal real forms.  exp commutes with realification, so exp(log) == A
+# cannot catch a wrong cell layout; these matrices are written out by hand.
+_LITERAL_DENSE = [
+    (JordanBlock(2, 3), [[2, 0, 0], [1, 2, 0], [0, 1, 2]]),
+    (
+        RotationBlock(3, 4, 2),
+        [[3, 4, 0, 0], [-4, 3, 0, 0], [1, 0, 3, 4], [0, 1, -4, 3]],
+    ),
+    (
+        RotationBlock(0.6, -0.8, 2),
+        [[0.6, -0.8, 0, 0], [0.8, 0.6, 0, 0], [1, 0, 0.6, -0.8], [0, 1, 0.8, 0.6]],
+    ),
+    (
+        NegativePairBlock(-2, 2),
+        [[-2, 0, 0, 0], [0, -2, 0, 0], [1, 0, -2, 0], [0, 1, 0, -2]],
+    ),
+]
+
+
+@pytest.mark.parametrize("block, want", _LITERAL_DENSE)
+def test_to_dense_literal(block, want):
+    assert np.array_equal(BlockMatrix((block,)).to_dense(), np.array(want, dtype=float))
+
+
+@pytest.mark.parametrize("alpha, beta", [(0, 2), (0.0, 2.0)])
+def test_two_cell_rotation_log_literal(alpha, beta):
+    # D = [[0, 2], [-2, 0]]: angle pi/2 + 2*pi on branch l = 1, and the
+    # coupling below the diagonal is D^-1 = [[0, -1/2], [1/2, 0]]
+    a = BlockMatrix((RotationBlock(alpha, beta, 2),))
+    b = real_log(a, BranchChoice.assign(a, rotation_ls=(1,))).to_dense()
+    ln2, t = math.log(2), 2.5 * math.pi
+    want = np.array(
+        [[ln2, t, 0, 0], [-t, ln2, 0, 0], [0, -0.5, ln2, t], [0.5, 0, -t, ln2]]
+    )
+    assert np.max(np.abs(b - want)) <= 1e-15 * t
+    assert np.max(np.abs(expm(b) - a.to_dense())) < 1e-12
+
+
+def test_negative_jordan_log_block_refused():
+    with pytest.raises(SpectralError):
+        BlockMatrix((LogBlock(JordanBlock(-2, 1)),)).to_dense()
 
 
 def test_block_matrix_from_dense_roundtrip():
