@@ -10,6 +10,14 @@ normalization and embedding recursions; ``complexify``/``realify`` move a
 real jet to coordinates in which a rotation-block linear part becomes
 diagonal, by conjugating with z = x_i + i*x_{i+1} on each designated pair.
 
+The product kernel under ``compose`` and ``jacobian_apply`` works on packed
+monomial keys: at truncation degree N each exponent vector becomes one
+integer with its total degree in the top field, so a product of monomials
+is one integer addition and the truncation test is one compare of that sum
+with (N+1) << (b*n).  ``PolyJet.coeffs`` stays keyed by
+``(j, MultiIndex)``; the kernel packs its inputs once per call and unpacks
+its result once at the end.
+
 Jets are value objects: no operation mutates its inputs.
 """
 
@@ -292,21 +300,101 @@ def jet_distance(f: PolyJet, g: PolyJet) -> float:
     return worst
 
 
-# -- scalar polynomials (single-component helpers) -----------------------
+# -- the product kernel on packed monomial keys ---------------------------
+#
+# At truncation degree N in n variables every exponent m with |m| <= N
+# packs into one integer: b = N.bit_length() bits per coordinate, and the
+# degree above them,
+#
+#     key(m) = |m| << (b*n)  +  sum_i m_i << (b*i).
+#
+# A product of monomials is the sum of their keys, and it survives the
+# truncation exactly when that sum is below cap = (N+1) << (b*n).  No
+# field carries: a product of degree <= N keeps every exponent <= N < 2^b,
+# and one of higher degree fails the compare through its top field alone.
 
 
-def _poly_mul(p, q, limit, mode, tol):
+def _packing(n: int, degree: int):
+    """Field width ``b`` and truncation ``cap`` of keys for n variables."""
+    b = degree.bit_length()
+    return b, (degree + 1) << (b * n)
+
+
+def _pack(m, b: int) -> int:
+    """Key of the exponent m: its degree field, then m_{n-1}, ..., m_0."""
+    key = sum(m)
+    for e in reversed(m):
+        key = (key << b) + e
+    return key
+
+
+def _unpacker(n: int, b: int):
+    """Per-call map from keys of degree <= N back to :class:`MultiIndex`."""
+    mask = (1 << b) - 1
+    shifts = [b * i for i in range(n)]
+    names = {}
+
+    def unpack(key):
+        m = names.get(key)
+        if m is None:
+            m = names[key] = MultiIndex([(key >> s) & mask for s in shifts])
+        return m
+
+    return unpack
+
+
+def _unpacked(terms: dict, n: int, b: int, mode, tol) -> dict:
+    """``{(j, key): c}`` back to ``{(j, m): c}``, zero sums dropped."""
+    unpack = _unpacker(n, b)
+    return {
+        (j, unpack(key)): c
+        for (j, key), c in terms.items()
+        if not _scalar_zero(c, mode, tol)
+    }
+
+
+def _packed(poly: dict, b: int, degree: int) -> dict:
+    """``{m: c}`` keyed by packed m; terms above ``degree`` are dropped,
+    which no truncated product would have kept."""
+    return {_pack(m, b): c for m, c in poly.items() if m.degree <= degree}
+
+
+def _poly_mul(p, q, cap, mode, tol):
+    """Truncated product of two packed polynomials ``{key: c}``.
+
+    p is the outer loop and q the inner, and sums are formed in that
+    order, so float results do not depend on the key layout.  Sums that
+    are zero (within ``tol`` in float mode, exactly otherwise) are dropped.
+    """
     out = {}
-    for m1, c1 in p.items():
-        d1 = m1.degree
-        for m2, c2 in q.items():
-            if d1 + m2.degree > limit:
-                continue
-            m = m1.plus(m2)
-            s = out.get(m)
-            s = c1 * c2 if s is None else s + c1 * c2
-            out[m] = s
-    return {m: c for m, c in out.items() if not _scalar_zero(c, mode, tol)}
+    get = out.get
+    q = q.items()
+    for k1, c1 in p.items():
+        room = cap - k1  # k1 + k2 < cap
+        for k2, c2 in q:
+            if k2 < room:
+                k = k1 + k2
+                s = get(k)
+                out[k] = c1 * c2 if s is None else s + c1 * c2
+    return {k: c for k, c in out.items() if not _scalar_zero(c, mode, tol)}
+
+
+def _product(factors, exponent, degree, one, mode, tol):
+    """``prod_i factors[i]**exponent[i]`` as ``{m: c}``, truncated at ``degree``.
+
+    ``factors[i]`` is ``{m: c}`` in a ring whose 1 is ``one``.  The factors
+    are multiplied in one at a time, left to right, pruned as in
+    ``_poly_mul``.
+    """
+    n = len(factors)
+    b, cap = _packing(n, degree)
+    packed = [_packed(f, b, degree) for f in factors]
+    prod = {0: one}
+    for i, e in enumerate(exponent):
+        for _ in range(e):
+            prod = _poly_mul(prod, packed[i], cap, mode, tol)
+    unpack = _unpacker(n, b)
+    return {unpack(key): c for key, c in prod.items()}
 
 
 def _substitute(coeffs, components, degree, one, mode, tol):
@@ -317,34 +405,34 @@ def _substitute(coeffs, components, degree, one, mode, tol):
     itself and is multiplied by f's scalars; ``one`` is its unit.  Sums
     are pruned as in ``_poly_mul`` (``mode``, ``tol``).
     """
-    zero_mi = MultiIndex.zeros(len(components))
-    powers = [[{zero_mi: one}, comp] for comp in components]
+    n = len(components)
+    b, cap = _packing(n, degree)
+    comps = [_packed(comp, b, degree) for comp in components]
+    powers = [[{0: one}, comp] for comp in comps]
 
     def power(i, k):
         cache = powers[i]
         while len(cache) <= k:
-            cache.append(
-                _poly_mul(cache[-1], components[i], degree, mode, tol)
-            )
+            cache.append(_poly_mul(cache[-1], comps[i], cap, mode, tol))
         return cache[k]
 
     out = {}
     for (j, m), c in coeffs.items():
         if m.degree > degree:
             continue
-        term = {zero_mi: one}
+        term = {0: one}
         for i, e in enumerate(m):
             if not e:
                 continue
-            term = _poly_mul(term, power(i, e), degree, mode, tol)
+            term = _poly_mul(term, power(i, e), cap, mode, tol)
             if not term:
                 break
-        for mm, cc in term.items():
-            key = (j, mm)
+        for key, cc in term.items():
+            key = (j, key)
             s = out.get(key)
             v = c * cc
             out[key] = v if s is None else s + v
-    return {k: c for k, c in out.items() if not _scalar_zero(c, mode, tol)}
+    return _unpacked(out, n, b, mode, tol)
 
 
 def compose(f: PolyJet, g: PolyJet, degree=None, tol=ZERO_TOL) -> PolyJet:
@@ -374,20 +462,27 @@ def jacobian_apply(g: PolyJet, w: PolyJet, degree=None, tol=ZERO_TOL) -> PolyJet
         degree = min(g.degree, w.degree)
     n = g.dim
     mode = g.mode
-    w_components = [w.component(s) for s in range(n)]
+    b, cap = _packing(n, degree)
+    w_components = [_packed(w.component(s), b, degree) for s in range(n)]
+    # d/dy_s lowers exponent s and the degree by one.  Keys add linearly,
+    # so this lands on the key of m - e_s even when an exponent of m
+    # (|m| = degree + 1) does not fit its field.
+    lower = [(1 << (b * s)) + (1 << (b * n)) for s in range(n)]
     out = {}
     for (j, m), c in g.coeffs.items():
+        if m.degree > degree + 1:
+            continue
+        key = _pack(m, b)
         for s, e in enumerate(m):
             if not e:
                 continue
-            base = {m.minus_unit(s): c * e}
-            prod = _poly_mul(base, w_components[s], degree, mode, tol)
-            for mm, cc in prod.items():
-                key = (j, mm)
-                prev = out.get(key)
-                out[key] = cc if prev is None else prev + cc
-    out = {k: c for k, c in out.items() if not _scalar_zero(c, mode, tol)}
-    return PolyJet(n, degree, mode, out)
+            base = {key - lower[s]: c * e}
+            prod = _poly_mul(base, w_components[s], cap, mode, tol)
+            for kk, cc in prod.items():
+                kk = (j, kk)
+                prev = out.get(kk)
+                out[kk] = cc if prev is None else prev + cc
+    return PolyJet(n, degree, mode, _unpacked(out, n, b, mode, tol))
 
 
 # -- real/complex coordinate changes --------------------------------------

@@ -15,27 +15,29 @@ and nonresonant slices never mix, and within a row the cross terms of
 walks rows in coordinate order and monomials in reverse lexicographic
 order, carrying the cross terms in an accumulator.
 
-Which (j, sigma) are resonant is decided by
-:func:`embedflow.resonance.map_class`; the divisors lambda^sigma - lambda_j
-of the others live in the jet's mode, and in float mode one below
-tolerance aborts with :class:`NearResonanceError` rather than dividing.
+Which (j, sigma) are resonant is decided once per degree by
+:func:`embedflow.resonance.degree_map_class`; the divisors
+lambda^sigma - lambda_j of the others live in the jet's mode, and in float
+mode one below tolerance aborts with :class:`NearResonanceError` rather
+than dividing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .jets import (
     MODE_EXACT,
     MultiIndex,
     PolyJet,
-    _poly_mul,
+    _product,
     compose,
     jet_distance,
     lex_sort_key,
     multiindices,
 )
-from .resonance import _power, map_class
+from .resonance import _power, degree_map_class
 from .scalars import ExactnessError, QQi
 from .spectral import BlockMatrix, _cast, is_hyperbolic
 
@@ -128,10 +130,15 @@ def _homological_rows(tri, rhs, k, tol):
     # log data, else on the Gaussian-rational diagonal, else on lam
     lam = list(tri.diag) if mode == MODE_EXACT else [complex(d) for d in tri.diag]
     exact_mu = tri.eigen.entries if tri.eigen.exact else None
-    lam_class = tri.diag if exact_diag else lam
+    resonant = degree_map_class(
+        exact_mu, tri.diag if exact_diag else lam, k, tol
+    )
     order = sorted(multiindices(n, k), key=lex_sort_key, reverse=True)
     a_components = None
     nil = [(i, kk, _cast(c, mode)) for i, kk, c in tri.nil]
+
+    # lambda^sigma serves every row j
+    lam_power = cache(lambda sigma: _power(lam, sigma))
 
     def cross_terms(sigma):
         """(Ay)^sigma minus its leading term, as {exponent: coeff}."""
@@ -141,13 +148,9 @@ def _homological_rows(tri, rhs, k, tol):
         if a_components is None:
             lin = tri.linear_jet(1, mode)
             a_components = [lin.component(i) for i in range(n)]
-        prod = {MultiIndex.zeros(n): _one(mode)}
-        for i, e in enumerate(sigma):
-            for _ in range(e):
-                prod = _poly_mul(prod, a_components[i], k, mode, 0.0)
-        out = dict(prod)
+        out = _product(a_components, sigma, k, _one(mode), mode, 0.0)
         sigma = MultiIndex(sigma)
-        lead = _power(lam, sigma)
+        lead = lam_power(sigma)
         rest = out[sigma] - lead
         if _nonzero(rest, mode):
             out[sigma] = rest
@@ -175,10 +178,10 @@ def _homological_rows(tri, rhs, k, tol):
             val = acc.get(sigma)
             if val is None or not _nonzero(val, mode):
                 continue
-            if map_class(exact_mu, lam_class, j, sigma, tol)[0]:
+            if resonant(j, sigma):
                 g[(j, sigma)] = val
                 continue
-            d = _power(lam, sigma) - lam[j]
+            d = lam_power(sigma) - lam[j]
             mag = abs(complex(d))
             min_div = mag if min_div is None else min(min_div, mag)
             if mode != MODE_EXACT and mag < max(tol, 1e-9):

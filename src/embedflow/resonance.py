@@ -9,8 +9,9 @@ With map eigenvalues lambda = e^mu, a coordinate j and exponent m
 
 Map resonances are exactly the union of field and weak ones once the
 logarithm branch mu is fixed.  Every stage of the pipeline takes its
-classes from this module: the normal form from :func:`map_class`, the
-embedding solve from one :func:`field_resonances` report per solve.
+classes from this module: the normal form from one :func:`degree_map_class`
+per degree, the embedding solve from one :func:`field_resonances` report
+per solve.
 
 In exact mode (``EigenScalar`` data) the tests reduce to integer
 arithmetic, and Gaussian-rational map eigenvalues are compared exactly.
@@ -43,6 +44,7 @@ from .spectral import EigenData
 __all__ = [
     "ResonanceReport",
     "map_class",
+    "degree_map_class",
     "field_class",
     "map_resonances",
     "field_resonances",
@@ -201,6 +203,25 @@ def map_class(exact_mu, lam, j: int, m, tol: float = _TOL):
     if dist <= cut:
         return True, None
     return False, dist if _is_near(dist, cut) else None
+
+
+def degree_map_class(exact_mu, lam, k: int, tol: float = _TOL):
+    """Decide lambda_j = lambda^m for every (j, m) with |m| = k.
+
+    Returns the predicate ``resonant(j, m)``.  With exact log data the
+    whole degree is one :func:`_deltas` product over the degree-k monomial
+    matrix, decided by :func:`_witness`; otherwise each pair is decided by
+    :func:`map_class` when asked, exactly for Gaussian-rational ``lam`` and
+    relative in lambda for float ``lam``.
+    """
+    if exact_mu is None:
+        return lambda j, m: map_class(None, lam, j, m, tol)[0]
+    n = len(exact_mu)
+    mons = list(multiindices(n, k))
+    M = np.array(mons, dtype=np.int64).reshape(len(mons), n)
+    hit = _witness(*_deltas(exact_mu, M), tol)[0].reshape(n, len(mons))
+    resonant = {(j, m) for j in range(n) for m, h in zip(mons, hit[j]) if h}
+    return lambda j, m: (j, m) in resonant
 
 
 def field_class(mu, j: int, m, tol: float = _TOL):

@@ -582,41 +582,33 @@ def has_real_log(a: BlockMatrix):
 
 
 def pair_negative_blocks(a: BlockMatrix):
-    """Replace adjacent equal negative Jordan blocks by interleaved pairs.
+    """Replace matched equal negative Jordan blocks by interleaved pairs.
 
-    Returns ``(a2, perm)`` where coordinate ``i`` of the new matrix is
-    coordinate ``perm[i]`` of the old one.  For size-1 pairs the
-    permutation is the identity.
+    Each pair of :func:`has_real_log` becomes one block where its first
+    block sits; the partner's coordinates move next to it.  Returns
+    ``(a2, perm)`` where coordinate ``i`` of the new matrix is coordinate
+    ``perm[i]`` of the old one.  For adjacent size-1 pairs the permutation
+    is the identity.
     """
     ok, pairs = has_real_log(a)
     if not ok:
         raise SpectralError("no real logarithm: unpaired negative Jordan block")
-    paired = {i: j for i, j in pairs}
-    partner = {j for _, j in pairs}
-    for i, j in pairs:
-        if j != i + 1:
-            raise SpectralError(
-                "paired negative blocks must be adjacent; reorder the blocks"
-            )
+    partner = dict(pairs)
+    later = set(partner.values())
     offsets = a.offsets()
     blocks, perm = [], []
-    i = 0
-    while i < len(a.blocks):
-        b = a.blocks[i]
-        if i in paired:
-            s = b.size
-            o1, o2 = offsets[i], offsets[i + 1]
-            blocks.append(NegativePairBlock(b.eigenvalue, s))
-            for t in range(s):
-                perm.append(o1 + t)
-                perm.append(o2 + t)
-            i += 2
+    for i, b in enumerate(a.blocks):
+        if i in later:
             continue
         if i in partner:
-            raise SpectralError("inconsistent pairing")
+            o1, o2 = offsets[i], offsets[partner[i]]
+            blocks.append(NegativePairBlock(b.eigenvalue, b.size))
+            for t in range(b.size):
+                perm.append(o1 + t)
+                perm.append(o2 + t)
+            continue
         blocks.append(b)
         perm.extend(range(offsets[i], offsets[i] + b.order))
-        i += 1
     return BlockMatrix(tuple(blocks)), tuple(perm)
 
 

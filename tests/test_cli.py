@@ -184,6 +184,26 @@ class TestAnalyze:
         assert m["status"] == "no-real-log"
         assert m["real_log"] == "no"
 
+    def test_non_adjacent_negative_pairs(self, capsys, monkeypatch):
+        """-2 pairs with the last block and -3 with the middle two, so a real
+        logarithm exists; analyze and embed must both use it."""
+        text = (
+            "HEADER\ndimension 4\ndegree 3\nmode exact\nLINEAR\n"
+            "jordan -2 1\njordan -3 1\njordan -3 1\njordan -2 1\nNONLINEAR\n"
+            "1 0 2 0 0 1\n"
+        )
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "analyze", "-")
+        m = machine(out)
+        assert code == 0
+        assert m["real_log"] == "yes" and m["status"] == "ok"
+        assert "coordinate order (0, 3, 1, 2)" in out
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "embed", "-")
+        m = machine(out)
+        assert code == 0
+        assert m["real_log"] == "yes" and m["status"] == "field"
+
 
 class TestModuleEntry:
     def test_python_m_embedflow(self):

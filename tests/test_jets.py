@@ -22,6 +22,7 @@ from embedflow import (
     permute_jet,
     realify,
 )
+from embedflow.jets import ZERO_TOL
 
 
 def _sympy_vec(jet: PolyJet, xs):
@@ -220,3 +221,149 @@ def test_permute_jet_is_coordinate_change():
     got = g.evaluate(moved)
     want = f.evaluate(pt)
     assert got == pytest.approx(tuple(want[perm[i]] for i in range(3)))
+
+
+# -- the packed kernel against a MultiIndex reference ----------------------
+#
+# The reference below is the product on MultiIndex keys, with the loop
+# order and pruning rule of the kernel: p outer, q inner, sums formed in
+# that order.  So exact results must be equal and float results bitwise
+# equal, term by term and in insertion order.
+
+KERNEL_DEGREES = (1, 3, 4, 7, 8, 15, 16)  # both sides of every field-width change
+
+
+def _ref_zero(c, mode, tol):
+    return abs(c) <= tol if mode == MODE_FLOAT else not c
+
+
+def _ref_mul(p, q, limit, mode, tol):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            if m1.degree + m2.degree > limit:
+                continue
+            m = m1.plus(m2)
+            s = out.get(m)
+            out[m] = c1 * c2 if s is None else s + c1 * c2
+    return {m: c for m, c in out.items() if not _ref_zero(c, mode, tol)}
+
+
+def _ref_compose(f, g, degree, tol):
+    n, mode = f.dim, f.mode
+    one = QQi(1) if mode == MODE_EXACT else 1.0 + 0.0j
+    comps = [g.component(i) for i in range(n)]
+    powers = [[{MultiIndex.zeros(n): one}, comp] for comp in comps]
+    out = {}
+    for (j, m), c in f.coeffs.items():
+        if m.degree > degree:
+            continue
+        term = {MultiIndex.zeros(n): one}
+        for i, e in enumerate(m):
+            if not e:
+                continue
+            cache = powers[i]
+            while len(cache) <= e:
+                cache.append(_ref_mul(cache[-1], comps[i], degree, mode, tol))
+            term = _ref_mul(term, cache[e], degree, mode, tol)
+            if not term:
+                break
+        for mm, cc in term.items():
+            s = out.get((j, mm))
+            out[(j, mm)] = c * cc if s is None else s + c * cc
+    return {k: c for k, c in out.items() if not _ref_zero(c, mode, tol)}
+
+
+def _ref_jacobian_apply(g, w, degree, tol):
+    mode = g.mode
+    comps = [w.component(s) for s in range(g.dim)]
+    out = {}
+    for (j, m), c in g.coeffs.items():
+        for s, e in enumerate(m):
+            if not e:
+                continue
+            prod = _ref_mul({m.minus_unit(s): c * e}, comps[s], degree, mode, tol)
+            for mm, cc in prod.items():
+                prev = out.get((j, mm))
+                out[(j, mm)] = cc if prev is None else prev + cc
+    return {k: c for k, c in out.items() if not _ref_zero(c, mode, tol)}
+
+
+def _bits(coeffs):
+    """Terms in insertion order, floats by their exact bit patterns."""
+    out = []
+    for (j, m), c in coeffs.items():
+        if isinstance(c, QQi):
+            out.append((j, tuple(m), c.re, c.im))
+        else:
+            out.append((j, tuple(m), c.real.hex(), c.imag.hex()))
+    return out
+
+
+def _kernel_jet(rng, n, N, mode, min_deg, per_comp=3):
+    """Sparse jet of degree 2^b + 1 (b = N.bit_length()) for truncation N.
+
+    Each component gets ``per_comp`` terms of degree min_deg..N, some with
+    coefficients small enough that float products fall under ZERO_TOL, and
+    one term above N: a monomial with one exponent 2^b, which does not fit
+    a packed field.
+    """
+    wide = 1 << N.bit_length()
+
+    def coeff():
+        if mode == MODE_EXACT:
+            return QQi(Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))),
+                       Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))))
+        scale = 1e-5 if rng.random() < 0.25 else 1.0
+        return complex(*(scale * rng.uniform(-1, 1, size=2)))
+
+    terms = []
+    for j in range(n):
+        for _ in range(per_comp):
+            r = int(rng.integers(min_deg, N + 1))
+            m = np.zeros(n, dtype=int)
+            for i in rng.integers(0, n, size=r):
+                m[i] += 1
+            terms.append((j, MultiIndex(m), coeff()))
+        # the linear term keeps powers of every component alive
+        if min_deg <= 1:
+            terms.append((j, MultiIndex.unit(n, j), coeff()))
+        far = MultiIndex.unit(n, int(rng.integers(n)))
+        terms.append((j, MultiIndex(e * wide for e in far), coeff()))
+    return PolyJet.build(n, wide + 1, mode, terms, tol=0.0)
+
+
+@pytest.mark.parametrize("mode", [MODE_FLOAT, MODE_EXACT])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_compose_matches_reference(mode, n):
+    rng = np.random.default_rng(100 * n + (mode == MODE_EXACT))
+    for N in KERNEL_DEGREES:
+        f = _kernel_jet(rng, n, N, mode, min_deg=1)
+        g = _kernel_jet(rng, n, N, mode, min_deg=1)
+        got = compose(f, g, degree=N)
+        assert got.degree == N
+        assert _bits(got.coeffs) == _bits(_ref_compose(f, g, N, ZERO_TOL)), N
+
+
+@pytest.mark.parametrize("mode", [MODE_FLOAT, MODE_EXACT])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_jacobian_apply_matches_reference(mode, n):
+    rng = np.random.default_rng(200 * n + (mode == MODE_EXACT))
+    three = QQi(3) if mode == MODE_EXACT else 3.0
+    for N in KERNEL_DEGREES:
+        g = _kernel_jet(rng, n, N, mode, min_deg=1)
+        # a term of degree N + 1 whose derivative has degree N; when
+        # N + 1 = 2^b its exponent does not fit a field before the derivative
+        top = MultiIndex.unit(n, int(rng.integers(n)))
+        top = MultiIndex(e * (N + 1) for e in top)
+        g = g + PolyJet.build(n, g.degree, mode, [(0, top, three)])
+        # constant terms of w keep that degree-N derivative alive
+        w = _kernel_jet(rng, n, N, mode, min_deg=0)
+        w = w + PolyJet.build(
+            n, w.degree, mode, [(s, MultiIndex.zeros(n), three) for s in range(n)]
+        )
+        got = jacobian_apply(g, w, degree=N)
+        assert got.degree == N
+        want = _ref_jacobian_apply(g, w, N, ZERO_TOL)
+        assert any(m.degree == N for _, m in want)
+        assert _bits(got.coeffs) == _bits(want), N

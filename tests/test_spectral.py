@@ -135,12 +135,17 @@ def test_real_log_raises_without_pairing():
         real_log(a)
 
 
-def test_pair_negative_blocks_requires_adjacency():
+def test_pair_negative_blocks_pairs_non_adjacent_blocks():
     a = BlockMatrix((JordanBlock(-2, 1), JordanBlock(3, 1), JordanBlock(-2, 1)))
     ok, pairs = has_real_log(a)
     assert ok and pairs == ((0, 2),)
-    with pytest.raises(SpectralError, match="adjacent"):
-        pair_negative_blocks(a)
+    paired, perm = pair_negative_blocks(a)
+    assert perm == (0, 2, 1)
+    assert [type(b) for b in paired.blocks] == [NegativePairBlock, JordanBlock]
+    da, dp = a.to_dense(), paired.to_dense()
+    for i in range(3):
+        for k in range(3):
+            assert dp[i, k] == pytest.approx(da[perm[i], perm[k]])
 
 
 def test_pair_negative_jordan_size2_interleaves():
