@@ -30,6 +30,7 @@ from .spectral import (
     pair_negative_blocks,
     real_log,
 )
+from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "PlanarVerdict",
@@ -115,7 +116,7 @@ def classify_2d(A: BlockMatrix) -> PlanarVerdict:
     return PlanarVerdict(False, REASON_UNPAIRED, None)
 
 
-def planar_from_dense(mat, tol: float = 1e-9) -> BlockMatrix:
+def planar_from_dense(mat, tol: float = DEFAULT_TOL) -> BlockMatrix:
     """Canonical block form of a dense 2x2 matrix via the quadratic formula.
 
     Returns the Jordan-type block list of A (not a conjugation of A

@@ -41,6 +41,7 @@ from .spectral import (
     real_log,
     weakly_nonresonant_branch,
 )
+from .tolerances import NEAR_FACTOR, ODE_BOUND
 
 __all__ = ["main"]
 
@@ -136,7 +137,7 @@ def _put_resonances(report: Report, eigen, degree: int, tol: float):
     for j, m, l in sorted(frep.weak):
         report.line(f"  {fmt_entry(j, m, l)}")
     if frep.near:
-        report.line(f"near-resonances (within 100*tol): {len(frep.near)}")
+        report.line(f"near-resonances (within {NEAR_FACTOR:g}*tol): {len(frep.near)}")
     report.put_set("map_resonant", (fmt_entry(j, m) for j, m in mrep.map_resonant))
     report.put_set(
         "field_resonant", (fmt_entry(j, m) for j, m in frep.field_resonant)
@@ -319,7 +320,7 @@ def cmd_verify(gf: GermFile, report: Report) -> int:
     r_exp, r_ode, r_emb = residuals
     scale = max(1.0, G.map_jet().to_float().max_abs())
     bound_exp = gf.tol * scale
-    bound_ode = max(1e-6 * scale, bound_exp)
+    bound_ode = max(ODE_BOUND * scale, bound_exp)
     ok = r_exp <= bound_exp and r_ode <= bound_ode and r_emb <= bound_exp
     report.section("Verdict")
     report.line(

@@ -47,6 +47,7 @@ from .normal_form import GermSpec
 from .resonance import ResonanceReport, _delta, _mu, field_class, field_resonances
 from .scalars import EigenScalar, ExactnessError, PiPoly, QQi
 from .spectral import BlockMatrix, SpectralError, TriangularLinear, log_residual
+from .tolerances import DEFAULT_TOL, LOG_RESIDUAL, STRAY_DEMAND
 
 __all__ = [
     "FieldGerm",
@@ -60,8 +61,6 @@ __all__ = [
     "time_one_residuals",
     "appendix_identity_check",
 ]
-
-_TOL = 1e-9
 
 
 # -- jets with ExpPoly coefficients -------------------------------------------
@@ -99,17 +98,16 @@ class FlowJet:
     def at_time(self, t: float) -> PolyJet:
         """Specialize t; float-mode jet."""
         terms = [(j, m, p.eval_at(t)) for (j, m), p in self.coeffs.items()]
-        return PolyJet.build(self.dim, self.degree, MODE_FLOAT, terms, tol=0.0)
+        return PolyJet.build(self.dim, self.degree, MODE_FLOAT, terms)
 
 
 def _substitute_flow(coeffs: dict, phi: FlowJet, r: int, unit: ExpPoly) -> FlowJet:
     """Degree-r part of x(phi(t, y)) for the scalar terms ``coeffs`` of x.
 
-    The jet composition kernel over the ExpPoly ring, whose 1 is ``unit``;
-    only exact zeros are dropped.
+    The jet composition kernel over the ExpPoly ring, whose 1 is ``unit``.
     """
     comps = [phi.component(i) for i in range(phi.dim)]
-    out = _substitute(coeffs, comps, r, unit, MODE_EXACT, 0.0)
+    out = _substitute(coeffs, comps, r, unit)
     return FlowJet(phi.dim, r, out).degree_slice(r)
 
 
@@ -287,12 +285,15 @@ class FieldGerm:
 
     ``linear`` must be a logarithm block matrix (see
     :func:`embedflow.spectral.real_log`); its eigen data fixes the
-    resonance classes that constrain the support of ``v``.
+    resonance classes that constrain the support of ``v``, decided at
+    ``tol``: the tolerance of the solve that built the field.  The flow
+    snaps its exponents at the same ``tol``.
     """
 
     linear: BlockMatrix
     nonlinear: PolyJet
     degree: int
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if not self.linear.is_log:
@@ -309,7 +310,7 @@ class FieldGerm:
         bad = [
             (j, tuple(m))
             for (j, m) in self.nonlinear.coeffs
-            if field_class(mu, j, m, _TOL)[0] is None
+            if field_class(mu, j, m, self.tol)[0] is None
         ]
         if bad:
             raise ValueError(
@@ -379,7 +380,7 @@ def _is_zero(c, exact_ring: bool, tol: float) -> bool:
     return abs(complex(c)) <= tol
 
 
-def Tr_matrix(B, r: int, basis=None, tol: float = _TOL):
+def Tr_matrix(B, r: int, basis=None, tol: float = DEFAULT_TOL):
     """Matrix of the degree-r averaging operator T^r on the resonance basis.
 
     Returns ``(matrix, basis)``: entries are exact scalars (QQi/PiPoly)
@@ -426,7 +427,7 @@ def _validate_normal_form(G: GermSpec, report: ResonanceReport, tol: float):
         )
 
 
-def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = _TOL):
+def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = DEFAULT_TOL):
     """Construct the embedding field jet for a normal-form germ, or refuse.
 
     Returns a :class:`FieldGerm` with field-resonant support (weak
@@ -440,7 +441,7 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = _TOL)
     N = G.degree if degree is None else degree
     scale = float(np.max(np.abs(G.linear.to_dense())))
     res = log_residual(G.linear, B)
-    if res > 1e-8 * max(1.0, scale):
+    if res > LOG_RESIDUAL * max(1.0, scale):
         raise SpectralError(
             f"exp(B) differs from the germ's linear part by {res:.2e}"
         )
@@ -463,7 +464,7 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = _TOL)
         rhs: dict = {}
         for (i, m), p in integrand.coeffs.items():
             val = p.integrate_unit()
-            if not _is_zero(val, exact_ring, 0.0):
+            if val:
                 rhs[(i, m)] = -val if exact_ring else -complex(val)
         for (j, m), c in g.degree_slice(r).coeffs.items():
             for i in range(n):
@@ -479,7 +480,7 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = _TOL)
         stray = {
             k: v
             for k, v in rhs.items()
-            if k not in basis_set and not _is_zero(v, exact_ring, 1e-7)
+            if k not in basis_set and not _is_zero(v, exact_ring, STRAY_DEMAND)
         }
         if stray:
             raise ArithmeticError(
@@ -493,7 +494,7 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = _TOL)
             for col in range(row):
                 t = matrix[row][col]
                 xc = sol[col]
-                if _is_zero(t, exact_ring, 0.0) or _is_zero(xc, exact_ring, 0.0):
+                if not t or not xc:
                     continue
                 prod = t * xc if exact_ring else complex(t) * complex(xc)
                 acc = acc - prod
@@ -513,7 +514,7 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = _TOL)
             )
         x_r: dict = {}
         for (j, m), v in zip(basis, sol):
-            if _is_zero(v, exact_ring, 0.0):
+            if not v:
                 continue
             if exact_ring:
                 if isinstance(v, PiPoly):
@@ -529,11 +530,15 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = _TOL)
         x_coeffs.update(x_r)
         phi = _flow_step(phi, P + _substitute_flow(x_r, phi, r, unit), E, Em, tol)
     v = PolyJet(n, N, jet_mode, x_coeffs)
-    return FieldGerm(B, v, N)
+    return FieldGerm(B, v, N, tol)
 
 
-def flow_jet(X: FieldGerm, degree=None, tol: float = _TOL) -> FlowJet:
-    """Flow of X as a jet with ExpPoly coefficients; phi(0, y) = y."""
+def flow_jet(X: FieldGerm, degree=None) -> FlowJet:
+    """Flow of X as a jet with ExpPoly coefficients; phi(0, y) = y.
+
+    Exponents are snapped onto 2*pi*i*Z at ``X.tol``, the tolerance that
+    decided X's support.
+    """
     N = X.degree if degree is None else degree
     tri = X.linear.triangular()
     exact_ring = _exact_ring(tri, X.mode)
@@ -542,7 +547,7 @@ def flow_jet(X: FieldGerm, degree=None, tol: float = _TOL) -> FlowJet:
     v = X.nonlinear if exact_ring else X.nonlinear.to_float()
     for r in range(2, N + 1):
         # terms of v above degree r are skipped by the substitution
-        phi = _flow_step(phi, _substitute_flow(v.coeffs, phi, r, unit), E, Em, tol)
+        phi = _flow_step(phi, _substitute_flow(v.coeffs, phi, r, unit), E, Em, X.tol)
     return phi
 
 
@@ -699,7 +704,7 @@ def _rk4_time_one(tri: TriangularLinear, v: PolyJet, degree: int, steps: int):
             c = C[j, t]
             if c != 0:
                 terms.append((j, m, c))
-    return PolyJet.build(n, degree, MODE_FLOAT, terms, tol=0.0)
+    return PolyJet.build(n, degree, MODE_FLOAT, terms)
 
 
 def time_one_residuals(X: FieldGerm, G: GermSpec, steps: int = 1000):
@@ -745,4 +750,4 @@ def appendix_identity_check(B: BlockMatrix, g: PolyJet) -> PolyJet:
                 continue
             delta = complex(delta)
         terms.append((j, m, delta * complex(c)))
-    return PolyJet.build(g.dim, g.degree, MODE_FLOAT, terms, tol=0.0)
+    return PolyJet.build(g.dim, g.degree, MODE_FLOAT, terms)

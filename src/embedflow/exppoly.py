@@ -22,6 +22,7 @@ import math
 from fractions import Fraction
 
 from .scalars import EigenScalar, ExactnessError, PiPoly, QQi
+from .tolerances import UNSTABLE_EXPONENT
 
 __all__ = ["ExpPoly"]
 
@@ -64,12 +65,6 @@ def coeff_add(c1, c2):
     return complex(c1) + complex(c2)
 
 
-def _is_zero_coeff(c) -> bool:
-    if coeff_is_exact(c):
-        return not bool(c)
-    return c == 0
-
-
 def _inv_power_exact(l: int, p: int) -> PiPoly:
     """(2*pi*i*l)^(-p) in the PiPoly ring."""
     return PiPoly.monomial(QQi(0, Fraction(-1, 2 * l)) ** p, -p)
@@ -84,7 +79,7 @@ class ExpPoly:
         clean = {}
         if terms:
             for (k, a), c in terms.items():
-                if not _is_zero_coeff(c):
+                if c:
                     clean[(int(k), a)] = c
         object.__setattr__(self, "terms", clean)
 
@@ -107,7 +102,7 @@ class ExpPoly:
         for key, c in other.terms.items():
             if key in out:
                 s = coeff_add(out[key], c)
-                if _is_zero_coeff(s):
+                if not s:
                     del out[key]
                 else:
                     out[key] = s
@@ -124,7 +119,7 @@ class ExpPoly:
         return ExpPoly({key: -c for key, c in self.terms.items()})
 
     def scale(self, c) -> "ExpPoly":
-        if _is_zero_coeff(c):
+        if not c:
             return ExpPoly()
         return ExpPoly(
             {key: coeff_mul(cc, c) for key, cc in self.terms.items()}
@@ -142,7 +137,7 @@ class ExpPoly:
                 c = coeff_mul(c1, c2)
                 if key in out:
                     c = coeff_add(out[key], c)
-                if _is_zero_coeff(c):
+                if not c:
                     out.pop(key, None)
                 else:
                     out[key] = c
@@ -162,7 +157,7 @@ class ExpPoly:
             key = (k, a)
             if key in out:
                 c = coeff_add(out[key], c)
-            if _is_zero_coeff(c):
+            if not c:
                 out.pop(key, None)
             else:
                 out[key] = c
@@ -220,7 +215,7 @@ class ExpPoly:
                 raise ExactnessError(
                     "exact antiderivative needs exponents in {0} u 2*pi*i*Z"
                 )
-            if not exact_key and l is None and abs(a) < 1e-6:
+            if not exact_key and l is None and abs(a) < UNSTABLE_EXPONENT:
                 raise ArithmeticError(
                     "refusing unstable integration near a zero exponent; "
                     "snap_exponents first"

@@ -47,6 +47,7 @@ from .spectral import (
     RotationBlock,
     pair_negative_blocks,
 )
+from .tolerances import DEFAULT_TOL
 
 __all__ = ["GermFile", "GermParseError", "parse_germ", "serialize_germ"]
 
@@ -73,12 +74,12 @@ class GermFile:
     mode: str
     blocks: BlockMatrix
     terms: tuple
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     branch_k: tuple = ()
     branch_l: tuple = ()
 
     def real_jet(self) -> PolyJet:
-        return PolyJet.build(self.dim, self.degree, self.mode, self.terms, tol=0.0)
+        return PolyJet.build(self.dim, self.degree, self.mode, self.terms)
 
     def to_spec(self):
         """Complexified GermSpec plus the pairing permutation used.
@@ -266,7 +267,7 @@ def parse_germ(text: str) -> GermFile:
         mode=mode,
         blocks=bm,
         terms=tuple(terms),
-        tol=options.get("tol", 1e-9),
+        tol=options.get("tol", DEFAULT_TOL),
         branch_k=options.get("branch-k", ()),
         branch_l=options.get("branch-l", ()),
     )
@@ -319,7 +320,7 @@ def serialize_germ(gf: GermFile) -> str:
         else:
             out.append(f"{j + 1} {ms} {re} {im}")
     opts = []
-    if gf.tol != 1e-9:
+    if gf.tol != DEFAULT_TOL:
         opts.append(f"tol {gf.tol!r}")
     if gf.branch_k:
         opts.append("branch-k " + " ".join(str(k) for k in gf.branch_k))

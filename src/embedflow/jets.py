@@ -18,6 +18,13 @@ with (N+1) << (b*n).  ``PolyJet.coeffs`` stays keyed by
 ``(j, MultiIndex)``; the kernel packs its inputs once per call and unpacks
 its result once at the end.
 
+Every operation drops exact zeros only, in every coefficient ring: a
+float coefficient is kept however small it is.  The one exception is the
+float pair change of ``complexify``/``realify``, which drops a coefficient
+that lies within rounding of the magnitudes that formed it
+(:data:`embedflow.tolerances.ROUNDING`), so cross terms that cancel
+exactly in exact arithmetic vanish in float arithmetic too.
+
 Jets are value objects: no operation mutates its inputs.
 """
 
@@ -28,11 +35,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from .scalars import ExactnessError, PiPoly, QQi
+from .tolerances import CONJUGATE_SYMMETRY, ROUNDING
 
 __all__ = [
     "MODE_FLOAT",
     "MODE_EXACT",
-    "ZERO_TOL",
     "ConjugateSymmetryError",
     "MultiIndex",
     "PolyJet",
@@ -48,9 +55,6 @@ __all__ = [
 
 MODE_FLOAT = "float"
 MODE_EXACT = "exact"
-
-# Coefficients with |c| below this are dropped when assembling float jets.
-ZERO_TOL = 1e-12
 
 
 class ConjugateSymmetryError(ValueError):
@@ -125,12 +129,6 @@ def _coerce_scalar(c, mode):
     )
 
 
-def _scalar_zero(c, mode, tol):
-    if mode == MODE_FLOAT:
-        return abs(c) <= tol
-    return not c
-
-
 @dataclass(frozen=True)
 class PolyJet:
     """Sparse polynomial jet: coefficients of y^m e_j up to a total degree."""
@@ -141,11 +139,11 @@ class PolyJet:
     coeffs: dict
 
     @staticmethod
-    def build(dim, degree, mode, terms, tol=ZERO_TOL) -> "PolyJet":
+    def build(dim, degree, mode, terms) -> "PolyJet":
         """Assemble a jet from ``(j, exponents, coefficient)`` terms.
 
         Terms beyond the truncation degree are rejected; zero coefficients
-        (within ``tol`` in float mode, exactly otherwise) are dropped.
+        are dropped.
         """
         coeffs = {}
         for j, m, c in terms:
@@ -164,10 +162,7 @@ class PolyJet:
             if key in coeffs:
                 c = coeffs[key] + c
             coeffs[key] = c
-        coeffs = {
-            k: c for k, c in coeffs.items() if not _scalar_zero(c, mode, tol)
-        }
-        return PolyJet(dim, degree, mode, coeffs)
+        return PolyJet(dim, degree, mode, {k: c for k, c in coeffs.items() if c})
 
     @staticmethod
     def zero(dim, degree, mode=MODE_FLOAT) -> "PolyJet":
@@ -249,10 +244,10 @@ class PolyJet:
                 continue
             s = out.get(k)
             s = c if s is None else s + c
-            if _scalar_zero(s, self.mode, ZERO_TOL):
-                out.pop(k, None)
-            else:
+            if s:
                 out[k] = s
+            else:
+                out.pop(k, None)
         return PolyJet(self.dim, degree, self.mode, out)
 
     def __neg__(self):
@@ -266,7 +261,7 @@ class PolyJet:
 
     def scale(self, a) -> "PolyJet":
         a = _coerce_scalar(a, self.mode)
-        if _scalar_zero(a, self.mode, 0.0):
+        if not a:
             return PolyJet.zero(self.dim, self.degree, self.mode)
         return PolyJet(
             self.dim, self.degree, self.mode,
@@ -343,14 +338,10 @@ def _unpacker(n: int, b: int):
     return unpack
 
 
-def _unpacked(terms: dict, n: int, b: int, mode, tol) -> dict:
+def _unpacked(terms: dict, n: int, b: int) -> dict:
     """``{(j, key): c}`` back to ``{(j, m): c}``, zero sums dropped."""
     unpack = _unpacker(n, b)
-    return {
-        (j, unpack(key)): c
-        for (j, key), c in terms.items()
-        if not _scalar_zero(c, mode, tol)
-    }
+    return {(j, unpack(key)): c for (j, key), c in terms.items() if c}
 
 
 def _packed(poly: dict, b: int, degree: int) -> dict:
@@ -359,12 +350,12 @@ def _packed(poly: dict, b: int, degree: int) -> dict:
     return {_pack(m, b): c for m, c in poly.items() if m.degree <= degree}
 
 
-def _poly_mul(p, q, cap, mode, tol):
+def _poly_mul(p, q, cap):
     """Truncated product of two packed polynomials ``{key: c}``.
 
     p is the outer loop and q the inner, and sums are formed in that
     order, so float results do not depend on the key layout.  Sums that
-    are zero (within ``tol`` in float mode, exactly otherwise) are dropped.
+    are zero are dropped.
     """
     out = {}
     get = out.get
@@ -376,10 +367,10 @@ def _poly_mul(p, q, cap, mode, tol):
                 k = k1 + k2
                 s = get(k)
                 out[k] = c1 * c2 if s is None else s + c1 * c2
-    return {k: c for k, c in out.items() if not _scalar_zero(c, mode, tol)}
+    return {k: c for k, c in out.items() if c}
 
 
-def _product(factors, exponent, degree, one, mode, tol):
+def _product(factors, exponent, degree, one):
     """``prod_i factors[i]**exponent[i]`` as ``{m: c}``, truncated at ``degree``.
 
     ``factors[i]`` is ``{m: c}`` in a ring whose 1 is ``one``.  The factors
@@ -392,18 +383,18 @@ def _product(factors, exponent, degree, one, mode, tol):
     prod = {0: one}
     for i, e in enumerate(exponent):
         for _ in range(e):
-            prod = _poly_mul(prod, packed[i], cap, mode, tol)
+            prod = _poly_mul(prod, packed[i], cap)
     unpack = _unpacker(n, b)
     return {unpack(key): c for key, c in prod.items()}
 
 
-def _substitute(coeffs, components, degree, one, mode, tol):
+def _substitute(coeffs, components, degree, one):
     """Coefficients ``{(j, m): c}`` of f(g(y)), truncated at ``degree``.
 
     ``coeffs`` holds f's terms and ``components[i]`` g_i as ``{m: c}``.
     The components may live in any ring that multiplies and adds with
-    itself and is multiplied by f's scalars; ``one`` is its unit.  Sums
-    are pruned as in ``_poly_mul`` (``mode``, ``tol``).
+    itself and is multiplied by f's scalars; ``one`` is its unit.  Zero
+    sums are dropped.
     """
     n = len(components)
     b, cap = _packing(n, degree)
@@ -413,7 +404,7 @@ def _substitute(coeffs, components, degree, one, mode, tol):
     def power(i, k):
         cache = powers[i]
         while len(cache) <= k:
-            cache.append(_poly_mul(cache[-1], comps[i], cap, mode, tol))
+            cache.append(_poly_mul(cache[-1], comps[i], cap))
         return cache[k]
 
     out = {}
@@ -424,7 +415,7 @@ def _substitute(coeffs, components, degree, one, mode, tol):
         for i, e in enumerate(m):
             if not e:
                 continue
-            term = _poly_mul(term, power(i, e), cap, mode, tol)
+            term = _poly_mul(term, power(i, e), cap)
             if not term:
                 break
         for key, cc in term.items():
@@ -432,10 +423,10 @@ def _substitute(coeffs, components, degree, one, mode, tol):
             s = out.get(key)
             v = c * cc
             out[key] = v if s is None else s + v
-    return _unpacked(out, n, b, mode, tol)
+    return _unpacked(out, n, b)
 
 
-def compose(f: PolyJet, g: PolyJet, degree=None, tol=ZERO_TOL) -> PolyJet:
+def compose(f: PolyJet, g: PolyJet, degree=None) -> PolyJet:
     """Jet of f(g(y)), truncated at ``degree``.
 
     ``g`` must fix the origin (no constant term); otherwise the truncated
@@ -451,17 +442,16 @@ def compose(f: PolyJet, g: PolyJet, degree=None, tol=ZERO_TOL) -> PolyJet:
             raise ValueError("composition target must fix the origin")
     one = 1.0 + 0.0j if f.mode == MODE_FLOAT else QQi(1)
     components = [g.component(i) for i in range(n)]
-    out = _substitute(f.coeffs, components, degree, one, f.mode, tol)
+    out = _substitute(f.coeffs, components, degree, one)
     return PolyJet(n, degree, f.mode, out)
 
 
-def jacobian_apply(g: PolyJet, w: PolyJet, degree=None, tol=ZERO_TOL) -> PolyJet:
+def jacobian_apply(g: PolyJet, w: PolyJet, degree=None) -> PolyJet:
     """Jet of Dg(y) * w(y), truncated at ``degree``."""
     g._check_compatible(w)
     if degree is None:
         degree = min(g.degree, w.degree)
     n = g.dim
-    mode = g.mode
     b, cap = _packing(n, degree)
     w_components = [_packed(w.component(s), b, degree) for s in range(n)]
     # d/dy_s lowers exponent s and the degree by one.  Keys add linearly,
@@ -477,12 +467,12 @@ def jacobian_apply(g: PolyJet, w: PolyJet, degree=None, tol=ZERO_TOL) -> PolyJet
             if not e:
                 continue
             base = {key - lower[s]: c * e}
-            prod = _poly_mul(base, w_components[s], cap, mode, tol)
+            prod = _poly_mul(base, w_components[s], cap)
             for kk, cc in prod.items():
                 kk = (j, kk)
                 prev = out.get(kk)
                 out[kk] = cc if prev is None else prev + cc
-    return PolyJet(n, degree, mode, _unpacked(out, n, b, mode, tol))
+    return PolyJet(n, degree, g.mode, _unpacked(out, n, b))
 
 
 # -- real/complex coordinate changes --------------------------------------
@@ -543,8 +533,8 @@ def _pairing_jets(pairing: RealPairing, degree, mode):
         bw.append((i, uk, half))
         bw.append((k, ui, -img * half))
         bw.append((k, uk, img * half))
-    forward = PolyJet.build(n, degree, mode, fw, tol=0.0)
-    backward = PolyJet.build(n, degree, mode, bw, tol=0.0)
+    forward = PolyJet.build(n, degree, mode, fw)
+    backward = PolyJet.build(n, degree, mode, bw)
     return forward, backward
 
 
@@ -569,13 +559,40 @@ def _drop_imag(jet: PolyJet) -> PolyJet:
             c = PiPoly({e: QQi(q.re) for e, q in c.terms.items()})
         else:
             c = complex(c.real, 0.0)
-        keep = bool(c) if jet.mode == MODE_EXACT else abs(c) > 0.0
-        if keep:
+        if c:
             out[k] = c
     return PolyJet(jet.dim, jet.degree, jet.mode, out)
 
 
-def complexify(f: PolyJet, pairing: RealPairing, tol=1e-9) -> PolyJet:
+def _magnitudes(jet: PolyJet) -> PolyJet:
+    """The same jet with every coefficient replaced by its modulus."""
+    return PolyJet(
+        jet.dim, jet.degree, jet.mode,
+        {k: complex(abs(c)) for k, c in jet.coeffs.items()},
+    )
+
+
+def _conjugate(outer: PolyJet, f: PolyJet, inner: PolyJet) -> PolyJet:
+    """outer(f(inner(y))), truncated at f's degree.
+
+    In float mode a coefficient c is dropped when |c| <= ROUNDING * b, b
+    being the same coefficient of |outer|(|f|(|inner|)): c is then the
+    roundoff of terms that cancel exactly.
+    """
+    N = f.degree
+    out = compose(outer, compose(f, inner, N), N)
+    if f.mode == MODE_EXACT:
+        return out
+    bound = compose(
+        _magnitudes(outer), compose(_magnitudes(f), _magnitudes(inner), N), N
+    ).coeffs
+    return PolyJet(
+        f.dim, N, f.mode,
+        {k: c for k, c in out.coeffs.items() if abs(c) > ROUNDING * bound[k].real},
+    )
+
+
+def complexify(f: PolyJet, pairing: RealPairing) -> PolyJet:
     """Conjugate a real-coefficient jet into paired complex coordinates.
 
     On each pair the new coordinates are z = x_i + i*x_{i+1} and its
@@ -584,20 +601,20 @@ def complexify(f: PolyJet, pairing: RealPairing, tol=1e-9) -> PolyJet:
     """
     if pairing.dim != f.dim:
         raise ValueError("pairing dimension mismatch")
-    if _imag_violation(f) > tol:
+    if _imag_violation(f) > CONJUGATE_SYMMETRY:
         raise ValueError("complexify expects a real-coefficient jet")
     if pairing.trivial:
         return f
     forward, backward = _pairing_jets(pairing, f.degree, f.mode)
-    return compose(forward, compose(f, backward, f.degree), f.degree)
+    return _conjugate(forward, f, backward)
 
 
-def realify(f: PolyJet, pairing: RealPairing, tol=1e-9) -> PolyJet:
+def realify(f: PolyJet, pairing: RealPairing) -> PolyJet:
     """Inverse of :func:`complexify`; checks conjugate symmetry.
 
     The imaginary residue of the back-transformed jet must vanish (within
-    ``tol`` in float mode, exactly in exact mode) or the input was not the
-    complexification of a real jet.
+    ``CONJUGATE_SYMMETRY`` in float mode, exactly in exact mode) or the
+    input was not the complexification of a real jet.
     """
     if pairing.dim != f.dim:
         raise ValueError("pairing dimension mismatch")
@@ -605,9 +622,9 @@ def realify(f: PolyJet, pairing: RealPairing, tol=1e-9) -> PolyJet:
         out = f
     else:
         forward, backward = _pairing_jets(pairing, f.degree, f.mode)
-        out = compose(backward, compose(f, forward, f.degree), f.degree)
+        out = _conjugate(backward, f, forward)
     bad = _imag_violation(out)
-    limit = 0.0 if f.mode == MODE_EXACT else tol
+    limit = 0.0 if f.mode == MODE_EXACT else CONJUGATE_SYMMETRY
     if bad > limit:
         raise ConjugateSymmetryError(
             f"conjugate symmetry violated: imaginary residue {bad:.3e}"

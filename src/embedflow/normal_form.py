@@ -40,6 +40,7 @@ from .jets import (
 from .resonance import _power, degree_map_class
 from .scalars import ExactnessError, QQi
 from .spectral import BlockMatrix, _cast, is_hyperbolic
+from .tolerances import DEFAULT_TOL, DIVISOR_FLOOR
 
 __all__ = [
     "GermSpec",
@@ -47,8 +48,6 @@ __all__ = [
     "NearResonanceError",
     "distinguished_normal_form",
 ]
-
-_TOL = 1e-9
 
 
 class NearResonanceError(ArithmeticError):
@@ -148,11 +147,11 @@ def _homological_rows(tri, rhs, k, tol):
         if a_components is None:
             lin = tri.linear_jet(1, mode)
             a_components = [lin.component(i) for i in range(n)]
-        out = _product(a_components, sigma, k, _one(mode), mode, 0.0)
+        out = _product(a_components, sigma, k, _one(mode))
         sigma = MultiIndex(sigma)
         lead = lam_power(sigma)
         rest = out[sigma] - lead
-        if _nonzero(rest, mode):
+        if rest:
             out[sigma] = rest
         else:
             out.pop(sigma, None)
@@ -170,13 +169,13 @@ def _homological_rows(tri, rhs, k, tol):
                 if jj == kk:
                     prev = acc.get(m)
                     val = c * hc if prev is None else prev + c * hc
-                    if _nonzero(val, mode):
+                    if val:
                         acc[m] = val
                     else:
                         acc.pop(m, None)
         for sigma in order:
             val = acc.get(sigma)
-            if val is None or not _nonzero(val, mode):
+            if not val:
                 continue
             if resonant(j, sigma):
                 g[(j, sigma)] = val
@@ -184,7 +183,7 @@ def _homological_rows(tri, rhs, k, tol):
             d = lam_power(sigma) - lam[j]
             mag = abs(complex(d))
             min_div = mag if min_div is None else min(min_div, mag)
-            if mode != MODE_EXACT and mag < max(tol, 1e-9):
+            if mode != MODE_EXACT and mag < max(tol, DIVISOR_FLOOR):
                 raise NearResonanceError(j, sigma, d)
             coef = val / d
             h[(j, sigma)] = coef
@@ -194,7 +193,7 @@ def _homological_rows(tri, rhs, k, tol):
                 prev = acc.get(m)
                 delta = coef * w
                 val2 = -delta if prev is None else prev - delta
-                if _nonzero(val2, mode):
+                if val2:
                     acc[m] = val2
                 else:
                     acc.pop(m, None)
@@ -205,11 +204,7 @@ def _one(mode):
     return QQi(1) if mode == MODE_EXACT else (1.0 + 0.0j)
 
 
-def _nonzero(c, mode):
-    return bool(c) if mode == MODE_EXACT else abs(c) > 0.0
-
-
-def distinguished_normal_form(germ: GermSpec, tol: float = _TOL) -> NormalFormResult:
+def distinguished_normal_form(germ: GermSpec, tol: float = DEFAULT_TOL) -> NormalFormResult:
     """Normalize a hyperbolic germ degree by degree.
 
     Returns the normal form G (resonant nonlinearity only), the

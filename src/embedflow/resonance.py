@@ -22,8 +22,9 @@ same rule, :func:`_witness`.
 Float data use two rules: map resonance is relative in lambda,
 |lambda^m - lambda_j| <= tol*max(1, |lambda_j|); field and weak resonance
 are absolute in mu, with <m, mu> - mu_j within tol of 2*pi*i*Z.  Misses
-within 100 times the cut are reported as near, so borderline spectra are
-never classified silently.
+within NEAR_FACTOR times the cut are reported as near, so borderline
+spectra are never classified silently.  The default ``tol`` and
+NEAR_FACTOR live in :mod:`embedflow.tolerances`.
 
 Also exposed: the spectra of the degree-r homological operators
 h |-> A h - h(A .) (map side, eigenvalues lambda_j - lambda^m) and
@@ -40,6 +41,7 @@ import numpy as np
 from .jets import multiindices
 from .scalars import EigenScalar, QQi
 from .spectral import EigenData
+from .tolerances import DEFAULT_TOL, NEAR_FACTOR
 
 __all__ = [
     "ResonanceReport",
@@ -52,8 +54,6 @@ __all__ = [
     "operator_L_field_spectrum",
 ]
 
-_TOL = 1e-9
-_NEAR_FACTOR = 100.0
 _TWO_PI = 2.0 * math.pi
 
 
@@ -62,7 +62,7 @@ class ResonanceReport:
     """Resonances up to total degree ``degree`` for ``dim`` coordinates.
 
     Entries use 0-based coordinate indices; ``near`` lists float-mode near
-    misses (j, m, distance) that fell inside (tol, 100*tol].
+    misses (j, m, distance) that fell inside (tol, NEAR_FACTOR*tol].
     """
 
     dim: int
@@ -174,8 +174,8 @@ def _witness(delta, D, tol):
 
 
 def _is_near(dist, cut):
-    """A float miss within 100 times its cut is reported as near."""
-    return dist <= _NEAR_FACTOR * cut
+    """A float miss within NEAR_FACTOR times its cut is reported as near."""
+    return dist <= NEAR_FACTOR * cut
 
 
 def _one_pair(mu, j: int, m, tol):
@@ -184,14 +184,14 @@ def _one_pair(mu, j: int, m, tol):
     return bool(hit[j]), int(l[j]), None if dist is None else float(dist[j])
 
 
-def map_class(exact_mu, lam, j: int, m, tol: float = _TOL):
+def map_class(exact_mu, lam, j: int, m, tol: float = DEFAULT_TOL):
     """Decide lambda_j = lambda^m for one (j, m); returns (resonant, near).
 
     ``exact_mu`` is the exact log data (``EigenScalar`` entries) or None;
     with it the test is the exact lattice rule on <m, mu> - mu_j.
     Otherwise ``lam`` decides: exactly for Gaussian-rational entries, else
     relative to tol*max(1, |lambda_j|), and ``near`` is the distance of a
-    float miss inside 100 times that cut (None otherwise).
+    float miss inside NEAR_FACTOR times that cut (None otherwise).
     """
     if exact_mu is not None:
         return _one_pair(exact_mu, j, m, tol)[0], None
@@ -205,7 +205,7 @@ def map_class(exact_mu, lam, j: int, m, tol: float = _TOL):
     return False, dist if _is_near(dist, cut) else None
 
 
-def degree_map_class(exact_mu, lam, k: int, tol: float = _TOL):
+def degree_map_class(exact_mu, lam, k: int, tol: float = DEFAULT_TOL):
     """Decide lambda_j = lambda^m for every (j, m) with |m| = k.
 
     Returns the predicate ``resonant(j, m)``.  With exact log data the
@@ -224,13 +224,13 @@ def degree_map_class(exact_mu, lam, k: int, tol: float = _TOL):
     return lambda j, m: (j, m) in resonant
 
 
-def field_class(mu, j: int, m, tol: float = _TOL):
+def field_class(mu, j: int, m, tol: float = DEFAULT_TOL):
     """Field class of one (j, m); returns (l, near).
 
     ``l`` is the witness with mu_j - <m, mu> = 2*pi*i*l (0 for a field
     resonance, nonzero for a weak one) or None; float data count within
     ``tol`` of that lattice, and ``near`` is the distance of a miss inside
-    100*tol (None otherwise).  ``mu`` is exact or complex, as from _mu.
+    NEAR_FACTOR*tol (None otherwise).  ``mu`` is exact or complex, as from _mu.
     """
     hit, l, dist = _one_pair(mu, j, m, tol)
     if hit:
@@ -263,7 +263,7 @@ def _scan(mu, degree: int, tol: float):
     return pairs, _witness(*_deltas(mu, M), tol)
 
 
-def map_resonances(eigen: EigenData, degree: int, tol: float = _TOL) -> ResonanceReport:
+def map_resonances(eigen: EigenData, degree: int, tol: float = DEFAULT_TOL) -> ResonanceReport:
     """All (j, m) with lambda_j = lambda^m and 2 <= |m| <= degree."""
     if degree < 2:
         raise ValueError("degree must be at least 2")
@@ -285,7 +285,7 @@ def map_resonances(eigen: EigenData, degree: int, tol: float = _TOL) -> Resonanc
     )
 
 
-def field_resonances(eigen: EigenData, degree: int, tol: float = _TOL) -> ResonanceReport:
+def field_resonances(eigen: EigenData, degree: int, tol: float = DEFAULT_TOL) -> ResonanceReport:
     """Field-resonant (j, m) and weak (j, m, l) with mu_j - <m, mu> = 2*pi*i*l."""
     if degree < 2:
         raise ValueError("degree must be at least 2")

@@ -38,6 +38,7 @@ import numpy as np
 
 from .jets import MODE_FLOAT, PolyJet, RealPairing
 from .scalars import EigenScalar, ExactnessError, QQi
+from .tolerances import DEFAULT_TOL, REAL_EXP
 
 __all__ = [
     "JordanBlock",
@@ -59,7 +60,6 @@ __all__ = [
     "dense_exp",
 ]
 
-_EIG_TOL = 1e-9
 # Branch integers |k| <= BRANCH_BOUND per block are searched for a weakly
 # nonresonant logarithm.
 BRANCH_BOUND = 3
@@ -385,7 +385,7 @@ class TriangularLinear:
             terms.append((j, tuple(int(i == j) for i in range(self.dim)), _cast(d, mode)))
         for i, k, c in self.nil:
             terms.append((i, tuple(int(t == k) for t in range(self.dim)), _cast(c, mode)))
-        return PolyJet.build(self.dim, degree, mode, terms, tol=0.0)
+        return PolyJet.build(self.dim, degree, mode, terms)
 
 
 def _cast(c, mode):
@@ -539,7 +539,7 @@ def _check_nonsingular(a: BlockMatrix):
             raise SpectralError("singular matrix: zero eigenvalue")
 
 
-def is_hyperbolic(a: BlockMatrix, tol=_EIG_TOL) -> bool:
+def is_hyperbolic(a: BlockMatrix, tol=DEFAULT_TOL) -> bool:
     """True when no eigenvalue has modulus 1 (within ``tol`` for floats).
 
     The test is exact whenever the block's log or eigenvalue is.
@@ -550,7 +550,7 @@ def is_hyperbolic(a: BlockMatrix, tol=_EIG_TOL) -> bool:
     )
 
 
-def _jordan_eq(b1: JordanBlock, b2: JordanBlock, tol=_EIG_TOL) -> bool:
+def _jordan_eq(b1: JordanBlock, b2: JordanBlock, tol=DEFAULT_TOL) -> bool:
     if b1.size != b2.size:
         return False
     l1, l2 = b1.eigenvalue, b2.eigenvalue
@@ -651,7 +651,7 @@ def dense_exp(m: np.ndarray, terms=40) -> np.ndarray:
             break
     for _ in range(s):
         out = out @ out
-    if np.max(np.abs(np.imag(out))) < 1e-12 * max(1.0, np.max(np.abs(out))):
+    if np.max(np.abs(np.imag(out))) < REAL_EXP * max(1.0, np.max(np.abs(out))):
         out = np.real(out).astype(float)
     return out
 
@@ -684,7 +684,7 @@ def _branch_shifts(a: BlockMatrix):
 
 
 def weakly_nonresonant_branch(
-    a: BlockMatrix, degree: int, bound: int = BRANCH_BOUND, tol=_EIG_TOL
+    a: BlockMatrix, degree: int, bound: int = BRANCH_BOUND, tol=DEFAULT_TOL
 ):
     """Search for a branch whose log eigenvalues have no weak resonance.
 
@@ -731,7 +731,7 @@ def weakly_nonresonant_branch(
 # -- dense loader ------------------------------------------------------------
 
 
-def block_matrix_from_dense(matrix, tol=_EIG_TOL) -> BlockMatrix:
+def block_matrix_from_dense(matrix, tol=DEFAULT_TOL) -> BlockMatrix:
     """Parse a dense matrix that is exactly in block normal form.
 
     Supports Jordan blocks (unit subdiagonal) and rotation blocks

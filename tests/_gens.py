@@ -170,7 +170,7 @@ def random_resonant_normal_form(
         for j, m in rep.field_resonant:
             c = complex(rng.uniform(-2.0, 2.0))
             terms.append((j, MultiIndex(m), c))
-        f = PolyJet.build(a.dim, degree, MODE_FLOAT, terms, tol=0.0)
+        f = PolyJet.build(a.dim, degree, MODE_FLOAT, terms)
         return GermSpec(a, f, degree), B
 
 
@@ -203,7 +203,7 @@ def random_hyperbolic_germ(rng: np.random.Generator, n: int, degree: int):
                 if rng.random() < 0.35:
                     c = complex(rng.uniform(-1.0, 1.0))
                     terms.append((j, m, c))
-    f = PolyJet.build(n, degree, MODE_FLOAT, terms, tol=0.0)
+    f = PolyJet.build(n, degree, MODE_FLOAT, terms)
     return GermSpec(a, f, degree)
 
 
@@ -221,5 +221,5 @@ def random_exact_germ(rng: np.random.Generator, n: int, degree: int):
                     )
                     if c:
                         terms.append((j, m, c))
-    f = PolyJet.build(n, degree, MODE_EXACT, terms, tol=0.0)
+    f = PolyJet.build(n, degree, MODE_EXACT, terms)
     return GermSpec(a, f, degree)

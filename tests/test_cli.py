@@ -236,6 +236,26 @@ class TestVerify:
         assert code == 2
         assert machine(out)["status"] == "obstruction"
 
+    def test_field_checked_at_germ_tol(self, capsys, monkeypatch):
+        """z zbar in the first component is field resonant only within the
+        germ's tol 1e-6 (|lambda_z|^2 = 1 + 2.0000001^2 misses lambda_1 = 5
+        by 4e-7); the field and its flow must use that tolerance, not the
+        default."""
+        text = (
+            "HEADER\ndimension 3\ndegree 2\nmode float\nLINEAR\n"
+            "jordan 5 1\nrotation 1 2.0000001 1\nNONLINEAR\n1 0 2 0 1\n"
+            "OPTIONS\ntol 1e-6\n"
+        )
+        for verb in ("embed", "verify"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code, out, _ = run(capsys, verb, "-")
+            m = machine(out)
+            assert code == 0, out
+            assert m["status"] == "field"
+            assert set(field_dict(m["field"])) == {"(1,(0,1,1))"}
+        assert m["verified"] == "yes"
+        assert float(m["residual_exp"]) < 1e-12
+
 
 class TestNormalForm:
     def test_resonant_2d(self, capsys):
@@ -257,6 +277,21 @@ class TestNormalForm:
         m = machine(out)
         assert code == 0 and m["status"] == "ok"
         assert "min divisor none" in out
+
+    def test_exact_eigenvalues_refuse_small_divisor(self, capsys, monkeypatch):
+        """2 and 4.0000004 are exact, so x1^2 is decided nonresonant whatever
+        the tol; tol 1e-6 then only sets the divisor floor, and the divisor
+        4e-7 is below it."""
+        text = (
+            "HEADER\ndimension 2\ndegree 2\nmode float\nLINEAR\n"
+            "jordan 2 1\njordan 4.0000004 1\nNONLINEAR\n2 2 0 1\n"
+            "OPTIONS\ntol 1e-6\n"
+        )
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "normal-form", "-")
+        m = machine(out)
+        assert code == 3 and m["status"] == "error"
+        assert "near-resonant divisor" in m["error"]
 
 
 class TestClassify2d:

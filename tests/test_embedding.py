@@ -75,7 +75,7 @@ def _paper_23_germ(a_coeff=0.7, b_coeff=0.0):
     if b_coeff:
         terms.append((0, MultiIndex((0, 8, 0)), complex(b_coeff)))
         terms.append((0, MultiIndex((0, 0, 8)), complex(b_coeff)))
-    g = PolyJet.build(3, 8, MODE_FLOAT, terms, tol=0.0)
+    g = PolyJet.build(3, 8, MODE_FLOAT, terms)
     return GermSpec(blocks, g, 8)
 
 
@@ -257,7 +257,7 @@ class TestSolveEmbedding:
                 terms.append((2, MultiIndex((2, 0, 0)), complex(b_)))
             if c_:
                 terms.append((2, MultiIndex((0, 2, 0)), complex(c_)))
-            f = PolyJet.build(3, 2, MODE_FLOAT, terms, tol=0.0)
+            f = PolyJet.build(3, 2, MODE_FLOAT, terms)
             paired, perm = pair_negative_blocks(blocks)
             zjet = complexify(permute_jet(f, perm), paired.pairing())
             G = GermSpec(paired, zjet, 2)
@@ -403,7 +403,7 @@ def _resonant_field(blocks, degree, exact, rng):
             c = complex(*rng.uniform(-1.0, 1.0, size=2))
         terms.append((j, MultiIndex(m), c))
     mode = MODE_EXACT if exact else MODE_FLOAT
-    v = PolyJet.build(B.dim, degree, mode, terms, tol=0.0)
+    v = PolyJet.build(B.dim, degree, mode, terms)
     return FieldGerm(B, v, degree)
 
 
@@ -443,7 +443,7 @@ class TestSubstitutionKernel:
                         else:
                             c = complex(*rng.normal(size=2))
                         terms.append((j, m, c))
-        x = PolyJet.build(n, degree, X.mode, terms, tol=0.0)
+        x = PolyJet.build(n, degree, X.mode, terms)
         unit = _flow_unit(tri, exact_ring)
         slices = [_substitute_flow(x.coeffs, phi, r, unit) for r in range(1, degree + 1)]
         if exact:
@@ -483,7 +483,7 @@ class TestOdeOracle:
             for k in picks
         ]
         terms.append((0, MultiIndex((degree,) + (0,) * (n - 1)), 0.5 - 0.25j))
-        v = PolyJet.build(n, degree, MODE_FLOAT, terms, tol=0.0)
+        v = PolyJet.build(n, degree, MODE_FLOAT, terms)
         mons, deriv = _ode_rhs(tri, v, degree)
         C = rng.normal(size=(n, len(mons))) + 1j * rng.normal(size=(n, len(mons)))
         got = deriv(C)
@@ -492,9 +492,8 @@ class TestOdeOracle:
             degree,
             MODE_FLOAT,
             [(j, m, C[j, t]) for j in range(n) for t, m in enumerate(mons)],
-            tol=0.0,
         )
-        vc = compose(v, jet, degree=degree, tol=0.0)
+        vc = compose(v, jet, degree=degree)
         want = tri.dense() @ C
         for (j, m), c in vc.coeffs.items():
             want[j, mons.index(m)] += complex(c)
@@ -502,7 +501,7 @@ class TestOdeOracle:
 
     def test_linear_field_rhs_is_linear_part(self):
         tri = real_log(BlockMatrix((JordanBlock(3, 2),))).triangular()
-        v = PolyJet.build(2, 3, MODE_FLOAT, [], tol=0.0)
+        v = PolyJet.build(2, 3, MODE_FLOAT, [])
         mons, deriv = _ode_rhs(tri, v, 3)
         C = np.arange(2 * len(mons), dtype=complex).reshape(2, len(mons))
         assert np.array_equal(deriv(C), tri.dense() @ C)
@@ -564,7 +563,7 @@ class TestAppendixIdentity:
                 (j, MultiIndex(m), complex(rng.uniform(-2, 2)))
                 for j, m in rep.field_resonant
             ]
-            g = PolyJet.build(3, 4, MODE_FLOAT, terms, tol=0.0)
+            g = PolyJet.build(3, 4, MODE_FLOAT, terms)
             out = appendix_identity_check(B, g)
             assert out.max_abs() == 0.0
             done += 1

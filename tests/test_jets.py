@@ -22,7 +22,6 @@ from embedflow import (
     permute_jet,
     realify,
 )
-from embedflow.jets import ZERO_TOL
 
 
 def _sympy_vec(jet: PolyJet, xs):
@@ -55,7 +54,7 @@ def _random_jet(rng, n, degree, mode=MODE_FLOAT, density=0.4, min_deg=1):
                         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                     if c:
                         terms.append((j, m, c))
-    return PolyJet.build(n, degree, mode, terms, tol=0.0)
+    return PolyJet.build(n, degree, mode, terms)
 
 
 def test_multiindex_basics():
@@ -179,7 +178,6 @@ def test_complexify_realify_roundtrip():
         f = PolyJet.build(
             4, 3, MODE_FLOAT,
             [(j, MultiIndex(m), complex(c).real) for (j, m), c in f.coeffs.items()],
-            tol=0.0,
         )
         z = complexify(f, pairing)
         back = realify(z, pairing)
@@ -233,11 +231,7 @@ def test_permute_jet_is_coordinate_change():
 KERNEL_DEGREES = (1, 3, 4, 7, 8, 15, 16)  # both sides of every field-width change
 
 
-def _ref_zero(c, mode, tol):
-    return abs(c) <= tol if mode == MODE_FLOAT else not c
-
-
-def _ref_mul(p, q, limit, mode, tol):
+def _ref_mul(p, q, limit):
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -246,10 +240,10 @@ def _ref_mul(p, q, limit, mode, tol):
             m = m1.plus(m2)
             s = out.get(m)
             out[m] = c1 * c2 if s is None else s + c1 * c2
-    return {m: c for m, c in out.items() if not _ref_zero(c, mode, tol)}
+    return {m: c for m, c in out.items() if c}
 
 
-def _ref_compose(f, g, degree, tol):
+def _ref_compose(f, g, degree):
     n, mode = f.dim, f.mode
     one = QQi(1) if mode == MODE_EXACT else 1.0 + 0.0j
     comps = [g.component(i) for i in range(n)]
@@ -264,29 +258,28 @@ def _ref_compose(f, g, degree, tol):
                 continue
             cache = powers[i]
             while len(cache) <= e:
-                cache.append(_ref_mul(cache[-1], comps[i], degree, mode, tol))
-            term = _ref_mul(term, cache[e], degree, mode, tol)
+                cache.append(_ref_mul(cache[-1], comps[i], degree))
+            term = _ref_mul(term, cache[e], degree)
             if not term:
                 break
         for mm, cc in term.items():
             s = out.get((j, mm))
             out[(j, mm)] = c * cc if s is None else s + c * cc
-    return {k: c for k, c in out.items() if not _ref_zero(c, mode, tol)}
+    return {k: c for k, c in out.items() if c}
 
 
-def _ref_jacobian_apply(g, w, degree, tol):
-    mode = g.mode
+def _ref_jacobian_apply(g, w, degree):
     comps = [w.component(s) for s in range(g.dim)]
     out = {}
     for (j, m), c in g.coeffs.items():
         for s, e in enumerate(m):
             if not e:
                 continue
-            prod = _ref_mul({m.minus_unit(s): c * e}, comps[s], degree, mode, tol)
+            prod = _ref_mul({m.minus_unit(s): c * e}, comps[s], degree)
             for mm, cc in prod.items():
                 prev = out.get((j, mm))
                 out[(j, mm)] = cc if prev is None else prev + cc
-    return {k: c for k, c in out.items() if not _ref_zero(c, mode, tol)}
+    return {k: c for k, c in out.items() if c}
 
 
 def _bits(coeffs):
@@ -304,8 +297,8 @@ def _kernel_jet(rng, n, N, mode, min_deg, per_comp=3):
     """Sparse jet of degree 2^b + 1 (b = N.bit_length()) for truncation N.
 
     Each component gets ``per_comp`` terms of degree min_deg..N, some with
-    coefficients small enough that float products fall under ZERO_TOL, and
-    one term above N: a monomial with one exponent 2^b, which does not fit
+    coefficients of size 1e-5, whose products must be kept, and one term
+    above N: a monomial with one exponent 2^b, which does not fit
     a packed field.
     """
     wide = 1 << N.bit_length()
@@ -330,7 +323,7 @@ def _kernel_jet(rng, n, N, mode, min_deg, per_comp=3):
             terms.append((j, MultiIndex.unit(n, j), coeff()))
         far = MultiIndex.unit(n, int(rng.integers(n)))
         terms.append((j, MultiIndex(e * wide for e in far), coeff()))
-    return PolyJet.build(n, wide + 1, mode, terms, tol=0.0)
+    return PolyJet.build(n, wide + 1, mode, terms)
 
 
 @pytest.mark.parametrize("mode", [MODE_FLOAT, MODE_EXACT])
@@ -342,7 +335,7 @@ def test_packed_compose_matches_reference(mode, n):
         g = _kernel_jet(rng, n, N, mode, min_deg=1)
         got = compose(f, g, degree=N)
         assert got.degree == N
-        assert _bits(got.coeffs) == _bits(_ref_compose(f, g, N, ZERO_TOL)), N
+        assert _bits(got.coeffs) == _bits(_ref_compose(f, g, N)), N
 
 
 @pytest.mark.parametrize("mode", [MODE_FLOAT, MODE_EXACT])
@@ -364,6 +357,62 @@ def test_packed_jacobian_apply_matches_reference(mode, n):
         )
         got = jacobian_apply(g, w, degree=N)
         assert got.degree == N
-        want = _ref_jacobian_apply(g, w, N, ZERO_TOL)
+        want = _ref_jacobian_apply(g, w, N)
         assert any(m.degree == N for _, m in want)
         assert _bits(got.coeffs) == _bits(want), N
+
+
+# -- float complexify against exact complexify ------------------------------
+
+
+def _pair_blocks(rng):
+    """Block list with at least one rotation or negative-pair block."""
+    from embedflow import BlockMatrix, JordanBlock, NegativePairBlock, RotationBlock
+
+    def q():
+        return Fraction(rng.randint(1, 9), 4)
+
+    blocks = [RotationBlock(q(), q(), 1) if rng.random() < 0.5 else NegativePairBlock(-q(), 1)]
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.choice(["rotation", "negpair", "jordan"])
+        if kind == "jordan" or sum(b.order for b in blocks) == 3:
+            blocks.append(JordanBlock(2 * q(), 1))
+        elif kind == "rotation":
+            blocks.append(RotationBlock(q(), q(), 1))
+        else:
+            blocks.append(NegativePairBlock(-q(), 1))
+        if sum(b.order for b in blocks) >= 4:
+            break
+    return BlockMatrix(tuple(blocks))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_float_complexify_matches_exact(seed):
+    """Short-decimal real jets: float complexify keeps exactly the support of
+    exact complexify (cross terms that cancel exactly are dropped, true
+    coefficients kept) and agrees with it to roundoff, and realify returns
+    the input's support."""
+    import random
+
+    rng = random.Random(seed)
+    for _ in range(4):
+        pairing = _pair_blocks(rng).pairing()
+        n, N = pairing.dim, rng.randint(2, 6 if pairing.dim < 4 else 4)
+        terms = [
+            (j, m, Fraction(rng.randint(-99, 99), 10))
+            for r in range(2, N + 1)
+            for m in multiindices(n, r)
+            for j in range(n)
+            if rng.random() < 0.3
+        ]
+        terms = [t for t in terms if t[2]]
+        exact = complexify(PolyJet.build(n, N, MODE_EXACT, terms), pairing)
+        f = PolyJet.build(n, N, MODE_FLOAT, [(j, m, float(c)) for j, m, c in terms])
+        got = complexify(f, pairing)
+        assert set(got.coeffs) == set(exact.coeffs)
+        for key, c in got.coeffs.items():
+            want = complex(exact.coeffs[key])
+            assert abs(complex(c) - want) <= 1e-14 * abs(want), key
+        back = realify(got, pairing)
+        assert set(back.coeffs) == set(f.coeffs)
+        assert jet_distance(back, f) <= 1e-14 * f.max_abs()

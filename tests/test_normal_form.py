@@ -148,3 +148,45 @@ def test_near_resonance_behavior():
     # division floor -> refuse instead of amplifying noise
     with pytest.raises(NearResonanceError):
         distinguished_normal_form(germ, tol=1e-12)
+
+
+def _dense_diagonal_germ(lams, N, mode):
+    """Seeded dense germ on diag(lams): random.Random(0), each (j, m) of
+    degree 2..N (m in multiindices order, then j) kept with probability 0.3,
+    coefficient Fraction(randint(-9, 9), randint(1, 9)), zeros skipped."""
+    import random
+
+    from embedflow import multiindices
+
+    rng = random.Random(0)
+    n = len(lams)
+    terms = []
+    for r in range(2, N + 1):
+        for m in multiindices(n, r):
+            for j in range(n):
+                if rng.random() < 0.3:
+                    c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                    if c:
+                        terms.append((j, m, c if mode == MODE_EXACT else float(c)))
+    a = BlockMatrix(tuple(JordanBlock(lam, 1) for lam in lams))
+    return GermSpec(a, PolyJet.build(n, N, mode, terms), N)
+
+
+def _scale(germ):
+    return max(1.0, germ.map_jet().to_float().max_abs())
+
+
+def test_float_normal_form_matches_exact_support():
+    """Float jets keep every nonzero coefficient, so the float normal form of
+    a dense (4, 2) germ has the exact supports and a roundoff residual."""
+    exact = distinguished_normal_form(_dense_diagonal_germ((4, 2), 14, MODE_EXACT))
+    germ = _dense_diagonal_germ((4, 2), 14, "float")
+    got = distinguished_normal_form(germ)
+    assert got.transform.support() == exact.transform.support()
+    assert got.germ.nonlinear.support() == exact.germ.nonlinear.support()
+    assert got.residual <= 1e-12 * _scale(germ)
+
+
+def test_float_normal_form_residual_three_resonant_rates():
+    germ = _dense_diagonal_germ((8, 2, 4), 9, "float")
+    assert distinguished_normal_form(germ).residual <= 1e-12 * _scale(germ)
