@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from importlib import resources
 
 from .classify import classify_2d
@@ -31,7 +32,7 @@ from .germfile import GermFile, GermParseError, parse_germ, serialize_germ
 from .jets import realify
 from .normal_form import NearResonanceError, distinguished_normal_form
 from .reports import Report, fmt_complex, fmt_entry
-from .resonance import field_resonances, map_resonances
+from .resonance import map_resonances
 from .scalars import ExactnessError
 from .spectral import (
     BRANCH_BOUND,
@@ -103,18 +104,7 @@ def _apply_overrides(gf: GermFile, args) -> GermFile:
         ks, ls = _parse_branch_flag(args.branch)
         changes["branch_k"] = ks
         changes["branch_l"] = ls
-    if not changes:
-        return gf
-    return GermFile(
-        dim=gf.dim,
-        degree=changes.get("degree", gf.degree),
-        mode=gf.mode,
-        blocks=gf.blocks,
-        terms=gf.terms,
-        tol=changes.get("tol", gf.tol),
-        branch_k=changes.get("branch_k", gf.branch_k),
-        branch_l=changes.get("branch_l", gf.branch_l),
-    )
+    return replace(gf, **changes)
 
 
 def _branch_for(gf: GermFile, paired):
@@ -124,26 +114,24 @@ def _branch_for(gf: GermFile, paired):
 
 
 def _put_resonances(report: Report, eigen, degree: int, tol: float):
-    mrep = map_resonances(eigen, degree, tol)
-    frep = field_resonances(eigen, degree, tol)
+    rep = map_resonances(eigen, degree, tol)
     report.section("Resonances")
-    report.line(f"map-resonant monomials: {len(mrep.map_resonant)}")
-    for j, m in sorted(mrep.map_resonant):
+    report.line(f"map-resonant monomials: {len(rep.map_resonant)}")
+    for j, m in sorted(rep.map_resonant):
         report.line(f"  {fmt_entry(j, m)}")
-    report.line(f"field-resonant monomials: {len(frep.field_resonant)}")
-    for j, m in sorted(frep.field_resonant):
+    report.line(f"field-resonant monomials: {len(rep.field_resonant)}")
+    for j, m in sorted(rep.field_resonant):
         report.line(f"  {fmt_entry(j, m)}")
-    report.line(f"weakly resonant monomials: {len(frep.weak)}")
-    for j, m, l in sorted(frep.weak):
+    report.line(f"weakly resonant monomials: {len(rep.weak)}")
+    for j, m, l in sorted(rep.weak):
         report.line(f"  {fmt_entry(j, m, l)}")
-    if frep.near:
-        report.line(f"near-resonances (within {NEAR_FACTOR:g}*tol): {len(frep.near)}")
-    report.put_set("map_resonant", (fmt_entry(j, m) for j, m in mrep.map_resonant))
+    if rep.near:
+        report.line(f"near-resonances (within {NEAR_FACTOR:g}*tol): {len(rep.near)}")
+    report.put_set("map_resonant", (fmt_entry(j, m) for j, m in rep.map_resonant))
     report.put_set(
-        "field_resonant", (fmt_entry(j, m) for j, m in frep.field_resonant)
+        "field_resonant", (fmt_entry(j, m) for j, m in rep.field_resonant)
     )
-    report.put_set("weak", (fmt_entry(j, m, l) for j, m, l in frep.weak))
-    return mrep, frep
+    report.put_set("weak", (fmt_entry(j, m, l) for j, m, l in rep.weak))
 
 
 def _put_jet(report: Report, key: str, jet):

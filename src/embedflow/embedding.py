@@ -44,7 +44,7 @@ from .jets import (
     multiindices,
 )
 from .normal_form import GermSpec
-from .resonance import ResonanceReport, _delta, _mu, field_class, field_resonances
+from .resonance import ResonanceReport, _classify, _delta, _mu, field_resonances
 from .scalars import EigenScalar, ExactnessError, PiPoly, QQi
 from .spectral import BlockMatrix, SpectralError, TriangularLinear, log_residual
 from .tolerances import DEFAULT_TOL, LOG_RESIDUAL, STRAY_DEMAND
@@ -306,12 +306,10 @@ class FieldGerm:
             raise ValueError("nonlinear jet truncation must match degree")
         if self.nonlinear.coeffs and self.nonlinear.min_degree() < 2:
             raise ValueError("nonlinear part must vanish to second order")
-        mu = _mu(self.linear.triangular().eigen)
-        bad = [
-            (j, tuple(m))
-            for (j, m) in self.nonlinear.coeffs
-            if field_class(mu, j, m, self.tol)[0] is None
-        ]
+        support = list(self.nonlinear.coeffs)
+        M = np.array([m for _, m in support], dtype=np.int64).reshape(len(support), self.dim)
+        hit = _classify(_mu(self.linear.triangular().eigen), M, self.tol)[0]
+        bad = [(j, tuple(m)) for t, (j, m) in enumerate(support) if not hit[j, t]]
         if bad:
             raise ValueError(
                 f"field support must be resonant or weakly resonant; got {bad}"

@@ -93,18 +93,13 @@ class MultiIndex(tuple):
         return MultiIndex((0,) * n)
 
 
-def lex_sort_key(m) -> tuple:
-    """Sort key under which sorted() lists multi-indices in lex order."""
-    return tuple(-e for e in m)
-
-
 def multiindices(n: int, degree: int):
-    """All multi-indices of the given total degree, in lex order."""
+    """All multi-indices of the given total degree, in ascending tuple order."""
     if n == 0:
         if degree == 0:
             yield MultiIndex(())
         return
-    # Compositions of `degree` into n parts, first coordinate descending.
+    # Compositions of `degree` into n parts, first coordinate ascending.
     for bars in combinations(range(degree + n - 1), n - 1):
         parts = []
         prev = -1
@@ -117,8 +112,6 @@ def multiindices(n: int, degree: int):
 
 def _coerce_scalar(c, mode):
     if mode == MODE_FLOAT:
-        if isinstance(c, (QQi, PiPoly)):
-            return complex(c)
         return complex(c)
     if isinstance(c, (QQi, PiPoly)):
         return c
@@ -373,17 +366,19 @@ def _poly_mul(p, q, cap):
 def _product(factors, exponent, degree, one):
     """``prod_i factors[i]**exponent[i]`` as ``{m: c}``, truncated at ``degree``.
 
-    ``factors[i]`` is ``{m: c}`` in a ring whose 1 is ``one``.  The factors
-    are multiplied in one at a time, left to right, pruned as in
-    ``_poly_mul``.
+    ``factors[i]`` is ``{m: c}`` in a ring whose 1 is ``one``, the product
+    of no factors.  The factors are multiplied in one at a time, left to
+    right, pruned as in ``_poly_mul``.
     """
     n = len(factors)
     b, cap = _packing(n, degree)
     packed = [_packed(f, b, degree) for f in factors]
-    prod = {0: one}
+    prod = None
     for i, e in enumerate(exponent):
         for _ in range(e):
-            prod = _poly_mul(prod, packed[i], cap)
+            prod = packed[i] if prod is None else _poly_mul(prod, packed[i], cap)
+    if prod is None:
+        prod = {0: one}
     unpack = _unpacker(n, b)
     return {unpack(key): c for key, c in prod.items()}
 
@@ -393,8 +388,8 @@ def _substitute(coeffs, components, degree, one):
 
     ``coeffs`` holds f's terms and ``components[i]`` g_i as ``{m: c}``.
     The components may live in any ring that multiplies and adds with
-    itself and is multiplied by f's scalars; ``one`` is its unit.  Zero
-    sums are dropped.
+    itself and is multiplied by f's scalars; ``one`` is its unit, the
+    value of the monomial m = 0.  Zero sums are dropped.
     """
     n = len(components)
     b, cap = _packing(n, degree)
@@ -411,13 +406,15 @@ def _substitute(coeffs, components, degree, one):
     for (j, m), c in coeffs.items():
         if m.degree > degree:
             continue
-        term = {0: one}
+        term = None
         for i, e in enumerate(m):
             if not e:
                 continue
-            term = _poly_mul(term, power(i, e), cap)
+            term = power(i, e) if term is None else _poly_mul(term, power(i, e), cap)
             if not term:
                 break
+        if term is None:
+            term = {0: one}
         for key, cc in term.items():
             key = (j, key)
             s = out.get(key)

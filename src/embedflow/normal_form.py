@@ -15,8 +15,9 @@ and nonresonant slices never mix, and within a row the cross terms of
 walks rows in coordinate order and monomials in reverse lexicographic
 order, carrying the cross terms in an accumulator.
 
-Which (j, sigma) are resonant is decided once per degree by
-:func:`embedflow.resonance.degree_map_class`; the divisors
+Which (j, sigma) are resonant is read from one
+:func:`embedflow.resonance.map_resonances` report per normal form, the
+same rule that classifies the embedding solve; the divisors
 lambda^sigma - lambda_j of the others live in the jet's mode, and in float
 mode one below tolerance aborts with :class:`NearResonanceError` rather
 than dividing.
@@ -34,10 +35,8 @@ from .jets import (
     _product,
     compose,
     jet_distance,
-    lex_sort_key,
-    multiindices,
 )
-from .resonance import _power, degree_map_class
+from .resonance import _power, map_resonances, monomial_index
 from .scalars import ExactnessError, QQi
 from .spectral import BlockMatrix, _cast, is_hyperbolic
 from .tolerances import DEFAULT_TOL, DIVISOR_FLOOR
@@ -116,23 +115,18 @@ class NormalFormResult:
     diagnostics: tuple
 
 
-def _homological_rows(tri, rhs, k, tol):
-    """Row-by-row accumulator solve; returns (h, g, min divisor)."""
+def _homological_rows(tri, rhs, k, tol, order, resonant):
+    """Row-by-row accumulator solve over the degree-k exponents ``order``;
+    ``resonant`` holds the map-resonant (j, sigma).  Returns (h, g, min
+    divisor)."""
     mode = rhs.mode
     n = tri.dim
-    exact_diag = all(isinstance(d, QQi) for d in tri.diag)
-    if mode == MODE_EXACT and not exact_diag:
+    if mode == MODE_EXACT and not all(isinstance(d, QQi) for d in tri.diag):
         raise ExactnessError(
             "exact mode needs Gaussian-rational eigenvalues; rerun in float mode"
         )
-    # divisors live in the jet's mode; resonance is decided on the exact
-    # log data, else on the Gaussian-rational diagonal, else on lam
+    # divisors live in the jet's mode
     lam = list(tri.diag) if mode == MODE_EXACT else [complex(d) for d in tri.diag]
-    exact_mu = tri.eigen.entries if tri.eigen.exact else None
-    resonant = degree_map_class(
-        exact_mu, tri.diag if exact_diag else lam, k, tol
-    )
-    order = sorted(multiindices(n, k), key=lex_sort_key, reverse=True)
     a_components = None
     nil = [(i, kk, _cast(c, mode)) for i, kk, c in tri.nil]
 
@@ -177,7 +171,7 @@ def _homological_rows(tri, rhs, k, tol):
             val = acc.get(sigma)
             if not val:
                 continue
-            if resonant(j, sigma):
+            if (j, sigma) in resonant:
                 g[(j, sigma)] = val
                 continue
             d = lam_power(sigma) - lam[j]
@@ -219,12 +213,16 @@ def distinguished_normal_form(germ: GermSpec, tol: float = DEFAULT_TOL) -> Norma
     h_acc = PolyJet.zero(n, N, mode)
     g_acc = PolyJet.zero(n, N, mode)
     lin = tri.linear_jet(N, mode)
+    index = monomial_index(n, N)
+    resonant = map_resonances(tri.eigen, max(N, 2), tol).map_set()  # N = 1 solves nothing
     diagnostics = []
     for k in range(2, N + 1):
         lhs = compose(F, identity + h_acc, degree=k)
         rhs = compose(identity + h_acc, lin + g_acc, degree=k)
         defect = (lhs - rhs).degree_slice(k)
-        h_map, g_map, min_div = _homological_rows(tri, defect, k, tol)
+        h_map, g_map, min_div = _homological_rows(
+            tri, defect, k, tol, index.of_degree(k), resonant
+        )
         h_k = PolyJet.build(n, N, mode, [(j, m, c) for (j, m), c in h_map.items()])
         g_k = PolyJet.build(n, N, mode, [(j, m, c) for (j, m), c in g_map.items()])
         h_acc = h_acc + h_k

@@ -1,4 +1,4 @@
-"""Resonance classes of map and field eigenvalues, decided in one place.
+"""Resonance classes of map and field eigenvalues, decided by one rule.
 
 With map eigenvalues lambda = e^mu, a coordinate j and exponent m
 (|m| >= 2) form
@@ -7,24 +7,24 @@ With map eigenvalues lambda = e^mu, a coordinate j and exponent m
 * a field resonance when mu_j = <m, mu>,
 * a weak resonance when mu_j - <m, mu> = 2*pi*i*l for some integer l != 0.
 
-Map resonances are exactly the union of field and weak ones once the
-logarithm branch mu is fixed.  Every stage of the pipeline takes its
-classes from this module: the normal form from one :func:`degree_map_class`
-per degree, the embedding solve from one :func:`field_resonances` report
-per solve.
+All three ask one question, whether <m, mu> - mu_j lies in 2*pi*i*Z, and
+read its witness l differently: a map resonance is a hit with any l, a
+field resonance one with l = 0, a weak one with l != 0.  So map resonances
+are exactly the union of field and weak ones once the logarithm branch mu
+is fixed.  :func:`_witness` answers the question, and it is the only
+resonance decision in the package: :func:`field_resonances` (also named
+:func:`map_resonances`) scans every (j, m) up to a degree with it and fills
+every class at once, the normal form and the embedding solve each take
+their classes from one such report, and
+:class:`embedflow.embedding.FieldGerm` checks its support with it.
 
-In exact mode (``EigenScalar`` data) the tests reduce to integer
-arithmetic, and Gaussian-rational map eigenvalues are compared exactly.
-A scan of every (j, m) up to a degree forms all <m, mu> - mu_j as one
-product of the monomial matrix with the log data (integer coordinates when
-exact, complex otherwise); the scans and the per-pair classes apply the
-same rule, :func:`_witness`.
-Float data use two rules: map resonance is relative in lambda,
-|lambda^m - lambda_j| <= tol*max(1, |lambda_j|); field and weak resonance
-are absolute in mu, with <m, mu> - mu_j within tol of 2*pi*i*Z.  Misses
-within NEAR_FACTOR times the cut are reported as near, so borderline
-spectra are never classified silently.  The default ``tol`` and
-NEAR_FACTOR live in :mod:`embedflow.tolerances`.
+Exact log data (``EigenScalar`` entries) are decided on an integer lattice
+and never look at ``tol``.  All other data are decided on the complex logs:
+a hit lies within ``tol`` (absolute in mu) of 2*pi*i*Z, and a miss within
+NEAR_FACTOR times ``tol`` is reported as near, so borderline spectra are
+never classified silently.  The default ``tol`` and NEAR_FACTOR live in
+:mod:`embedflow.tolerances`.  The exponents scanned come from one cached
+:class:`MonomialIndex` per dimension and degree.
 
 Also exposed: the spectra of the degree-r homological operators
 h |-> A h - h(A .) (map side, eigenvalues lambda_j - lambda^m) and
@@ -35,21 +35,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .jets import multiindices
-from .scalars import EigenScalar, QQi
+from .scalars import EigenScalar
 from .spectral import EigenData
 from .tolerances import DEFAULT_TOL, NEAR_FACTOR
 
 __all__ = [
     "ResonanceReport",
-    "map_class",
-    "degree_map_class",
-    "field_class",
-    "map_resonances",
     "field_resonances",
+    "map_resonances",
+    "monomial_index",
     "operator_L_map_spectrum",
     "operator_L_field_spectrum",
 ]
@@ -90,7 +89,7 @@ class ResonanceReport:
 
 
 def _mu(eigen: EigenData):
-    """Log eigenvalues as _delta takes them: exact entries, else complex."""
+    """Log eigenvalues as _deltas takes them: exact entries, else complex."""
     return eigen.entries if eigen.exact else eigen.mu_complex()
 
 
@@ -173,141 +172,82 @@ def _witness(delta, D, tol):
     return dist <= tol, -l, dist
 
 
-def _is_near(dist, cut):
-    """A float miss within NEAR_FACTOR times its cut is reported as near."""
-    return dist <= NEAR_FACTOR * cut
+def _classify(mu, M, tol):
+    """_witness on <M[t], mu> - mu_j, as (hit, l, dist) shaped (n, len(M)).
 
-
-def _one_pair(mu, j: int, m, tol):
-    """_witness for the single pair (j, m): (hit, l, dist) as scalars."""
-    hit, l, dist = _witness(*_deltas(mu, np.array([m], dtype=np.int64)), tol)
-    return bool(hit[j]), int(l[j]), None if dist is None else float(dist[j])
-
-
-def map_class(exact_mu, lam, j: int, m, tol: float = DEFAULT_TOL):
-    """Decide lambda_j = lambda^m for one (j, m); returns (resonant, near).
-
-    ``exact_mu`` is the exact log data (``EigenScalar`` entries) or None;
-    with it the test is the exact lattice rule on <m, mu> - mu_j.
-    Otherwise ``lam`` decides: exactly for Gaussian-rational entries, else
-    relative to tol*max(1, |lambda_j|), and ``near`` is the distance of a
-    float miss inside NEAR_FACTOR times that cut (None otherwise).
+    ``dist`` is None for exact entries.
     """
-    if exact_mu is not None:
-        return _one_pair(exact_mu, j, m, tol)[0], None
-    gap = _power(lam, m) - lam[j]
-    if isinstance(gap, QQi):
-        return not gap, None
-    dist = abs(gap)
-    cut = tol * max(1.0, abs(lam[j]))
-    if dist <= cut:
-        return True, None
-    return False, dist if _is_near(dist, cut) else None
+    shape = (len(mu), len(M))
+    hit, l, dist = _witness(*_deltas(mu, M), tol)
+    return hit.reshape(shape), l.reshape(shape), None if dist is None else dist.reshape(shape)
 
 
-def degree_map_class(exact_mu, lam, k: int, tol: float = DEFAULT_TOL):
-    """Decide lambda_j = lambda^m for every (j, m) with |m| = k.
+@dataclass(frozen=True)
+class MonomialIndex:
+    """Exponents m with 2 <= |m| <= degree: by degree, then as
+    :func:`embedflow.jets.multiindices` lists them (ascending tuples).
 
-    Returns the predicate ``resonant(j, m)``.  With exact log data the
-    whole degree is one :func:`_deltas` product over the degree-k monomial
-    matrix, decided by :func:`_witness`; otherwise each pair is decided by
-    :func:`map_class` when asked, exactly for Gaussian-rational ``lam`` and
-    relative in lambda for float ``lam``.
+    ``matrix`` holds them as read-only int64 rows, and the rows of degree r
+    are ``offsets[r - 2]:offsets[r - 1]``.
     """
-    if exact_mu is None:
-        return lambda j, m: map_class(None, lam, j, m, tol)[0]
-    n = len(exact_mu)
-    mons = list(multiindices(n, k))
-    M = np.array(mons, dtype=np.int64).reshape(len(mons), n)
-    hit = _witness(*_deltas(exact_mu, M), tol)[0].reshape(n, len(mons))
-    resonant = {(j, m) for j in range(n) for m, h in zip(mons, hit[j]) if h}
-    return lambda j, m: (j, m) in resonant
+
+    monomials: tuple
+    matrix: np.ndarray
+    offsets: tuple
+
+    def of_degree(self, r: int) -> tuple:
+        return self.monomials[self.offsets[r - 2] : self.offsets[r - 1]]
 
 
-def field_class(mu, j: int, m, tol: float = DEFAULT_TOL):
-    """Field class of one (j, m); returns (l, near).
-
-    ``l`` is the witness with mu_j - <m, mu> = 2*pi*i*l (0 for a field
-    resonance, nonzero for a weak one) or None; float data count within
-    ``tol`` of that lattice, and ``near`` is the distance of a miss inside
-    NEAR_FACTOR*tol (None otherwise).  ``mu`` is exact or complex, as from _mu.
-    """
-    hit, l, dist = _one_pair(mu, j, m, tol)
-    if hit:
-        return l, None
-    return None, dist if dist is not None and _is_near(dist, tol) else None
-
-
-def _monomials(dim: int, degree: int) -> list:
-    """Exponents m with 2 <= |m| <= degree: by degree, then lex."""
-    return [m for r in range(2, degree + 1) for m in multiindices(dim, r)]
-
-
-def _pairs(dim: int, degree: int):
-    """(j, m) for 2 <= |m| <= degree: j outer, then degree, then lex."""
-    mons = _monomials(dim, degree)
-    for j in range(dim):
-        for m in mons:
-            yield j, m
-
-
-def _scan(mu, degree: int, tol: float):
-    """_witness on every pair of _pairs(len(mu), degree), as one product.
-
-    Returns the pairs and the (hit, l, dist) arrays in that order.
-    """
-    n = len(mu)
-    mons = _monomials(n, degree)
-    M = np.array(mons, dtype=np.int64).reshape(len(mons), n)
-    pairs = [(j, m) for j in range(n) for m in mons]
-    return pairs, _witness(*_deltas(mu, M), tol)
-
-
-def map_resonances(eigen: EigenData, degree: int, tol: float = DEFAULT_TOL) -> ResonanceReport:
-    """All (j, m) with lambda_j = lambda^m and 2 <= |m| <= degree."""
-    if degree < 2:
-        raise ValueError("degree must be at least 2")
-    found, near = [], []
-    if eigen.exact:
-        # exact map resonance is <m, mu> - mu_j in 2*pi*i*Z
-        pairs, (hit, _, _) = _scan(eigen.entries, degree, tol)
-        found = [p for p, h in zip(pairs, hit) if h]
-    else:
-        lam = eigen.lambda_complex()
-        for j, m in _pairs(len(eigen), degree):
-            resonant, dist = map_class(None, lam, j, m, tol)
-            if resonant:
-                found.append((j, m))
-            elif dist is not None:
-                near.append((j, m, dist))
-    return ResonanceReport(
-        len(eigen), degree, map_resonant=tuple(found), near=tuple(near)
-    )
+@cache
+def monomial_index(dim: int, degree: int) -> MonomialIndex:
+    """The one :class:`MonomialIndex` of ``dim`` variables up to ``degree``."""
+    mons, offsets = [], [0]
+    for r in range(2, degree + 1):
+        mons.extend(multiindices(dim, r))
+        offsets.append(len(mons))
+    matrix = np.array(mons, dtype=np.int64).reshape(len(mons), dim)
+    matrix.flags.writeable = False
+    return MonomialIndex(tuple(mons), matrix, tuple(offsets))
 
 
 def field_resonances(eigen: EigenData, degree: int, tol: float = DEFAULT_TOL) -> ResonanceReport:
-    """Field-resonant (j, m) and weak (j, m, l) with mu_j - <m, mu> = 2*pi*i*l."""
+    """Every resonance class of (j, m) with 2 <= |m| <= degree, from one scan.
+
+    A pair with <m, mu> - mu_j in 2*pi*i*Z is map resonant; it is field
+    resonant when its witness l is 0 and weak, listed as (j, m, l), when it
+    is not.  Float misses within NEAR_FACTOR*tol are listed as near.  Pairs
+    run j outer, then as in :func:`monomial_index`.
+    """
     if degree < 2:
         raise ValueError("degree must be at least 2")
-    pairs, (hit, l, dist) = _scan(_mu(eigen), degree, tol)
-    resonant, weak, near = [], [], []
-    for t in np.flatnonzero(hit):
-        j, m = pairs[t]
-        if l[t]:
-            weak.append((j, m, int(l[t])))
+    n = len(eigen)
+    index = monomial_index(n, degree)
+    hit, l, dist = _classify(_mu(eigen), index.matrix, tol)
+    mons = index.monomials
+    found, resonant, weak, near = [], [], [], []
+    for j, t in zip(*np.nonzero(hit)):
+        pair = (int(j), mons[t])
+        found.append(pair)
+        if l[j, t]:
+            weak.append((*pair, int(l[j, t])))
         else:
-            resonant.append((j, m))
+            resonant.append(pair)
     if dist is not None:
-        for t in np.flatnonzero(~hit & _is_near(dist, tol)):
-            j, m = pairs[t]
-            near.append((j, m, float(dist[t])))
+        for j, t in zip(*np.nonzero(~hit & (dist <= NEAR_FACTOR * tol))):
+            near.append((int(j), mons[t], float(dist[j, t])))
     return ResonanceReport(
-        len(eigen),
+        n,
         degree,
+        map_resonant=tuple(found),
         field_resonant=tuple(resonant),
         weak=tuple(weak),
         near=tuple(near),
     )
+
+
+# once mu is fixed, lambda_j = lambda^m is the same scan read with any l
+map_resonances = field_resonances
 
 
 def operator_L_map_spectrum(eigen: EigenData, r: int) -> tuple[complex, ...]:

@@ -8,10 +8,12 @@ dropped.  The one float cut on jet coefficients is :data:`ROUNDING`, in
 :func:`embedflow.jets.complexify` and :func:`embedflow.jets.realify`, and
 it is relative to the magnitudes that formed each coefficient.
 
-Exact eigen data (``EigenScalar`` logs, Gaussian-rational eigenvalues) are
-decided exactly: resonance, hyperbolicity and the branch lattice never look
-at ``tol`` then.  In the normal form ``tol`` only sets the float divisor
-floor, ``max(tol, DIVISOR_FLOOR)``.  So a germ with ``jordan 2 1`` and
+Exact eigen data are decided exactly and never look at ``tol``: resonance
+when every log is an ``EigenScalar``, hyperbolicity when a block's log or
+its Gaussian-rational eigenvalue is exact, and the branch lattice.  Every
+other resonance question (map, field or weak) is decided on the complex
+logs, within ``tol`` absolute in mu.  With exact logs the normal form's
+``tol`` only sets the float divisor floor, ``max(tol, DIVISOR_FLOOR)``.  So a germ with ``jordan 2 1`` and
 ``jordan 4.0000004 1`` at ``tol 1e-6`` stops with ``NearResonanceError``
 by design: 4 and 4.0000004 are not resonant, and their divisor 4e-7 is
 below the floor.
@@ -22,10 +24,10 @@ there.
 """
 
 # The default of every ``tol`` parameter and of a germ file's ``tol``
-# option.  Relative to max(1, |lambda_j|) in the map rule and in the
-# dense-matrix loader; absolute in mu (logs, of order one) in the field
-# and weak rules, in exponent snapping, and in | |lambda| - 1 | for
-# hyperbolicity.  1e-9 sits about seven digits above double roundoff on
+# option.  Absolute in mu (logs, of order one) in the one resonance rule,
+# which decides map, field and weak resonance alike, in exponent snapping,
+# and in | |lambda| - 1 | for hyperbolicity; relative to
+# max(1, |lambda_j|) in the dense-matrix loader.  1e-9 sits about seven digits above double roundoff on
 # eigenvalues of order one and far below any resonance gap a user means.
 DEFAULT_TOL = 1e-9
 

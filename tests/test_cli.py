@@ -294,6 +294,42 @@ class TestNormalForm:
         assert "near-resonant divisor" in m["error"]
 
 
+class TestOneResonanceRule:
+    """x2^2 + x3^2 in the first component over lambda = (1/5, 0.2 +- 0.4i):
+    |lambda_z|^2 misses 1/5 by 5e-10, which is 2.5e-9 in the logs.  At the
+    default tol 1e-9 every verb calls the pair nonresonant, so its divisor
+    is refused; at tol 1e-8 every verb calls it field resonant."""
+
+    TEXT = (
+        "HEADER\ndimension 3\ndegree 2\nmode float\nLINEAR\n"
+        "jordan 1/5 1\nrotation 0.2 0.40000000062499996 1\nNONLINEAR\n"
+        "1 0 2 0 1\n1 0 0 2 1\n"
+    )
+
+    def _run(self, capsys, monkeypatch, verb, *flags):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self.TEXT))
+        code, out, _ = run(capsys, verb, "-", *flags)
+        return code, out, machine(out)
+
+    def test_analyze_map_is_field_plus_weak(self, capsys, monkeypatch):
+        code, out, m = self._run(capsys, monkeypatch, "analyze")
+        assert code == 0
+        assert m["map_resonant"] == m["field_resonant"] == m["weak"] == ""
+        assert "near-resonances (within 100*tol): 1" in out
+
+    @pytest.mark.parametrize("verb", ["normal-form", "embed"])
+    def test_divisor_refused(self, capsys, monkeypatch, verb):
+        code, out, m = self._run(capsys, monkeypatch, verb)
+        assert code == 3 and m["status"] == "error"
+        assert "near-resonant divisor" in m["error"]
+        assert "not in distinguished normal form" not in out
+
+    def test_verifies_at_looser_tol(self, capsys, monkeypatch):
+        code, out, m = self._run(capsys, monkeypatch, "verify", "--tol", "1e-8")
+        assert code == 0, out
+        assert m["verified"] == "yes"
+
+
 class TestClassify2d:
     def test_equal_negative_pair(self, capsys, monkeypatch):
         text = (

@@ -30,7 +30,6 @@ from embedflow import (
     pair_negative_blocks,
     real_log,
 )
-from embedflow.resonance import _pairs, field_class, map_class
 from _gens import random_branch_spectrum, random_loggable_blocks
 
 
@@ -147,27 +146,41 @@ def test_weak_detection_needs_exact_imaginary_part():
     assert (0, (0, 4), -1) in set(rep.weak)
 
 
-def _per_pair_reports(eigen, degree, tol):
-    """field_class/map_class over every pair, in _pairs order."""
-    mu = eigen.entries if eigen.exact else eigen.mu_complex()
-    exact_mu = eigen.entries if eigen.exact else None
-    lam = None if eigen.exact else eigen.lambda_complex()
-    field, weak, field_near, maps, map_near = [], [], [], [], []
-    for j, m in _pairs(len(eigen), degree):
-        l, dist = field_class(mu, j, m, tol)
-        if l is None:
-            if dist is not None:
-                field_near.append((j, m, dist))
-        elif l:
-            weak.append((j, m, l))
-        else:
-            field.append((j, m))
-        resonant, dist = map_class(exact_mu, lam, j, m, tol)
-        if resonant:
+def _mu_rule(eigen, degree, tol):
+    """Enumerate every (j, m), j outer, then degree, then multiindices order,
+    and decide <m, mu> - mu_j in 2*pi*i*Z pair by pair: exactly on
+    EigenScalar sums, else within tol of the nearest lattice point.
+
+    Returns (map, field, weak, near) lists in that order.
+    """
+    n = len(eigen)
+    mons = [m for r in range(2, degree + 1) for m in multiindices(n, r)]
+    maps, field, weak, near = [], [], [], []
+    for j in range(n):
+        for m in mons:
+            if eigen.exact:
+                d = EigenScalar.zero()
+                for k, v in zip(m, eigen.entries):
+                    d = d + v.scaled(k)
+                d = d - eigen[j]
+                on = d.rat == 0 and not d.logs and d.pi_part % 2 == 0
+                l, dist = (-int(d.pi_part) // 2 if on else None), None
+            else:
+                mu = [complex(v) for v in eigen.entries]
+                d = sum(k * v for k, v in zip(m, mu)) - mu[j]
+                ll = round(d.imag / (2 * math.pi))
+                dist = abs(d - 2j * math.pi * ll)
+                l = -ll if dist <= tol else None
+            if l is None:
+                if dist is not None and dist <= 100 * tol:
+                    near.append((j, m, dist))
+                continue
             maps.append((j, m))
-        elif dist is not None:
-            map_near.append((j, m, dist))
-    return field, weak, field_near, maps, map_near
+            if l:
+                weak.append((j, m, l))
+            else:
+                field.append((j, m))
+    return maps, field, weak, near
 
 
 def _same_near(got, want):
@@ -187,16 +200,15 @@ def test_scans_agree_with_per_pair_rules(tol):
     weak_seen = near_seen = False
     for eigen in spectra:
         for degree in (2, 3, 4):
-            field, weak, field_near, maps, map_near = _per_pair_reports(eigen, degree, tol)
-            frep = field_resonances(eigen, degree, tol)
-            mrep = map_resonances(eigen, degree, tol)
-            assert list(frep.field_resonant) == field
-            assert list(frep.weak) == weak
-            _same_near(frep.near, field_near)
-            assert list(mrep.map_resonant) == maps
-            _same_near(mrep.near, map_near)
+            maps, field, weak, near = _mu_rule(eigen, degree, tol)
+            rep = map_resonances(eigen, degree, tol)
+            assert list(rep.map_resonant) == maps
+            assert list(rep.field_resonant) == field
+            assert list(rep.weak) == weak
+            _same_near(rep.near, near)
+            assert rep.map_set() == rep.field_set() | rep.weak_set()
             weak_seen |= bool(weak)
-            near_seen |= bool(field_near)
+            near_seen |= bool(near)
     assert weak_seen and (near_seen or tol < 1e-6)
 
 

@@ -13,7 +13,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from _gens import random_exact_germ, random_loggable_blocks, random_positive_rational_diag
+from _gens import (
+    random_branch_spectrum,
+    random_exact_germ,
+    random_loggable_blocks,
+    random_positive_rational_diag,
+)
 from embedflow import (
     MODE_EXACT,
     MODE_FLOAT,
@@ -27,7 +32,9 @@ from embedflow import (
     Tr_matrix,
     distinguished_normal_form,
     field_resonances,
+    is_hyperbolic,
     map_resonances,
+    multiindices,
     pair_negative_blocks,
     parse_germ,
     real_log,
@@ -63,10 +70,9 @@ def _weak_witnesses(report) -> dict:
 
 
 def _check_normal_form_support(spec, degree: int):
-    """Exact eigen data: g lies on the map-resonant set, h off it, and the
-    map-resonant set is the field-resonant plus the weak pairs."""
+    """g lies on the map-resonant set, h off it, and the map-resonant set
+    is the field-resonant plus the weak pairs; returns the field report."""
     eigen = spec.linear.triangular().eigen
-    assert eigen.exact
     mrep = map_resonances(eigen, degree)
     frep = field_resonances(eigen, degree)
     resonant = mrep.map_set()
@@ -74,6 +80,20 @@ def _check_normal_form_support(spec, degree: int):
     nf = distinguished_normal_form(spec)
     assert set(nf.germ.nonlinear.coeffs) <= resonant
     assert not set(nf.transform.coeffs) & resonant
+    return frep
+
+
+def _float_germ(rng, a: BlockMatrix, degree: int) -> GermSpec:
+    """Float germ over A: each (j, m) kept with probability 0.3 and a
+    random complex coefficient."""
+    terms = [
+        (j, m, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        for r in range(2, degree + 1)
+        for m in multiindices(a.dim, r)
+        for j in range(a.dim)
+        if rng.random() < 0.3
+    ]
+    return GermSpec(a, PolyJet.build(a.dim, degree, MODE_FLOAT, terms), degree)
 
 
 class TestFixtures:
@@ -121,6 +141,26 @@ class TestSeededSpectra:
         rng = np.random.default_rng(80 + seed)
         germ = random_exact_germ(rng, 2 + seed % 2, 4)
         _check_normal_form_support(germ, germ.degree)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_normal_form_support_float(self, seed):
+        rng = np.random.default_rng(160 + seed)
+        paired, _ = pair_negative_blocks(random_loggable_blocks(rng, 4))
+        assert not paired.eigen().exact
+        _check_normal_form_support(_float_germ(rng, paired, 3), 3)
+
+    def test_normal_form_support_float_branch_spectra(self):
+        """Float spectra built to resonate, weakly too, up to roundoff."""
+        rng = np.random.default_rng(170)
+        weak_seen = False
+        for branchable in (0, 1, 2, 1, 2, 2):
+            a = random_branch_spectrum(rng, False, branchable)
+            while not is_hyperbolic(a):  # a negative pair may draw -1
+                a = random_branch_spectrum(rng, False, branchable)
+            assert not a.eigen().exact
+            frep = _check_normal_form_support(_float_germ(rng, a, 3), 3)
+            weak_seen |= bool(frep.weak)
+        assert weak_seen
 
     @pytest.mark.parametrize("mode", (MODE_EXACT, MODE_FLOAT))
     @pytest.mark.parametrize("seed", range(3))
