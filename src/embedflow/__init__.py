@@ -58,6 +58,7 @@ from .embedding import (
     exp_B_matrix,
     flow_jet,
     solve_embedding,
+    time_one,
     time_one_check,
     time_one_residuals,
 )

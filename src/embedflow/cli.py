@@ -5,7 +5,8 @@ Verbs:
     analyze     hyperbolicity, real-log existence, branch search, resonances
     normal-form distinguished normal form with conjugacy diagnostics
     embed       full pipeline: normalize, pick/validate B, solve, verify
-    verify      embed plus a hard pass/fail on the oracle residuals
+    verify      embed plus a hard pass/fail on the oracle residuals and the
+                ODE oracle's error estimate
     classify2d  planar embeddability verdict with the explicit logarithm
 
 Exit codes: 0 success (field constructed / embeddable), 2 obstruction or
@@ -26,7 +27,7 @@ from .embedding import (
     Obstruction,
     embedding_residual,
     solve_embedding,
-    time_one_residuals,
+    time_one,
 )
 from .germfile import GermFile, GermParseError, parse_germ, serialize_germ
 from .jets import realify
@@ -42,7 +43,7 @@ from .spectral import (
     real_log,
     weakly_nonresonant_branch,
 )
-from .tolerances import NEAR_FACTOR, ODE_BOUND
+from .tolerances import NEAR_FACTOR, ODE_BOUND, ODE_ERR_SHARE
 
 __all__ = ["main"]
 
@@ -281,17 +282,19 @@ def _embed_pipeline(gf: GermFile, report: Report):
             _put_jet(report, "field_real", real_v)
         except ValueError:
             report.line("field is not conjugate-symmetric; left complex")
-    r_exp, r_ode = time_one_residuals(X, G)
+    r_exp, r_ode, r_err = time_one(X, G)
     r_emb = embedding_residual(G, X).max_abs()
     report.section("Verification")
     report.line(f"time-one residual (exact flow): {r_exp:.3e}")
     report.line(f"time-one residual (ODE oracle): {r_ode:.3e}")
+    report.line(f"ODE oracle error estimate:      {r_err:.3e}")
     report.line(f"embedding-equation residual:    {r_emb:.3e}")
     report.put("residual_exp", repr(r_exp))
     report.put("residual_ode", repr(r_ode))
+    report.put("residual_ode_err", repr(r_err))
     report.put("residual_embedding", repr(r_emb))
     report.put("status", "field")
-    return X, (r_exp, r_ode, r_emb), (G, paired)
+    return X, (r_exp, r_ode, r_err, r_emb), (G, paired)
 
 
 def cmd_embed(gf: GermFile, report: Report) -> int:
@@ -305,15 +308,22 @@ def cmd_verify(gf: GermFile, report: Report) -> int:
     outcome, residuals, (G, paired) = _embed_pipeline(gf, report)
     if isinstance(outcome, Obstruction):
         return EXIT_OBSTRUCTION
-    r_exp, r_ode, r_emb = residuals
+    r_exp, r_ode, r_err, r_emb = residuals
     scale = max(1.0, G.map_jet().to_float().max_abs())
     bound_exp = gf.tol * scale
     bound_ode = max(ODE_BOUND * scale, bound_exp)
-    ok = r_exp <= bound_exp and r_ode <= bound_ode and r_emb <= bound_exp
+    bound_err = ODE_ERR_SHARE * bound_ode
+    ok = (
+        r_exp <= bound_exp
+        and r_ode <= bound_ode
+        and r_err <= bound_err
+        and r_emb <= bound_exp
+    )
     report.section("Verdict")
     report.line(
         f"verified: {'yes' if ok else 'NO'} "
-        f"(exact-flow bound {bound_exp:.1e}, ODE bound {bound_ode:.1e})"
+        f"(exact-flow bound {bound_exp:.1e}, ODE bound {bound_ode:.1e}, "
+        f"ODE estimate bound {bound_err:.1e})"
     )
     report.put("verified", "yes" if ok else "no")
     return EXIT_OK if ok else EXIT_PRECONDITION

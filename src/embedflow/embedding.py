@@ -25,6 +25,7 @@ exact coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -47,7 +48,7 @@ from .normal_form import GermSpec
 from .resonance import ResonanceReport, _classify, _delta, _mu, field_resonances
 from .scalars import EigenScalar, ExactnessError, PiPoly, QQi
 from .spectral import BlockMatrix, SpectralError, TriangularLinear, log_residual
-from .tolerances import DEFAULT_TOL, LOG_RESIDUAL, STRAY_DEMAND
+from .tolerances import DEFAULT_TOL, LOG_RESIDUAL, ODE_STEPS_PER_RATE, STRAY_DEMAND
 
 __all__ = [
     "FieldGerm",
@@ -57,6 +58,7 @@ __all__ = [
     "solve_embedding",
     "flow_jet",
     "embedding_residual",
+    "time_one",
     "time_one_check",
     "time_one_residuals",
     "appendix_identity_check",
@@ -682,49 +684,103 @@ def _ode_rhs(tri: TriangularLinear, v: PolyJet, degree: int):
     return mons, deriv
 
 
-def _rk4_time_one(tri: TriangularLinear, v: PolyJet, degree: int, steps: int):
-    """Classical fixed-step integration of the jet-coefficient equations."""
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed.,
+# II.5, Table 5.2).  Row s of _DP_A gives stage s+1 from the slopes before
+# it; row 6 holds the fifth-order weights, so the seventh slope is f at the
+# step's result and serves as the next step's first (FSAL).  _DP_E is the
+# fifth-order minus the embedded fourth-order weights.
+_DP_A = np.zeros((7, 6))
+_DP_A[1, :1] = [1 / 5]
+_DP_A[2, :2] = [3 / 40, 9 / 40]
+_DP_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_DP_A[6, :6] = [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+_DP_E = np.array(
+    [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+)
+
+
+def _ode_steps(tri: TriangularLinear, degree: int) -> int:
+    """Step count of the ODE oracle: ODE_STEPS_PER_RATE steps per unit of
+    the fastest coefficient rate ``degree * max |mu_j|`` (at least 1).
+
+    The modulus, not the real part, so that rotations are resolved too.
+    """
+    rate = degree * max(abs(complex(mu)) for mu in tri.eigen.entries)
+    return math.ceil(ODE_STEPS_PER_RATE * max(1.0, rate))
+
+
+def _dp5_time_one(tri: TriangularLinear, v: PolyJet, degree: int, steps: int):
+    """Fixed-step Dormand-Prince 5(4) integration of the jet-coefficient
+    equations from the identity to time one.
+
+    Returns ``(jet, err)``: the fifth-order solution, and the sum over the
+    steps of the max-abs difference between each step's fifth- and
+    fourth-order results.  Six right-hand sides per step.
+    """
     n = tri.dim
     mons, deriv = _ode_rhs(tri, v, degree)
-    C = np.zeros((n, len(mons)), dtype=complex)
+    shape = (n, len(mons))
+    C = np.zeros(shape, dtype=complex)
     for k in range(n):
         C[k, mons.index(MultiIndex.unit(n, k))] = 1.0
     h = 1.0 / steps
+    a = h * _DP_A
+    e = h * _DP_E
+    K = np.empty((7, C.size), dtype=complex)  # the slopes of one step, flat
+    K[0] = deriv(C).ravel()
+    y = C.ravel()
+    err = 0.0
     for _ in range(steps):
-        k1 = deriv(C)
-        k2 = deriv(C + 0.5 * h * k1)
-        k3 = deriv(C + 0.5 * h * k2)
-        k4 = deriv(C + h * k3)
-        C = C + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for s in range(1, 7):
+            stage = y + a[s, :s] @ K[:s]
+            K[s] = deriv(stage.reshape(shape)).ravel()
+        y = stage  # the seventh stage is the step's fifth-order result
+        err += float(np.abs(e @ K).max())
+        K[0] = K[6]
+    C = y.reshape(shape)
     terms = []
     for j in range(n):
         for t, m in enumerate(mons):
             c = C[j, t]
             if c != 0:
                 terms.append((j, m, c))
-    return PolyJet.build(n, degree, MODE_FLOAT, terms)
+    return PolyJet.build(n, degree, MODE_FLOAT, terms), err
 
 
-def time_one_residuals(X: FieldGerm, G: GermSpec, steps: int = 1000):
-    """Residuals of the two independent time-one oracles (exact flow, RK4)."""
+def time_one(X: FieldGerm, G: GermSpec, steps=None):
+    """The two independent time-one oracles, against G's map jet.
+
+    Returns ``(residual_exp, residual_ode, residual_ode_err)``: the max-abs
+    distance from the map jet of the closed-form flow of X at t = 1 and of
+    the Dormand-Prince ODE oracle, and the oracle's own error estimate.
+    ``steps`` defaults to the germ-chosen count of :func:`_ode_steps`.
+    """
     if G.dim != X.dim:
         raise ValueError("dimension mismatch")
-    if steps < 1:
+    if steps is not None and steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     N = min(G.degree, X.degree)
     target = G.map_jet().to_float().truncate(N)
     phi = flow_jet(X, N)
     exp_res = jet_distance(phi.at_time(1.0).truncate(N), target)
     tri = X.linear.triangular()
-    ode = _rk4_time_one(tri, X.nonlinear.truncate(N), N, steps)
-    ode_res = jet_distance(ode, target)
-    return exp_res, ode_res
+    if steps is None:
+        steps = _ode_steps(tri, N)
+    ode, err = _dp5_time_one(tri, X.nonlinear.truncate(N), N, steps)
+    return exp_res, jet_distance(ode, target), err
 
 
-def time_one_check(X: FieldGerm, G: GermSpec, steps: int = 1000) -> float:
-    """The larger of the two oracle residuals."""
-    a, b = time_one_residuals(X, G, steps)
-    return max(a, b)
+def time_one_residuals(X: FieldGerm, G: GermSpec, steps=None):
+    """``(residual_exp, residual_ode)`` of :func:`time_one`, without the
+    error estimate."""
+    return time_one(X, G, steps)[:2]
+
+
+def time_one_check(X: FieldGerm, G: GermSpec, steps=None) -> float:
+    """The larger of the two oracle residuals of :func:`time_one`."""
+    return max(time_one(X, G, steps)[:2])
 
 
 def appendix_identity_check(B: BlockMatrix, g: PolyJet) -> PolyJet:

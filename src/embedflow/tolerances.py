@@ -85,11 +85,29 @@ ROUNDING = 2.0**-44
 # far below that.
 REAL_EXP = 1e-12
 
-# verify accepts the RK4 time-one residual up to
+# verify accepts the ODE oracle's time-one residual up to
 # max(ODE_BOUND, tol) * scale, scale = max(1, max |map jet coefficient|).
-# The oracle's 1000 fixed steps are its own error: on paper-2.3, the
-# stiffest fixture (coefficient rates up to 64), they leave 8.1e-7
-# absolute, 2.7e-10 relative to its scale 2981.  ODE_BOUND leaves room for
-# stiffer germs while still catching a wrong field, which misses by order
-# one relative.
+# The oracle is a fixed-step Dormand-Prince 5(4) integration (see
+# ODE_STEPS_PER_RATE) whose own error is measured, and gated by
+# ODE_ERR_SHARE.  On paper-2.3, the stiffest fixture (coefficient rates up
+# to 64), 512 steps leave a residual of 6.0e-9 (2.0e-12 relative to its
+# scale 2981) and an estimate of 1.4e-7 (4.7e-11 relative).  ODE_BOUND
+# leaves room for stiffer germs while still catching a wrong field, which
+# misses by order one relative.
 ODE_BOUND = 1e-6
+
+# The ODE oracle takes ODE_STEPS_PER_RATE steps per unit of the fastest
+# coefficient rate, N * max_j |mu_j| at jet degree N (a rate below 1
+# counts as 1), so h * rate <= 1/ODE_STEPS_PER_RATE on every coefficient.
+# The modulus, not Re mu, so that rotation parts are resolved as well.
+# DP5's error falls as h^5; of 4, 6 and 8 steps per rate only 8 keeps every
+# float time-one check of the test suite within its absolute bound (a
+# planar check that needs 1e-9 gets 1.4e-9 at 6 and 1.06e-8 at 4).
+ODE_STEPS_PER_RATE = 8
+
+# verify also requires the oracle's error estimate (the sum over steps of
+# the max-abs difference of the embedded fifth- and fourth-order results)
+# to be at most ODE_ERR_SHARE * bound_ode.  The residual it qualifies is
+# then a measurement of the field, not of the oracle: at most a tenth of
+# the bound is the integrator's own.
+ODE_ERR_SHARE = 0.1

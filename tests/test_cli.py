@@ -45,6 +45,7 @@ class TestEmbed:
         assert m["residual_exp"] == "0.0"
         assert m["residual_embedding"] == "0.0"
         assert float(m["residual_ode"]) < 1e-6
+        assert float(m["residual_ode"]) <= float(m["residual_ode_err"]) < 1e-6
         assert "time_s" in m
 
     def test_paper_23_coefficient(self, capsys):
@@ -230,6 +231,35 @@ class TestVerify:
         m = machine(out)
         assert code == 0
         assert m["verified"] == "yes"
+
+    def test_ode_estimate_within_a_tenth_of_the_bound(self, capsys):
+        from embedflow.tolerances import ODE_BOUND, ODE_ERR_SHARE
+
+        code, out, _ = run(capsys, "verify", "--fixture", "paper-2.3")
+        m = machine(out)
+        assert code == 0 and m["verified"] == "yes"
+        scale = math.exp(8.0)  # the largest coefficient of the map jet
+        assert float(m["residual_ode_err"]) <= ODE_ERR_SHARE * ODE_BOUND * scale
+        assert "ODE oracle error estimate:" in out
+
+    def test_one_step_oracle_fails_verification(self, capsys, monkeypatch):
+        from embedflow import embedding
+
+        monkeypatch.setattr(embedding, "_ode_steps", lambda tri, degree: 1)
+        code, out, _ = run(capsys, "verify", "--fixture", "paper-2.3")
+        assert code == 3
+        assert machine(out)["verified"] == "no"
+
+    def test_estimate_gate_alone_fails_verification(self, capsys, monkeypatch):
+        # at 8 steps resonant-2d's ODE residual (1.8e-7) is inside its bound
+        # 4e-6, but the estimate (1.9e-6) is above a tenth of it
+        from embedflow import embedding
+
+        monkeypatch.setattr(embedding, "_ode_steps", lambda tri, degree: 8)
+        code, out, _ = run(capsys, "verify", "--fixture", "resonant-2d")
+        m = machine(out)
+        assert float(m["residual_ode"]) <= 4e-6 < 10 * float(m["residual_ode_err"])
+        assert code == 3 and m["verified"] == "no"
 
     def test_blocked_fixture_exits_2(self, capsys):
         code, out, _ = run(capsys, "verify", "--fixture", "paper-2.3-blocked")

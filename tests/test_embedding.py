@@ -9,9 +9,11 @@ part and closed forms for the weakly resonant directions.
 import cmath
 import math
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from embedflow import (
@@ -32,21 +34,25 @@ from embedflow import (
     Tr_matrix,
     appendix_identity_check,
     compose,
+    distinguished_normal_form,
     embedding_residual,
     flow_jet,
     jet_distance,
     multiindices,
+    parse_germ,
     real_log,
     solve_embedding,
+    time_one,
     time_one_check,
     time_one_residuals,
 )
 from embedflow import embedding, jets
 from embedflow.embedding import (
+    _dp5_time_one,
     _exact_ring,
     _flow_unit,
     _ode_rhs,
-    _rk4_time_one,
+    _ode_steps,
     _substitute_flow,
 )
 from embedflow.exppoly import ExpPoly
@@ -471,8 +477,8 @@ class TestOdeOracle:
         ],
     )
     def test_rhs_matches_compose(self, blocks, degree):
-        # one evaluation of the RK4 right-hand side is B C + (v o C), with
-        # v o C composed by the jet engine on the float jet of C
+        # one evaluation of the ODE oracle's right-hand side is B C + (v o C),
+        # with v o C composed by the jet engine on the float jet of C
         rng = np.random.default_rng(degree * 10 + len(blocks))
         tri = real_log(BlockMatrix(blocks)).triangular()
         n = tri.dim
@@ -507,7 +513,7 @@ class TestOdeOracle:
         assert np.array_equal(deriv(C), tri.dense() @ C)
 
     def test_shares_no_code_with_the_flow_solver(self, monkeypatch):
-        # the RK4 oracle must give the same jet with the composition kernel,
+        # the ODE oracle must give the same jet with the composition kernel,
         # the scalar product and the ExpPoly product all unavailable
         class Called(Exception):
             pass
@@ -518,15 +524,77 @@ class TestOdeOracle:
         G = _paper_23_germ(a_coeff=0.7)
         X = solve_embedding(G, real_log(G.linear))
         tri = X.linear.triangular()
-        want = _rk4_time_one(tri, X.nonlinear, X.degree, 1000)
+        want, _ = _dp5_time_one(tri, X.nonlinear, X.degree, 1000)
         monkeypatch.setattr(jets, "_substitute", boom)
         monkeypatch.setattr(embedding, "_substitute", boom)
         monkeypatch.setattr(jets, "_poly_mul", boom)
         monkeypatch.setattr(ExpPoly, "__mul__", boom)
         with pytest.raises(Called):
             flow_jet(X)
-        got = _rk4_time_one(tri, X.nonlinear, X.degree, 1000)
+        got, _ = _dp5_time_one(tri, X.nonlinear, X.degree, 1000)
         assert got.coeffs == want.coeffs
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dp5_agrees_with_dop853_within_its_estimate(self, seed):
+        # random small fields, n = 2 or 3, N <= 5, on diagonal and rotation
+        # logs; the reference integrates the same coefficient equations,
+        # split into real and imaginary parts, with scipy's adaptive DOP853
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 2
+        degree = 3 + seed % 3
+        if seed % 4 < 2:
+            blocks = tuple(JordanBlock(float(rng.uniform(0.3, 3.0)), 1) for _ in range(n))
+        else:
+            blocks = (
+                RotationBlock(float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.5, 2.0)), 1),
+            ) + tuple(JordanBlock(float(rng.uniform(0.3, 3.0)), 1) for _ in range(n - 2))
+        tri = real_log(BlockMatrix(blocks)).triangular()
+        exponents = [m for r in range(2, degree + 1) for m in multiindices(n, r)]
+        picks = rng.choice(len(exponents), size=min(6, len(exponents)), replace=False)
+        v = PolyJet.build(
+            n,
+            degree,
+            MODE_FLOAT,
+            [(int(rng.integers(n)), exponents[k], complex(*rng.normal(size=2))) for k in picks],
+        )
+        steps = _ode_steps(tri, degree)
+        got, err = _dp5_time_one(tri, v, degree, steps)
+
+        mons, deriv = _ode_rhs(tri, v, degree)
+        shape = (n, len(mons))
+        C0 = np.zeros(shape, dtype=complex)
+        for k in range(n):
+            C0[k, mons.index(MultiIndex.unit(n, k))] = 1.0
+
+        def rhs(_, y):
+            return deriv(y.view(complex).reshape(shape)).ravel().view(np.float64)
+
+        sol = solve_ivp(
+            rhs, (0.0, 1.0), C0.ravel().view(np.float64), method="DOP853",
+            rtol=1e-12, atol=1e-14,
+        )
+        assert sol.success
+        ref = sol.y[:, -1].view(complex).reshape(shape)
+        want = PolyJet.build(
+            n,
+            degree,
+            MODE_FLOAT,
+            [(j, m, ref[j, t]) for j in range(n) for t, m in enumerate(mons)],
+        )
+        assert 0 < err < 1e-6 * max(1.0, want.max_abs())
+        assert jet_distance(got, want) <= err
+
+    @pytest.mark.parametrize("fixture", ["paper-2.3", "resonant-2d"])
+    def test_estimate_bounds_true_error(self, fixture):
+        # the closed-form flow reproduces G to roundoff, so the ODE residual
+        # is the oracle's true error, and its estimate must not undercut it
+        text = resources.files("embedflow").joinpath("fixtures", f"{fixture}.germ").read_text()
+        spec, paired, _ = parse_germ(text).to_spec()
+        G = distinguished_normal_form(spec).germ
+        X = solve_embedding(G, real_log(paired))
+        r_exp, r_ode, err = time_one(X, G)
+        assert r_exp <= 1e-14 * max(1.0, G.map_jet().to_float().max_abs())
+        assert r_ode <= err
 
     @pytest.mark.parametrize("steps", [0, -1])
     def test_steps_must_be_positive(self, steps):
