@@ -55,7 +55,6 @@ from .embedding import (
     Tr_matrix,
     appendix_identity_check,
     embedding_residual,
-    exp_B_matrix,
     flow_jet,
     solve_embedding,
     time_one,

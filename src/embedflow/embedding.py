@@ -1,26 +1,27 @@
 """Embedding vector fields for normal-form germs.
 
 Given G(y) = Ay + g(y) in distinguished normal form and a real logarithm
-B of A, a candidate field X(y) = By + v(y) embeds G when its time-one map
-equals G.  Writing the flow degree by degree turns that condition into
+B = S + N of A (S diagonal, N nilpotent, commuting), a field X(y) =
+By + v(y) embeds G when its time-one map equals G.  When v is
+field-resonant it commutes with the linear field Sy, so e^X = e^S o e^Y
+with Y = Ny + v, and Y is the logarithm of the unipotent map
 
-    T^r X_r = e^{-B} g_r - integral_0^1 e^{-sB} P_r(s, y) ds,
+    U = e^(-S) o G,        Y = log U = sum_k (-1)^(k+1)/k D_k,
 
-per degree r, where T^r averages a degree-r field along the linear flow
-(X_r mapsto integral of e^{-sB} X_r(e^{sB} y) ds) and P_r collects the
-already known lower-degree terms.  On the basis of resonant and weakly
-resonant monomials, ordered by coordinate and then reverse
-lexicographically, T^r is lower triangular with diagonal 1 on resonant
-monomials and exactly 0 on weakly resonant ones: the solve is forward
-substitution, and a weakly resonant row with nonzero demand is a
-certificate that no field supported on these monomials embeds G with
-this logarithm branch.
+with D_0 = id and D_k = D_(k-1) o U - D_(k-1) (Takens 1974; Ilyashenko &
+Yakovenko, Lectures on Analytic Differential Equations, 2008).  U's
+linear part is unipotent, so the series ends: D_k vanishes after finitely
+many rounds, and the solve needs nothing but jet composition.  The
+nonlinear part of Y is field-resonant or weakly resonant; a nonzero weakly
+resonant coefficient is a certificate that no field supported on these
+monomials embeds G with this logarithm branch.  Coefficient arithmetic is
+exact whenever the eigenvalues are Gaussian rational and the input jet
+carries exact coefficients.
 
-Every exponential showing up has exponent 0 or 2*pi*i*l (the resonance
-class of its monomial), so the ExpPoly integrals are closed-form and,
-with exact eigen data, exact; coefficient arithmetic is exact as well
-whenever the eigenvalues are Gaussian rational and the input jet carries
-exact coefficients.
+The flow of a field (:func:`flow_jet`) is built degree by degree from
+closed-form integrals of exponential polynomials (ExpPoly); it checks the
+solve, shares no step with it, and is checked in turn by an ODE oracle
+that uses neither.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .jets import (
 )
 from .normal_form import GermSpec
 from .resonance import ResonanceReport, _classify, _delta, _mu, field_resonances
-from .scalars import EigenScalar, ExactnessError, PiPoly, QQi
+from .scalars import EigenScalar, ExactnessError, QQi
 from .spectral import BlockMatrix, SpectralError, TriangularLinear, log_residual
 from .tolerances import DEFAULT_TOL, LOG_RESIDUAL, ODE_STEPS_PER_RATE, STRAY_DEMAND
 
@@ -205,30 +206,6 @@ def exp_tB_jet_matrix(tri: TriangularLinear, sign: int, exact_ring: bool):
     return mat
 
 
-def exp_B_matrix(tri: TriangularLinear, sign: int, exact_ring: bool):
-    """Dense scalar matrix e^(sign*B) = exp of the jet matrix at t = 1."""
-    n = tri.dim
-    lam = tri.eigen.lambda_exact() if exact_ring else tri.eigen.lambda_complex()
-    if lam is None:
-        raise ExactnessError(
-            "exact solve needs Gaussian-rational map eigenvalues; "
-            "rerun in float mode"
-        )
-    mat = [[None] * n for _ in range(n)]
-    for i in range(n):
-        mat[i][i] = lam[i] if sign > 0 else _one(exact_ring) / lam[i]
-    fact = 1
-    for p, npow in enumerate(_nil_powers(tri, exact_ring), start=1):
-        fact *= p
-        for (i, k), c in npow.items():
-            if exact_ring:
-                w = c * QQi(Fraction(sign**p, fact)) * mat[i][i]
-            else:
-                w = complex(c) * (sign**p / fact) * mat[i][i]
-            mat[i][k] = w if mat[i][k] is None else mat[i][k] + w
-    return mat
-
-
 def _exact_ring(tri: TriangularLinear, mode: str) -> bool:
     """Whether flow coefficients stay exact (QQi/PiPoly): an exact-mode
     jet over exact eigen data with Gaussian-rational couplings."""
@@ -337,12 +314,14 @@ class FieldGerm:
 
 @dataclass(frozen=True)
 class Obstruction:
-    """Certificate that the triangular solve failed on weak directions.
+    """Certificate that an embedding field would need weak directions.
 
-    ``entries`` lists (j, m, l, residual): weakly resonant monomials whose
-    right-hand side demand is nonzero while the T^r diagonal is 0.  The
-    certificate is branch-specific: it rules out embedding fields with
-    resonant+weak support for this logarithm only.
+    ``entries`` lists (j, m, l, demand): the weakly resonant monomials of
+    the lowest degree on which log(e^(-S) G) has a nonzero coefficient,
+    the demand.  The degree-r averaging operator T^r is 0 on these rows,
+    so no field term meets it.  The certificate is branch-specific: it
+    rules out embedding fields with resonant+weak support for this
+    logarithm only.
     """
 
     entries: tuple
@@ -427,18 +406,20 @@ def _validate_normal_form(G: GermSpec, report: ResonanceReport, tol: float):
         )
 
 
-def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = DEFAULT_TOL):
+def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
     """Construct the embedding field jet for a normal-form germ, or refuse.
 
-    Returns a :class:`FieldGerm` with field-resonant support (weak
-    coefficients are forced to 0, matching the uniqueness of the solve in
-    the resonant space), or an :class:`Obstruction` naming the weakly
-    resonant monomials whose demand cannot be met.  Raises
-    :class:`SpectralError` when exp(B) != A.
+    Computes Y = log U for the unipotent map U = e^(-S) G, S the diagonal
+    of B, by the series ``Y = sum_k (-1)^(k+1)/k D_k`` with ``D_0 = id``
+    and ``D_k = D_(k-1) o U - D_(k-1)``.  Returns a :class:`FieldGerm`
+    ``B + v`` with v the nonlinear part of Y on field-resonant monomials,
+    or, at the lowest degree where Y has a nonzero weakly resonant
+    coefficient, an :class:`Obstruction` naming those coefficients.
+    Raises :class:`SpectralError` when exp(B) != A.
     """
     if not B.is_log:
         raise ValueError("B must be a logarithm block matrix")
-    N = G.degree if degree is None else degree
+    N = G.degree
     scale = float(np.max(np.abs(G.linear.to_dense())))
     res = log_residual(G.linear, B)
     if res > LOG_RESIDUAL * max(1.0, scale):
@@ -449,62 +430,58 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = DEFAU
     exact_ring = _ring_flags(tri, G.mode)
     report = field_resonances(tri.eigen, max(N, 2), tol)  # N = 1 solves nothing
     _validate_normal_form(G, report, tol)
-    weak = {(j, m): l for j, m, l in report.weak}
     n = tri.dim
-    unit = _flow_unit(tri, exact_ring)
     jet_mode = MODE_EXACT if exact_ring else MODE_FLOAT
-    g = G.nonlinear if exact_ring else G.nonlinear.to_float()
+    one = _one(exact_ring)
+    lam = tri.eigen.lambda_exact() if exact_ring else tri.eigen.lambda_complex()
+    inv = [one / x for x in lam]
+    # U = e^(-S) G.  Its linear diagonal is set to exactly 1, so that a
+    # round keeps only terms that a coupling or a nonlinear term moved.
+    U = PolyJet(
+        n,
+        N,
+        jet_mode,
+        {
+            (j, m): one if m == MultiIndex.unit(n, j) else inv[j] * c
+            for (j, m), c in G.map_jet().coeffs.items()
+        },
+    )
+    # Give y_i the weight 2s - 1 - c_i, where c_i < s counts the couplings
+    # from coordinate i up to the head of its Jordan chain.  A coupling
+    # term of U trades y_i for a heavier coordinate and a nonlinear term
+    # for a monomial of weight at least 2s, so every round raises the
+    # lowest weight in D_k, which is s in D_0.  No monomial of degree <= N
+    # weighs more than N(2s - 1), so D_k = 0 for k > N(2s - 1) - s.
+    s = len(_nil_powers(tri, exact_ring)) + 1
+    D = PolyJet.identity(n, N, jet_mode)
+    Y = PolyJet.zero(n, N, jet_mode)
+    for k in range(1, N * (2 * s - 1) - s + 1):
+        D = compose(D, U) - D
+        if not D.coeffs:
+            break
+        w = Fraction((-1) ** (k + 1), k)
+        Y = Y + D.scale(w if exact_ring else complex(w))
 
-    E, Em, phi = _linear_flow(tri, exact_ring, N)
-    eBm = exp_B_matrix(tri, -1, exact_ring)
-    x_coeffs: dict = {}  # the solved degrees, all below r at the top of the loop
+    field = report.field_set()
+    weak = {(j, m): l for j, m, l in report.weak}
     for r in range(2, N + 1):
-        P = _substitute_flow(x_coeffs, phi, r, unit)
-        integrand = _snap(_matrix_apply(Em, P), tol)
-        rhs: dict = {}
-        for (i, m), p in integrand.coeffs.items():
-            val = p.integrate_unit()
-            if val:
-                rhs[(i, m)] = -val if exact_ring else -complex(val)
-        for (j, m), c in g.degree_slice(r).coeffs.items():
-            for i in range(n):
-                w = eBm[i][j]
-                if w is None:
-                    continue
-                add = w * c if exact_ring else complex(w) * complex(c)
-                prev = rhs.get((i, m))
-                val = add if prev is None else prev + add
-                rhs[(i, m)] = val
-        basis = report.basis(r)
-        basis_set = set(basis)
-        stray = {
-            k: v
-            for k, v in rhs.items()
-            if k not in basis_set and not _is_zero(v, exact_ring, STRAY_DEMAND)
-        }
+        y_r = Y.degree_slice(r).coeffs
+        stray = sorted(
+            k
+            for k, c in y_r.items()
+            if k not in field
+            and k not in weak
+            and not _is_zero(c, exact_ring, STRAY_DEMAND)
+        )
         if stray:
             raise ArithmeticError(
-                f"nonresonant demand appeared at degree {r}: {sorted(stray)}"
+                f"nonresonant coefficient appeared at degree {r}: {stray}"
             )
-        matrix, basis = Tr_matrix(tri, r, basis, tol=tol)
-        sol: list = []
-        blocked = []
-        for row, (j, m) in enumerate(basis):
-            acc = rhs.get((j, m), _zero_scalar(exact_ring))
-            for col in range(row):
-                t = matrix[row][col]
-                xc = sol[col]
-                if not t or not xc:
-                    continue
-                prod = t * xc if exact_ring else complex(t) * complex(xc)
-                acc = acc - prod
-            l = weak.get((j, m))
-            if l is None:
-                sol.append(acc)
-            else:
-                if not _is_zero(acc, exact_ring, tol):
-                    blocked.append((j, m, l, complex(acc)))
-                sol.append(_zero_scalar(exact_ring))
+        blocked = [
+            (j, m, weak[(j, m)], complex(c))
+            for (j, m), c in sorted(y_r.items())  # the order of report.basis(r)
+            if (j, m) in weak and not _is_zero(c, exact_ring, tol)
+        ]
         if blocked:
             return Obstruction(
                 tuple(blocked),
@@ -512,24 +489,7 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, degree=None, tol: float = DEFAU
                 "weakly resonant demand outside the range of the degree-"
                 f"{r} averaging operator (branch-specific certificate)",
             )
-        x_r: dict = {}
-        for (j, m), v in zip(basis, sol):
-            if not v:
-                continue
-            if exact_ring:
-                if isinstance(v, PiPoly):
-                    q = v.as_qqi()
-                    if q is None:
-                        raise ExactnessError(
-                            "resonant coefficient left the Gaussian-rational ring"
-                        )
-                    v = q
-                x_r[(j, m)] = QQi.coerce(v)
-            else:
-                x_r[(j, m)] = complex(v)
-        x_coeffs.update(x_r)
-        phi = _flow_step(phi, P + _substitute_flow(x_r, phi, r, unit), E, Em, tol)
-    v = PolyJet(n, N, jet_mode, x_coeffs)
+    v = PolyJet(n, N, jet_mode, {k: c for k, c in Y.coeffs.items() if k in field})
     return FieldGerm(B, v, N, tol)
 
 

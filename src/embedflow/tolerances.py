@@ -49,11 +49,12 @@ DIVISOR_FLOOR = 1e-9
 # both.
 LOG_RESIDUAL = 1e-8
 
-# A float demand above STRAY_DEMAND (absolute) on a monomial that is neither
-# field-resonant nor weak is a defect of the normal form, not roundoff; the
-# solve raises rather than drop it.  In exact arithmetic such demands cancel
-# exactly; in float they are roundoff of the flow integrals, many decades
-# below 1e-7 for coefficients of order one.
+# A float coefficient of Y = log(e^(-S) G) above STRAY_DEMAND (absolute) on
+# a monomial that is neither field-resonant nor weak is a defect of the
+# normal form, not roundoff; the solve raises rather than drop it.  In
+# exact arithmetic such coefficients cancel exactly; in float they are
+# roundoff of the log series' compositions, many decades below 1e-7 for
+# coefficients of order one.
 STRAY_DEMAND = 1e-7
 
 # An unsnapped float exponent closer than this to 0 (absolute) is refused

@@ -7,6 +7,7 @@ part and closed forms for the weakly resonant directions.
 """
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from importlib import resources
@@ -20,6 +21,7 @@ from embedflow import (
     MODE_EXACT,
     MODE_FLOAT,
     BlockMatrix,
+    BranchChoice,
     EigenScalar,
     FieldGerm,
     GermSpec,
@@ -36,7 +38,9 @@ from embedflow import (
     compose,
     distinguished_normal_form,
     embedding_residual,
+    field_resonances,
     flow_jet,
+    is_hyperbolic,
     jet_distance,
     multiindices,
     parse_germ,
@@ -57,7 +61,8 @@ from embedflow.embedding import (
 )
 from embedflow.exppoly import ExpPoly
 from embedflow.scalars import PiPoly
-from _gens import random_resonant_normal_form
+from embedflow.tolerances import DEFAULT_TOL, ODE_BOUND, ODE_ERR_SHARE, STRAY_DEMAND
+from _gens import random_branch_spectrum, random_exact_germ, random_resonant_normal_form
 from _quadrature import tr_matrix_quadrature
 
 
@@ -300,21 +305,241 @@ class TestSolveEmbedding:
         r0 = germ.nonlinear.min_degree()
         M, basis = Tr_matrix(B, r0)
         dense = np.array([[complex(v) for v in row] for row in M])
-        from embedflow.embedding import exp_B_matrix
-
-        Em = exp_B_matrix(B.triangular(), -1, False)
+        Em = expm(-B.triangular().dense())
         rhs = []
         for j, m in basis:
             acc = 0j
             for (jj, mm), c in germ.nonlinear.degree_slice(r0).coeffs.items():
                 if tuple(mm) == tuple(m):
-                    acc += complex(Em[j][jj]) * complex(c)
+                    acc += Em[j, jj] * complex(c)
             rhs.append(acc)
         want = np.linalg.solve(dense, np.array(rhs))
         got = np.array(
             [complex(X.nonlinear.coeffs.get((j, tuple(m)), 0.0)) for j, m in basis]
         )
         assert np.max(np.abs(want - got)) < 1e-12
+
+
+# -- the forward-substitution solve, kept as a reference ---------------------
+
+
+def _exp_minus_B(tri, exact_ring):
+    """Scalar matrix e^(-B) = diag(1/lambda) sum_p (-N)^p / p!, as {(i, k): c}."""
+    lam = tri.eigen.lambda_exact() if exact_ring else tri.eigen.lambda_complex()
+    one = embedding._one(exact_ring)
+    mat = {(i, i): one / lam[i] for i in range(tri.dim)}
+    fact = 1
+    for p, npow in enumerate(embedding._nil_powers(tri, exact_ring), start=1):
+        fact *= p
+        for (i, k), c in npow.items():
+            if exact_ring:
+                w = c * QQi(Fraction((-1) ** p, fact)) * mat[(i, i)]
+            else:
+                w = complex(c) * ((-1) ** p / fact) * mat[(i, i)]
+            mat[(i, k)] = w if (i, k) not in mat else mat[(i, k)] + w
+    return mat
+
+
+def _reference_solve(G, B, tol=DEFAULT_TOL):
+    """The averaging-operator solve: per degree r, forward substitution in
+    T^r X_r = e^(-B) g_r - integral_0^1 e^(-sB) P_r(s, y) ds over the
+    field-resonant and weak basis, P_r the lower degrees along the flow."""
+    N = G.degree
+    tri = B.triangular()
+    exact_ring = embedding._ring_flags(tri, G.mode)
+    report = field_resonances(tri.eigen, max(N, 2), tol)
+    embedding._validate_normal_form(G, report, tol)
+    weak = {(j, m): l for j, m, l in report.weak}
+    n = tri.dim
+    unit = _flow_unit(tri, exact_ring)
+    zero = QQi(0) if exact_ring else 0j
+    g = G.nonlinear if exact_ring else G.nonlinear.to_float()
+    E, Em, phi = embedding._linear_flow(tri, exact_ring, N)
+    eBm = _exp_minus_B(tri, exact_ring)
+    x_coeffs = {}
+    for r in range(2, N + 1):
+        P = _substitute_flow(x_coeffs, phi, r, unit)
+        integrand = embedding._snap(embedding._matrix_apply(Em, P), tol)
+        rhs = {}
+        for (i, m), p in integrand.coeffs.items():
+            val = p.integrate_unit()
+            if val:
+                rhs[(i, m)] = -val if exact_ring else -complex(val)
+        for (j, m), c in g.degree_slice(r).coeffs.items():
+            for i in range(n):
+                w = eBm.get((i, j))
+                if w is None:
+                    continue
+                add = w * c if exact_ring else complex(w) * complex(c)
+                rhs[(i, m)] = add if (i, m) not in rhs else rhs[(i, m)] + add
+        matrix, basis = Tr_matrix(tri, r, report.basis(r), tol=tol)
+        stray = [
+            k
+            for k, v in rhs.items()
+            if k not in basis and not embedding._is_zero(v, exact_ring, STRAY_DEMAND)
+        ]
+        assert not stray, (r, stray)
+        sol, blocked = [], []
+        for row, (j, m) in enumerate(basis):
+            acc = rhs.get((j, m), zero)
+            for col in range(row):
+                t, xc = matrix[row][col], sol[col]
+                if t and xc:
+                    acc = acc - (t * xc if exact_ring else complex(t) * complex(xc))
+            l = weak.get((j, m))
+            if l is None:
+                sol.append(acc)
+            else:
+                if not embedding._is_zero(acc, exact_ring, tol):
+                    blocked.append((j, m, l, complex(acc)))
+                sol.append(zero)
+        if blocked:
+            return Obstruction(tuple(blocked), r, "reference")
+        x_r = {}
+        for (j, m), v in zip(basis, sol):
+            if v:
+                if exact_ring and isinstance(v, PiPoly):
+                    v = v.as_qqi()
+                    assert v is not None
+                x_r[(j, m)] = QQi.coerce(v) if exact_ring else complex(v)
+        x_coeffs.update(x_r)
+        step = P + _substitute_flow(x_r, phi, r, unit)
+        phi = embedding._flow_step(phi, step, E, Em, tol)
+    mode = MODE_EXACT if exact_ring else MODE_FLOAT
+    return FieldGerm(B, PolyJet(n, N, mode, x_coeffs), N, tol)
+
+
+def _assert_matches_reference(G, B, tol=DEFAULT_TOL):
+    """solve_embedding agrees with the reference solve, and its field passes
+    verify's time-one bounds; returns the solve's outcome."""
+    got = solve_embedding(G, B, tol=tol)
+    want = _reference_solve(G, B, tol=tol)
+    assert type(got) is type(want)
+    exact = G.mode == MODE_EXACT
+    scale = max(1.0, G.map_jet().to_float().max_abs())
+    if isinstance(want, Obstruction):
+        assert got.degree == want.degree
+        assert [e[:3] for e in got.entries] == [e[:3] for e in want.entries]
+        for a, b in zip(got.entries, want.entries):
+            assert abs(a[3] - b[3]) <= 1e-12 * scale
+        return got
+    if exact:
+        assert got.nonlinear.coeffs == want.nonlinear.coeffs
+    else:
+        assert jet_distance(got.nonlinear, want.nonlinear) <= 1e-12 * scale
+    r_exp, r_ode, r_err = time_one(got, G)
+    bound_exp = tol * scale
+    bound_ode = max(ODE_BOUND * scale, bound_exp)
+    assert r_exp <= bound_exp
+    assert r_ode <= bound_ode
+    assert r_err <= ODE_ERR_SHARE * bound_ode
+    return got
+
+
+def _fixture_germ(name):
+    gf = parse_germ((resources.files("embedflow") / "fixtures" / f"{name}.germ").read_text())
+    spec, paired, _ = gf.to_spec()
+    return distinguished_normal_form(spec, tol=gf.tol).germ, real_log(paired), gf.tol
+
+
+FIXTURES = ("resonant-2d", "paper-2.3", "paper-2.3-blocked", "paper-F1", "paper-Astar")
+
+
+def _jordan_germ(sizes, degree, exact, rng):
+    """Normal form over Jordan blocks of eigenvalues 2, 4, 8, ... with the
+    given sizes: random coefficients on every field-resonant monomial."""
+    blocks = tuple(
+        JordanBlock(2**(i + 1) if exact else float(2**(i + 1)), s)
+        for i, s in enumerate(sizes)
+    )
+    a = BlockMatrix(blocks)
+    B = real_log(a)
+    rep = field_resonances(B.triangular().eigen, degree)
+    terms = []
+    for j, m in rep.field_resonant:
+        c = QQi(Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))),
+                Fraction(int(rng.integers(-2, 3)), 2))
+        terms.append((j, m, c if exact else complex(c)))
+    mode = MODE_EXACT if exact else MODE_FLOAT
+    return GermSpec(a, PolyJet.build(a.dim, degree, mode, terms), degree), B
+
+
+class TestLogSeriesMatchesReference:
+    """The logarithm of the unipotent part against the averaging-operator
+    solve: equal in exact mode, within 1e-12 of the scale in float mode,
+    with the same obstruction degree, blocked set and entry order."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, name):
+        G, B, tol = _fixture_germ(name)
+        _assert_matches_reference(G, B, tol)
+
+    @pytest.mark.parametrize("nil", (False, True))
+    def test_random_resonant_normal_forms(self, nil):
+        rng = np.random.default_rng(1600 + nil)
+        for _ in range(4):
+            G, B = random_resonant_normal_form(rng, degree=4, nil=nil)
+            assert isinstance(_assert_matches_reference(G, B), FieldGerm)
+
+    @pytest.mark.parametrize("size", (2, 3))
+    @pytest.mark.parametrize("degree", (3, 5, 7))
+    def test_exact_jordan(self, size, degree):
+        rng = np.random.default_rng(10 * size + degree)
+        G, B = _jordan_germ((size, 1), degree, True, rng)
+        X = _assert_matches_reference(G, B)
+        assert X.nonlinear.mode == MODE_EXACT
+
+    @pytest.mark.parametrize("exact", (True, False))
+    def test_long_series(self, exact):
+        # three chained size-2 blocks keep D_k alive for 7 rounds at N = 3,
+        # more than N times the largest block size
+        G, B = _jordan_germ((2, 2, 2), 3, exact, np.random.default_rng(7))
+        _assert_matches_reference(G, B)
+
+    def test_float_branch_spectra_every_branch(self):
+        rng = np.random.default_rng(1610)
+        kinds = set()
+        for branchable in (1, 1, 1, 2, 2, 2):
+            a = random_branch_spectrum(rng, False, branchable)
+            while not is_hyperbolic(a):  # a negative pair may draw -1
+                a = random_branch_spectrum(rng, False, branchable)
+            terms = [
+                (j, m, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+                for r in (2, 3)
+                for m in multiindices(a.dim, r)
+                for j in range(a.dim)
+                if rng.random() < 0.3
+            ]
+            G = distinguished_normal_form(
+                GermSpec(a, PolyJet.build(a.dim, 3, MODE_FLOAT, terms), 3)
+            ).germ
+            slots = [
+                isinstance(b, (RotationBlock, NegativePairBlock)) for b in a.blocks
+            ]
+            for ls in itertools.product((-1, 0, 1), repeat=branchable):
+                it = iter(ls)
+                branch = BranchChoice(tuple(next(it) if s else 0 for s in slots))
+                out = _assert_matches_reference(G, real_log(a, branch))
+                kinds.add(type(out))
+        assert kinds == {FieldGerm, Obstruction}
+
+    def test_random_exact_germs(self):
+        rng = np.random.default_rng(1620)
+        for n, degree in ((2, 4), (3, 3), (3, 4)):
+            spec = random_exact_germ(rng, n, degree)
+            G = distinguished_normal_form(spec).germ
+            _assert_matches_reference(G, real_log(spec.linear))
+
+    @pytest.mark.parametrize("mode", (MODE_EXACT, MODE_FLOAT))
+    def test_negative_pair_obstruction(self, mode):
+        lam, c = Fraction(-5, 2), QQi(Fraction(2, 3), Fraction(1, 2))
+        if mode == MODE_FLOAT:
+            lam, c = float(lam), complex(c)
+        a = BlockMatrix((NegativePairBlock(lam, 1), JordanBlock(lam * lam, 1)))
+        terms = [(2, (2, 0, 0), c), (2, (0, 2, 0), c.conjugate()), (2, (1, 1, 0), c)]
+        G = GermSpec(a, PolyJet.build(3, 4, mode, terms), 4)
+        out = _assert_matches_reference(G, real_log(a))
+        assert isinstance(out, Obstruction)
 
 
 class TestFlow:
@@ -533,6 +758,29 @@ class TestOdeOracle:
             flow_jet(X)
         got, _ = _dp5_time_one(tri, X.nonlinear, X.degree, 1000)
         assert got.coeffs == want.coeffs
+
+    def test_solve_shares_no_code_with_the_flow_check(self, monkeypatch):
+        # the solve must reach the same outcome with the exact-flow check's
+        # degree step, flow substitution, ExpPoly integrals and PiPoly
+        # conversion all unavailable
+        class Called(Exception):
+            pass
+
+        def boom(*args, **kwargs):
+            raise Called
+
+        cases = [_fixture_germ(name) for name in FIXTURES]
+        G, B = _jordan_germ((3, 1), 5, True, np.random.default_rng(5))
+        cases.append((G, B, DEFAULT_TOL))
+        want = [solve_embedding(G, B, tol=tol) for G, B, tol in cases]
+        monkeypatch.setattr(embedding, "_substitute_flow", boom)
+        monkeypatch.setattr(embedding, "_flow_step", boom)
+        monkeypatch.setattr(ExpPoly, "integrate_unit", boom)
+        monkeypatch.setattr(PiPoly, "as_qqi", boom)
+        with pytest.raises(Called):
+            flow_jet(want[-1])
+        for (G, B, tol), outcome in zip(cases, want):
+            assert solve_embedding(G, B, tol=tol) == outcome
 
     @pytest.mark.parametrize("seed", range(8))
     def test_dp5_agrees_with_dop853_within_its_estimate(self, seed):
