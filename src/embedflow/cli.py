@@ -22,6 +22,7 @@ import time
 from dataclasses import replace
 from importlib import resources
 
+from . import embedding
 from .classify import classify_2d
 from .embedding import (
     Obstruction,
@@ -282,16 +283,19 @@ def _embed_pipeline(gf: GermFile, report: Report):
             _put_jet(report, "field_real", real_v)
         except ValueError:
             report.line("field is not conjugate-symmetric; left complex")
-    r_exp, r_ode, r_err = time_one(X, G)
+    steps = embedding._ode_steps(*embedding._oracle_inputs(X, G))
+    r_exp, r_ode, r_err = time_one(X, G, steps=steps)
     r_emb = embedding_residual(G, X).max_abs()
     report.section("Verification")
     report.line(f"time-one residual (exact flow): {r_exp:.3e}")
     report.line(f"time-one residual (ODE oracle): {r_ode:.3e}")
+    report.line(f"ODE oracle steps:               {steps}")
     report.line(f"ODE oracle error estimate:      {r_err:.3e}")
     report.line(f"embedding-equation residual:    {r_emb:.3e}")
     report.put("residual_exp", repr(r_exp))
     report.put("residual_ode", repr(r_ode))
     report.put("residual_ode_err", repr(r_err))
+    report.put("ode_steps", steps)
     report.put("residual_embedding", repr(r_emb))
     report.put("status", "field")
     return X, (r_exp, r_ode, r_err, r_emb), (G, paired)

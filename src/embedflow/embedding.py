@@ -43,7 +43,6 @@ from .jets import (
     compose,
     jacobian_apply,
     jet_distance,
-    multiindices,
 )
 from .normal_form import GermSpec
 from .resonance import ResonanceReport, _classify, _delta, _mu, field_resonances
@@ -526,122 +525,167 @@ def embedding_residual(G: GermSpec, X: FieldGerm) -> PolyJet:
     return left - right
 
 
-def _monomial_list(n: int, degree: int):
-    out = []
-    for r in range(1, degree + 1):
-        out.extend(multiindices(n, r))
-    return out
+def _reachable(tri: TriangularLinear, v: PolyJet, degree: int):
+    """The columns (j, m) of the jet-coefficient equations that can become
+    nonzero between the identity and time one, sorted by degree, then
+    component, then monomial.
 
-
-def _composition_table(v: PolyJet, mons, n: int, degree: int):
-    """Gather/scatter plan of X's nonlinearity on the jet coefficients.
-
-    Applied to a jet with coefficient matrix C (n x M, columns ``mons``),
-    a term c y^m of component j contributes, for every way of picking an
-    m_i-element multiset of monomials for each coordinate i within the
-    degree budget, ``mult * prod C[i, t]`` to the coefficient of the summed
-    monomial.  One row per such pick: ``out`` is its flat output slot
-    j*M + column, ``factors[k]`` the flat state slot i*M + t of its k-th
-    factor (slot n*M, which holds 1, for rows with fewer factors) and
-    ``mult`` is c times the multinomial count of the pick.
+    The closure, from supports only, of the identity columns (k, e_k) under
+    B's couplings, which copy (k, m) to (i, m) for each coupling (i, k),
+    and under v's terms: a term y^p of component j reaches (j, sum of the
+    picks) for every pick of p_i columns of component i.  The picks of a
+    term of degree at least 2 lie below the degree they reach, so one pass
+    up the degrees closes the set.
     """
-    m_count = len(mons)
-    degrees = [m.degree for m in mons]
-    index = {m: i for i, m in enumerate(mons)}
+    n = tri.dim
+    # levels[i][d]: the monomials of degree d reached in component i
+    levels = [[set() for _ in range(degree + 1)] for _ in range(n)]
+    couplings = sorted((i, k) for i, k, _ in tri.nil)
+    terms = [(j, [(i, e) for i, e in enumerate(p) if e]) for j, p in v.coeffs]
+    powers: dict = {}
+
+    def power(i, e, d):
+        """Sums of e reached monomials of component i, of degree d; for
+        e >= 2 only degrees below d enter, so the cached set is final."""
+        if e == 1:
+            return levels[i][d]
+        key = (i, e, d)
+        if key not in powers:
+            powers[key] = {
+                a.plus(b)
+                for d1 in range(1, d - e + 2)
+                for a in levels[i][d1]
+                for b in power(i, e - 1, d - d1)
+            }
+        return powers[key]
+
+    def picks(factors, d):
+        (i, e), rest = factors[0], factors[1:]
+        if not rest:
+            return power(i, e, d)
+        low = sum(f for _, f in rest)
+        return {
+            a.plus(b)
+            for d1 in range(e, d - low + 1)
+            for a in power(i, e, d1)
+            for b in picks(rest, d - d1)
+        }
+
+    for k in range(n):
+        levels[k][1].add(MultiIndex.unit(n, k))
+    for d in range(1, degree + 1):
+        for j, factors in terms:
+            if sum(e for _, e in factors) <= d:
+                levels[j][d] |= picks(factors, d)
+        for i, k in couplings:  # by row, so a chain of couplings closes
+            levels[i][d] |= levels[k][d]
+    return [
+        (j, m) for d in range(1, degree + 1) for j in range(n) for m in sorted(levels[j][d])
+    ]
+
+
+def _composition_table(terms, cols, degree: int):
+    """Gather/scatter plan of a field on the jet coefficients ``cols``.
+
+    Applied to the flat vector C of the coefficients of ``cols`` (slot s
+    holds the coefficient of y^m in component j for cols[s] = (j, m)), a
+    term (j, p, c), c y^p in component j, contributes, for every way of
+    picking a p_i-element multiset of the columns of component i for each
+    coordinate i within the degree budget, ``mult * prod C[t]`` to the
+    coefficient of the summed monomial in component j.  One row per such
+    pick: ``out`` is its output slot, ``factors[k]`` the slot of its k-th
+    factor (slot len(cols), which holds 1, for rows with fewer factors) and
+    ``mult`` is c times the multinomial count of the pick.  Every summed
+    column must be among ``cols``; the closure of :func:`_reachable` is.
+    """
+    n = len(cols[0][1])
+    index = {col: s for s, col in enumerate(cols)}
+    # the columns of each component, as (slot, monomial), by degree
+    own = [[(s, m) for s, (j, m) in enumerate(cols) if j == i] for i in range(n)]
     memo: dict = {}
 
-    def multisets(power, budget, start):
-        """(indices, degree, exponent sum, multiset coefficient) of each
-        nondecreasing index tuple of the given size within a degree budget.
+    def multisets(i, power, budget, start):
+        """(slots, degree, exponent sum, multiset coefficient) of each
+        nondecreasing pick of ``power`` columns of component i from
+        ``start`` on, within a degree budget.
 
         Memoized: every term and component asks for the same few tables.
         """
-        key = (power, budget, start)
+        key = (i, power, budget, start)
         if key in memo:
             return memo[key]
         if power == 0:
             found = [((), 0, (0,) * n, 1)]
         else:
             found = []
-            for idx in range(start, m_count):
-                d = degrees[idx]
+            for idx in range(start, len(own[i])):
+                s, mon = own[i][idx]
+                d = mon.degree
                 if d > budget:
-                    break  # mons is sorted by degree
-                for rest, dd, total, count in multisets(power - 1, budget - d, idx):
-                    # rest starts at idx or later: count(idx) is its leading run
+                    break  # own[i] is sorted by degree
+                for rest, dd, total, count in multisets(i, power - 1, budget - d, idx):
+                    # rest starts at s or later: count(s) is its leading run
                     found.append(
                         (
-                            (idx,) + rest,
+                            (s,) + rest,
                             d + dd,
-                            tuple(map(add, mons[idx], total)),
-                            count * power // (rest.count(idx) + 1),
+                            tuple(map(add, mon, total)),
+                            count * power // (rest.count(s) + 1),
                         )
                     )
         memo[key] = found
         return found
 
     out, flats, mult = [], [], []
-    for (j, m), c in v.coeffs.items():
+    for j, m, c in terms:
         combos = [((), 0, (0,) * n, 1)]
         later = sum(m)  # factors still to pick, each of degree at least 1
         for i, e in enumerate(m):
             if not e:
                 continue
             later -= e
-            base = i * m_count
             combos = [
-                (
-                    flat + tuple(base + t for t in idxs),
-                    dtot + dd,
-                    tuple(map(add, total, sub)),
-                    count * sub_count,
-                )
+                (flat + idxs, dtot + dd, tuple(map(add, total, sub)), count * sub_count)
                 for flat, dtot, total, count in combos
-                for idxs, dd, sub, sub_count in multisets(e, degree - later - dtot, 0)
+                for idxs, dd, sub, sub_count in multisets(i, e, degree - later - dtot, 0)
             ]
         for flat, _, total, count in combos:
-            out.append(j * m_count + index[total])
+            out.append(index[(j, total)])
             flats.append(flat)
-            mult.append(complex(c) * count)
-    pad = n * m_count
-    width = max(map(len, flats), default=0)
-    factors = [
-        np.array([f[k] if k < len(f) else pad for f in flats], dtype=np.intp)
-        for k in range(width)
-    ]
+            mult.append(c * count)
+    pad = len(cols)
+    width = max(map(len, flats))
+    factors = np.array([f + (pad,) * (width - len(f)) for f in flats], dtype=np.intp).T
     return np.array(out, dtype=np.intp), factors, np.array(mult, dtype=complex)
 
 
 def _ode_rhs(tri: TriangularLinear, v: PolyJet, degree: int):
     """Right-hand side C -> B C + v(C) of the jet-coefficient equations.
 
-    C is the n x M coefficient matrix of a jet without constant term over
-    the returned monomial list; v(C) is the jet of v composed with it,
-    truncated at ``degree``.  The plan is built once; each evaluation is a
-    gather per factor column and one ``bincount`` scatter.
+    C is the flat vector of the coefficients of the returned columns, the
+    reachable ones of :func:`_reachable`; v(C) is the jet of v composed
+    with it, truncated at ``degree``.  B's entries are terms of degree one
+    in the same plan as v's.  The plan is built once; each evaluation is
+    one gather, one product over the factors and one ``bincount`` scatter.
     """
     n = tri.dim
-    mons = _monomial_list(n, degree)
-    B = tri.dense()
-    size = n * len(mons)
-    out, factors, mult = _composition_table(v.to_float(), mons, n, degree)
+    cols = _reachable(tri, v, degree)
+    terms = [(j, MultiIndex.unit(n, j), complex(d)) for j, d in enumerate(tri.diag)]
+    terms += [(i, MultiIndex.unit(n, k), complex(c)) for i, k, c in tri.nil]
+    terms += [(j, m, complex(c)) for (j, m), c in v.coeffs.items()]
+    out, factors, mult = _composition_table(terms, cols, degree)
+    size = len(cols)
     # real and imaginary parts of row r land in float slots 2*out[r], 2*out[r]+1
     slots = np.stack([2 * out, 2 * out + 1], axis=1).ravel()
     flat = np.ones(size + 1, dtype=complex)  # slot ``size`` stays 1
 
     def deriv(state):
-        result = B @ state
-        if factors:
-            flat[:size] = state.ravel()
-            contrib = flat[factors[0]]
-            for col in factors[1:]:
-                contrib *= flat[col]
-            contrib *= mult
-            scattered = np.bincount(slots, contrib.view(np.float64), 2 * size)
-            result += scattered.view(complex).reshape(state.shape)
-        return result
+        flat[:size] = state
+        contrib = np.multiply.reduce(flat[factors], axis=0)
+        contrib *= mult
+        return np.bincount(slots, contrib.view(np.float64), 2 * size).view(complex)
 
-    return mons, deriv
+    return cols, deriv
 
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed.,
@@ -661,52 +705,57 @@ _DP_E = np.array(
 )
 
 
-def _ode_steps(tri: TriangularLinear, degree: int) -> int:
+def _ode_steps(tri: TriangularLinear, v: PolyJet, degree: int) -> int:
     """Step count of the ODE oracle: ODE_STEPS_PER_RATE steps per unit of
-    the fastest coefficient rate ``degree * max |mu_j|`` (at least 1).
+    the fastest rate of its state, the largest of ``|<m, mu>|`` and
+    ``|mu_j|`` over the reachable columns (j, m) (at least 1).
 
     The modulus, not the real part, so that rotations are resolved too.
     """
-    rate = degree * max(abs(complex(mu)) for mu in tri.eigen.entries)
+    mu = tri.eigen.mu_complex()
+    rate = max(
+        max(abs(sum(e * mu_i for e, mu_i in zip(m, mu))), abs(mu[j]))
+        for j, m in _reachable(tri, v, degree)
+    )
     return math.ceil(ODE_STEPS_PER_RATE * max(1.0, rate))
 
 
 def _dp5_time_one(tri: TriangularLinear, v: PolyJet, degree: int, steps: int):
-    """Fixed-step Dormand-Prince 5(4) integration of the jet-coefficient
-    equations from the identity to time one.
+    """Fixed-step Dormand-Prince 5(4) integration of the reachable
+    jet-coefficient equations from the identity to time one.
 
     Returns ``(jet, err)``: the fifth-order solution, and the sum over the
     steps of the max-abs difference between each step's fifth- and
     fourth-order results.  Six right-hand sides per step.
     """
     n = tri.dim
-    mons, deriv = _ode_rhs(tri, v, degree)
-    shape = (n, len(mons))
-    C = np.zeros(shape, dtype=complex)
+    cols, deriv = _ode_rhs(tri, v, degree)
+    y = np.zeros(len(cols), dtype=complex)
     for k in range(n):
-        C[k, mons.index(MultiIndex.unit(n, k))] = 1.0
+        y[cols.index((k, MultiIndex.unit(n, k)))] = 1.0
     h = 1.0 / steps
-    a = h * _DP_A
-    e = h * _DP_E
-    K = np.empty((7, C.size), dtype=complex)  # the slopes of one step, flat
-    K[0] = deriv(C).ravel()
-    y = C.ravel()
+    # complex weights, so that no product below casts them on each call
+    a = (h * _DP_A).astype(complex)
+    e = (h * _DP_E).astype(complex)
+    K = np.empty((7, len(cols)), dtype=complex)  # the slopes of one step
+    K[0] = deriv(y)
     err = 0.0
     for _ in range(steps):
         for s in range(1, 7):
             stage = y + a[s, :s] @ K[:s]
-            K[s] = deriv(stage.reshape(shape)).ravel()
+            K[s] = deriv(stage)
         y = stage  # the seventh stage is the step's fifth-order result
         err += float(np.abs(e @ K).max())
         K[0] = K[6]
-    C = y.reshape(shape)
-    terms = []
-    for j in range(n):
-        for t, m in enumerate(mons):
-            c = C[j, t]
-            if c != 0:
-                terms.append((j, m, c))
+    terms = [(j, m, c) for (j, m), c in zip(cols, y) if c != 0]
     return PolyJet.build(n, degree, MODE_FLOAT, terms), err
+
+
+def _oracle_inputs(X: FieldGerm, G: GermSpec):
+    """``(tri, v, N)`` of the ODE oracle for X against G: B's triangular
+    form and v, at the smaller jet degree N of the two."""
+    N = min(G.degree, X.degree)
+    return X.linear.triangular(), X.nonlinear.truncate(N), N
 
 
 def time_one(X: FieldGerm, G: GermSpec, steps=None):
@@ -716,19 +765,24 @@ def time_one(X: FieldGerm, G: GermSpec, steps=None):
     distance from the map jet of the closed-form flow of X at t = 1 and of
     the Dormand-Prince ODE oracle, and the oracle's own error estimate.
     ``steps`` defaults to the germ-chosen count of :func:`_ode_steps`.
+
+    The estimate is the sum of the steps' local errors, not their
+    propagation to time one.  It bounds the ODE residual at the germ-chosen
+    count, where every step is short against the rates of the state; at a
+    caller-chosen ``steps`` it is only a reading, and may undercut the
+    true error.
     """
     if G.dim != X.dim:
         raise ValueError("dimension mismatch")
     if steps is not None and steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    N = min(G.degree, X.degree)
+    tri, v, N = _oracle_inputs(X, G)
     target = G.map_jet().to_float().truncate(N)
     phi = flow_jet(X, N)
     exp_res = jet_distance(phi.at_time(1.0).truncate(N), target)
-    tri = X.linear.triangular()
     if steps is None:
-        steps = _ode_steps(tri, N)
-    ode, err = _dp5_time_one(tri, X.nonlinear.truncate(N), N, steps)
+        steps = _ode_steps(tri, v, N)
+    ode, err = _dp5_time_one(tri, v, N, steps)
     return exp_res, jet_distance(ode, target), err
 
 

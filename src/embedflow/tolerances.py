@@ -90,21 +90,24 @@ REAL_EXP = 1e-12
 # max(ODE_BOUND, tol) * scale, scale = max(1, max |map jet coefficient|).
 # The oracle is a fixed-step Dormand-Prince 5(4) integration (see
 # ODE_STEPS_PER_RATE) whose own error is measured, and gated by
-# ODE_ERR_SHARE.  On paper-2.3, the stiffest fixture (coefficient rates up
-# to 64), 512 steps leave a residual of 6.0e-9 (2.0e-12 relative to its
-# scale 2981) and an estimate of 1.4e-7 (4.7e-11 relative).  ODE_BOUND
+# ODE_ERR_SHARE.  On paper-2.3, the stiffest fixture (its state moves at
+# rate 8), 184 steps leave a residual of 9.5e-7 (3.2e-10 relative to its
+# scale 2981) and an estimate of 8.3e-6 (2.8e-9 relative).  ODE_BOUND
 # leaves room for stiffer germs while still catching a wrong field, which
 # misses by order one relative.
 ODE_BOUND = 1e-6
 
-# The ODE oracle takes ODE_STEPS_PER_RATE steps per unit of the fastest
-# coefficient rate, N * max_j |mu_j| at jet degree N (a rate below 1
-# counts as 1), so h * rate <= 1/ODE_STEPS_PER_RATE on every coefficient.
+# The ODE oracle integrates only the reachable coefficients (j, m), those
+# that B's couplings and v's terms can make nonzero from the identity, and
+# takes ODE_STEPS_PER_RATE steps per unit of their fastest rate, the
+# largest of |<m, mu>| and |mu_j| over them (a rate below 1 counts as 1),
+# so h * rate <= 1/ODE_STEPS_PER_RATE on every coefficient it carries.
 # The modulus, not Re mu, so that rotation parts are resolved as well.
-# DP5's error falls as h^5; of 4, 6 and 8 steps per rate only 8 keeps every
-# float time-one check of the test suite within its absolute bound (a
-# planar check that needs 1e-9 gets 1.4e-9 at 6 and 1.06e-8 at 4).
-ODE_STEPS_PER_RATE = 8
+# DP5's error falls as h^5.  23 is the smallest value at which every
+# absolute-accuracy assert of the test suite passes: at 22 paper-2.3's ODE
+# residual is 1.2e-6 against an embed test's 1e-6 (9.5e-7 at 23), at 20
+# that test still fails, and at 16 two time-one checks of 1e-9 fail too.
+ODE_STEPS_PER_RATE = 23
 
 # verify also requires the oracle's error estimate (the sum over steps of
 # the max-abs difference of the embedded fifth- and fourth-order results)

@@ -64,6 +64,18 @@ class TestEmbed:
         assert abs(reals["(1,(0,8,0))"] - want) < 1e-18
         assert abs(reals["(1,(0,4,4))"] - 6 * want) < 1e-17
 
+    @pytest.mark.parametrize("verb", ["embed", "verify"])
+    def test_ode_steps_from_the_reachable_rate(self, capsys, verb):
+        # paper-2.3's oracle state moves at rate 8 (mu_1 and <(0,4,4), mu>)
+        from embedflow.tolerances import ODE_STEPS_PER_RATE
+
+        code, out, _ = run(capsys, verb, "--fixture", "paper-2.3")
+        m = machine(out)
+        assert code == 0
+        steps = math.ceil(ODE_STEPS_PER_RATE * 8)
+        assert int(m["ode_steps"]) == steps
+        assert f"ODE oracle steps:               {steps}" in out
+
     def test_paper_23_blocked(self, capsys):
         code, out, _ = run(capsys, "embed", "--fixture", "paper-2.3-blocked")
         m = machine(out)
@@ -245,7 +257,7 @@ class TestVerify:
     def test_one_step_oracle_fails_verification(self, capsys, monkeypatch):
         from embedflow import embedding
 
-        monkeypatch.setattr(embedding, "_ode_steps", lambda tri, degree: 1)
+        monkeypatch.setattr(embedding, "_ode_steps", lambda tri, v, degree: 1)
         code, out, _ = run(capsys, "verify", "--fixture", "paper-2.3")
         assert code == 3
         assert machine(out)["verified"] == "no"
@@ -255,7 +267,7 @@ class TestVerify:
         # 4e-6, but the estimate (1.9e-6) is above a tenth of it
         from embedflow import embedding
 
-        monkeypatch.setattr(embedding, "_ode_steps", lambda tri, degree: 8)
+        monkeypatch.setattr(embedding, "_ode_steps", lambda tri, v, degree: 8)
         code, out, _ = run(capsys, "verify", "--fixture", "resonant-2d")
         m = machine(out)
         assert float(m["residual_ode"]) <= 4e-6 < 10 * float(m["residual_ode_err"])

@@ -52,16 +52,27 @@ from embedflow import (
 )
 from embedflow import embedding, jets
 from embedflow.embedding import (
+    _DP_A,
+    _DP_E,
+    _composition_table,
     _dp5_time_one,
     _exact_ring,
     _flow_unit,
     _ode_rhs,
     _ode_steps,
+    _oracle_inputs,
+    _reachable,
     _substitute_flow,
 )
 from embedflow.exppoly import ExpPoly
 from embedflow.scalars import PiPoly
-from embedflow.tolerances import DEFAULT_TOL, ODE_BOUND, ODE_ERR_SHARE, STRAY_DEMAND
+from embedflow.tolerances import (
+    DEFAULT_TOL,
+    ODE_BOUND,
+    ODE_ERR_SHARE,
+    ODE_STEPS_PER_RATE,
+    STRAY_DEMAND,
+)
 from _gens import random_branch_spectrum, random_exact_germ, random_resonant_normal_form
 from _quadrature import tr_matrix_quadrature
 
@@ -691,6 +702,69 @@ class TestSubstitutionKernel:
                 assert jet_distance(got, want_r) <= 1e-12 * max(1.0, want_r.max_abs())
 
 
+def _linear_on_columns(tri, cols, C):
+    """B C on the columns ``cols`` of a flat coefficient vector C."""
+    index = {col: s for s, col in enumerate(cols)}
+    B = tri.dense()
+    want = np.zeros(len(cols), dtype=complex)
+    for s, (j, m) in enumerate(cols):
+        for k in range(tri.dim):
+            t = index.get((k, m))
+            if t is not None:
+                want[s] += B[j, k] * C[t]
+    return want
+
+
+def _full_state_dp5(tri, v, degree, steps):
+    """The ODE oracle's fixed-step DP5 over every column (j, m), m of degree
+    1 to ``degree``: the state before its restriction to the reachable
+    columns.  Returns ``(jet, err)`` as ``_dp5_time_one`` does."""
+    n = tri.dim
+    cols = [(j, m) for r in range(1, degree + 1) for j in range(n) for m in multiindices(n, r)]
+    terms = [(j, MultiIndex.unit(n, j), complex(d)) for j, d in enumerate(tri.diag)]
+    terms += [(i, MultiIndex.unit(n, k), complex(c)) for i, k, c in tri.nil]
+    terms += [(j, m, complex(c)) for (j, m), c in v.coeffs.items()]
+    out, factors, mult = _composition_table(terms, cols, degree)
+    flat = np.ones(len(cols) + 1, dtype=complex)
+
+    def deriv(state):
+        flat[:-1] = state
+        contrib = flat[factors].prod(axis=0) * mult
+        return np.bincount(out, contrib.real, len(cols)) + 1j * np.bincount(
+            out, contrib.imag, len(cols)
+        )
+
+    y = np.array([1.0 if m == MultiIndex.unit(n, j) else 0.0 for j, m in cols], dtype=complex)
+    a, e = _DP_A / steps, _DP_E / steps
+    K = np.empty((7, len(cols)), dtype=complex)
+    K[0] = deriv(y)
+    err = 0.0
+    for _ in range(steps):
+        for s in range(1, 7):
+            stage = y + a[s, :s] @ K[:s]
+            K[s] = deriv(stage)
+        y = stage
+        err += float(np.abs(e @ K).max())
+        K[0] = K[6]
+    jet = PolyJet.build(n, degree, MODE_FLOAT, [(j, m, c) for (j, m), c in zip(cols, y) if c != 0])
+    return jet, err
+
+
+def _fixture_field(name):
+    """A fixture's normal form and its field.  An obstructed fixture loses
+    its blocked terms until it embeds, which leaves a field on the same
+    spectrum."""
+    G, B, tol = _fixture_germ(name)
+    X = solve_embedding(G, B, tol=tol)
+    while isinstance(X, Obstruction):
+        blocked = {(j, tuple(m)) for j, m, *_ in X.entries}
+        kept = [(j, m, c) for (j, m), c in G.nonlinear.coeffs.items() if (j, m) not in blocked]
+        assert len(kept) < len(G.nonlinear.coeffs)
+        G = GermSpec(G.linear, PolyJet.build(G.dim, G.degree, G.nonlinear.mode, kept), G.degree)
+        X = solve_embedding(G, B, tol=tol)
+    return G, X
+
+
 class TestOdeOracle:
     @pytest.mark.parametrize(
         "blocks, degree",
@@ -703,7 +777,8 @@ class TestOdeOracle:
     )
     def test_rhs_matches_compose(self, blocks, degree):
         # one evaluation of the ODE oracle's right-hand side is B C + (v o C),
-        # with v o C composed by the jet engine on the float jet of C
+        # with v o C composed by the jet engine on the float jet of a random
+        # C supported on the reachable columns, which v o C never leaves
         rng = np.random.default_rng(degree * 10 + len(blocks))
         tri = real_log(BlockMatrix(blocks)).triangular()
         n = tri.dim
@@ -715,27 +790,24 @@ class TestOdeOracle:
         ]
         terms.append((0, MultiIndex((degree,) + (0,) * (n - 1)), 0.5 - 0.25j))
         v = PolyJet.build(n, degree, MODE_FLOAT, terms)
-        mons, deriv = _ode_rhs(tri, v, degree)
-        C = rng.normal(size=(n, len(mons))) + 1j * rng.normal(size=(n, len(mons)))
+        cols, deriv = _ode_rhs(tri, v, degree)
+        C = rng.normal(size=len(cols)) + 1j * rng.normal(size=len(cols))
         got = deriv(C)
-        jet = PolyJet.build(
-            n,
-            degree,
-            MODE_FLOAT,
-            [(j, m, C[j, t]) for j in range(n) for t, m in enumerate(mons)],
-        )
+        jet = PolyJet.build(n, degree, MODE_FLOAT, [(j, m, c) for (j, m), c in zip(cols, C)])
         vc = compose(v, jet, degree=degree)
-        want = tri.dense() @ C
-        for (j, m), c in vc.coeffs.items():
-            want[j, mons.index(m)] += complex(c)
+        index = {col: s for s, col in enumerate(cols)}
+        assert set(vc.coeffs) <= set(index)
+        want = _linear_on_columns(tri, cols, C)
+        for col, c in vc.coeffs.items():
+            want[index[col]] += complex(c)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_linear_field_rhs_is_linear_part(self):
         tri = real_log(BlockMatrix((JordanBlock(3, 2),))).triangular()
         v = PolyJet.build(2, 3, MODE_FLOAT, [])
-        mons, deriv = _ode_rhs(tri, v, 3)
-        C = np.arange(2 * len(mons), dtype=complex).reshape(2, len(mons))
-        assert np.array_equal(deriv(C), tri.dense() @ C)
+        cols, deriv = _ode_rhs(tri, v, 3)
+        C = np.arange(len(cols), dtype=complex)
+        assert np.array_equal(deriv(C), _linear_on_columns(tri, cols, C))
 
     def test_shares_no_code_with_the_flow_solver(self, monkeypatch):
         # the ODE oracle must give the same jet with the composition kernel,
@@ -805,44 +877,130 @@ class TestOdeOracle:
             MODE_FLOAT,
             [(int(rng.integers(n)), exponents[k], complex(*rng.normal(size=2))) for k in picks],
         )
-        steps = _ode_steps(tri, degree)
+        steps = _ode_steps(tri, v, degree)
         got, err = _dp5_time_one(tri, v, degree, steps)
 
-        mons, deriv = _ode_rhs(tri, v, degree)
-        shape = (n, len(mons))
-        C0 = np.zeros(shape, dtype=complex)
+        cols, deriv = _ode_rhs(tri, v, degree)
+        C0 = np.zeros(len(cols), dtype=complex)
         for k in range(n):
-            C0[k, mons.index(MultiIndex.unit(n, k))] = 1.0
+            C0[cols.index((k, MultiIndex.unit(n, k)))] = 1.0
 
         def rhs(_, y):
-            return deriv(y.view(complex).reshape(shape)).ravel().view(np.float64)
+            return deriv(y.view(complex)).view(np.float64)
 
         sol = solve_ivp(
-            rhs, (0.0, 1.0), C0.ravel().view(np.float64), method="DOP853",
+            rhs, (0.0, 1.0), C0.view(np.float64), method="DOP853",
             rtol=1e-12, atol=1e-14,
         )
         assert sol.success
-        ref = sol.y[:, -1].view(complex).reshape(shape)
-        want = PolyJet.build(
-            n,
-            degree,
-            MODE_FLOAT,
-            [(j, m, ref[j, t]) for j in range(n) for t, m in enumerate(mons)],
-        )
+        ref = sol.y[:, -1].view(complex)
+        want = PolyJet.build(n, degree, MODE_FLOAT, [(j, m, c) for (j, m), c in zip(cols, ref)])
         assert 0 < err < 1e-6 * max(1.0, want.max_abs())
         assert jet_distance(got, want) <= err
 
-    @pytest.mark.parametrize("fixture", ["paper-2.3", "resonant-2d"])
+    @pytest.mark.parametrize("fixture", FIXTURES)
     def test_estimate_bounds_true_error(self, fixture):
         # the closed-form flow reproduces G to roundoff, so the ODE residual
         # is the oracle's true error, and its estimate must not undercut it
-        text = resources.files("embedflow").joinpath("fixtures", f"{fixture}.germ").read_text()
-        spec, paired, _ = parse_germ(text).to_spec()
-        G = distinguished_normal_form(spec).germ
-        X = solve_embedding(G, real_log(paired))
+        G, X = _fixture_field(fixture)
         r_exp, r_ode, err = time_one(X, G)
         assert r_exp <= 1e-14 * max(1.0, G.map_jet().to_float().max_abs())
         assert r_ode <= err
+
+    def test_estimate_bounds_true_error_resonant_normal_forms(self):
+        rng = np.random.default_rng(1700)
+        for i in range(12):
+            G, B = random_resonant_normal_form(rng, degree=4 + i % 3, nil=(i % 4 == 0))
+            X = solve_embedding(G, B)
+            _, r_ode, err = time_one(X, G)
+            assert r_ode <= err
+
+    def test_estimate_bounds_true_error_branch_spectra(self):
+        rng = np.random.default_rng(1710)
+        fields = 0
+        for branchable in (1, 1, 2, 2):
+            a = random_branch_spectrum(rng, False, branchable)
+            while not is_hyperbolic(a):  # a negative pair may draw -1
+                a = random_branch_spectrum(rng, False, branchable)
+            terms = [
+                (j, m, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+                for r in (2, 3, 4)
+                for m in multiindices(a.dim, r)
+                for j in range(a.dim)
+                if rng.random() < 0.3
+            ]
+            G = distinguished_normal_form(
+                GermSpec(a, PolyJet.build(a.dim, 4, MODE_FLOAT, terms), 4)
+            ).germ
+            slots = [isinstance(b, (RotationBlock, NegativePairBlock)) for b in a.blocks]
+            for ls in itertools.product((-1, 0, 1), repeat=branchable):
+                it = iter(ls)
+                branch = BranchChoice(tuple(next(it) if s else 0 for s in slots))
+                X = solve_embedding(G, real_log(a, branch))
+                if isinstance(X, FieldGerm):
+                    _, r_ode, err = time_one(X, G)
+                    assert r_ode <= err
+                    fields += 1
+        assert fields >= 4
+
+    def test_reachable_state(self):
+        # paper-2.3: the identity and the one resonant column, at rate
+        # |<(0,4,4), mu>| = |mu_1| = 8 where N max|mu_j| is 64
+        G, X = _fixture_field("paper-2.3")
+        tri, v, N = _oracle_inputs(X, G)
+        e = MultiIndex.unit
+        assert _reachable(tri, v, N) == [(0, e(3, 0)), (1, e(3, 1)), (2, e(3, 2)), (0, (0, 4, 4))]
+        assert _ode_steps(tri, v, N) == math.ceil(ODE_STEPS_PER_RATE * 8)
+        # resonant-2d: rate |<(0,2), mu>| = |mu_1| = 2 ln 2
+        G, X = _fixture_field("resonant-2d")
+        tri, v, N = _oracle_inputs(X, G)
+        assert _reachable(tri, v, N) == [(0, e(2, 0)), (1, e(2, 1)), (0, (0, 2))]
+        assert _ode_steps(tri, v, N) == math.ceil(ODE_STEPS_PER_RATE * 2 * math.log(2))
+        # diag(8, 2, 4) with v = (y2^3 + y2 y3) e1 + y2^2 e3: y3 gains the
+        # column y2^2, and y2 y3 then reaches y2^3 again; 6 of 165 entries,
+        # rate ln 8, where N max|mu_j| is 5 ln 8
+        tri = real_log(BlockMatrix(tuple(JordanBlock(c, 1) for c in (8, 2, 4)))).triangular()
+        v = PolyJet.build(
+            3, 5, MODE_FLOAT, [(0, (0, 3, 0), 1.0), (0, (0, 1, 1), 1.0), (2, (0, 2, 0), 1.0)]
+        )
+        assert _reachable(tri, v, 5) == [
+            (0, e(3, 0)), (1, e(3, 1)), (2, e(3, 2)),
+            (0, (0, 1, 1)), (2, (0, 2, 0)), (0, (0, 3, 0)),
+        ]
+        assert _ode_steps(tri, v, 5) == math.ceil(ODE_STEPS_PER_RATE * math.log(8))
+        # a Jordan block couples y1's columns into y2's; v = y2^2 e1 then
+        # reaches y1^2 and y1 y2 through the coupling
+        tri = real_log(BlockMatrix((JordanBlock(3, 2),))).triangular()
+        v = PolyJet.build(2, 2, MODE_FLOAT, [(0, (0, 2), 1.0)])
+        assert _reachable(tri, v, 2) == [
+            (0, e(2, 0)), (1, e(2, 1)), (1, e(2, 0)),
+            (0, (0, 2)), (0, (1, 1)), (0, (2, 0)), (1, (0, 2)), (1, (1, 1)), (1, (2, 0)),
+        ]
+
+    @pytest.mark.parametrize(
+        "case", ["paper-2.3", "resonant-2d", "paper-F1", "jordan", "random"]
+    )
+    def test_reachable_state_matches_full_state(self, case):
+        # at the germ-chosen step count the reachable oracle gives the jet
+        # and the estimate of the full-state integration to 1e-15 of the
+        # jet's scale.  The estimate is a difference of nearly equal slopes,
+        # so relative to itself it shows the last-bit rounding of the stage
+        # sums, which BLAS rounds differently at different state lengths
+        if case == "jordan":
+            G, B = _jordan_germ((3, 1), 4, False, np.random.default_rng(3))
+            X = solve_embedding(G, B)
+        elif case == "random":
+            G, B = random_resonant_normal_form(np.random.default_rng(1720), degree=5)
+            X = solve_embedding(G, B)
+        else:
+            G, X = _fixture_field(case)
+        tri, v, N = _oracle_inputs(X, G)
+        steps = _ode_steps(tri, v, N)
+        got, err = _dp5_time_one(tri, v, N, steps)
+        want, want_err = _full_state_dp5(tri, v, N, steps)
+        assert set(got.coeffs) == set(want.coeffs)
+        assert jet_distance(got, want) <= 1e-15 * want.max_abs()
+        assert abs(err - want_err) <= 1e-15 * want.max_abs()
 
     @pytest.mark.parametrize("steps", [0, -1])
     def test_steps_must_be_positive(self, steps):
