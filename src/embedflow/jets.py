@@ -390,11 +390,18 @@ def _substitute(coeffs, components, degree, one):
     The components may live in any ring that multiplies and adds with
     itself and is multiplied by f's scalars; ``one`` is its unit, the
     value of the monomial m = 0.  Zero sums are dropped.
+
+    The monomial ``prod_i g_i^{m_i}`` is formed left to right, and the
+    product after coordinate i is kept, for this call only, under the key
+    ``m[:i+1]``: terms that share m, or a prefix of it, multiply it out
+    once.  The products and sums are those of forming every monomial
+    afresh, in the same order, so float results are unchanged bit for bit.
     """
     n = len(components)
     b, cap = _packing(n, degree)
     comps = [_packed(comp, b, degree) for comp in components]
     powers = [[{0: one}, comp] for comp in comps]
+    prefixes = {}
 
     def power(i, k):
         cache = powers[i]
@@ -410,7 +417,12 @@ def _substitute(coeffs, components, degree, one):
         for i, e in enumerate(m):
             if not e:
                 continue
-            term = power(i, e) if term is None else _poly_mul(term, power(i, e), cap)
+            key = m[: i + 1]
+            known = prefixes.get(key)
+            if known is None:
+                known = power(i, e) if term is None else _poly_mul(term, power(i, e), cap)
+                prefixes[key] = known
+            term = known
             if not term:
                 break
         if term is None:
@@ -539,21 +551,25 @@ def _imag_violation(jet: PolyJet) -> float:
     worst = 0.0
     for c in jet.coeffs.values():
         if isinstance(c, QQi):
-            worst = max(worst, abs(float(c.im)))
+            worst = max(worst, abs(c._b / c._d))
         elif isinstance(c, PiPoly):
-            worst = max(worst, sum(abs(float(q.im)) for q in c.terms.values()))
+            worst = max(worst, sum(abs(q._b / q._d) for q in c.terms.values()))
         else:
             worst = max(worst, abs(c.imag))
     return worst
+
+
+def _real_part(q: QQi) -> QQi:
+    return QQi(Fraction(q._a, q._d)) if q._b else q
 
 
 def _drop_imag(jet: PolyJet) -> PolyJet:
     out = {}
     for k, c in jet.coeffs.items():
         if isinstance(c, QQi):
-            c = QQi(c.re)
+            c = _real_part(c)
         elif isinstance(c, PiPoly):
-            c = PiPoly({e: QQi(q.re) for e, q in c.terms.items()})
+            c = PiPoly({e: _real_part(q) for e, q in c.terms.items()})
         else:
             c = complex(c.real, 0.0)
         if c:

@@ -4,7 +4,10 @@ Three small scalar domains cover everything the library needs beyond machine
 complex numbers:
 
 ``QQi``
-    Gaussian rationals a + b*i with exact :class:`fractions.Fraction` parts.
+    Gaussian rationals (a + b*i)/d held as three Python ints in canonical
+    form: d > 0 and gcd(a, b, d) = 1.  Equal values have equal fields, so
+    equality is a field compare, and arithmetic is integer multiplication
+    and one gcd, without :class:`fractions.Fraction` normalisation.
 ``PiPoly``
     Laurent polynomials in pi with ``QQi`` coefficients.  Time-one integrals
     over weakly resonant directions produce exact 1/(2*pi*l) factors, which
@@ -19,8 +22,10 @@ complex numbers:
     zero test exact, which turns resonance detection into integer
     arithmetic.
 
-All values are immutable and hashable; every operation is a pure function,
-so instances can be shared freely across threads.
+All values are immutable and hashable (a ``QQi`` keeps its fields private
+and exposes only read-only views); every operation is a pure function, so
+instances can be shared freely across threads.  A value equal to an int or
+a Fraction hashes as that number.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "ExactnessError",
@@ -52,16 +58,36 @@ def _fraction(x) -> Fraction:
 
 
 class QQi:
-    """Gaussian rational a + b*i with exact Fraction parts."""
+    """Gaussian rational (a + b*i)/d held as three ints.
 
-    __slots__ = ("re", "im")
+    The canonical form has ``d > 0`` and ``gcd(a, b, d) == 1``; every
+    operation returns it, so equal values have equal fields.  Products
+    and sums are integer arithmetic and one three-way ``math.gcd``.
+    ``re`` and ``im`` are read-only :class:`fractions.Fraction` views.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _fraction(re))
-        object.__setattr__(self, "im", _fraction(im))
+        if re.__class__ is int and im.__class__ is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = _fraction(re), _fraction(im)
+        q, s = re.denominator, im.denominator
+        # over lcm(q, s) the triple is canonical: a prime of d divides the
+        # denominator of a lowest-terms part, so not its numerator
+        d = q // gcd(q, s) * s
+        self._a = re.numerator * (d // q)
+        self._b = im.numerator * (d // s)
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QQi is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def coerce(x) -> "QQi":
@@ -72,20 +98,27 @@ class QQi:
         raise TypeError(f"cannot coerce {type(x).__name__} to QQi")
 
     def __add__(self, other):
-        try:
-            other = QQi.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return QQi(self.re + other.re, self.im + other.im)
+        if other.__class__ is not QQi:
+            try:
+                other = QQi.coerce(other)
+            except TypeError:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(
+            self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            other = QQi.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return QQi(self.re - other.re, self.im - other.im)
+        if other.__class__ is not QQi:
+            try:
+                other = QQi.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
         try:
@@ -95,31 +128,34 @@ class QQi:
         return other - self
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        try:
-            other = QQi.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return QQi(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not QQi:
+            try:
+                other = QQi.coerce(other)
+            except TypeError:
+                return NotImplemented
+        a1, b1 = self._a, self._b
+        a2, b2 = other._a, other._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            other = QQi.coerce(other)
-        except TypeError:
-            return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        if other.__class__ is not QQi:
+            try:
+                other = QQi.coerce(other)
+            except TypeError:
+                return NotImplemented
+        a2, b2, d2 = other._a, other._b, other._d
+        norm = a2 * a2 + b2 * b2
+        if not norm:
             raise ZeroDivisionError("division by zero QQi")
-        return QQi(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / |a2 + b2 i|^2
+        a1, b1 = self._a, self._b
+        return _reduced(
+            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * norm
         )
 
     def __rtruediv__(self, other):
@@ -133,8 +169,8 @@ class QQi:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return QQi(1) / self ** (-n)
-        out = QQi(1)
+            return _QQI_ONE / self ** (-n)
+        out = _QQI_ONE
         base = self
         while n:
             if n & 1:
@@ -144,28 +180,59 @@ class QQi:
         return out
 
     def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
-        try:
-            other = QQi.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is QQi:
+            return (
+                self._a == other._a and self._b == other._b and self._d == other._d
+            )
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (
+                self._b == 0
+                and self._a == other.numerator
+                and self._d == other.denominator
+            )
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the int or Fraction it equals
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        if self._d == 1:
+            return hash(self._a)
+        return hash(Fraction(self._a, self._d))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as float(Fraction) does
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
-        if not self.im:
+        if not self._b:
             return f"QQi({self.re})"
         return f"QQi({self.re}, {self.im})"
+
+
+_new = object.__new__
+
+
+def _reduced(a: int, b: int, d: int) -> QQi:
+    """The QQi (a + b*i)/d, d > 0, brought to canonical form."""
+    g = gcd(d, a, b)  # d first: gcd stops reducing once it reaches 1
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    z = _new(QQi)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
 
 
 _QQI_ZERO = QQi(0)
@@ -274,6 +341,10 @@ class PiPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a value free of pi equals, so hashes as, its QQi
+        q = self.as_qqi()
+        if q is not None:
+            return hash(q)
         return hash(frozenset(self.terms.items()))
 
     def as_qqi(self):

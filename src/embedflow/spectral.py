@@ -334,7 +334,7 @@ def _modulus_is_one(lam, mu, tol) -> bool:
     if isinstance(mu, EigenScalar):
         return mu.real_is_zero
     if isinstance(lam, QQi):
-        return lam.re * lam.re + lam.im * lam.im == 1
+        return lam._a * lam._a + lam._b * lam._b == lam._d * lam._d
     return abs(abs(lam) - 1.0) <= tol
 
 

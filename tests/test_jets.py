@@ -416,3 +416,103 @@ def test_float_complexify_matches_exact(seed):
         back = realify(got, pairing)
         assert set(back.coeffs) == set(f.coeffs)
         assert jet_distance(back, f) <= 1e-14 * f.max_abs()
+
+
+# -- the prefix memo of _substitute against forming every monomial afresh ---
+
+
+def _reference_substitute(coeffs, components, degree, one):
+    """``jets._substitute`` without the prefix memo: every term forms
+    prod_i g_i^{m_i} anew, left to right, with the same products and sums."""
+    from embedflow.jets import _packed, _packing, _poly_mul, _unpacked
+
+    n = len(components)
+    b, cap = _packing(n, degree)
+    comps = [_packed(comp, b, degree) for comp in components]
+    powers = [[{0: one}, comp] for comp in comps]
+
+    def power(i, k):
+        cache = powers[i]
+        while len(cache) <= k:
+            cache.append(_poly_mul(cache[-1], comps[i], cap))
+        return cache[k]
+
+    out = {}
+    for (j, m), c in coeffs.items():
+        if m.degree > degree:
+            continue
+        term = None
+        for i, e in enumerate(m):
+            if not e:
+                continue
+            term = power(i, e) if term is None else _poly_mul(term, power(i, e), cap)
+            if not term:
+                break
+        if term is None:
+            term = {0: one}
+        for key, cc in term.items():
+            key = (j, key)
+            s = out.get(key)
+            v = c * cc
+            out[key] = v if s is None else s + v
+    return _unpacked(out, n, b)
+
+
+def _shared_terms(rng, n, N, mode, count):
+    """``count`` monomials of degree 0..N+2, each on one to n components:
+    the first has degree N+1, above the truncation, and the second is on
+    every component."""
+    def coeff():
+        if mode == MODE_EXACT:
+            return QQi(Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5))),
+                       Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5))))
+        return complex(*rng.uniform(-1, 1, size=2))
+
+    terms = []
+    for k in range(count):
+        m = np.zeros(n, dtype=int)
+        r = N + 1 if k == 0 else int(rng.integers(0, N + 3))
+        for i in rng.integers(0, n, size=r):
+            m[i] += 1
+        on = n if k == 1 else int(rng.integers(1, n + 1))
+        for j in rng.permutation(n)[:on]:
+            terms.append((int(j), MultiIndex(m), coeff()))
+    return PolyJet.build(n, N + 2, mode, terms)
+
+
+@pytest.mark.parametrize("mode", [MODE_FLOAT, MODE_EXACT])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_substitute_memo_matches_reference(mode, n):
+    from embedflow.jets import _substitute
+
+    rng = np.random.default_rng(700 + 10 * n + (mode == MODE_EXACT))
+    one = QQi(1) if mode == MODE_EXACT else 1.0 + 0.0j
+    for N in range(2, 8):
+        f = _shared_terms(rng, n, N, mode, count=4 + 2 * N)
+        g = _shared_terms(rng, n, N, mode, count=3 + N)
+        components = [
+            {m: c for m, c in g.component(i).items() if m.degree >= 1} for i in range(n)
+        ]
+        got = _substitute(f.coeffs, components, N, one)
+        want = _reference_substitute(f.coeffs, components, N, one)
+        assert _bits(got) == _bits(want), N
+
+
+def test_substitute_forms_each_prefix_once(monkeypatch):
+    """Monomials (2,1,1), (2,1,0) and (2,0,1) on every component take four
+    products: g_0^2, then the prefixes (2,1), (2,1,1) and (2,0,1)."""
+    from embedflow import jets
+
+    calls = []
+    mul = jets._poly_mul
+    monkeypatch.setattr(jets, "_poly_mul", lambda p, q, cap: calls.append(1) or mul(p, q, cap))
+    g = [{MultiIndex.unit(3, i): 1.0 + 0.0j, MultiIndex((1, 1, 0)): 0.5j} for i in range(3)]
+    for dim in (1, 3):
+        calls.clear()
+        coeffs = {
+            (j, MultiIndex(m)): 1.0 + 0.0j
+            for m in ((2, 1, 1), (2, 1, 0), (2, 0, 1))
+            for j in range(dim)
+        }
+        jets._substitute(coeffs, g, 6, 1.0 + 0.0j)
+        assert len(calls) == 4, dim

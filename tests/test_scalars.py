@@ -161,3 +161,166 @@ class TestEigenScalar:
         assert w.pi_part == Fraction(1, 2)
         assert (v + v.conjugate()).pi_part == 0
         assert v.scaled(0).is_zero
+
+
+# -- QQi against a Fraction-pair reference -----------------------------------
+#
+# The reference holds a Gaussian rational as a pair (re, im) of Fractions.
+# The helpers use only the standard library and the names QQi and PiPoly,
+# so they also run as a plain script against scalars.py loaded by path.
+
+
+def _ref_of(x):
+    """(re, im) of a QQi through its public views, or of an int/Fraction."""
+    if isinstance(x, QQi):
+        return (x.re, x.im)
+    return (Fraction(x), Fraction(0))
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_div(x, y):
+    norm = y[0] * y[0] + y[1] * y[1]
+    if not norm:
+        raise ZeroDivisionError
+    return ((x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm)
+
+
+def _ref_pow(x, k):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        out = _ref_mul(out, x)
+    return _ref_div((Fraction(1), Fraction(0)), out) if k < 0 else out
+
+
+def _ref_repr(x):
+    return f"QQi({x[0]})" if not x[1] else f"QQi({x[0]}, {x[1]})"
+
+
+def _assert_is(z, want):
+    """z is the canonical QQi of the reference pair ``want``."""
+    import math
+
+    assert isinstance(z, QQi), z
+    a, b, d = z._a, z._b, z._d
+    assert d > 0 and math.gcd(a, b, d) == 1, (a, b, d)
+    assert (Fraction(a, d), Fraction(b, d)) == want, (z, want)
+    assert (z.re, z.im) == want
+
+
+def _random_part(rnd):
+    kind = rnd.random()
+    if kind < 0.2:
+        return 0
+    if kind < 0.4:
+        return rnd.randint(-9, 9)
+    if kind < 0.9:
+        return Fraction(rnd.randint(-30, 30), rnd.randint(1, 12))
+    return Fraction(rnd.randint(-10**20, 10**20), rnd.randint(1, 10**20))
+
+
+def _check_qqi_against_reference(rnd, rounds):
+    """Every QQi operation on ``rounds`` random pairs against the reference."""
+    for _ in range(rounds):
+        x = QQi(_random_part(rnd), _random_part(rnd))
+        y = QQi(_random_part(rnd), _random_part(rnd))
+        rx, ry = _ref_of(x), _ref_of(y)
+        _assert_is(x, rx)
+        _assert_is(x + y, (rx[0] + ry[0], rx[1] + ry[1]))
+        _assert_is(x - y, (rx[0] - ry[0], rx[1] - ry[1]))
+        _assert_is(x * y, _ref_mul(rx, ry))
+        _assert_is(-x, (-rx[0], -rx[1]))
+        _assert_is(x.conjugate(), (rx[0], -rx[1]))
+        if any(ry):
+            _assert_is(x / y, _ref_div(rx, ry))
+        else:
+            try:
+                x / y
+            except ZeroDivisionError:
+                pass
+            else:
+                raise AssertionError("division by a zero QQi")
+        for e in range(-3, 4):
+            if e < 0 and not any(rx):
+                continue
+            _assert_is(x**e, _ref_pow(rx, e))
+        assert (x == y) == (rx == ry)
+        assert x == QQi(*rx) and hash(x) == hash(QQi(*rx))
+        assert bool(x) == any(rx)
+        assert complex(x) == complex(float(rx[0]), float(rx[1]))
+        assert repr(x) == _ref_repr(rx)
+        # mixed with int and Fraction, on either side
+        k = rnd.choice([rnd.randint(-9, 9), Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))])
+        rk = _ref_of(k)
+        _assert_is(x + k, (rx[0] + rk[0], rx[1]))
+        _assert_is(k + x, (rx[0] + rk[0], rx[1]))
+        _assert_is(x - k, (rx[0] - rk[0], rx[1]))
+        _assert_is(k - x, (rk[0] - rx[0], -rx[1]))
+        _assert_is(x * k, _ref_mul(rx, rk))
+        _assert_is(k * x, _ref_mul(rx, rk))
+        if k:
+            _assert_is(x / k, _ref_div(rx, rk))
+        if any(rx):
+            _assert_is(k / x, _ref_div(rk, rx))
+        same = rx == rk
+        assert (x == k) == same and (k == x) == same
+        if same:
+            assert hash(x) == hash(k)
+        real = QQi(rx[0])
+        assert real == rx[0] and rx[0] == real and hash(real) == hash(rx[0])
+    for zero in (QQi(0), 0, Fraction(0)):
+        for bad in (lambda: QQi(1, 2) / zero, lambda: QQi(0) ** -1):
+            try:
+                bad()
+            except ZeroDivisionError:
+                pass
+            else:
+                raise AssertionError("division by zero did not raise")
+
+
+def _check_hash_agrees_with_equality():
+    """Equal values of int, Fraction, QQi and PiPoly hash alike."""
+    values = [
+        0, 3, -2, Fraction(1, 2), Fraction(-7, 3),
+        QQi(0), QQi(3), QQi(-2), QQi(Fraction(1, 2)), QQi(Fraction(-7, 3)),
+        QQi(0, 1), QQi(Fraction(1, 2), 5),
+        PiPoly({}), PiPoly.coerce(3), PiPoly.coerce(Fraction(1, 2)),
+        PiPoly.coerce(QQi(0, 1)), PiPoly.monomial(QQi(3), 1),
+    ]
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    assert len({QQi(3), 3}) == 1
+    assert len({QQi(Fraction(1, 2)), Fraction(1, 2), PiPoly.coerce(Fraction(1, 2))}) == 1
+    assert len({0, QQi(0), PiPoly({}), Fraction(0)}) == 1
+    assert len(set(values)) == 8  # 0, 3, -2, 1/2, -7/3, i, 1/2 + 5i, 3 pi
+    table = {3: "three", Fraction(1, 2): "half", QQi(0, 1): "i", PiPoly.monomial(1, 1): "pi"}
+    assert table[QQi(3)] == table[PiPoly.coerce(3)] == "three"
+    assert table[QQi(Fraction(1, 2))] == table[PiPoly.coerce(QQi(Fraction(1, 2)))] == "half"
+    assert table[PiPoly.coerce(QQi(0, 1))] == "i"
+    assert table[PiPoly({1: QQi(1)})] == "pi"
+    table[QQi(3)] = "qqi"
+    table[PiPoly.coerce(Fraction(1, 2))] = "pipoly"
+    assert table == {3: "qqi", Fraction(1, 2): "pipoly", QQi(0, 1): "i",
+                     PiPoly.monomial(1, 1): "pi"}
+
+
+class TestQQiAgainstReference:
+    def test_operations_match_fraction_pairs(self):
+        import random
+
+        _check_qqi_against_reference(random.Random(19), 400)
+
+    def test_hash_agrees_with_equality_across_types(self):
+        _check_hash_agrees_with_equality()
+
+    def test_re_and_im_are_read_only(self):
+        z = QQi(Fraction(1, 2), 3)
+        with pytest.raises(AttributeError):
+            z.re = Fraction(1)
+        with pytest.raises(AttributeError):
+            z.im = Fraction(1)
+        assert z == QQi(Fraction(1, 2), 3)
