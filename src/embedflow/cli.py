@@ -134,6 +134,7 @@ def _put_resonances(report: Report, eigen, degree: int, tol: float):
         "field_resonant", (fmt_entry(j, m) for j, m in rep.field_resonant)
     )
     report.put_set("weak", (fmt_entry(j, m, l) for j, m, l in rep.weak))
+    return rep
 
 
 def _put_jet(report: Report, key: str, jet):
@@ -192,8 +193,11 @@ def cmd_analyze(gf: GermFile, report: Report) -> int:
         report.line(str(exc))
         report.put("status", "no-real-log")
         return EXIT_PRECONDITION
-    _put_resonances(report, B.triangular().eigen, gf.degree, gf.tol)
-    found = weakly_nonresonant_branch(paired, gf.degree, tol=gf.tol)
+    rep = _put_resonances(report, B.triangular().eigen, gf.degree, gf.tol)
+    # on the principal branch that scan is the one the branch search reads
+    found = weakly_nonresonant_branch(
+        paired, gf.degree, tol=gf.tol, principal=None if any(branch.values) else rep
+    )
     report.section("Branch search")
     if found is None:
         report.line(

@@ -39,6 +39,7 @@ from .jets import (
     MODE_FLOAT,
     MultiIndex,
     PolyJet,
+    _composer,
     _substitute,
     compose,
     jacobian_apply,
@@ -454,8 +455,9 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
     s = len(_nil_powers(tri, exact_ring)) + 1
     D = PolyJet.identity(n, N, jet_mode)
     Y = PolyJet.zero(n, N, jet_mode)
+    compose_u = _composer(U, N)  # U's powers serve every round
     for k in range(1, N * (2 * s - 1) - s + 1):
-        D = compose(D, U) - D
+        D = compose_u(D) - D
         if not D.coeffs:
             break
         w = Fraction((-1) ** (k + 1), k)

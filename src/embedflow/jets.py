@@ -6,9 +6,12 @@ degree.  Coefficients are machine complex numbers in ``float`` mode and
 Gaussian rationals (or Laurent polynomials in pi) in ``exact`` mode.
 
 The composition and Jacobian operations here are the workhorses of the
-normalization and embedding recursions; ``complexify``/``realify`` move a
-real jet to coordinates in which a rotation-block linear part becomes
-diagonal, by conjugating with z = x_i + i*x_{i+1} on each designated pair.
+normalization and embedding recursions.  The normal form composes online
+(``_OnlineComposition``): its inner jet grows one degree per step, and
+each degree slice of each monomial is formed once.
+``complexify``/``realify`` move a real jet to coordinates in which a
+rotation-block linear part becomes diagonal, by conjugating with
+z = x_i + i*x_{i+1} on each designated pair.
 
 The product kernel under ``compose`` and ``jacobian_apply`` works on packed
 monomial keys: at truncation degree N each exponent vector becomes one
@@ -383,16 +386,18 @@ def _product(factors, exponent, degree, one):
     return {unpack(key): c for key, c in prod.items()}
 
 
-def _substitute(coeffs, components, degree, one):
-    """Coefficients ``{(j, m): c}`` of f(g(y)), truncated at ``degree``.
+def _substituter(components, degree, one):
+    """The map ``coeffs -> {(j, m): c}`` of f(g(y)), truncated at ``degree``,
+    for one fixed g.
 
     ``coeffs`` holds f's terms and ``components[i]`` g_i as ``{m: c}``.
     The components may live in any ring that multiplies and adds with
     itself and is multiplied by f's scalars; ``one`` is its unit, the
     value of the monomial m = 0.  Zero sums are dropped.
 
-    The monomial ``prod_i g_i^{m_i}`` is formed left to right, and the
-    product after coordinate i is kept, for this call only, under the key
+    g's packed components and their powers are formed once and serve every
+    call.  Within a call the monomial ``prod_i g_i^{m_i}`` is formed left
+    to right, and the product after coordinate i is kept under the key
     ``m[:i+1]``: terms that share m, or a prefix of it, multiply it out
     once.  The products and sums are those of forming every monomial
     afresh, in the same order, so float results are unchanged bit for bit.
@@ -401,7 +406,6 @@ def _substitute(coeffs, components, degree, one):
     b, cap = _packing(n, degree)
     comps = [_packed(comp, b, degree) for comp in components]
     powers = [[{0: one}, comp] for comp in comps]
-    prefixes = {}
 
     def power(i, k):
         cache = powers[i]
@@ -409,30 +413,58 @@ def _substitute(coeffs, components, degree, one):
             cache.append(_poly_mul(cache[-1], comps[i], cap))
         return cache[k]
 
-    out = {}
-    for (j, m), c in coeffs.items():
-        if m.degree > degree:
-            continue
-        term = None
-        for i, e in enumerate(m):
-            if not e:
+    def substitute(coeffs):
+        prefixes = {}
+        out = {}
+        for (j, m), c in coeffs.items():
+            if m.degree > degree:
                 continue
-            key = m[: i + 1]
-            known = prefixes.get(key)
-            if known is None:
-                known = power(i, e) if term is None else _poly_mul(term, power(i, e), cap)
-                prefixes[key] = known
-            term = known
-            if not term:
-                break
-        if term is None:
-            term = {0: one}
-        for key, cc in term.items():
-            key = (j, key)
-            s = out.get(key)
-            v = c * cc
-            out[key] = v if s is None else s + v
-    return _unpacked(out, n, b)
+            term = None
+            for i, e in enumerate(m):
+                if not e:
+                    continue
+                key = m[: i + 1]
+                known = prefixes.get(key)
+                if known is None:
+                    known = power(i, e) if term is None else _poly_mul(term, power(i, e), cap)
+                    prefixes[key] = known
+                term = known
+                if not term:
+                    break
+            if term is None:
+                term = {0: one}
+            for key, cc in term.items():
+                key = (j, key)
+                s = out.get(key)
+                v = c * cc
+                out[key] = v if s is None else s + v
+        return _unpacked(out, n, b)
+
+    return substitute
+
+
+def _substitute(coeffs, components, degree, one):
+    """Coefficients ``{(j, m): c}`` of f(g(y)), truncated at ``degree``;
+    see :func:`_substituter`."""
+    return _substituter(components, degree, one)(coeffs)
+
+
+def _composer(g: PolyJet, degree: int):
+    """The map ``f -> compose(f, g, degree)`` for one fixed g, which keeps
+    g's packed powers from call to call."""
+    n = g.dim
+    zero_mi = MultiIndex.zeros(n)
+    for j in range(n):
+        if (j, zero_mi) in g.coeffs:
+            raise ValueError("composition target must fix the origin")
+    one = 1.0 + 0.0j if g.mode == MODE_FLOAT else QQi(1)
+    substitute = _substituter([g.component(i) for i in range(n)], degree, one)
+
+    def apply(f: PolyJet) -> PolyJet:
+        f._check_compatible(g)
+        return PolyJet(n, degree, f.mode, substitute(f.coeffs))
+
+    return apply
 
 
 def compose(f: PolyJet, g: PolyJet, degree=None) -> PolyJet:
@@ -441,18 +473,93 @@ def compose(f: PolyJet, g: PolyJet, degree=None) -> PolyJet:
     ``g`` must fix the origin (no constant term); otherwise the truncated
     composition would not be well defined degree by degree.
     """
-    f._check_compatible(g)
     if degree is None:
         degree = min(f.degree, g.degree)
-    n = f.dim
-    zero_mi = MultiIndex.zeros(n)
-    for j in range(n):
-        if (j, zero_mi) in g.coeffs:
-            raise ValueError("composition target must fix the origin")
-    one = 1.0 + 0.0j if f.mode == MODE_FLOAT else QQi(1)
-    components = [g.component(i) for i in range(n)]
-    out = _substitute(f.coeffs, components, degree, one)
-    return PolyJet(n, degree, f.mode, out)
+    return _composer(g, degree)(f)
+
+
+class _OnlineComposition:
+    """Degree-by-degree slices of f(X(y)) for an inner jet X that grows one
+    degree at a time: online truncated composition (Brent and Kung,
+    J. ACM 1978).
+
+    X is held as packed per-component, per-degree slices ``{key: c}``,
+    starting from its degree-1 part; :meth:`extend` appends the next
+    degree.  The degree-d slice of the monomial P_m = prod_i X_i^{m_i},
+    |m| >= 2, is
+
+        [P_m]_d = sum_a [P_(m - e_i)]_a [X_i]_(d - a),   |m| - 1 <= a < d,
+
+    i the last coordinate with m_i > 0, and it reads X only below degree
+    d.  So once X is known to degree d - 1 the slice is final: each is
+    formed once and kept for the life of the object.  Keys are packed for
+    truncation degree ``degree``, the highest slice that may be asked for.
+    """
+
+    def __init__(self, linear, degree: int):
+        """``linear[i]`` is the degree-1 part of X_i as ``{m: c}``."""
+        self._n = len(linear)
+        self._b, _ = _packing(self._n, degree)
+        self._unpack = _unpacker(self._n, self._b)
+        self._x = [[_packed(comp, self._b, 1)] for comp in linear]
+        self._powers = {}  # m -> (i, m - e_i, [[P_m]_|m|, [P_m]_(|m|+1), ...])
+
+    def extend(self, terms: dict):
+        """Append X's next degree from ``{(j, m): c}``, every m of that degree."""
+        new = [{} for _ in range(self._n)]
+        for (j, m), c in terms.items():
+            new[j][_pack(m, self._b)] = c
+        for comp, part in zip(self._x, new):
+            comp.append(part)
+
+    def _slices(self, m, low: int, d: int) -> list:
+        """``[[P_m]_low, [P_m]_(low+1), ...]``, formed up to at least degree
+        d; ``low`` is |m| >= 1."""
+        if low == 1:
+            return self._x[m.index(1)]
+        entry = self._powers.get(m)
+        if entry is None:
+            i = max(t for t, e in enumerate(m) if e)
+            parent = MultiIndex(e - 1 if t == i else e for t, e in enumerate(m))
+            entry = self._powers[m] = (i, parent, [])
+        i, parent, slices = entry
+        if low + len(slices) <= d:
+            x = self._x[i]
+            below = self._slices(parent, low - 1, d - 1)
+            while low + len(slices) <= d:
+                top = low + len(slices)
+                out = {}
+                get = out.get
+                for a in range(low - 1, top):
+                    q = x[top - a - 1].items()
+                    for k1, c1 in below[a - low + 1].items():
+                        for k2, c2 in q:
+                            k = k1 + k2
+                            s = get(k)
+                            out[k] = c1 * c2 if s is None else s + c1 * c2
+                slices.append({k: c for k, c in out.items() if c})
+        return slices
+
+    def degree_slice(self, coeffs: dict, d: int) -> dict:
+        """Degree-d slice of f(X) as ``{(j, m): c}``, zero sums dropped.
+
+        ``coeffs`` holds f's terms, none of degree 0; a term of degree
+        above d adds nothing to the slice.  X must be known to degree
+        d - 1, or to degree d when f has linear terms.
+        """
+        out = {}
+        get = out.get
+        for (j, m), c in coeffs.items():
+            low = m.degree
+            if low > d:
+                continue
+            for key, cc in self._slices(m, low, d)[d - low].items():
+                key = (j, key)
+                s = get(key)
+                v = c * cc
+                out[key] = v if s is None else s + v
+        unpack = self._unpack
+        return {(j, unpack(key)): c for (j, key), c in out.items() if c}
 
 
 def jacobian_apply(g: PolyJet, w: PolyJet, degree=None) -> PolyJet:

@@ -15,6 +15,15 @@ and nonresonant slices never mix, and within a row the cross terms of
 walks rows in coordinate order and monomials in reverse lexicographic
 order, carrying the cross terms in an accumulator.
 
+The right-hand side is the degree-k defect of F(y + h) = (y + h)(Ay + g)
+while h and g are known below k only.  It comes from two online
+compositions (:class:`embedflow.jets._OnlineComposition`) of f over
+X = y + h and of h over Y = Ay + g: the degree-k slice of each monomial of
+X or Y reads their slices below k, which are final, so every slice is
+formed once, and h_k and g_k are appended as the degree-k slices of X and
+Y.  The residual reuses those slices: the degree-k conjugacy defect of the
+final h and g is the solved defect plus A h_k - g_k - h_k(Ay).
+
 Which (j, sigma) are resonant is read from one
 :func:`embedflow.resonance.map_resonances` report per normal form, the
 same rule that classifies the embedding solve; the divisors
@@ -32,9 +41,8 @@ from .jets import (
     MODE_EXACT,
     MultiIndex,
     PolyJet,
+    _OnlineComposition,
     _product,
-    compose,
-    jet_distance,
 )
 from .resonance import _power, map_resonances, monomial_index
 from .scalars import ExactnessError, QQi
@@ -106,7 +114,10 @@ class NormalFormResult:
 
     ``diagnostics`` holds one (degree, resonant_terms, solved_terms,
     min_divisor) row per degree; ``residual`` is the float conjugacy
-    defect of F(y + h(y)) = G(y) + h(G(y)) over the full truncation.
+    defect of F(y + h(y)) = G(y) + h(G(y)) over the full truncation, the
+    largest coefficient of the difference.  It is formed degree by degree
+    from the slices that gave the defect, plus A h_k - g_k - h_k(Ay), not
+    by composing the final jets again; in exact mode it is 0.0.
     """
 
     germ: GermSpec
@@ -198,6 +209,21 @@ def _one(mode):
     return QQi(1) if mode == MODE_EXACT else (1.0 + 0.0j)
 
 
+def _add_into(acc: dict, terms, sign: int = 1) -> dict:
+    """``acc += sign * terms`` in place, ``terms`` as ``(key, c)`` pairs and
+    ``sign`` 1 or -1; zero sums dropped."""
+    for key, c in terms:
+        if sign < 0:
+            c = -c
+        prev = acc.get(key)
+        val = c if prev is None else prev + c
+        if val:
+            acc[key] = val
+        else:
+            acc.pop(key, None)
+    return acc
+
+
 def distinguished_normal_form(germ: GermSpec, tol: float = DEFAULT_TOL) -> NormalFormResult:
     """Normalize a hyperbolic germ degree by degree.
 
@@ -208,28 +234,37 @@ def distinguished_normal_form(germ: GermSpec, tol: float = DEFAULT_TOL) -> Norma
     """
     tri = germ.linear.triangular()
     n, N, mode = germ.dim, germ.degree, germ.mode
-    F = germ.map_jet()
-    identity = PolyJet.identity(n, N, mode)
-    h_acc = PolyJet.zero(n, N, mode)
-    g_acc = PolyJet.zero(n, N, mode)
-    lin = tri.linear_jet(N, mode)
+    lin = tri.linear_jet(1, mode)
+    # X = y + h and Y = Ay + g, each extended by one degree per step
+    X = _OnlineComposition([{MultiIndex.unit(n, j): _one(mode)} for j in range(n)], N)
+    Y = _OnlineComposition([lin.component(j) for j in range(n)], N)
+    a_columns = [[(j, c) for (j, m), c in lin.coeffs.items() if m[i]] for i in range(n)]
+    f = germ.nonlinear.coeffs
     index = monomial_index(n, N)
     resonant = map_resonances(tri.eigen, max(N, 2), tol).map_set()  # N = 1 solves nothing
+    h: dict = {}
+    g: dict = {}
+    residual = 0.0
     diagnostics = []
     for k in range(2, N + 1):
-        lhs = compose(F, identity + h_acc, degree=k)
-        rhs = compose(identity + h_acc, lin + g_acc, degree=k)
-        defect = (lhs - rhs).degree_slice(k)
-        h_map, g_map, min_div = _homological_rows(
-            tri, defect, k, tol, index.of_degree(k), resonant
+        # degree k of F(y + h) - (y + h)(Ay + g) with h, g known below k
+        defect = _add_into(X.degree_slice(f, k), Y.degree_slice(h, k).items(), -1)
+        h_k, g_k, min_div = _homological_rows(
+            tri, PolyJet(n, N, mode, defect), k, tol, index.of_degree(k), resonant
         )
-        h_k = PolyJet.build(n, N, mode, [(j, m, c) for (j, m), c in h_map.items()])
-        g_k = PolyJet.build(n, N, mode, [(j, m, c) for (j, m), c in g_map.items()])
-        h_acc = h_acc + h_k
-        g_acc = g_acc + g_k
-        diagnostics.append((k, len(g_map), len(h_map), min_div))
-    G = GermSpec(germ.linear, g_acc, N)
-    lhs = compose(F, identity + h_acc, degree=N)
-    rhs = compose(identity + h_acc, lin + g_acc, degree=N)
-    residual = jet_distance(lhs, rhs)
-    return NormalFormResult(G, h_acc, residual, tuple(diagnostics))
+        X.extend(h_k)
+        Y.extend(g_k)
+        # the degree-k conjugacy defect of the final h and g: the terms
+        # that h_k and g_k add to both sides of the defect above
+        res = dict(defect)
+        a_h = (((j, m), a * c) for (i, m), c in h_k.items() for j, a in a_columns[i])
+        _add_into(res, a_h)
+        _add_into(res, g_k.items(), -1)
+        _add_into(res, Y.degree_slice(h_k, k).items(), -1)
+        residual = max(residual, max((abs(complex(c)) for c in res.values()), default=0.0))
+        h.update(h_k)
+        g.update(g_k)
+        diagnostics.append((k, len(g_k), len(h_k), min_div))
+    g_jet = PolyJet.build(n, N, mode, [(j, m, c) for (j, m), c in g.items()])
+    h_jet = PolyJet.build(n, N, mode, [(j, m, c) for (j, m), c in h.items()])
+    return NormalFormResult(GermSpec(germ.linear, g_jet, N), h_jet, residual, tuple(diagnostics))

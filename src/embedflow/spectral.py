@@ -684,7 +684,11 @@ def _branch_shifts(a: BlockMatrix):
 
 
 def weakly_nonresonant_branch(
-    a: BlockMatrix, degree: int, bound: int = BRANCH_BOUND, tol=DEFAULT_TOL
+    a: BlockMatrix,
+    degree: int,
+    bound: int = BRANCH_BOUND,
+    tol=DEFAULT_TOL,
+    principal=None,
 ):
     """Search for a branch whose log eigenvalues have no weak resonance.
 
@@ -697,11 +701,15 @@ def weakly_nonresonant_branch(
     <m, mu> - mu_j by 2*pi*i times an integer, so the pairs in 2*pi*i*Z are
     the same on every branch, and the witness of such a pair on branch k is
     l0 + c.k (l0 its principal witness, 0 when field resonant).  The search
-    is for the first candidate k that zeroes every row (l0, c).
+    is for the first candidate k that zeroes every row (l0, c).  A caller
+    that already holds that scan, ``field_resonances(real_log(a).eigen(),
+    degree, tol)``, passes it as ``principal``.
     """
     from .resonance import field_resonances
 
-    report = field_resonances(real_log(a).eigen(), degree, tol=tol)
+    report = principal
+    if report is None:
+        report = field_resonances(real_log(a).eigen(), degree, tol=tol)
     slots, S = _branch_shifts(a)
     hits = [(j, m, 0) for j, m in report.field_resonant] + list(report.weak)
     rows = set()

@@ -164,6 +164,25 @@ class TestAnalyze:
         assert "no weakly nonresonant branch with |k|,|l| <= 3" in out
         assert m["real_log"] == "yes"
 
+    def test_principal_log_scanned_once(self, capsys, monkeypatch):
+        # on the principal branch the printed resonances and the branch
+        # search read one scan
+        from embedflow import cli, resonance
+
+        calls = []
+        scan = resonance.field_resonances
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(resonance, "field_resonances", counted)
+        monkeypatch.setattr(cli, "map_resonances", counted)
+        code, out, _ = run(capsys, "analyze", "--fixture", "paper-Astar")
+        assert code == 0
+        assert machine(out)["weakly_nonresonant_branch"] == "none"
+        assert len(calls) == 1
+
     def test_resonant_2d(self, capsys):
         code, out, _ = run(capsys, "analyze", "--fixture", "resonant-2d")
         m = machine(out)

@@ -15,6 +15,7 @@ import sympy as sp
 
 from embedflow import (
     MODE_EXACT,
+    MODE_FLOAT,
     BlockMatrix,
     GermSpec,
     JordanBlock,
@@ -22,12 +23,17 @@ from embedflow import (
     NearResonanceError,
     PolyJet,
     QQi,
+    RotationBlock,
     compose,
     distinguished_normal_form,
     jet_distance,
     map_resonances,
+    multiindices,
 )
-from _gens import random_exact_germ, random_hyperbolic_germ
+from embedflow.normal_form import _homological_rows
+from embedflow.resonance import monomial_index
+from embedflow.tolerances import DEFAULT_TOL
+from _gens import random_exact_germ, random_hyperbolic_germ, resonant_map_blocks
 
 # sympy-solved transform for F = (4x1 + x2^2 + x1 x2, 2x2), N = 6
 _H_2D = {
@@ -190,3 +196,134 @@ def test_float_normal_form_matches_exact_support():
 def test_float_normal_form_residual_three_resonant_rates():
     germ = _dense_diagonal_germ((8, 2, 4), 9, "float")
     assert distinguished_normal_form(germ).residual <= 1e-12 * _scale(germ)
+
+
+# -- the online recursion against the two-compose recursion ------------------
+
+
+def _reference_normal_form(germ, tol=DEFAULT_TOL):
+    """The recursion as first written: at every degree k two full
+    compositions truncated at k give the defect, and two more at N give the
+    residual.  Returns (h, g, residual, diagnostics)."""
+    tri = germ.linear.triangular()
+    n, N, mode = germ.dim, germ.degree, germ.mode
+    F = germ.map_jet()
+    identity = PolyJet.identity(n, N, mode)
+    h_acc = PolyJet.zero(n, N, mode)
+    g_acc = PolyJet.zero(n, N, mode)
+    lin = tri.linear_jet(N, mode)
+    index = monomial_index(n, N)
+    resonant = map_resonances(tri.eigen, max(N, 2), tol).map_set()
+    diagnostics = []
+    for k in range(2, N + 1):
+        lhs = compose(F, identity + h_acc, degree=k)
+        rhs = compose(identity + h_acc, lin + g_acc, degree=k)
+        defect = (lhs - rhs).degree_slice(k)
+        h_map, g_map, min_div = _homological_rows(
+            tri, defect, k, tol, index.of_degree(k), resonant
+        )
+        h_acc = h_acc + PolyJet.build(n, N, mode, [(j, m, c) for (j, m), c in h_map.items()])
+        g_acc = g_acc + PolyJet.build(n, N, mode, [(j, m, c) for (j, m), c in g_map.items()])
+        diagnostics.append((k, len(g_map), len(h_map), min_div))
+    return h_acc, g_acc, _conjugacy_defect(germ, h_acc, g_acc)[0], tuple(diagnostics)
+
+
+def _conjugacy_defect(germ, h, g):
+    """jet_distance(F(y + h), (y + h)(Ay + g)) by full compositions, and
+    the largest coefficient of either side, the scale of its roundoff."""
+    n, N, mode = germ.dim, germ.degree, germ.mode
+    phi = PolyJet.identity(n, N, mode) + h
+    G = germ.linear.triangular().linear_jet(N, mode) + g
+    lhs = compose(germ.map_jet(), phi, degree=N)
+    rhs = compose(phi, G, degree=N)
+    return jet_distance(lhs, rhs), max(lhs.max_abs(), rhs.max_abs())
+
+
+def _random_nonlinear(rng, n, N, mode, density=0.4):
+    terms = []
+    for r in range(2, N + 1):
+        for m in multiindices(n, r):
+            for j in range(n):
+                if rng.random() < density:
+                    if mode == MODE_EXACT:
+                        c = QQi(Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5))),
+                                Fraction(int(rng.integers(-2, 3)), 3))
+                    else:
+                        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    if c:
+                        terms.append((j, m, c))
+    return PolyJet.build(n, N, mode, terms)
+
+
+def _online_cases():
+    rng = np.random.default_rng(2014)
+    cases = []
+    for t in range(3):
+        cases.append((f"diagonal-exact-{t}", random_exact_germ(rng, 2 + t % 2, 5)))
+    # (4, 2) and (25; 3 -+ 4i) resonate; the Jordan and two-cell rotation
+    # blocks carry couplings
+    exact_blocks = {
+        "jordan-exact": (JordanBlock(4, 2), JordanBlock(2, 1)),
+        "rotation-exact": (RotationBlock(3, 4, 1), JordanBlock(25, 1)),
+        "rotation-cells-exact": (RotationBlock(3, 4, 2),),
+        "dense-diagonal-exact": (JordanBlock(8, 1), JordanBlock(2, 1), JordanBlock(4, 1)),
+    }
+    for name, blocks in exact_blocks.items():
+        a = BlockMatrix(blocks)
+        resonant = map_resonances(a.triangular().eigen, 5).map_resonant
+        for mode in (MODE_EXACT, MODE_FLOAT):
+            # every resonant monomial present (no random real part reaches
+            # -7), so g is never empty
+            f = _random_nonlinear(rng, a.dim, 5, mode) + PolyJet.build(
+                a.dim, 5, mode, [(j, m, 7) for j, m in resonant]
+            )
+            cases.append((name.replace("exact", mode), GermSpec(a, f, 5)))
+    for t in range(3):
+        a, _ = resonant_map_blocks(rng, nil=True)
+        f = _random_nonlinear(rng, 4, 4, MODE_FLOAT)
+        cases.append((f"jordan-resonant-float-{t}", GermSpec(a, f, 4)))
+    done = 0
+    while done < 6:
+        germ = random_hyperbolic_germ(rng, 2 + done % 2, 6)
+        try:
+            distinguished_normal_form(germ)
+        except NearResonanceError:
+            continue
+        cases.append((f"hyperbolic-float-{done}", germ))
+        done += 1
+    return [pytest.param(germ, id=name) for name, germ in cases]
+
+
+@pytest.mark.parametrize("germ", _online_cases())
+def test_online_normal_form_matches_two_compose_recursion(germ):
+    got = distinguished_normal_form(germ)
+    h, g, residual, diagnostics = _reference_normal_form(germ)
+    assert got.diagnostics == diagnostics
+    assert list(got.transform.coeffs) == list(h.coeffs)
+    assert list(got.germ.nonlinear.coeffs) == list(g.coeffs)
+    if germ.mode == MODE_EXACT:
+        assert got.transform.coeffs == h.coeffs
+        assert got.germ.nonlinear.coeffs == g.coeffs
+        assert got.residual == residual == 0.0
+    else:
+        for mine, want in ((got.transform, h), (got.germ.nonlinear, g)):
+            for key, c in want.coeffs.items():
+                assert abs(mine.coeffs[key] - c) <= 1e-13 * abs(c), key
+    # the residual reuses the defect's slices; it must still be the
+    # conjugacy defect of the h and g it returns
+    full, scale = _conjugacy_defect(germ, got.transform, got.germ.nonlinear)
+    assert abs(got.residual - full) <= 1e-13 * scale, (got.residual, full, scale)
+
+
+def test_normal_form_composes_online(monkeypatch):
+    """Only the online kernel composes: every full composition raises."""
+    from embedflow import jets
+
+    def boom(*args, **kwargs):
+        raise AssertionError("full composition")
+
+    want = distinguished_normal_form(_dense_diagonal_germ((8, 2, 4), 6, MODE_EXACT))
+    monkeypatch.setattr(jets, "_substituter", boom)
+    got = distinguished_normal_form(_dense_diagonal_germ((8, 2, 4), 6, MODE_EXACT))
+    assert got.transform.coeffs == want.transform.coeffs
+    assert got.germ.nonlinear.coeffs == want.germ.nonlinear.coeffs
