@@ -47,12 +47,10 @@ from .normal_form import (
     NormalFormResult,
     distinguished_normal_form,
 )
-from .exppoly import ExpPoly
 from .embedding import (
     FieldGerm,
     FlowJet,
     Obstruction,
-    Tr_matrix,
     appendix_identity_check,
     embedding_residual,
     flow_jet,

@@ -19,13 +19,16 @@ exact whenever the eigenvalues are Gaussian rational and the input jet
 carries exact coefficients.
 
 The flow of a field (:func:`flow_jet`) is built degree by degree from
-closed-form integrals of exponential polynomials (ExpPoly); it checks the
-solve, shares no step with it, and is checked in turn by an ODE oracle
-that uses neither.
+closed-form integrals over the ring :class:`embedflow.exppoly.TrigPoly`
+of polynomials in t and e^(2*pi*i*t), with integer frequencies read from
+the one lattice rule of :mod:`embedflow.resonance`; it checks the solve,
+shares no step with it, and is checked in turn by an ODE oracle that uses
+neither.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +36,7 @@ from operator import add
 
 import numpy as np
 
-from .exppoly import ExpPoly
+from .exppoly import TrigPoly
 from .jets import (
     MODE_EXACT,
     MODE_FLOAT,
@@ -55,7 +58,6 @@ __all__ = [
     "FieldGerm",
     "Obstruction",
     "FlowJet",
-    "Tr_matrix",
     "solve_embedding",
     "flow_jet",
     "embedding_residual",
@@ -66,16 +68,21 @@ __all__ = [
 ]
 
 
-# -- jets with ExpPoly coefficients -------------------------------------------
+# -- jets with TrigPoly coefficients ------------------------------------------
 
 
 @dataclass(frozen=True)
 class FlowJet:
-    """Polynomial jet whose coefficients are functions of time (ExpPoly)."""
+    """Jet of a flow phi(t, y): every coefficient of component j is
+    e^(mu_j t) times the :class:`TrigPoly` held under (j, m).
+
+    ``mu`` holds the complex logs of the eigenvalues.
+    """
 
     dim: int
     degree: int
     coeffs: dict
+    mu: tuple
 
     def component(self, i: int) -> dict:
         return {m: p for (j, m), p in self.coeffs.items() if j == i}
@@ -85,6 +92,7 @@ class FlowJet:
             self.dim,
             self.degree,
             {k: p for k, p in self.coeffs.items() if k[1].degree == r},
+            self.mu,
         )
 
     def __add__(self, other: "FlowJet") -> "FlowJet":
@@ -96,58 +104,53 @@ class FlowJet:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return FlowJet(self.dim, self.degree, out)
+        return FlowJet(self.dim, self.degree, out, self.mu)
 
     def at_time(self, t: float) -> PolyJet:
         """Specialize t; float-mode jet."""
-        terms = [(j, m, p.eval_at(t)) for (j, m), p in self.coeffs.items()]
+        growth = [cmath.exp(z * t) for z in self.mu]
+        terms = [(j, m, growth[j] * p.eval_at(t)) for (j, m), p in self.coeffs.items()]
         return PolyJet.build(self.dim, self.degree, MODE_FLOAT, terms)
 
 
-def _substitute_flow(coeffs: dict, phi: FlowJet, r: int, unit: ExpPoly) -> FlowJet:
-    """Degree-r part of x(phi(t, y)) for the scalar terms ``coeffs`` of x.
+def _flow_unit(exact_ring: bool) -> TrigPoly:
+    """The constant 1 of the flow-coefficient ring."""
+    return TrigPoly({(0, 0): _one(exact_ring)})
 
-    The jet composition kernel over the ExpPoly ring, whose 1 is ``unit``.
+
+def _lattice_terms(coeffs: dict, eigen, tol: float):
+    """``(terms, off)``: the terms c y^m of component j whose (j, m) lies on
+    the resonance lattice, as c e^(-2*pi*i*l*t), l their witness
+    (:func:`embedflow.resonance._classify`), and the (j, m) off it.
+
+    Along a flow phi = e^(mu t) psi, componentwise, the term gives
+    c e^(<m, mu> t) psi^m = e^(mu_j t) c e^(-2*pi*i*l*t) psi^m, so in the
+    TrigPoly ring it carries the second factor.
+    """
+    support = list(coeffs)
+    M = np.array([m for _, m in support], dtype=np.int64).reshape(len(support), len(eigen))
+    hit, l, _ = _classify(_mu(eigen), M, tol)
+    terms, off = {}, []
+    for t, ((j, m), c) in enumerate(coeffs.items()):
+        if hit[j, t]:
+            terms[(j, m)] = TrigPoly({(0, -int(l[j, t])): c})
+        else:
+            off.append((j, tuple(m)))
+    return terms, off
+
+
+def _substitute_flow(coeffs: dict, phi: FlowJet, r: int, unit: TrigPoly) -> FlowJet:
+    """Degree-r part of x(phi(t, y)) for the terms ``coeffs`` of x, as
+    :func:`_lattice_terms` gives them.
+
+    The jet composition kernel over the TrigPoly ring, whose 1 is ``unit``.
     """
     comps = [phi.component(i) for i in range(phi.dim)]
     out = _substitute(coeffs, comps, r, unit)
-    return FlowJet(phi.dim, r, out).degree_slice(r)
+    return FlowJet(phi.dim, r, out, phi.mu).degree_slice(r)
 
 
-def _matrix_apply(mat, jet: FlowJet) -> FlowJet:
-    """Componentwise action of a matrix of ExpPoly entries."""
-    out: dict = {}
-    n = jet.dim
-    by_m: dict = {}
-    for (k, m), p in jet.coeffs.items():
-        by_m.setdefault(m, {})[k] = p
-    for m, col in by_m.items():
-        for i in range(n):
-            total = None
-            for k, p in col.items():
-                e = mat[i][k]
-                if e is None:
-                    continue
-                term = e * p
-                total = term if total is None else total + term
-            if total:
-                out[(i, m)] = total
-    return FlowJet(n, jet.degree, out)
-
-
-def _snap(jet: FlowJet, tol: float) -> FlowJet:
-    return FlowJet(
-        jet.dim,
-        jet.degree,
-        {
-            k: q
-            for k, p in jet.coeffs.items()
-            if (q := p.snap_exponents(tol))
-        },
-    )
-
-
-# -- linear exponentials -------------------------------------------------------
+# -- the nilpotent part ----------------------------------------------------------
 
 
 def _nil_powers(tri: TriangularLinear, exact_ring: bool):
@@ -177,33 +180,44 @@ def _nil_powers(tri: TriangularLinear, exact_ring: bool):
     return out
 
 
-def exp_tB_jet_matrix(tri: TriangularLinear, sign: int, exact_ring: bool):
-    """Matrix of e^(sign*t*B) with ExpPoly entries.
-
-    Entry (i, k) is sum_p (sign^p N^p)_{ik} t^p / p! * e^(sign*mu_i*t);
-    couplings only join equal-eigenvalue coordinates, so the single
-    exponential per row is exact.
-    """
-    n = tri.dim
-    exact_keys = tri.eigen.exact
-    mus = tri.eigen.entries
-    mat = [[None] * n for _ in range(n)]
-    one = QQi(1) if exact_ring else (1.0 + 0.0j)
-    for i in range(n):
-        key = mus[i].scaled(sign) if exact_keys else sign * complex(mus[i])
-        mat[i][i] = ExpPoly.single(one, 0, key)
+def _nil_flow(tri: TriangularLinear, sign: int, exact_ring: bool) -> dict:
+    """The entries of e^(sign*t*N) off its unit diagonal, as {(i, k): TrigPoly}:
+    sum_p (sign*t)^p N^p / p!, polynomials in t."""
+    out: dict = {}
     fact = 1
     for p, npow in enumerate(_nil_powers(tri, exact_ring), start=1):
         fact *= p
         for (i, k), c in npow.items():
-            key = mus[i].scaled(sign) if exact_keys else sign * complex(mus[i])
             if exact_ring:
                 w = c * QQi(Fraction(sign**p, fact))
             else:
                 w = c * (sign**p / fact)
-            term = ExpPoly.single(w, p, key)
-            mat[i][k] = term if mat[i][k] is None else mat[i][k] + term
-    return mat
+            term = TrigPoly({(p, 0): w})
+            out[(i, k)] = term if (i, k) not in out else out[(i, k)] + term
+    return out
+
+
+def _nil_apply(nil: dict, coeffs: dict) -> dict:
+    """``{(i, m): p}`` times the matrix with unit diagonal and the entries
+    ``nil`` below it, componentwise in m."""
+    if not nil:
+        return coeffs
+    by_m: dict = {}
+    for (k, m), p in coeffs.items():
+        by_m.setdefault(m, {})[k] = p
+    out = dict(coeffs)
+    for (i, k), e in nil.items():
+        for m, col in by_m.items():
+            p = col.get(k)
+            if p is None:
+                continue
+            s = out.get((i, m))
+            s = e * p if s is None else s + e * p
+            if s:
+                out[(i, m)] = s
+            else:
+                out.pop((i, m), None)
+    return out
 
 
 def _exact_ring(tri: TriangularLinear, mode: str) -> bool:
@@ -216,43 +230,21 @@ def _exact_ring(tri: TriangularLinear, mode: str) -> bool:
     )
 
 
-def _flow_unit(tri: TriangularLinear, exact_ring: bool) -> ExpPoly:
-    """The constant 1 of the flow-coefficient ring, keyed like tri's exponents."""
-    zero_key = EigenScalar.zero() if tri.eigen.exact else 0j
-    return ExpPoly.single(_one(exact_ring), 0, zero_key)
-
-
-def _linear_flow(tri: TriangularLinear, exact_ring: bool, degree: int):
-    """(e^(tB), e^(-tB), the linear flow y -> e^(tB) y as a FlowJet)."""
-    E = exp_tB_jet_matrix(tri, +1, exact_ring)
-    Em = exp_tB_jet_matrix(tri, -1, exact_ring)
-    n = tri.dim
-    phi0 = FlowJet(
-        n,
-        degree,
-        {
-            (i, MultiIndex.unit(n, k)): E[i][k]
-            for i in range(n)
-            for k in range(n)
-            if E[i][k] is not None
-        },
-    )
-    return E, Em, phi0
-
-
-def _flow_step(phi: FlowJet, slice_r: FlowJet, E, Em, tol: float) -> FlowJet:
+def _flow_step(phi: FlowJet, slice_r: FlowJet, push: dict, pull: dict) -> FlowJet:
     """phi + e^(tB) integral_0^t e^(-sB) slice_r(s) ds: one degree of the flow.
 
     ``slice_r`` is the degree-r part of the field's nonlinearity along the
-    flow known below degree r.
+    flow known below degree r; ``push`` and ``pull`` are the couplings of
+    e^(tN) and e^(-tN) (:func:`_nil_flow`).  B = S + N with S diagonal and
+    N coupling only coordinates of equal mu, so e^(-sS) cancels each
+    component's factor e^(mu_j s) and e^(tS) restores it: only the
+    nilpotent factors act on the TrigPoly coefficients.
     """
-    integrand = _snap(_matrix_apply(Em, slice_r), tol)
-    inner = FlowJet(
-        phi.dim,
-        phi.degree,
-        {k: q for k, p in integrand.coeffs.items() if (q := p.integrate_to_t())},
-    )
-    return phi + _matrix_apply(E, inner)
+    inner = {}
+    for k, p in _nil_apply(pull, slice_r.coeffs).items():
+        if q := p.integrate_to_t():
+            inner[k] = q
+    return phi + FlowJet(phi.dim, phi.degree, _nil_apply(push, inner), phi.mu)
 
 
 # -- public types ---------------------------------------------------------------
@@ -265,8 +257,7 @@ class FieldGerm:
     ``linear`` must be a logarithm block matrix (see
     :func:`embedflow.spectral.real_log`); its eigen data fixes the
     resonance classes that constrain the support of ``v``, decided at
-    ``tol``: the tolerance of the solve that built the field.  The flow
-    snaps its exponents at the same ``tol``.
+    ``tol``: the tolerance of the solve that built the field.
     """
 
     linear: BlockMatrix
@@ -285,10 +276,7 @@ class FieldGerm:
             raise ValueError("nonlinear jet truncation must match degree")
         if self.nonlinear.coeffs and self.nonlinear.min_degree() < 2:
             raise ValueError("nonlinear part must vanish to second order")
-        support = list(self.nonlinear.coeffs)
-        M = np.array([m for _, m in support], dtype=np.int64).reshape(len(support), self.dim)
-        hit = _classify(_mu(self.linear.triangular().eigen), M, self.tol)[0]
-        bad = [(j, tuple(m)) for t, (j, m) in enumerate(support) if not hit[j, t]]
+        _, bad = _lattice_terms(self.nonlinear.coeffs, self.linear.triangular().eigen, self.tol)
         if bad:
             raise ValueError(
                 f"field support must be resonant or weakly resonant; got {bad}"
@@ -332,7 +320,7 @@ class Obstruction:
         return frozenset((j, tuple(m), l) for j, m, l, _ in self.entries)
 
 
-# -- T^r and the solve ----------------------------------------------------------
+# -- the solve ------------------------------------------------------------------
 
 
 def _ring_flags(tri: TriangularLinear, mode: str) -> bool:
@@ -349,47 +337,10 @@ def _one(exact_ring: bool):
     return QQi(1) if exact_ring else (1.0 + 0.0j)
 
 
-def _zero_scalar(exact_ring: bool):
-    return QQi(0) if exact_ring else 0j
-
-
 def _is_zero(c, exact_ring: bool, tol: float) -> bool:
     if exact_ring or isinstance(c, (QQi, int, Fraction)):
         return not bool(c)
     return abs(complex(c)) <= tol
-
-
-def Tr_matrix(B, r: int, basis=None, tol: float = DEFAULT_TOL):
-    """Matrix of the degree-r averaging operator T^r on the resonance basis.
-
-    Returns ``(matrix, basis)``: entries are exact scalars (QQi/PiPoly)
-    when the logarithm has exact eigen data and rational couplings, else
-    complex.  The default basis is the degree-r part of the field-resonant
-    and weak monomials of :func:`field_resonances`; in that order the
-    matrix is lower triangular, diagonal 1 on resonant and 0 on weakly
-    resonant rows.
-    """
-    tri = B.triangular() if isinstance(B, BlockMatrix) else B
-    if r < 2:
-        raise ValueError("degree must be at least 2")
-    if basis is None:
-        basis = field_resonances(tri.eigen, r, tol).basis(r)
-    exact_ring = _exact_ring(tri, MODE_EXACT)
-    _, Em, phi1 = _linear_flow(tri, exact_ring, r)
-    unit = _flow_unit(tri, exact_ring)
-    index = {jm: t for t, jm in enumerate(basis)}
-    size = len(basis)
-    matrix = [[_zero_scalar(exact_ring)] * size for _ in range(size)]
-    one = _one(exact_ring)
-    for col, (j, m) in enumerate(basis):
-        probe = {(j, MultiIndex(m)): one}
-        image = _snap(_matrix_apply(Em, _substitute_flow(probe, phi1, r, unit)), tol)
-        for (i, mm), p in image.coeffs.items():
-            row = index.get((i, mm))
-            if row is None:
-                continue
-            matrix[row][col] = p.integrate_unit()
-    return matrix, tuple(basis)
 
 
 def _validate_normal_form(G: GermSpec, report: ResonanceReport, tol: float):
@@ -495,20 +446,26 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
 
 
 def flow_jet(X: FieldGerm, degree=None) -> FlowJet:
-    """Flow of X as a jet with ExpPoly coefficients; phi(0, y) = y.
+    """Flow of X as a jet with TrigPoly coefficients; phi(0, y) = y.
 
-    Exponents are snapped onto 2*pi*i*Z at ``X.tol``, the tolerance that
+    The linear flow is e^(tB) y = e^(tS) e^(tN) y; each degree above it
+    is one :func:`_flow_step`, with v's terms taken as
+    :func:`_lattice_terms` gives them at ``X.tol``, the tolerance that
     decided X's support.
     """
     N = X.degree if degree is None else degree
     tri = X.linear.triangular()
     exact_ring = _exact_ring(tri, X.mode)
-    unit = _flow_unit(tri, exact_ring)
-    E, Em, phi = _linear_flow(tri, exact_ring, N)
+    unit = _flow_unit(exact_ring)
+    push, pull = _nil_flow(tri, 1, exact_ring), _nil_flow(tri, -1, exact_ring)
+    n = tri.dim
+    linear = {(i, MultiIndex.unit(n, i)): unit for i in range(n)}
+    phi = FlowJet(n, N, _nil_apply(push, linear), tuple(tri.eigen.mu_complex()))
     v = X.nonlinear if exact_ring else X.nonlinear.to_float()
+    terms, _ = _lattice_terms(v.coeffs, tri.eigen, X.tol)
     for r in range(2, N + 1):
         # terms of v above degree r are skipped by the substitution
-        phi = _flow_step(phi, _substitute_flow(v.coeffs, phi, r, unit), E, Em, X.tol)
+        phi = _flow_step(phi, _substitute_flow(terms, phi, r, unit), push, pull)
     return phi
 
 

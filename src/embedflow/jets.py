@@ -366,26 +366,6 @@ def _poly_mul(p, q, cap):
     return {k: c for k, c in out.items() if c}
 
 
-def _product(factors, exponent, degree, one):
-    """``prod_i factors[i]**exponent[i]`` as ``{m: c}``, truncated at ``degree``.
-
-    ``factors[i]`` is ``{m: c}`` in a ring whose 1 is ``one``, the product
-    of no factors.  The factors are multiplied in one at a time, left to
-    right, pruned as in ``_poly_mul``.
-    """
-    n = len(factors)
-    b, cap = _packing(n, degree)
-    packed = [_packed(f, b, degree) for f in factors]
-    prod = None
-    for i, e in enumerate(exponent):
-        for _ in range(e):
-            prod = packed[i] if prod is None else _poly_mul(prod, packed[i], cap)
-    if prod is None:
-        prod = {0: one}
-    unpack = _unpacker(n, b)
-    return {unpack(key): c for key, c in prod.items()}
-
-
 def _substituter(components, degree, one):
     """The map ``coeffs -> {(j, m): c}`` of f(g(y)), truncated at ``degree``,
     for one fixed g.
@@ -539,6 +519,13 @@ class _OnlineComposition:
                             out[k] = c1 * c2 if s is None else s + c1 * c2
                 slices.append({k: c for k, c in out.items() if c})
         return slices
+
+    def power_slice(self, m, d: int) -> dict:
+        """Degree-d slice of prod_i X_i^{m_i}, |m| >= 2, as ``{m': c}``: a
+        fresh dict over the kept slice."""
+        unpack = self._unpack
+        low = m.degree
+        return {unpack(key): c for key, c in self._slices(m, low, d)[d - low].items()}
 
     def degree_slice(self, coeffs: dict, d: int) -> dict:
         """Degree-d slice of f(X) as ``{(j, m): c}``, zero sums dropped.

@@ -21,7 +21,8 @@ compositions (:class:`embedflow.jets._OnlineComposition`) of f over
 X = y + h and of h over Y = Ay + g: the degree-k slice of each monomial of
 X or Y reads their slices below k, which are final, so every slice is
 formed once, and h_k and g_k are appended as the degree-k slices of X and
-Y.  The residual reuses those slices: the degree-k conjugacy defect of the
+Y.  The cross terms of (Ay)^sigma are Y's degree-k slices of its monomials,
+and the residual reuses those slices: the degree-k conjugacy defect of the
 final h and g is the solved defect plus A h_k - g_k - h_k(Ay).
 
 Which (j, sigma) are resonant is read from one
@@ -37,13 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .jets import (
-    MODE_EXACT,
-    MultiIndex,
-    PolyJet,
-    _OnlineComposition,
-    _product,
-)
+from .jets import MODE_EXACT, MultiIndex, PolyJet, _OnlineComposition
 from .resonance import _power, map_resonances, monomial_index
 from .scalars import ExactnessError, QQi
 from .spectral import BlockMatrix, _cast, is_hyperbolic
@@ -126,10 +121,11 @@ class NormalFormResult:
     diagnostics: tuple
 
 
-def _homological_rows(tri, rhs, k, tol, order, resonant):
+def _homological_rows(tri, rhs, k, tol, order, resonant, Y):
     """Row-by-row accumulator solve over the degree-k exponents ``order``;
-    ``resonant`` holds the map-resonant (j, sigma).  Returns (h, g, min
-    divisor)."""
+    ``resonant`` holds the map-resonant (j, sigma), and ``Y`` is an
+    :class:`_OnlineComposition` whose degree-1 part is Ay, from which
+    (Ay)^sigma is read.  Returns (h, g, min divisor)."""
     mode = rhs.mode
     n = tri.dim
     if mode == MODE_EXACT and not all(isinstance(d, QQi) for d in tri.diag):
@@ -138,7 +134,6 @@ def _homological_rows(tri, rhs, k, tol, order, resonant):
         )
     # divisors live in the jet's mode
     lam = list(tri.diag) if mode == MODE_EXACT else [complex(d) for d in tri.diag]
-    a_components = None
     nil = [(i, kk, _cast(c, mode)) for i, kk, c in tri.nil]
 
     # lambda^sigma serves every row j
@@ -146,14 +141,10 @@ def _homological_rows(tri, rhs, k, tol, order, resonant):
 
     def cross_terms(sigma):
         """(Ay)^sigma minus its leading term, as {exponent: coeff}."""
-        nonlocal a_components
         if tri.is_diagonal:
             return {}
-        if a_components is None:
-            lin = tri.linear_jet(1, mode)
-            a_components = [lin.component(i) for i in range(n)]
-        out = _product(a_components, sigma, k, _one(mode))
         sigma = MultiIndex(sigma)
+        out = Y.power_slice(sigma, k)
         lead = lam_power(sigma)
         rest = out[sigma] - lead
         if rest:
@@ -250,7 +241,7 @@ def distinguished_normal_form(germ: GermSpec, tol: float = DEFAULT_TOL) -> Norma
         # degree k of F(y + h) - (y + h)(Ay + g) with h, g known below k
         defect = _add_into(X.degree_slice(f, k), Y.degree_slice(h, k).items(), -1)
         h_k, g_k, min_div = _homological_rows(
-            tri, PolyJet(n, N, mode, defect), k, tol, index.of_degree(k), resonant
+            tri, PolyJet(n, N, mode, defect), k, tol, index.of_degree(k), resonant, Y
         )
         X.extend(h_k)
         Y.extend(g_k)

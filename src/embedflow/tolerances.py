@@ -18,15 +18,15 @@ logs, within ``tol`` absolute in mu.  With exact logs the normal form's
 by design: 4 and 4.0000004 are not resonant, and their divisor 4e-7 is
 below the floor.
 
-Series stopping rules (``spectral.dense_exp``,
-``exppoly._unit_integral_general``) belong to their algorithms and stay
-there.
+The series stopping rule of ``spectral.dense_exp`` belongs to its
+algorithm and stays there.  The flow needs no threshold: its frequencies
+are the integer witnesses of the one resonance rule.
 """
 
 # The default of every ``tol`` parameter and of a germ file's ``tol``
 # option.  Absolute in mu (logs, of order one) in the one resonance rule,
-# which decides map, field and weak resonance alike, in exponent snapping,
-# and in | |lambda| - 1 | for hyperbolicity; relative to
+# which decides map, field and weak resonance alike and so the integer
+# frequencies of the flow, and in | |lambda| - 1 | for hyperbolicity; relative to
 # max(1, |lambda_j|) in the dense-matrix loader.  1e-9 sits about seven digits above double roundoff on
 # eigenvalues of order one and far below any resonance gap a user means.
 DEFAULT_TOL = 1e-9
@@ -56,11 +56,6 @@ LOG_RESIDUAL = 1e-8
 # roundoff of the log series' compositions, many decades below 1e-7 for
 # coefficients of order one.
 STRAY_DEMAND = 1e-7
-
-# An unsnapped float exponent closer than this to 0 (absolute) is refused
-# by ExpPoly.integrate_to_t: its closed-form antiderivative divides by the
-# exponent and would amplify roundoff by more than 1e6.
-UNSTABLE_EXPONENT = 1e-6
 
 # The largest imaginary part (absolute) that complexify accepts on a real
 # jet, and that realify accepts on the real form of a float jet before it

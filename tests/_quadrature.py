@@ -2,8 +2,8 @@
 
 Computes the matrix of X_r -> int_0^1 e^{-sB} X_r(e^{sB} y) ds by sampling
 the integrand at quadrature nodes and interpolating the image back onto
-the monomial basis with least squares.  Shares no code with the package's
-symbolic ExpPoly route.
+the monomial basis with least squares.  Shares no code with the symbolic
+ExpPoly route of _expflow.py, whose ``Tr_matrix`` it checks.
 """
 
 import itertools

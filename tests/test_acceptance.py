@@ -29,7 +29,6 @@ from embedflow import (
     PolyJet,
     QQi,
     RotationBlock,
-    Tr_matrix,
     appendix_identity_check,
     classify_2d,
     compose,
@@ -50,6 +49,7 @@ from embedflow import (
     time_one_residuals,
 )
 from embedflow.cli import main as cli_main
+from _expflow import Tr_matrix
 from _gens import (
     random_exact_germ,
     random_hyperbolic_germ,

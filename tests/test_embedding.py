@@ -33,7 +33,6 @@ from embedflow import (
     QQi,
     RotationBlock,
     SpectralError,
-    Tr_matrix,
     appendix_identity_check,
     compose,
     distinguished_normal_form,
@@ -58,13 +57,14 @@ from embedflow.embedding import (
     _dp5_time_one,
     _exact_ring,
     _flow_unit,
+    _lattice_terms,
     _ode_rhs,
     _ode_steps,
     _oracle_inputs,
     _reachable,
     _substitute_flow,
 )
-from embedflow.exppoly import ExpPoly
+from embedflow.exppoly import TrigPoly
 from embedflow.scalars import PiPoly
 from embedflow.tolerances import (
     DEFAULT_TOL,
@@ -73,6 +73,8 @@ from embedflow.tolerances import (
     ODE_STEPS_PER_RATE,
     STRAY_DEMAND,
 )
+import _expflow
+from _expflow import Tr_matrix
 from _gens import random_branch_spectrum, random_exact_germ, random_resonant_normal_form
 from _quadrature import tr_matrix_quadrature
 
@@ -213,7 +215,7 @@ def test_unit_integral_general_exponent():
     # against direct numeric quadrature of t^k e^(at)
     from scipy.integrate import quad
 
-    from embedflow.exppoly import ExpPoly
+    from _expflow import ExpPoly
 
     for k, a in [
         (0, 1.4 + 0.3j),
@@ -362,15 +364,15 @@ def _reference_solve(G, B, tol=DEFAULT_TOL):
     embedding._validate_normal_form(G, report, tol)
     weak = {(j, m): l for j, m, l in report.weak}
     n = tri.dim
-    unit = _flow_unit(tri, exact_ring)
+    unit = _expflow._flow_unit(tri, exact_ring)
     zero = QQi(0) if exact_ring else 0j
     g = G.nonlinear if exact_ring else G.nonlinear.to_float()
-    E, Em, phi = embedding._linear_flow(tri, exact_ring, N)
+    E, Em, phi = _expflow._linear_flow(tri, exact_ring, N)
     eBm = _exp_minus_B(tri, exact_ring)
     x_coeffs = {}
     for r in range(2, N + 1):
-        P = _substitute_flow(x_coeffs, phi, r, unit)
-        integrand = embedding._snap(embedding._matrix_apply(Em, P), tol)
+        P = _expflow._substitute_flow(x_coeffs, phi, r, unit)
+        integrand = _expflow._snap(_expflow._matrix_apply(Em, P), tol)
         rhs = {}
         for (i, m), p in integrand.coeffs.items():
             val = p.integrate_unit()
@@ -414,8 +416,8 @@ def _reference_solve(G, B, tol=DEFAULT_TOL):
                     assert v is not None
                 x_r[(j, m)] = QQi.coerce(v) if exact_ring else complex(v)
         x_coeffs.update(x_r)
-        step = P + _substitute_flow(x_r, phi, r, unit)
-        phi = embedding._flow_step(phi, step, E, Em, tol)
+        step = P + _expflow._substitute_flow(x_r, phi, r, unit)
+        phi = _expflow._flow_step(phi, step, E, Em, tol)
     mode = MODE_EXACT if exact_ring else MODE_FLOAT
     return FieldGerm(B, PolyJet(n, N, mode, x_coeffs), N, tol)
 
@@ -649,9 +651,112 @@ def _resonant_field(blocks, degree, exact, rng):
     return FieldGerm(B, v, degree)
 
 
+def _weak_term_field():
+    """The second embedding of test_weak_term_gives_second_embedding: the
+    solve's field plus the weak term 0.35 y2^4 e1."""
+    mu1 = EigenScalar.from_parts(rat=2)
+    mu2 = EigenScalar.from_parts(rat=Fraction(1, 2), pi_part=Fraction(1, 2))
+    a = BlockMatrix((
+        JordanBlock(math.exp(2.0), 1, mu=mu1),
+        RotationBlock(0.0, -math.exp(0.5), 1, mu=mu2),
+    ))
+    g = PolyJet.build(3, 4, MODE_FLOAT, [(0, MultiIndex((0, 2, 2)), 1.0)])
+    X = solve_embedding(GermSpec(a, g, 4), real_log(a))
+    terms = [(j, m, c) for (j, m), c in X.nonlinear.coeffs.items()]
+    terms.append((0, MultiIndex((0, 4, 0)), 0.35))
+    return FieldGerm(X.linear, PolyJet.build(3, 4, MODE_FLOAT, terms), 4)
+
+
+# the weak monomials of _interacting_weak_field: <m, mu> is mu_1 +- 2*pi*i
+# for y2^4 e1 and y3^4 e1 (mu_1 = 2), and mu_4 + 2*pi*i for y1^3 y2^4 e4
+# and e5 (mu_4 = mu_5 = 8)
+_WEAK = ((0, (0, 4, 0, 0, 0)), (0, (0, 0, 4, 0, 0)), (3, (3, 4, 0, 0, 0)), (4, (3, 4, 0, 0, 0)))
+
+
+def _interacting_weak_field(mode):
+    """mu = (2, 1/2 +- i pi/2, 8 on a size-2 Jordan block) at N = 8: random
+    coefficients on every field-resonant monomial and on the weak ones of
+    _WEAK, whose flows feed each other (y1 gains y2^4, which y1^3 y2^4
+    carries into y4 and y5).  The Jordan block's eigenvalue is the integer
+    2981 next to its exact log 8, so the coupling of the log, -1/2981, is
+    a Gaussian rational and exact mode keeps an exact ring."""
+    rng = np.random.default_rng(2101)
+    a = BlockMatrix((
+        JordanBlock(math.exp(2.0), 1, mu=EigenScalar.from_parts(rat=2)),
+        RotationBlock(
+            0.0, -math.exp(0.5), 1,
+            mu=EigenScalar.from_parts(rat=Fraction(1, 2), pi_part=Fraction(1, 2)),
+        ),
+        JordanBlock(2981, 2, mu=EigenScalar.from_parts(rat=8)),
+    ))
+    B = real_log(a)
+    rep = field_resonances(B.triangular().eigen, 8)
+    assert set(_WEAK) <= {(j, tuple(m)) for j, m, _ in rep.weak}
+    terms = []
+    for j, m in [*rep.field_resonant, *_WEAK]:
+        c = QQi(Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))), Fraction(1, 2))
+        terms.append((j, MultiIndex(m), c if mode == MODE_EXACT else complex(c)))
+    return FieldGerm(B, PolyJet.build(5, 8, mode, terms), 8)
+
+
+def _flow_cases():
+    """Fields for the flow against the reference flow, built when run."""
+    cases = [(name, lambda name=name: _fixture_field(name)[1]) for name in FIXTURES]
+    cases += [
+        (f"normal-form-{i}", lambda i=i: solve_embedding(
+            *random_resonant_normal_form(np.random.default_rng(1800 + i), degree=4, nil=i % 3 == 0)
+        ))
+        for i in range(20)
+    ]
+    blocks = {
+        "diag": (JordanBlock(16, 1), JordanBlock(4, 1), JordanBlock(2, 1)),
+        "jordan": (JordanBlock(4, 1), JordanBlock(2, 2), JordanBlock(8, 1)),
+    }
+    cases += [
+        (f"resonant-{kind}-{'exact' if exact else 'float'}",
+         lambda kind=kind, exact=exact: _resonant_field(blocks[kind], 5, exact, np.random.default_rng(1850)))
+        for kind in blocks
+        for exact in (True, False)
+    ]
+    cases.append(("weak-second-embedding", _weak_term_field))
+    cases += [
+        (f"weak-interacting-{mode}", lambda mode=mode: _interacting_weak_field(mode))
+        for mode in (MODE_EXACT, MODE_FLOAT)
+    ]
+    return [pytest.param(build, id=name) for name, build in cases]
+
+
+@pytest.mark.parametrize("build", _flow_cases())
+def test_flow_matches_reference_flow(build):
+    """The flow on integer frequencies against the value-keyed ExpPoly flow
+    of _expflow, to 1e-14 of the jet's scale at each time."""
+    X = build()
+    assert isinstance(X, FieldGerm)
+    got, want = flow_jet(X), _expflow.flow_jet(X)
+    for t in (0.0, 0.3, 1.0, -0.7):
+        want_t = want.at_time(t)
+        assert jet_distance(got.at_time(t), want_t) <= 1e-14 * max(1.0, want_t.max_abs()), t
+
+
+@pytest.mark.parametrize("mode", (MODE_EXACT, MODE_FLOAT))
+def test_interacting_weak_terms_flow_ring(mode):
+    """Weak terms that feed each other on a Jordan block (compared with the
+    reference flow as weak-interacting-* above): exact mode keeps QQi/PiPoly
+    coefficients, with powers of pi from the weak frequencies."""
+    phi = flow_jet(_interacting_weak_field(mode))
+    coeffs = [c for p in phi.coeffs.values() for c in p.terms.values()]
+    if mode == MODE_EXACT:
+        assert all(isinstance(c, (QQi, PiPoly)) for c in coeffs)
+        assert any(isinstance(c, PiPoly) and c.as_qqi() is None for c in coeffs)
+    else:
+        assert all(isinstance(c, complex) for c in coeffs)
+    # the weak frequencies reach the Jordan block's two coordinates
+    assert {j for (j, m), p in phi.coeffs.items() if any(l for _, l in p.terms)} >= {0, 3, 4}
+
+
 class TestSubstitutionKernel:
     """The flow solver composes through ``jets._substitute`` over the
-    ExpPoly ring; at every fixed time that must be ``compose``."""
+    TrigPoly ring; at every fixed time that must be ``compose``."""
 
     @pytest.mark.parametrize(
         "blocks, exact",
@@ -679,21 +784,24 @@ class TestSubstitutionKernel:
         for r in range(1, degree + 1):
             for m in multiindices(n, r):
                 for j in range(n):
-                    if rng.random() < 0.5:
-                        if exact:
-                            c = QQi(Fraction(int(rng.integers(-5, 6)), 3))
-                        else:
-                            c = complex(*rng.normal(size=2))
-                        terms.append((j, m, c))
+                    if exact:
+                        c = QQi(Fraction(int(rng.integers(-5, 6)), 3))
+                    else:
+                        c = complex(*rng.normal(size=2))
+                    terms.append((j, m, c))
         x = PolyJet.build(n, degree, X.mode, terms)
-        unit = _flow_unit(tri, exact_ring)
-        slices = [_substitute_flow(x.coeffs, phi, r, unit) for r in range(1, degree + 1)]
+        # integer frequencies hold the terms on the resonance lattice only:
+        # keep every one of them
+        lattice, _ = _lattice_terms(x.coeffs, tri.eigen, X.tol)
+        x = PolyJet(n, degree, X.mode, {k: x.coeffs[k] for k in lattice})
+        unit = _flow_unit(exact_ring)
+        slices = [_substitute_flow(lattice, phi, r, unit) for r in range(1, degree + 1)]
         if exact:
             for part in slices:
                 for p in part.coeffs.values():
-                    for (_, a), c in p.terms.items():
+                    for (k, l), c in p.terms.items():
                         assert isinstance(c, (QQi, PiPoly))
-                        assert isinstance(a, EigenScalar)
+                        assert type(k) is int and type(l) is int
         for t in (0.0, 0.3, 1.0):
             want = compose(x.to_float(), phi.at_time(t), degree=degree)
             for r, part in enumerate(slices, start=1):
@@ -811,7 +919,7 @@ class TestOdeOracle:
 
     def test_shares_no_code_with_the_flow_solver(self, monkeypatch):
         # the ODE oracle must give the same jet with the composition kernel,
-        # the scalar product and the ExpPoly product all unavailable
+        # the scalar product and the TrigPoly product all unavailable
         class Called(Exception):
             pass
 
@@ -825,7 +933,7 @@ class TestOdeOracle:
         monkeypatch.setattr(jets, "_substitute", boom)
         monkeypatch.setattr(embedding, "_substitute", boom)
         monkeypatch.setattr(jets, "_poly_mul", boom)
-        monkeypatch.setattr(ExpPoly, "__mul__", boom)
+        monkeypatch.setattr(TrigPoly, "__mul__", boom)
         with pytest.raises(Called):
             flow_jet(X)
         got, _ = _dp5_time_one(tri, X.nonlinear, X.degree, 1000)
@@ -833,7 +941,7 @@ class TestOdeOracle:
 
     def test_solve_shares_no_code_with_the_flow_check(self, monkeypatch):
         # the solve must reach the same outcome with the exact-flow check's
-        # degree step, flow substitution, ExpPoly integrals and PiPoly
+        # degree step, flow substitution, TrigPoly integral and PiPoly
         # conversion all unavailable
         class Called(Exception):
             pass
@@ -847,7 +955,7 @@ class TestOdeOracle:
         want = [solve_embedding(G, B, tol=tol) for G, B, tol in cases]
         monkeypatch.setattr(embedding, "_substitute_flow", boom)
         monkeypatch.setattr(embedding, "_flow_step", boom)
-        monkeypatch.setattr(ExpPoly, "integrate_unit", boom)
+        monkeypatch.setattr(TrigPoly, "integrate_to_t", boom)
         monkeypatch.setattr(PiPoly, "as_qqi", boom)
         with pytest.raises(Called):
             flow_jet(want[-1])

@@ -30,6 +30,7 @@ from embedflow import (
     map_resonances,
     multiindices,
 )
+from embedflow.jets import _OnlineComposition
 from embedflow.normal_form import _homological_rows
 from embedflow.resonance import monomial_index
 from embedflow.tolerances import DEFAULT_TOL
@@ -214,13 +215,14 @@ def _reference_normal_form(germ, tol=DEFAULT_TOL):
     lin = tri.linear_jet(N, mode)
     index = monomial_index(n, N)
     resonant = map_resonances(tri.eigen, max(N, 2), tol).map_set()
+    ay = _OnlineComposition([lin.component(j) for j in range(n)], N)
     diagnostics = []
     for k in range(2, N + 1):
         lhs = compose(F, identity + h_acc, degree=k)
         rhs = compose(identity + h_acc, lin + g_acc, degree=k)
         defect = (lhs - rhs).degree_slice(k)
         h_map, g_map, min_div = _homological_rows(
-            tri, defect, k, tol, index.of_degree(k), resonant
+            tri, defect, k, tol, index.of_degree(k), resonant, ay
         )
         h_acc = h_acc + PolyJet.build(n, N, mode, [(j, m, c) for (j, m), c in h_map.items()])
         g_acc = g_acc + PolyJet.build(n, N, mode, [(j, m, c) for (j, m), c in g_map.items()])

@@ -13,6 +13,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from _expflow import Tr_matrix
 from _gens import (
     random_branch_spectrum,
     random_exact_germ,
@@ -29,7 +30,6 @@ from embedflow import (
     Obstruction,
     PolyJet,
     QQi,
-    Tr_matrix,
     distinguished_normal_form,
     field_resonances,
     is_hyperbolic,
