@@ -20,6 +20,7 @@ import argparse
 import sys
 import time
 from dataclasses import replace
+from functools import cache
 from importlib import resources
 
 from . import embedding
@@ -173,7 +174,7 @@ def _prepare(gf: GermFile, report: Report):
 def cmd_analyze(gf: GermFile, report: Report) -> int:
     _linear_section(gf, report)
     try:
-        spec, paired, perm = gf.to_spec()
+        paired, perm = gf.linear_spec()
     except SpectralError as exc:
         # unpaired negative blocks: the resonance structure is still
         # defined through the principal complex logarithm
@@ -366,7 +367,10 @@ _COMMANDS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later :func:`main` call in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="embedflow",
         description="Embedding flows for hyperbolic polynomial germs.",

@@ -37,8 +37,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jets import MODE_EXACT, MODE_FLOAT, MultiIndex, PolyJet, complexify, permute_jet
-from .normal_form import GermSpec
+from .jets import (
+    MODE_EXACT,
+    MODE_FLOAT,
+    MultiIndex,
+    PolyJet,
+    _require_real,
+    complexify,
+    permute_jet,
+)
+from .normal_form import GermSpec, _check_germ
 from .scalars import EigenScalar, QQi
 from .spectral import (
     BlockMatrix,
@@ -92,6 +100,17 @@ class GermFile:
         jet = permute_jet(self.real_jet(), perm)
         zjet = complexify(jet, paired.pairing())
         return GermSpec(paired, zjet, self.degree), paired, perm
+
+    def linear_spec(self):
+        """``(paired, perm)`` of :meth:`to_spec`, with its refusals in its
+        order, but without permuting or complexifying the jet: a change of
+        coordinates keeps the dimension and degrees that the refusals read.
+        """
+        paired, perm = pair_negative_blocks(self.blocks)
+        jet = self.real_jet()
+        _require_real(jet)
+        _check_germ(paired, jet, self.degree)
+        return paired, perm
 
 
 _MODES = (MODE_FLOAT, MODE_EXACT)

@@ -653,6 +653,13 @@ def _imag_violation(jet: PolyJet) -> float:
     return worst
 
 
+def _require_real(f: PolyJet):
+    """Refuse a jet with an imaginary part above CONJUGATE_SYMMETRY, as
+    :func:`complexify` does."""
+    if _imag_violation(f) > CONJUGATE_SYMMETRY:
+        raise ValueError("complexify expects a real-coefficient jet")
+
+
 def _real_part(q: QQi) -> QQi:
     return QQi(Fraction(q._a, q._d)) if q._b else q
 
@@ -708,8 +715,7 @@ def complexify(f: PolyJet, pairing: RealPairing) -> PolyJet:
     """
     if pairing.dim != f.dim:
         raise ValueError("pairing dimension mismatch")
-    if _imag_violation(f) > CONJUGATE_SYMMETRY:
-        raise ValueError("complexify expects a real-coefficient jet")
+    _require_real(f)
     if pairing.trivial:
         return f
     forward, backward = _pairing_jets(pairing, f.degree, f.mode)

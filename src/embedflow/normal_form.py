@@ -65,6 +65,21 @@ class NearResonanceError(ArithmeticError):
         )
 
 
+def _check_germ(linear: BlockMatrix, nonlinear: PolyJet, degree: int):
+    """The refusals of :class:`GermSpec`.  They read the dimension and the
+    degrees of ``nonlinear``, which a change of coordinates keeps."""
+    if nonlinear.dim != linear.dim:
+        raise ValueError("linear and nonlinear dimensions differ")
+    if nonlinear.degree != degree:
+        raise ValueError("nonlinear jet truncation must match degree")
+    if nonlinear.coeffs and nonlinear.min_degree() < 2:
+        raise ValueError("nonlinear part must vanish to second order")
+    if degree < 1:
+        raise ValueError("degree must be positive")
+    if not is_hyperbolic(linear):
+        raise ValueError("linear part must be hyperbolic")
+
+
 @dataclass(frozen=True)
 class GermSpec:
     """Hyperbolic jet F = Ax + f(x) in complexified coordinates.
@@ -78,16 +93,7 @@ class GermSpec:
     degree: int
 
     def __post_init__(self):
-        if self.nonlinear.dim != self.linear.dim:
-            raise ValueError("linear and nonlinear dimensions differ")
-        if self.nonlinear.degree != self.degree:
-            raise ValueError("nonlinear jet truncation must match degree")
-        if self.nonlinear.coeffs and self.nonlinear.min_degree() < 2:
-            raise ValueError("nonlinear part must vanish to second order")
-        if self.degree < 1:
-            raise ValueError("degree must be positive")
-        if not is_hyperbolic(self.linear):
-            raise ValueError("linear part must be hyperbolic")
+        _check_germ(self.linear, self.nonlinear, self.degree)
 
     @property
     def dim(self) -> int:

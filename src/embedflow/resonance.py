@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -221,6 +221,15 @@ def field_resonances(eigen: EigenData, degree: int, tol: float = DEFAULT_TOL) ->
     """
     if degree < 2:
         raise ValueError("degree must be at least 2")
+    return _scan(eigen.entries, degree, tol)
+
+
+@lru_cache(maxsize=1)
+def _scan(entries: tuple, degree: int, tol: float) -> ResonanceReport:
+    """The scan of :func:`field_resonances`.  The last one is kept: the
+    embedding solve reads the normal form's scan again whenever its
+    logarithm branch leaves A's log eigenvalues as they are."""
+    eigen = EigenData(entries)
     n = len(eigen)
     index = monomial_index(n, degree)
     hit, l, dist = _classify(_mu(eigen), index.matrix, tol)

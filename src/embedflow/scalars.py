@@ -475,15 +475,6 @@ class EigenScalar:
     def is_zero(self) -> bool:
         return self.real_is_zero and self.pi_part == 0
 
-    def two_pi_integer(self):
-        """If the value equals 2*pi*i*l with integer l, return l, else None."""
-        if not self.real_is_zero:
-            return None
-        half = self.pi_part / 2
-        if half.denominator != 1:
-            return None
-        return int(half)
-
     def exp_exact(self):
         """exp(self) as a QQi, or None when that value is irrational."""
         if self.rat != 0:

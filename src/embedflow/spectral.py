@@ -487,12 +487,16 @@ class BlockMatrix:
                 out[i, k] = c.real
         return out + 0.0  # no -0.0 from negated zero imaginary parts
 
-    def pairing(self) -> RealPairing:
+    @cached_property
+    def _pairing(self) -> RealPairing:
         pairs = []
         for b, o in zip(self.blocks, self.offsets()):
             if isinstance(_source(b), _BRANCHABLE):
                 pairs.extend((o + 2 * k, o + 2 * k + 1) for k in range(b.order // 2))
         return RealPairing(self.dim, tuple(pairs))
+
+    def pairing(self) -> RealPairing:
+        return self._pairing
 
 
 @dataclass(frozen=True)
@@ -657,8 +661,30 @@ def dense_exp(m: np.ndarray, terms=40) -> np.ndarray:
 
 
 def log_residual(a: BlockMatrix, b: BlockMatrix) -> float:
-    """Max-entry residual |exp(B) - A| of a proposed logarithm."""
-    return float(np.max(np.abs(dense_exp(b.to_dense()) - a.to_dense())))
+    """Max-entry residual |exp(B) - A| of a proposed logarithm.
+
+    In complexified coordinates B's triangular form is S + N, S the
+    diagonal of logs mu and N nilpotent, coupling only coordinates of equal
+    mu, so that S and N commute and exp(B) = diag(e^mu) sum_(k<n) N^k/k!
+    in closed form.  That is compared with A's triangular form, entry by
+    entry.  When the pairings differ the two forms sit in different
+    coordinates, and the real dense matrices are compared through
+    :func:`dense_exp` instead.
+    """
+    if a.pairing() != b.pairing():  # RealPairing holds the dimension too
+        return float(np.max(np.abs(dense_exp(b.to_dense()) - a.to_dense())))
+    tri = b.triangular()
+    total = term = np.eye(b.dim, dtype=complex)
+    if tri.nil:
+        nil = tri.dense()
+        np.fill_diagonal(nil, 0.0)
+        for k in range(1, b.dim):
+            term = term @ nil / k
+            if not term.any():
+                break
+            total = total + term
+    exp_b = np.exp(np.array(tri.diag, dtype=complex))[:, None] * total
+    return float(np.max(np.abs(exp_b - a.triangular().dense())))
 
 
 def _branch_shifts(a: BlockMatrix):

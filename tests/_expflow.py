@@ -42,10 +42,20 @@ def key_add(a, b):
     return complex(a) + complex(b)
 
 
+def two_pi_integer(a: EigenScalar):
+    """If ``a`` equals 2*pi*i*l with integer l, return l, else None."""
+    if not a.real_is_zero:
+        return None
+    half = a.pi_part / 2
+    if half.denominator != 1:
+        return None
+    return int(half)
+
+
 def key_two_pi_l(a, tol: float = 0.0):
     """Integer l with a = 2*pi*i*l (exactly, or within ``tol`` for floats)."""
     if isinstance(a, EigenScalar):
-        return a.two_pi_integer()
+        return two_pi_integer(a)
     a = complex(a)
     l = round(a.imag / _TWO_PI)
     if math.hypot(a.real, a.imag - _TWO_PI * l) <= tol:

@@ -7,6 +7,7 @@ machine tail of the report plus the exit code.
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -66,14 +67,17 @@ class TestEmbed:
 
     @pytest.mark.parametrize("verb", ["embed", "verify"])
     def test_ode_steps_from_the_reachable_rate(self, capsys, verb):
-        # paper-2.3's oracle state moves at rate 8 (mu_1 and <(0,4,4), mu>)
+        # paper-2.3's one field term is field-resonant, so every row of the
+        # oracle's equations has rate 0 in the frame of B's diagonal, and it
+        # takes ODE_STEPS_PER_RATE steps, where the rate 8 of e^(tB) would
+        # ask for 184
         from embedflow.tolerances import ODE_STEPS_PER_RATE
 
         code, out, _ = run(capsys, verb, "--fixture", "paper-2.3")
         m = machine(out)
         assert code == 0
-        steps = math.ceil(ODE_STEPS_PER_RATE * 8)
-        assert int(m["ode_steps"]) == steps
+        steps = ODE_STEPS_PER_RATE
+        assert int(m["ode_steps"]) == steps == 23
         assert f"ODE oracle steps:               {steps}" in out
 
     def test_paper_23_blocked(self, capsys):
@@ -256,6 +260,42 @@ class TestModuleEntry:
         assert machine(proc.stdout)["status"] == "ok"
 
 
+# diag(e^2) + a rotation cell of log 1/2 + i*pi/2, with the field-resonant
+# |z|^4 e1: test_embedding's test_weak_term_gives_second_embedding germ
+WEAK_GERM = (
+    "HEADER\ndimension 3\ndegree 4\nmode float\nLINEAR\n"
+    "jordan-exp 2 1\nrotation-exp 1/2 1/2 1\nNONLINEAR\n"
+    "1 0 4 0 1\n1 0 2 2 2\n1 0 0 4 1\n"
+)
+
+
+def _verify_weak_field(capsys, monkeypatch, steps):
+    """``verify`` on WEAK_GERM, with the solve's field plus the weak term
+    0.35 z^4 e1: a second embedding, whose oracle row z^4 e1 moves at
+    2*pi in the frame of B's diagonal.  ``steps`` forces the oracle's step
+    count; None keeps its own.  Returns the exit code and the machine tail."""
+    from embedflow import cli, embedding
+    from embedflow.embedding import FieldGerm
+    from embedflow.jets import MultiIndex, PolyJet
+
+    solve = cli.solve_embedding
+
+    def with_weak_term(G, B, tol):
+        X = solve(G, B, tol=tol)
+        terms = [(j, m, c) for (j, m), c in X.nonlinear.coeffs.items()]
+        terms.append((0, MultiIndex((0, 4, 0)), 0.35))
+        return FieldGerm(B, PolyJet.build(3, 4, X.mode, terms), 4, tol)
+
+    monkeypatch.setattr(cli, "solve_embedding", with_weak_term)
+    if steps is not None:
+        monkeypatch.setattr(embedding, "_ode_steps", lambda tri, v, degree: steps)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(WEAK_GERM))
+    code, out, _ = run(capsys, "verify", "-")
+    m = machine(out)
+    assert m["field"] == "(1,(0,2,2)):0.1353352832366127;(1,(0,4,0)):0.35"
+    return code, m
+
+
 class TestVerify:
     def test_paper_23_verifies(self, capsys):
         code, out, _ = run(capsys, "verify", "--fixture", "paper-2.3")
@@ -274,23 +314,26 @@ class TestVerify:
         assert "ODE oracle error estimate:" in out
 
     def test_one_step_oracle_fails_verification(self, capsys, monkeypatch):
-        from embedflow import embedding
-
-        monkeypatch.setattr(embedding, "_ode_steps", lambda tri, v, degree: 1)
-        code, out, _ = run(capsys, "verify", "--fixture", "paper-2.3")
-        assert code == 3
-        assert machine(out)["verified"] == "no"
+        # on the weak field the oracle's one step spans a whole turn of
+        # e^(2*pi*i*t), and its time-one map misses by 0.1 against a bound
+        # of 7.4e-6
+        code, m = _verify_weak_field(capsys, monkeypatch, steps=1)
+        assert float(m["residual_ode"]) > 7.4e-6
+        assert code == 3 and m["verified"] == "no"
 
     def test_estimate_gate_alone_fails_verification(self, capsys, monkeypatch):
-        # at 8 steps resonant-2d's ODE residual (1.8e-7) is inside its bound
-        # 4e-6, but the estimate (1.9e-6) is above a tenth of it
-        from embedflow import embedding
-
-        monkeypatch.setattr(embedding, "_ode_steps", lambda tri, v, degree: 8)
-        code, out, _ = run(capsys, "verify", "--fixture", "resonant-2d")
-        m = machine(out)
-        assert float(m["residual_ode"]) <= 4e-6 < 10 * float(m["residual_ode_err"])
+        # at 8 steps the weak field's ODE residual (4e-16) is inside its
+        # bound 7.4e-6, but the estimate (1.1e-5) is above a tenth of it
+        code, m = _verify_weak_field(capsys, monkeypatch, steps=8)
+        assert float(m["residual_ode"]) <= 7.4e-6 < 10 * float(m["residual_ode_err"])
         assert code == 3 and m["verified"] == "no"
+
+    def test_weak_field_verifies_at_its_own_rate(self, capsys, monkeypatch):
+        # the weak row moves at 2*pi, so the oracle takes ceil(23 * 2*pi)
+        code, m = _verify_weak_field(capsys, monkeypatch, steps=None)
+        assert int(m["ode_steps"]) == 145
+        assert float(m["residual_ode"]) <= float(m["residual_ode_err"])
+        assert code == 0 and m["verified"] == "yes"
 
     def test_blocked_fixture_exits_2(self, capsys):
         code, out, _ = run(capsys, "verify", "--fixture", "paper-2.3-blocked")
@@ -452,6 +495,96 @@ class TestErrors:
         m = machine(out)
         assert code == 3
         assert "hyperbolic" in m["error"]
+
+
+class TestRefusals:
+    """analyze reads only the pairing of the germ, yet refuses a germ for
+    the reasons, and with the messages, of the verbs that complexify its
+    jet."""
+
+    NONHYPERBOLIC = (  # test_nonhyperbolic's germ
+        "HEADER\ndimension 2\ndegree 2\nmode float\nLINEAR\n"
+        "jordan 1 2\nNONLINEAR\n"
+    )
+    IMAGINARY = (
+        "HEADER\ndimension 2\ndegree 2\nmode float\nLINEAR\n"
+        "jordan 2 1\njordan 4 1\nNONLINEAR\n1 0 2 1 0.5\n"
+    )
+    RESONANT_2D = (
+        "HEADER\ndimension 2\ndegree 2\nmode exact\nLINEAR\n"
+        "jordan 2 1\njordan 4 1\nNONLINEAR\n2 2 0 1\n"
+    )
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            (NONHYPERBOLIC, (), "linear part must be hyperbolic"),
+            (IMAGINARY, (), "complexify expects a real-coefficient jet"),
+            (RESONANT_2D, ("--degree", "1"), "term of degree 2 exceeds truncation 1"),
+        ],
+    )
+    @pytest.mark.parametrize("verb", ["analyze", "normal-form", "embed"])
+    def test_same_refusal(self, capsys, monkeypatch, verb, text, flags, message):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, verb, "-", *flags)
+        m = machine(out)
+        assert code == 3
+        assert m["status"] == "error" and m["error"] == message
+
+
+class TestOneProcess:
+    ARGVS = [
+        ("analyze", "--fixture", "paper-Astar"),
+        ("embed", "--fixture", "resonant-2d", "--canonical"),
+        ("verify", "--fixture", "paper-Astar", "--branch", "k=1"),
+        ("normal-form", "--fixture", "resonant-2d", "--degree", "3"),
+        ("verify", "--fixture", "paper-2.3"),
+        ("analyze", "--fixture", "resonant-2d"),
+    ]
+
+    def test_back_to_back_calls_print_what_separate_calls_print(self, capsys):
+        # the parser is built on the first call and shared by the later ones;
+        # a flag given to one call must not leak into the next
+        from embedflow import cli
+
+        def masked(argv):
+            code, out, err = run(capsys, *argv)
+            return code, re.sub(r"time_s=.*", "time_s=", out), err
+
+        separate = []
+        for argv in self.ARGVS:
+            cli._build_parser.cache_clear()
+            separate.append(masked(argv))
+        cli._build_parser.cache_clear()
+        assert [masked(argv) for argv in self.ARGVS] == separate
+        assert cli._build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize(
+        "flags, scans, blocked",
+        [
+            ((), 1, {"(1,(0,2,0),1)", "(1,(0,0,2),-1)"}),
+            (("--branch", "k=1"), 2, {"(1,(0,2,0),3)", "(1,(0,0,2),-3)"}),
+        ],
+    )
+    def test_resonances_scanned_once_per_log(self, capsys, monkeypatch, flags, scans, blocked):
+        # on the principal branch B's logs are A's, and the solve reads the
+        # normal form's scan; k = 1 moves the negative pair's logs by 2*pi*i,
+        # and the solve scans them anew: the weak witnesses go from 1 to 3
+        from embedflow import resonance
+
+        calls = []
+        classify = resonance._classify
+
+        def counted(*args):
+            calls.append(args)
+            return classify(*args)
+
+        monkeypatch.setattr(resonance, "_classify", counted)
+        resonance._scan.cache_clear()
+        code, out, _ = run(capsys, "verify", "--fixture", "paper-Astar", *flags)
+        assert code == 2
+        assert set(machine(out)["blocked"].split(";")) == blocked
+        assert len(calls) == scans
 
 
 class TestCanonical:

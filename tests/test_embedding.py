@@ -52,6 +52,7 @@ from embedflow import (
 from embedflow import embedding, jets
 from embedflow.embedding import (
     _DP_A,
+    _DP_C,
     _DP_E,
     _composition_table,
     _dp5_time_one,
@@ -70,6 +71,7 @@ from embedflow.tolerances import (
     DEFAULT_TOL,
     ODE_BOUND,
     ODE_ERR_SHARE,
+    ODE_ROUNDOFF,
     ODE_STEPS_PER_RATE,
     STRAY_DEMAND,
 )
@@ -301,6 +303,35 @@ class TestSolveEmbedding:
         wrong = real_log(BlockMatrix((JordanBlock(4, 1), JordanBlock(3, 1))))
         with pytest.raises(SpectralError):
             solve_embedding(G, wrong)
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_FLOAT])
+    @pytest.mark.parametrize(
+        "blocks, other",
+        [
+            # a wrong eigenvalue
+            ((JordanBlock(3, 2),), (JordanBlock(4, 2),)),
+            # a Jordan coupling that A has and B's exponential lacks
+            ((JordanBlock(3, 2), JordanBlock(5, 1)), (JordanBlock(3, 1), JordanBlock(3, 1), JordanBlock(5, 1))),
+            # and one that B's exponential has and A lacks
+            ((JordanBlock(3, 1), JordanBlock(3, 1)), (JordanBlock(3, 2),)),
+            # a wrong rotation angle, on every branch: lambda = 2i for -2i
+            ((RotationBlock(0, 2, 1), JordanBlock(2, 1)), (RotationBlock(0, -2, 1), JordanBlock(2, 1))),
+            # a rotation cell where A has two real coordinates: the pairings
+            # differ, and the real dense matrices are compared instead
+            ((JordanBlock(2, 1), JordanBlock(2, 1)), (RotationBlock(2, 1, 1),)),
+        ],
+    )
+    def test_rejects_the_log_of_another_matrix(self, mode, blocks, other):
+        # B is a true logarithm, but of a matrix that differs from A in one
+        # eigenvalue or one coupling; every branch of A's own log passes
+        a = BlockMatrix(blocks)
+        G = GermSpec(a, PolyJet.build(a.dim, 2, mode, []), 2)
+        for branch in (0, 1, -1):
+            values = tuple(branch if isinstance(b, RotationBlock) else 0 for b in other)
+            with pytest.raises(SpectralError, match="exp\\(B\\) differs"):
+                solve_embedding(G, real_log(BlockMatrix(other), BranchChoice(values)))
+            values = tuple(branch if isinstance(b, RotationBlock) else 0 for b in blocks)
+            assert isinstance(solve_embedding(G, real_log(a, BranchChoice(values))), FieldGerm)
 
     def test_rejects_non_normal_form(self):
         a = BlockMatrix((JordanBlock(4, 1), JordanBlock(2, 1)))
@@ -824,36 +855,41 @@ def _linear_on_columns(tri, cols, C):
 
 
 def _full_state_dp5(tri, v, degree, steps):
-    """The ODE oracle's fixed-step DP5 over every column (j, m), m of degree
-    1 to ``degree``: the state before its restriction to the reachable
-    columns.  Returns ``(jet, err)`` as ``_dp5_time_one`` does."""
+    """The ODE oracle's fixed-step integrating-factor DP5 over every column
+    (j, m), m of degree 1 to ``degree``: the state before its restriction to
+    the reachable columns, with e^(+-tD) formed afresh at every stage node.
+    Returns ``(jet, err)`` as ``_dp5_time_one`` does."""
     n = tri.dim
     cols = [(j, m) for r in range(1, degree + 1) for j in range(n) for m in multiindices(n, r)]
-    terms = [(j, MultiIndex.unit(n, j), complex(d)) for j, d in enumerate(tri.diag)]
-    terms += [(i, MultiIndex.unit(n, k), complex(c)) for i, k, c in tri.nil]
+    terms = [(i, MultiIndex.unit(n, k), complex(c)) for i, k, c in tri.nil]
     terms += [(j, m, complex(c)) for (j, m), c in v.coeffs.items()]
     out, factors, mult = _composition_table(terms, cols, degree)
+    rate = np.array([complex(tri.diag[j]) for j, _ in cols])
     flat = np.ones(len(cols) + 1, dtype=complex)
 
-    def deriv(state):
-        flat[:-1] = state
+    def deriv(t, z):
+        flat[:-1] = np.exp(t * rate) * z
         contrib = flat[factors].prod(axis=0) * mult
-        return np.bincount(out, contrib.real, len(cols)) + 1j * np.bincount(
+        g = np.bincount(out, contrib.real, len(cols)) + 1j * np.bincount(
             out, contrib.imag, len(cols)
         )
+        return np.exp(-t * rate) * g
 
-    y = np.array([1.0 if m == MultiIndex.unit(n, j) else 0.0 for j, m in cols], dtype=complex)
-    a, e = _DP_A / steps, _DP_E / steps
+    z = np.array([1.0 if m == MultiIndex.unit(n, j) else 0.0 for j, m in cols], dtype=complex)
+    h = 1.0 / steps
+    a, e = _DP_A * h, _DP_E * h
     K = np.empty((7, len(cols)), dtype=complex)
-    K[0] = deriv(y)
+    K[0] = deriv(0.0, z)
     err = 0.0
-    for _ in range(steps):
+    for i in range(steps):
         for s in range(1, 7):
-            stage = y + a[s, :s] @ K[:s]
-            K[s] = deriv(stage)
-        y = stage
-        err += float(np.abs(e @ K).max())
+            stage = z + a[s, :s] @ K[:s]
+            K[s] = deriv((i + _DP_C[s]) * h, stage)
+        z = stage
+        err += float((np.abs(e @ K) * np.exp(rate.real)).max())
         K[0] = K[6]
+    y = np.exp(rate) * z
+    err += ODE_ROUNDOFF * float(np.abs(y).max())
     jet = PolyJet.build(n, degree, MODE_FLOAT, [(j, m, c) for (j, m), c in zip(cols, y) if c != 0])
     return jet, err
 
@@ -1052,21 +1088,37 @@ class TestOdeOracle:
         assert fields >= 4
 
     def test_reachable_state(self):
-        # paper-2.3: the identity and the one resonant column, at rate
-        # |<(0,4,4), mu>| = |mu_1| = 8 where N max|mu_j| is 64
+        # paper-2.3: the identity and the one resonant column.  Its columns
+        # move at |<(0,4,4), mu>| = |mu_1| = 8 under e^(tB), but its one row
+        # picks rates summing to the rate it feeds, so in the frame of B's
+        # diagonal every row has rate 0: 23 steps, where 8 would ask for 184
         G, X = _fixture_field("paper-2.3")
         tri, v, N = _oracle_inputs(X, G)
         e = MultiIndex.unit
         assert _reachable(tri, v, N) == [(0, e(3, 0)), (1, e(3, 1)), (2, e(3, 2)), (0, (0, 4, 4))]
-        assert _ode_steps(tri, v, N) == math.ceil(ODE_STEPS_PER_RATE * 8)
-        # resonant-2d: rate |<(0,2), mu>| = |mu_1| = 2 ln 2
+        assert _ode_steps(tri, v, N) == ODE_STEPS_PER_RATE == 23
+        # resonant-2d: rate 0 too, where |<(0,2), mu>| = 2 ln 2 would ask for 32
         G, X = _fixture_field("resonant-2d")
         tri, v, N = _oracle_inputs(X, G)
         assert _reachable(tri, v, N) == [(0, e(2, 0)), (1, e(2, 1)), (0, (0, 2))]
-        assert _ode_steps(tri, v, N) == math.ceil(ODE_STEPS_PER_RATE * 2 * math.log(2))
+        assert _ode_steps(tri, v, N) == 23
+        # a weak term moves at 2*pi|l|: test_weak_term_gives_second_embedding's
+        # second field, whose 0.35 y2^4 e1 has l = -1
+        mu1 = EigenScalar.from_parts(rat=2)
+        mu2 = EigenScalar.from_parts(rat=Fraction(1, 2), pi_part=Fraction(1, 2))
+        B = real_log(BlockMatrix((
+            JordanBlock(math.exp(2.0), 1, mu=mu1),
+            RotationBlock(0.0, -math.exp(0.5), 1, mu=mu2),
+        )))
+        v = PolyJet.build(
+            3, 4, MODE_FLOAT,
+            [(0, MultiIndex((0, 2, 2)), math.exp(-2.0)), (0, MultiIndex((0, 4, 0)), 0.35)],
+        )
+        assert _ode_steps(B.triangular(), v, 4) == math.ceil(ODE_STEPS_PER_RATE * 2 * math.pi) == 145
         # diag(8, 2, 4) with v = (y2^3 + y2 y3) e1 + y2^2 e3: y3 gains the
-        # column y2^2, and y2 y3 then reaches y2^3 again; 6 of 165 entries,
-        # rate ln 8, where N max|mu_j| is 5 ln 8
+        # column y2^2, and y2 y3 then reaches y2^3 again; 6 of 165 entries.
+        # Every term is field-resonant: 23 steps, where the rate ln 8 of
+        # e^(tB) would ask for 48
         tri = real_log(BlockMatrix(tuple(JordanBlock(c, 1) for c in (8, 2, 4)))).triangular()
         v = PolyJet.build(
             3, 5, MODE_FLOAT, [(0, (0, 3, 0), 1.0), (0, (0, 1, 1), 1.0), (2, (0, 2, 0), 1.0)]
@@ -1075,7 +1127,7 @@ class TestOdeOracle:
             (0, e(3, 0)), (1, e(3, 1)), (2, e(3, 2)),
             (0, (0, 1, 1)), (2, (0, 2, 0)), (0, (0, 3, 0)),
         ]
-        assert _ode_steps(tri, v, 5) == math.ceil(ODE_STEPS_PER_RATE * math.log(8))
+        assert _ode_steps(tri, v, 5) == 23
         # a Jordan block couples y1's columns into y2's; v = y2^2 e1 then
         # reaches y1^2 and y1 y2 through the coupling
         tri = real_log(BlockMatrix((JordanBlock(3, 2),))).triangular()

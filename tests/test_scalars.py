@@ -10,6 +10,8 @@ import sympy as sp
 from embedflow import EigenScalar, ExactnessError, PiPoly, QQi
 from embedflow.scalars import factor_positive_rational
 
+from _expflow import two_pi_integer
+
 
 def _to_sympy(q: QQi):
     return sp.Rational(q.re.numerator, q.re.denominator) + sp.I * sp.Rational(
@@ -134,12 +136,13 @@ class TestEigenScalar:
         assert complex(v) == pytest.approx(complex(math.log(8 / 3), math.pi))
 
     def test_two_pi_integer(self):
+        # the reference flow's lattice key (tests/_expflow.py)
         z = EigenScalar.zero()
-        assert z.two_pi_integer() == 0
-        assert z.shifted_2pii(-3).two_pi_integer() == -3
-        assert EigenScalar.from_parts(pi_part=1).two_pi_integer() is None
-        assert EigenScalar.from_parts(rat=1).two_pi_integer() is None
-        assert EigenScalar.from_parts(log_of=2, pi_part=4).two_pi_integer() is None
+        assert two_pi_integer(z) == 0
+        assert two_pi_integer(z.shifted_2pii(-3)) == -3
+        assert two_pi_integer(EigenScalar.from_parts(pi_part=1)) is None
+        assert two_pi_integer(EigenScalar.from_parts(rat=1)) is None
+        assert two_pi_integer(EigenScalar.from_parts(log_of=2, pi_part=4)) is None
 
     def test_exp_exact(self):
         assert EigenScalar.from_parts(log_of=4).exp_exact() == QQi(4)
