@@ -56,7 +56,6 @@ from .embedding import (
     flow_jet,
     solve_embedding,
     time_one,
-    time_one_check,
     time_one_residuals,
 )
 from .classify import (

@@ -43,7 +43,8 @@ from .jets import (
     MultiIndex,
     PolyJet,
     _composer,
-    _substitute,
+    _OnlineComposition,
+    _one,
     compose,
     jacobian_apply,
     jet_distance,
@@ -68,7 +69,6 @@ __all__ = [
     "flow_jet",
     "embedding_residual",
     "time_one",
-    "time_one_check",
     "time_one_residuals",
     "appendix_identity_check",
 ]
@@ -90,28 +90,6 @@ class FlowJet:
     coeffs: dict
     mu: tuple
 
-    def component(self, i: int) -> dict:
-        return {m: p for (j, m), p in self.coeffs.items() if j == i}
-
-    def degree_slice(self, r: int) -> "FlowJet":
-        return FlowJet(
-            self.dim,
-            self.degree,
-            {k: p for k, p in self.coeffs.items() if k[1].degree == r},
-            self.mu,
-        )
-
-    def __add__(self, other: "FlowJet") -> "FlowJet":
-        out = dict(self.coeffs)
-        for k, p in other.coeffs.items():
-            s = out.get(k)
-            s = p if s is None else s + p
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return FlowJet(self.dim, self.degree, out, self.mu)
-
     def at_time(self, t: float) -> PolyJet:
         """Specialize t; float-mode jet."""
         growth = [cmath.exp(z * t) for z in self.mu]
@@ -121,7 +99,7 @@ class FlowJet:
 
 def _flow_unit(exact_ring: bool) -> TrigPoly:
     """The constant 1 of the flow-coefficient ring."""
-    return TrigPoly({(0, 0): _one(exact_ring)})
+    return TrigPoly({(0, 0): _one(MODE_EXACT if exact_ring else MODE_FLOAT)})
 
 
 def _lattice_terms(coeffs: dict, eigen, tol: float):
@@ -143,17 +121,6 @@ def _lattice_terms(coeffs: dict, eigen, tol: float):
         else:
             off.append((j, tuple(m)))
     return terms, off
-
-
-def _substitute_flow(coeffs: dict, phi: FlowJet, r: int, unit: TrigPoly) -> FlowJet:
-    """Degree-r part of x(phi(t, y)) for the terms ``coeffs`` of x, as
-    :func:`_lattice_terms` gives them.
-
-    The jet composition kernel over the TrigPoly ring, whose 1 is ``unit``.
-    """
-    comps = [phi.component(i) for i in range(phi.dim)]
-    out = _substitute(coeffs, comps, r, unit)
-    return FlowJet(phi.dim, r, out, phi.mu).degree_slice(r)
 
 
 # -- the nilpotent part ----------------------------------------------------------
@@ -236,8 +203,9 @@ def _exact_ring(tri: TriangularLinear, mode: str) -> bool:
     )
 
 
-def _flow_step(phi: FlowJet, slice_r: FlowJet, push: dict, pull: dict) -> FlowJet:
-    """phi + e^(tB) integral_0^t e^(-sB) slice_r(s) ds: one degree of the flow.
+def _flow_step(slice_r: dict, push: dict, pull: dict) -> dict:
+    """e^(tB) integral_0^t e^(-sB) slice_r(s) ds: the degree-r part of the
+    flow, as ``{(j, m): TrigPoly}``.
 
     ``slice_r`` is the degree-r part of the field's nonlinearity along the
     flow known below degree r; ``push`` and ``pull`` are the couplings of
@@ -247,10 +215,10 @@ def _flow_step(phi: FlowJet, slice_r: FlowJet, push: dict, pull: dict) -> FlowJe
     nilpotent factors act on the TrigPoly coefficients.
     """
     inner = {}
-    for k, p in _nil_apply(pull, slice_r.coeffs).items():
+    for k, p in _nil_apply(pull, slice_r).items():
         if q := p.integrate_to_t():
             inner[k] = q
-    return phi + FlowJet(phi.dim, phi.degree, _nil_apply(push, inner), phi.mu)
+    return _nil_apply(push, inner)
 
 
 # -- public types ---------------------------------------------------------------
@@ -339,10 +307,6 @@ def _ring_flags(tri: TriangularLinear, mode: str) -> bool:
     return exact_ring
 
 
-def _one(exact_ring: bool):
-    return QQi(1) if exact_ring else (1.0 + 0.0j)
-
-
 def _is_zero(c, exact_ring: bool, tol: float) -> bool:
     if exact_ring or isinstance(c, (QQi, int, Fraction)):
         return not bool(c)
@@ -389,7 +353,7 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
     _validate_normal_form(G, report, tol)
     n = tri.dim
     jet_mode = MODE_EXACT if exact_ring else MODE_FLOAT
-    one = _one(exact_ring)
+    one = _one(jet_mode)
     lam = tri.eigen.lambda_exact() if exact_ring else tri.eigen.lambda_complex()
     inv = [one / x for x in lam]
     # U = e^(-S) G.  Its linear diagonal is set to exactly 1, so that a
@@ -457,7 +421,10 @@ def flow_jet(X: FieldGerm, degree=None) -> FlowJet:
     The linear flow is e^(tB) y = e^(tS) e^(tN) y; each degree above it
     is one :func:`_flow_step`, with v's terms taken as
     :func:`_lattice_terms` gives them at ``X.tol``, the tolerance that
-    decided X's support.
+    decided X's support.  v is composed with the flow online
+    (:class:`embedflow.jets._OnlineComposition` over the TrigPoly ring):
+    the degree-r slice of v along the flow reads the flow below degree r
+    only, and each degree of the flow is appended as it is found.
     """
     N = X.degree if degree is None else degree
     tri = X.linear.triangular()
@@ -465,14 +432,18 @@ def flow_jet(X: FieldGerm, degree=None) -> FlowJet:
     unit = _flow_unit(exact_ring)
     push, pull = _nil_flow(tri, 1, exact_ring), _nil_flow(tri, -1, exact_ring)
     n = tri.dim
-    linear = {(i, MultiIndex.unit(n, i)): unit for i in range(n)}
-    phi = FlowJet(n, N, _nil_apply(push, linear), tuple(tri.eigen.mu_complex()))
+    coeffs = _nil_apply(push, {(i, MultiIndex.unit(n, i)): unit for i in range(n)})
+    phi = _OnlineComposition(
+        [{m: p for (j, m), p in coeffs.items() if j == i} for i in range(n)], N
+    )
     v = X.nonlinear if exact_ring else X.nonlinear.to_float()
     terms, _ = _lattice_terms(v.coeffs, tri.eigen, X.tol)
     for r in range(2, N + 1):
-        # terms of v above degree r are skipped by the substitution
-        phi = _flow_step(phi, _substitute_flow(terms, phi, r, unit), push, pull)
-    return phi
+        # terms of v above degree r add nothing to the degree-r slice
+        part = _flow_step(phi.degree_slice(terms, r), push, pull)
+        phi.extend(part)
+        coeffs.update(part)
+    return FlowJet(n, N, coeffs, tuple(tri.eigen.mu_complex()))
 
 
 # -- residuals and oracles -------------------------------------------------------
@@ -808,11 +779,6 @@ def time_one_residuals(X: FieldGerm, G: GermSpec, steps=None):
     """``(residual_exp, residual_ode)`` of :func:`time_one`, without the
     error estimate."""
     return time_one(X, G, steps)[:2]
-
-
-def time_one_check(X: FieldGerm, G: GermSpec, steps=None) -> float:
-    """The larger of the two oracle residuals of :func:`time_one`."""
-    return max(time_one(X, G, steps)[:2])
 
 
 def appendix_identity_check(B: BlockMatrix, g: PolyJet) -> PolyJet:

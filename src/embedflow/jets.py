@@ -6,20 +6,22 @@ degree.  Coefficients are machine complex numbers in ``float`` mode and
 Gaussian rationals (or Laurent polynomials in pi) in ``exact`` mode.
 
 The composition and Jacobian operations here are the workhorses of the
-normalization and embedding recursions.  The normal form composes online
-(``_OnlineComposition``): its inner jet grows one degree per step, and
-each degree slice of each monomial is formed once.
+normalization and embedding recursions.  Every jet composition runs on one
+kernel, ``_OnlineComposition`` (online truncated composition): the
+degree-d slice of each monomial of the inner jet is formed once, from the
+inner jet's slices below d, and kept.  ``compose`` puts a known inner jet
+in place at once; the normal form and the flow of
+:func:`embedflow.embedding.flow_jet` let it grow one degree per step.
 ``complexify``/``realify`` move a real jet to coordinates in which a
 rotation-block linear part becomes diagonal, by conjugating with
 z = x_i + i*x_{i+1} on each designated pair.
 
-The product kernel under ``compose`` and ``jacobian_apply`` works on packed
-monomial keys: at truncation degree N each exponent vector becomes one
-integer with its total degree in the top field, so a product of monomials
-is one integer addition and the truncation test is one compare of that sum
-with (N+1) << (b*n).  ``PolyJet.coeffs`` stays keyed by
-``(j, MultiIndex)``; the kernel packs its inputs once per call and unpacks
-its result once at the end.
+The composition kernel and ``jacobian_apply`` work on packed monomial keys:
+at truncation degree N each exponent vector becomes one integer with its
+total degree in the top field, so a product of monomials is one integer
+addition and the truncation test is one compare of that sum with
+(N+1) << (b*n).  ``PolyJet.coeffs`` stays keyed by ``(j, MultiIndex)``;
+each operation packs its inputs once and unpacks its result once.
 
 Every operation drops exact zeros only, in every coefficient ring: a
 float coefficient is kept however small it is.  The one exception is the
@@ -166,7 +168,7 @@ class PolyJet:
 
     @staticmethod
     def identity(dim, degree, mode=MODE_FLOAT) -> "PolyJet":
-        one = 1.0 + 0.0j if mode == MODE_FLOAT else QQi(1)
+        one = _one(mode)
         return PolyJet(
             dim,
             degree,
@@ -291,7 +293,7 @@ def jet_distance(f: PolyJet, g: PolyJet) -> float:
     return worst
 
 
-# -- the product kernel on packed monomial keys ---------------------------
+# -- packed monomial keys -------------------------------------------------
 #
 # At truncation degree N in n variables every exponent m with |m| <= N
 # packs into one integer: b = N.bit_length() bits per coordinate, and the
@@ -320,7 +322,7 @@ def _pack(m, b: int) -> int:
 
 
 def _unpacker(n: int, b: int):
-    """Per-call map from keys of degree <= N back to :class:`MultiIndex`."""
+    """Memoized map from keys of degree <= N back to :class:`MultiIndex`."""
     mask = (1 << b) - 1
     shifts = [b * i for i in range(n)]
     names = {}
@@ -328,7 +330,8 @@ def _unpacker(n: int, b: int):
     def unpack(key):
         m = names.get(key)
         if m is None:
-            m = names[key] = MultiIndex([(key >> s) & mask for s in shifts])
+            # the fields are nonnegative ints: skip MultiIndex's coercion
+            m = names[key] = tuple.__new__(MultiIndex, [(key >> s) & mask for s in shifts])
         return m
 
     return unpack
@@ -346,103 +349,26 @@ def _packed(poly: dict, b: int, degree: int) -> dict:
     return {_pack(m, b): c for m, c in poly.items() if m.degree <= degree}
 
 
-def _poly_mul(p, q, cap):
-    """Truncated product of two packed polynomials ``{key: c}``.
-
-    p is the outer loop and q the inner, and sums are formed in that
-    order, so float results do not depend on the key layout.  Sums that
-    are zero are dropped.
-    """
-    out = {}
-    get = out.get
-    q = q.items()
-    for k1, c1 in p.items():
-        room = cap - k1  # k1 + k2 < cap
-        for k2, c2 in q:
-            if k2 < room:
-                k = k1 + k2
-                s = get(k)
-                out[k] = c1 * c2 if s is None else s + c1 * c2
-    return {k: c for k, c in out.items() if c}
-
-
-def _substituter(components, degree, one):
-    """The map ``coeffs -> {(j, m): c}`` of f(g(y)), truncated at ``degree``,
-    for one fixed g.
-
-    ``coeffs`` holds f's terms and ``components[i]`` g_i as ``{m: c}``.
-    The components may live in any ring that multiplies and adds with
-    itself and is multiplied by f's scalars; ``one`` is its unit, the
-    value of the monomial m = 0.  Zero sums are dropped.
-
-    g's packed components and their powers are formed once and serve every
-    call.  Within a call the monomial ``prod_i g_i^{m_i}`` is formed left
-    to right, and the product after coordinate i is kept under the key
-    ``m[:i+1]``: terms that share m, or a prefix of it, multiply it out
-    once.  The products and sums are those of forming every monomial
-    afresh, in the same order, so float results are unchanged bit for bit.
-    """
-    n = len(components)
-    b, cap = _packing(n, degree)
-    comps = [_packed(comp, b, degree) for comp in components]
-    powers = [[{0: one}, comp] for comp in comps]
-
-    def power(i, k):
-        cache = powers[i]
-        while len(cache) <= k:
-            cache.append(_poly_mul(cache[-1], comps[i], cap))
-        return cache[k]
-
-    def substitute(coeffs):
-        prefixes = {}
-        out = {}
-        for (j, m), c in coeffs.items():
-            if m.degree > degree:
-                continue
-            term = None
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                key = m[: i + 1]
-                known = prefixes.get(key)
-                if known is None:
-                    known = power(i, e) if term is None else _poly_mul(term, power(i, e), cap)
-                    prefixes[key] = known
-                term = known
-                if not term:
-                    break
-            if term is None:
-                term = {0: one}
-            for key, cc in term.items():
-                key = (j, key)
-                s = out.get(key)
-                v = c * cc
-                out[key] = v if s is None else s + v
-        return _unpacked(out, n, b)
-
-    return substitute
-
-
-def _substitute(coeffs, components, degree, one):
-    """Coefficients ``{(j, m): c}`` of f(g(y)), truncated at ``degree``;
-    see :func:`_substituter`."""
-    return _substituter(components, degree, one)(coeffs)
+def _one(mode):
+    """The unit of the coefficient ring of ``mode``."""
+    return 1.0 + 0.0j if mode == MODE_FLOAT else QQi(1)
 
 
 def _composer(g: PolyJet, degree: int):
     """The map ``f -> compose(f, g, degree)`` for one fixed g, which keeps
-    g's packed powers from call to call."""
+    the slices of every monomial of g's components from call to call."""
     n = g.dim
-    zero_mi = MultiIndex.zeros(n)
-    for j in range(n):
-        if (j, zero_mi) in g.coeffs:
+    components = [{} for _ in range(n)]
+    for (j, m), c in g.coeffs.items():
+        if not m.degree:
             raise ValueError("composition target must fix the origin")
-    one = 1.0 + 0.0j if g.mode == MODE_FLOAT else QQi(1)
-    substitute = _substituter([g.component(i) for i in range(n)], degree, one)
+        components[j][m] = c
+    composition = _OnlineComposition.of(components, degree)
+    one = _one(g.mode)
 
     def apply(f: PolyJet) -> PolyJet:
         f._check_compatible(g)
-        return PolyJet(n, degree, f.mode, substitute(f.coeffs))
+        return PolyJet(n, degree, f.mode, composition.substitute(f.coeffs, degree, one))
 
     return apply
 
@@ -465,15 +391,19 @@ class _OnlineComposition:
 
     X is held as packed per-component, per-degree slices ``{key: c}``,
     starting from its degree-1 part; :meth:`extend` appends the next
-    degree.  The degree-d slice of the monomial P_m = prod_i X_i^{m_i},
-    |m| >= 2, is
+    degree, and :meth:`of` puts a known X in place at once.  The degree-d
+    slice of the monomial P_m = prod_i X_i^{m_i}, |m| >= 2, is
 
         [P_m]_d = sum_a [P_(m - e_i)]_a [X_i]_(d - a),   |m| - 1 <= a < d,
 
     i the last coordinate with m_i > 0, and it reads X only below degree
     d.  So once X is known to degree d - 1 the slice is final: each is
-    formed once and kept for the life of the object.  Keys are packed for
-    truncation degree ``degree``, the highest slice that may be asked for.
+    formed once and kept for the life of the object.  Only the terms that
+    can be nonzero are formed: with ``top`` the highest degree at which X
+    has a nonzero slice, d - a <= top, and [P_m]_d = 0 above |m| * top.
+    Keys are packed for truncation degree ``degree``, the highest slice
+    that may be asked for.  The coefficients may live in any ring that
+    adds and multiplies with itself and with the scalars of f.
     """
 
     def __init__(self, linear, degree: int):
@@ -482,7 +412,26 @@ class _OnlineComposition:
         self._b, _ = _packing(self._n, degree)
         self._unpack = _unpacker(self._n, self._b)
         self._x = [[_packed(comp, self._b, 1)] for comp in linear]
+        self._top = 1 if any(x[0] for x in self._x) else 0
         self._powers = {}  # m -> (i, m - e_i, [[P_m]_|m|, [P_m]_(|m|+1), ...])
+
+    @classmethod
+    def of(cls, components, degree: int) -> "_OnlineComposition":
+        """X known to ``degree`` at once: ``components[i]`` is X_i as
+        ``{m: c}``, with no constant term; terms above ``degree`` are
+        dropped."""
+        out = cls([{} for _ in components], degree)
+        b = out._b
+        for comp, x in zip(components, out._x):
+            x.extend({} for _ in range(degree - 1))
+            for m, c in comp.items():
+                d = m.degree
+                if d <= degree:
+                    x[d - 1][_pack(m, b)] = c
+        out._top = max(
+            (d for x in out._x for d, part in enumerate(x, start=1) if part), default=0
+        )
+        return out
 
     def extend(self, terms: dict):
         """Append X's next degree from ``{(j, m): c}``, every m of that degree."""
@@ -491,33 +440,47 @@ class _OnlineComposition:
             new[j][_pack(m, self._b)] = c
         for comp, part in zip(self._x, new):
             comp.append(part)
+        if terms:
+            self._top = len(self._x[0])
 
     def _slices(self, m, low: int, d: int) -> list:
-        """``[[P_m]_low, [P_m]_(low+1), ...]``, formed up to at least degree
-        d; ``low`` is |m| >= 1."""
+        """``[[P_m]_low, [P_m]_(low+1), ...]``, formed up to degree d or to
+        low * top, above which every slice is zero: the list may stop short
+        of d.  ``low`` is |m| >= 1."""
         if low == 1:
             return self._x[m.index(1)]
         entry = self._powers.get(m)
         if entry is None:
-            i = max(t for t, e in enumerate(m) if e)
-            parent = MultiIndex(e - 1 if t == i else e for t, e in enumerate(m))
-            entry = self._powers[m] = (i, parent, [])
+            i = len(m) - 1
+            while not m[i]:
+                i -= 1
+            entry = self._powers[m] = (i, m[:i] + (m[i] - 1,) + m[i + 1 :], [])
         i, parent, slices = entry
-        if low + len(slices) <= d:
+        top = self._top
+        stop = low * top
+        if d < stop:
+            stop = d
+        if low + len(slices) <= stop:
             x = self._x[i]
-            below = self._slices(parent, low - 1, d - 1)
-            while low + len(slices) <= d:
-                top = low + len(slices)
+            below = self._slices(parent, low - 1, stop - 1)
+            # a runs over the degrees of P_parent's formed slices, k - a <= top
+            end = low - 1 + len(below)
+            while low + len(slices) <= stop:
+                k = low + len(slices)
                 out = {}
                 get = out.get
-                for a in range(low - 1, top):
-                    q = x[top - a - 1].items()
-                    for k1, c1 in below[a - low + 1].items():
+                for a in range(max(low - 1, k - top), min(k, end)):
+                    p = below[a - low + 1]
+                    q = x[k - a - 1]
+                    if not p or not q:
+                        continue
+                    q = q.items()
+                    for k1, c1 in p.items():
                         for k2, c2 in q:
-                            k = k1 + k2
-                            s = get(k)
-                            out[k] = c1 * c2 if s is None else s + c1 * c2
-                slices.append({k: c for k, c in out.items() if c})
+                            key = k1 + k2
+                            s = get(key)
+                            out[key] = c1 * c2 if s is None else s + c1 * c2
+                slices.append({key: c for key, c in out.items() if c})
         return slices
 
     def power_slice(self, m, d: int) -> dict:
@@ -525,7 +488,36 @@ class _OnlineComposition:
         fresh dict over the kept slice."""
         unpack = self._unpack
         low = m.degree
-        return {unpack(key): c for key, c in self._slices(m, low, d)[d - low].items()}
+        slices = self._slices(m, low, d)
+        if d - low >= len(slices):
+            return {}
+        return {unpack(key): c for key, c in slices[d - low].items()}
+
+    def _sum(self, coeffs: dict, first: int, d: int, one) -> dict:
+        """Degrees ``first`` to d of f(X) for the terms ``coeffs`` of f, as
+        ``{(j, m): c}``; zero sums dropped."""
+        out = {}
+        get = out.get
+        for (j, m), c in coeffs.items():
+            low = m.degree
+            if low > d:
+                continue
+            if not low:
+                if not first:
+                    key = (j, 0)
+                    s = get(key)
+                    v = c * one
+                    out[key] = v if s is None else s + v
+                continue
+            slices = self._slices(m, low, d)
+            for part in slices[first - low if first > low else 0 : d - low + 1]:
+                for key, cc in part.items():
+                    key = (j, key)
+                    s = get(key)
+                    v = c * cc
+                    out[key] = v if s is None else s + v
+        unpack = self._unpack
+        return {(j, unpack(key)): c for (j, key), c in out.items() if c}
 
     def degree_slice(self, coeffs: dict, d: int) -> dict:
         """Degree-d slice of f(X) as ``{(j, m): c}``, zero sums dropped.
@@ -534,19 +526,15 @@ class _OnlineComposition:
         above d adds nothing to the slice.  X must be known to degree
         d - 1, or to degree d when f has linear terms.
         """
-        out = {}
-        get = out.get
-        for (j, m), c in coeffs.items():
-            low = m.degree
-            if low > d:
-                continue
-            for key, cc in self._slices(m, low, d)[d - low].items():
-                key = (j, key)
-                s = get(key)
-                v = c * cc
-                out[key] = v if s is None else s + v
-        unpack = self._unpack
-        return {(j, unpack(key)): c for (j, key), c in out.items() if c}
+        return self._sum(coeffs, d, d, None)
+
+    def substitute(self, coeffs: dict, d: int, one) -> dict:
+        """f(X) truncated at degree d as ``{(j, m): c}``, zero sums dropped.
+
+        ``coeffs`` holds f's terms; a degree-0 term c gives c * ``one``,
+        ``one`` the unit of X's ring.  X must be known to degree d.
+        """
+        return self._sum(coeffs, 0, d, one)
 
 
 def jacobian_apply(g: PolyJet, w: PolyJet, degree=None) -> PolyJet:
@@ -569,12 +557,16 @@ def jacobian_apply(g: PolyJet, w: PolyJet, degree=None) -> PolyJet:
         for s, e in enumerate(m):
             if not e:
                 continue
-            base = {key - lower[s]: c * e}
-            prod = _poly_mul(base, w_components[s], cap)
-            for kk, cc in prod.items():
-                kk = (j, kk)
-                prev = out.get(kk)
-                out[kk] = cc if prev is None else prev + cc
+            # one monomial times w_s: its key plus each key of w_s
+            base = key - lower[s]
+            room = cap - base
+            c_e = c * e
+            for k2, c2 in w_components[s].items():
+                if k2 < room:
+                    kk = (j, base + k2)
+                    prev = out.get(kk)
+                    v = c_e * c2
+                    out[kk] = v if prev is None else prev + v
     return PolyJet(n, degree, g.mode, _unpacked(out, n, b))
 
 

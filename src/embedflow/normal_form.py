@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .jets import MODE_EXACT, MultiIndex, PolyJet, _OnlineComposition
+from .jets import MODE_EXACT, MultiIndex, PolyJet, _OnlineComposition, _one
 from .resonance import _power, map_resonances, monomial_index
 from .scalars import ExactnessError, QQi
 from .spectral import BlockMatrix, _cast, is_hyperbolic
@@ -200,10 +200,6 @@ def _homological_rows(tri, rhs, k, tol, order, resonant, Y):
                 else:
                     acc.pop(m, None)
     return h, g, min_div
-
-
-def _one(mode):
-    return QQi(1) if mode == MODE_EXACT else (1.0 + 0.0j)
 
 
 def _add_into(acc: dict, terms, sign: int = 1) -> dict:

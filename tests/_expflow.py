@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from embedflow.embedding import _exact_ring, _nil_powers, _one
-from embedflow.jets import MODE_EXACT, MODE_FLOAT, MultiIndex, PolyJet, _substitute
+from embedflow.embedding import _exact_ring, _nil_powers
+from embedflow.jets import MODE_EXACT, MODE_FLOAT, MultiIndex, PolyJet, _OnlineComposition, _one
 from embedflow.resonance import field_resonances
 from embedflow.scalars import EigenScalar, ExactnessError, PiPoly, QQi
 from embedflow.spectral import BlockMatrix, TriangularLinear
@@ -386,7 +386,7 @@ def _substitute_flow(coeffs: dict, phi: FlowJet, r: int, unit: ExpPoly) -> FlowJ
     The jet composition kernel over the ExpPoly ring, whose 1 is ``unit``.
     """
     comps = [phi.component(i) for i in range(phi.dim)]
-    out = _substitute(coeffs, comps, r, unit)
+    out = _OnlineComposition.of(comps, r).substitute(coeffs, r, unit)
     return FlowJet(phi.dim, r, out).degree_slice(r)
 
 
@@ -458,7 +458,7 @@ def exp_tB_jet_matrix(tri: TriangularLinear, sign: int, exact_ring: bool):
 def _flow_unit(tri: TriangularLinear, exact_ring: bool) -> ExpPoly:
     """The constant 1 of the flow-coefficient ring, keyed like tri's exponents."""
     zero_key = EigenScalar.zero() if tri.eigen.exact else 0j
-    return ExpPoly.single(_one(exact_ring), 0, zero_key)
+    return ExpPoly.single(_one(MODE_EXACT if exact_ring else MODE_FLOAT), 0, zero_key)
 
 
 def _linear_flow(tri: TriangularLinear, exact_ring: bool, degree: int):
@@ -520,7 +520,7 @@ def Tr_matrix(B, r: int, basis=None, tol: float = DEFAULT_TOL):
     index = {jm: t for t, jm in enumerate(basis)}
     size = len(basis)
     matrix = [[_zero_scalar(exact_ring)] * size for _ in range(size)]
-    one = _one(exact_ring)
+    one = _one(MODE_EXACT if exact_ring else MODE_FLOAT)
     for col, (j, m) in enumerate(basis):
         probe = {(j, MultiIndex(m)): one}
         image = _snap(_matrix_apply(Em, _substitute_flow(probe, phi1, r, unit)), tol)

@@ -30,7 +30,7 @@ from embedflow import (
     positive_spectrum_log,
     real_log,
     solve_embedding,
-    time_one_check,
+    time_one,
 )
 
 
@@ -131,7 +131,7 @@ class TestClassify2d:
         nf = distinguished_normal_form(GermSpec(A, zf, 3))
         out = solve_embedding(nf.germ, v.log)
         assert isinstance(out, FieldGerm)
-        assert time_one_check(out, nf.germ) < 1e-9
+        assert max(time_one(out, nf.germ)[:2]) < 1e-9
 
 
 class TestPlanarFromDense:

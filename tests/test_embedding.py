@@ -24,6 +24,7 @@ from embedflow import (
     BranchChoice,
     EigenScalar,
     FieldGerm,
+    FlowJet,
     GermSpec,
     JordanBlock,
     MultiIndex,
@@ -46,7 +47,6 @@ from embedflow import (
     real_log,
     solve_embedding,
     time_one,
-    time_one_check,
     time_one_residuals,
 )
 from embedflow import embedding, jets
@@ -57,13 +57,11 @@ from embedflow.embedding import (
     _composition_table,
     _dp5_time_one,
     _exact_ring,
-    _flow_unit,
     _lattice_terms,
     _ode_rhs,
     _ode_steps,
     _oracle_inputs,
     _reachable,
-    _substitute_flow,
 )
 from embedflow.exppoly import TrigPoly
 from embedflow.scalars import PiPoly
@@ -241,7 +239,7 @@ class TestSolveEmbedding:
         assert set(X.nonlinear.coeffs) == {(0, (0, 2))}
         assert X.nonlinear.coeffs[(0, (0, 2))] == QQi(Fraction(1, 4))
         assert embedding_residual(G, X).max_abs() == 0.0
-        assert time_one_check(X, G) < 1e-9
+        assert max(time_one(X, G)[:2]) < 1e-9
 
     def test_paper_23_coefficient(self):
         G = _paper_23_germ(a_coeff=0.7)
@@ -370,7 +368,7 @@ class TestSolveEmbedding:
 def _exp_minus_B(tri, exact_ring):
     """Scalar matrix e^(-B) = diag(1/lambda) sum_p (-N)^p / p!, as {(i, k): c}."""
     lam = tri.eigen.lambda_exact() if exact_ring else tri.eigen.lambda_complex()
-    one = embedding._one(exact_ring)
+    one = jets._one(MODE_EXACT if exact_ring else MODE_FLOAT)
     mat = {(i, i): one / lam[i] for i in range(tri.dim)}
     fact = 1
     for p, npow in enumerate(embedding._nil_powers(tri, exact_ring), start=1):
@@ -786,7 +784,7 @@ def test_interacting_weak_terms_flow_ring(mode):
 
 
 class TestSubstitutionKernel:
-    """The flow solver composes through ``jets._substitute`` over the
+    """The flow solver composes through ``jets._OnlineComposition`` over the
     TrigPoly ring; at every fixed time that must be ``compose``."""
 
     @pytest.mark.parametrize(
@@ -825,8 +823,19 @@ class TestSubstitutionKernel:
         # keep every one of them
         lattice, _ = _lattice_terms(x.coeffs, tri.eigen, X.tol)
         x = PolyJet(n, degree, X.mode, {k: x.coeffs[k] for k in lattice})
-        unit = _flow_unit(exact_ring)
-        slices = [_substitute_flow(lattice, phi, r, unit) for r in range(1, degree + 1)]
+        # the online composition over the flow's linear part and slices,
+        # as flow_jet builds it
+        def flow_slice(r):
+            return {k: p for k, p in phi.coeffs.items() if k[1].degree == r}
+
+        online = jets._OnlineComposition(
+            [{m: p for (j, m), p in flow_slice(1).items() if j == i} for i in range(n)], degree
+        )
+        slices = []
+        for r in range(1, degree + 1):
+            if r > 1:  # x's linear terms read the flow's degree-r slice
+                online.extend(flow_slice(r))
+            slices.append(FlowJet(n, degree, online.degree_slice(lattice, r), phi.mu))
         if exact:
             for part in slices:
                 for p in part.coeffs.values():
@@ -966,9 +975,7 @@ class TestOdeOracle:
         X = solve_embedding(G, real_log(G.linear))
         tri = X.linear.triangular()
         want, _ = _dp5_time_one(tri, X.nonlinear, X.degree, 1000)
-        monkeypatch.setattr(jets, "_substitute", boom)
-        monkeypatch.setattr(embedding, "_substitute", boom)
-        monkeypatch.setattr(jets, "_poly_mul", boom)
+        monkeypatch.setattr(jets._OnlineComposition, "__init__", boom)
         monkeypatch.setattr(TrigPoly, "__mul__", boom)
         with pytest.raises(Called):
             flow_jet(X)
@@ -977,8 +984,8 @@ class TestOdeOracle:
 
     def test_solve_shares_no_code_with_the_flow_check(self, monkeypatch):
         # the solve must reach the same outcome with the exact-flow check's
-        # degree step, flow substitution, TrigPoly integral and PiPoly
-        # conversion all unavailable
+        # degree step, TrigPoly integral and PiPoly conversion all
+        # unavailable
         class Called(Exception):
             pass
 
@@ -989,7 +996,6 @@ class TestOdeOracle:
         G, B = _jordan_germ((3, 1), 5, True, np.random.default_rng(5))
         cases.append((G, B, DEFAULT_TOL))
         want = [solve_embedding(G, B, tol=tol) for G, B, tol in cases]
-        monkeypatch.setattr(embedding, "_substitute_flow", boom)
         monkeypatch.setattr(embedding, "_flow_step", boom)
         monkeypatch.setattr(TrigPoly, "integrate_to_t", boom)
         monkeypatch.setattr(PiPoly, "as_qqi", boom)
@@ -1169,7 +1175,7 @@ class TestOdeOracle:
         with pytest.raises(ValueError, match="steps"):
             time_one_residuals(X, G, steps=steps)
         with pytest.raises(ValueError, match="steps"):
-            time_one_check(X, G, steps=steps)
+            max(time_one(X, G, steps=steps)[:2])
 
 
 class TestAppendixIdentity:
@@ -1241,7 +1247,7 @@ class TestResidualSensitivity:
         )
         Y = FieldGerm(B, bumped, 4)
         assert embedding_residual(G, Y).max_abs() < 1e-12
-        assert time_one_check(Y, G) > 1e-4
+        assert max(time_one(Y, G)[:2]) > 1e-4
 
     def test_weak_term_gives_second_embedding(self):
         # weakly resonant monomials are map-resonant (lambda^m = lambda_j),
@@ -1264,7 +1270,7 @@ class TestResidualSensitivity:
         terms.append((0, MultiIndex((0, 4, 0)), 0.35))
         Y = FieldGerm(B, PolyJet.build(3, 4, MODE_FLOAT, terms), 4)
         assert embedding_residual(G, Y).max_abs() < 1e-12
-        assert time_one_check(Y, G) < 1e-9
+        assert max(time_one(Y, G)[:2]) < 1e-9
 
     def test_cross_component_bump_caught_by_both(self):
         # spectrum (8, 4, 2): resonances y2 y3 e_1, y3^3 e_1, y3^2 e_2
@@ -1290,4 +1296,4 @@ class TestResidualSensitivity:
         Y = FieldGerm(B, PolyJet.build(3, 3, MODE_FLOAT, terms), 3)
         res = embedding_residual(G, Y)
         assert abs(complex(res.coeffs[(0, (0, 0, 3))]) + 1e-3) < 1e-12
-        assert time_one_check(Y, G) > 1e-4
+        assert max(time_one(Y, G)[:2]) > 1e-4

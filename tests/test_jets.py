@@ -235,12 +235,14 @@ def test_permute_jet_is_coordinate_change():
     assert got == pytest.approx(tuple(want[perm[i]] for i in range(3)))
 
 
-# -- the packed kernel against a MultiIndex reference ----------------------
+# -- the packed kernels against a MultiIndex reference ---------------------
 #
-# The reference below is the product on MultiIndex keys, with the loop
-# order and pruning rule of the kernel: p outer, q inner, sums formed in
-# that order.  So exact results must be equal and float results bitwise
-# equal, term by term and in insertion order.
+# The references below form products on MultiIndex keys.  jacobian_apply
+# multiplies one monomial by w_s, p outer and q inner, with sums formed in
+# that order, so its float results must be bitwise equal, term by term and
+# in insertion order.  compose sums degree slices online, in another
+# order: its exact results must be equal and its float results agree to
+# roundoff, on the same support.
 
 KERNEL_DEGREES = (1, 3, 4, 7, 8, 15, 16)  # both sides of every field-width change
 
@@ -280,6 +282,18 @@ def _ref_compose(f, g, degree):
             s = out.get((j, mm))
             out[(j, mm)] = c * cc if s is None else s + c * cc
     return {k: c for k, c in out.items() if c}
+
+
+def _assert_matches_compose(got: dict, want: dict, mode, note=None):
+    """The support of ``want``; in exact mode its values, in float mode each
+    value within 1e-14 of its largest coefficient."""
+    assert set(got) == set(want), note
+    if mode == MODE_EXACT:
+        assert got == want, note
+    else:
+        scale = max(abs(c) for c in want.values())
+        for key, c in want.items():
+            assert abs(got[key] - c) <= 1e-14 * scale, (note, key)
 
 
 def _ref_jacobian_apply(g, w, degree):
@@ -349,7 +363,7 @@ def test_packed_compose_matches_reference(mode, n):
         g = _kernel_jet(rng, n, N, mode, min_deg=1)
         got = compose(f, g, degree=N)
         assert got.degree == N
-        assert _bits(got.coeffs) == _bits(_ref_compose(f, g, N)), N
+        _assert_matches_compose(got.coeffs, _ref_compose(f, g, N), mode, N)
 
 
 @pytest.mark.parametrize("mode", [MODE_FLOAT, MODE_EXACT])
@@ -432,44 +446,29 @@ def test_float_complexify_matches_exact(seed):
         assert jet_distance(back, f) <= 1e-14 * f.max_abs()
 
 
-# -- the prefix memo of _substitute against forming every monomial afresh ---
+# -- compose on the online composition --------------------------------------
 
 
-def _reference_substitute(coeffs, components, degree, one):
-    """``jets._substitute`` without the prefix memo: every term forms
-    prod_i g_i^{m_i} anew, left to right, with the same products and sums."""
-    from embedflow.jets import _packed, _packing, _poly_mul, _unpacked
+@pytest.mark.parametrize("mode", [MODE_FLOAT, MODE_EXACT])
+def test_compose_refuses_a_target_that_moves_the_origin(mode):
+    f = _random_jet(np.random.default_rng(3), 2, 3, mode)
+    one = QQi(1) if mode == MODE_EXACT else 1.0
+    g = PolyJet.identity(2, 3, mode) + PolyJet.build(2, 3, mode, [(1, (0, 0), one)])
+    with pytest.raises(ValueError, match="composition target must fix the origin"):
+        compose(f, g)
 
-    n = len(components)
-    b, cap = _packing(n, degree)
-    comps = [_packed(comp, b, degree) for comp in components]
-    powers = [[{0: one}, comp] for comp in comps]
 
-    def power(i, k):
-        cache = powers[i]
-        while len(cache) <= k:
-            cache.append(_poly_mul(cache[-1], comps[i], cap))
-        return cache[k]
-
-    out = {}
-    for (j, m), c in coeffs.items():
-        if m.degree > degree:
-            continue
-        term = None
-        for i, e in enumerate(m):
-            if not e:
-                continue
-            term = power(i, e) if term is None else _poly_mul(term, power(i, e), cap)
-            if not term:
-                break
-        if term is None:
-            term = {0: one}
-        for key, cc in term.items():
-            key = (j, key)
-            s = out.get(key)
-            v = c * cc
-            out[key] = v if s is None else s + v
-    return _unpacked(out, n, b)
+@pytest.mark.parametrize("mode", [MODE_FLOAT, MODE_EXACT])
+def test_compose_passes_the_constant_term_through(mode):
+    rng = np.random.default_rng(31 + (mode == MODE_EXACT))
+    f = _random_jet(rng, 3, 4, mode, min_deg=0, density=0.5)
+    g = _random_jet(rng, 3, 4, mode)
+    constants = {k: c for k, c in f.coeffs.items() if k[1].degree == 0}
+    assert constants
+    got = compose(f, g)
+    _assert_matches_compose(got.coeffs, _ref_compose(f, g, 4), mode)
+    # g fixes the origin, so f's constants reach the result unchanged
+    assert {k: c for k, c in got.coeffs.items() if k[1].degree == 0} == constants
 
 
 def _shared_terms(rng, n, N, mode, count):
@@ -496,37 +495,75 @@ def _shared_terms(rng, n, N, mode, count):
 
 @pytest.mark.parametrize("mode", [MODE_FLOAT, MODE_EXACT])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_substitute_memo_matches_reference(mode, n):
-    from embedflow.jets import _substitute
+def test_online_substitute_matches_reference(mode, n):
+    """``_OnlineComposition.of(...).substitute`` on terms of degree 0 to
+    N + 2 that share monomials across components, against forming every
+    monomial afresh on MultiIndex keys."""
+    from embedflow.jets import _OnlineComposition
 
     rng = np.random.default_rng(700 + 10 * n + (mode == MODE_EXACT))
     one = QQi(1) if mode == MODE_EXACT else 1.0 + 0.0j
     for N in range(2, 8):
         f = _shared_terms(rng, n, N, mode, count=4 + 2 * N)
         g = _shared_terms(rng, n, N, mode, count=3 + N)
-        components = [
-            {m: c for m, c in g.component(i).items() if m.degree >= 1} for i in range(n)
-        ]
-        got = _substitute(f.coeffs, components, N, one)
-        want = _reference_substitute(f.coeffs, components, N, one)
-        assert _bits(got) == _bits(want), N
+        g = PolyJet(n, g.degree, mode, {k: c for k, c in g.coeffs.items() if k[1].degree})
+        components = [g.component(i) for i in range(n)]
+        got = _OnlineComposition.of(components, N).substitute(f.coeffs, N, one)
+        _assert_matches_compose(got, _ref_compose(f, g, N), mode, N)
 
 
-def test_substitute_forms_each_prefix_once(monkeypatch):
-    """Monomials (2,1,1), (2,1,0) and (2,0,1) on every component take four
-    products: g_0^2, then the prefixes (2,1), (2,1,1) and (2,0,1)."""
+def _count_formed_slices(monkeypatch):
+    """A Counter of the monomial slices formed by every
+    ``_OnlineComposition``, keyed by (object, exponent, degree)."""
+    from collections import Counter
+
     from embedflow import jets
 
-    calls = []
-    mul = jets._poly_mul
-    monkeypatch.setattr(jets, "_poly_mul", lambda p, q, cap: calls.append(1) or mul(p, q, cap))
-    g = [{MultiIndex.unit(3, i): 1.0 + 0.0j, MultiIndex((1, 1, 0)): 0.5j} for i in range(3)]
-    for dim in (1, 3):
-        calls.clear()
-        coeffs = {
-            (j, MultiIndex(m)): 1.0 + 0.0j
-            for m in ((2, 1, 1), (2, 1, 0), (2, 0, 1))
-            for j in range(dim)
-        }
-        jets._substitute(coeffs, g, 6, 1.0 + 0.0j)
-        assert len(calls) == 4, dim
+    formed = Counter()
+    slices = jets._OnlineComposition._slices
+
+    def counting(self, m, low, d):
+        entry = self._powers.get(m)
+        before = len(entry[2]) if entry else 0
+        out = slices(self, m, low, d)
+        if low > 1:
+            for k in range(low + before, low + len(self._powers[m][2])):
+                formed[(self, tuple(m), k)] += 1
+        return out
+
+    monkeypatch.setattr(jets._OnlineComposition, "_slices", counting)
+    return formed
+
+
+@pytest.mark.parametrize("mode", [MODE_FLOAT, MODE_EXACT])
+def test_composer_forms_each_slice_once(monkeypatch, mode):
+    """One composer serves two calls: the second forms no slice, and no
+    (monomial, degree) slice is formed twice."""
+    from embedflow.jets import _composer
+
+    rng = np.random.default_rng(41 + (mode == MODE_EXACT))
+    f = _random_jet(rng, 3, 5, mode, density=0.5)
+    g = _random_jet(rng, 3, 5, mode, density=0.5)
+    formed = _count_formed_slices(monkeypatch)
+    apply = _composer(g, 5)
+    first = apply(f)
+    count = len(formed)
+    assert count and max(formed.values()) == 1
+    assert apply(f) == first
+    assert len(formed) == count and max(formed.values()) == 1
+
+
+def test_flow_forms_each_slice_once(monkeypatch):
+    """flow_jet at N = 6 composes online: each (monomial, degree) slice of
+    the flow is formed once, not once per degree."""
+    from embedflow import BlockMatrix, FieldGerm, JordanBlock, flow_jet, real_log
+
+    # a saddle: y1^2 y2 e1 and y1 y2^2 e2 are resonant, and the flow is
+    # no polynomial
+    B = real_log(BlockMatrix((JordanBlock(2, 1), JordanBlock(Fraction(1, 2), 1))))
+    terms = [(0, (2, 1), Fraction(1, 2)), (1, (1, 2), Fraction(-3, 4))]
+    X = FieldGerm(B, PolyJet.build(2, 6, MODE_EXACT, terms), 6)
+    formed = _count_formed_slices(monkeypatch)
+    phi = flow_jet(X)
+    assert max(k[1].degree for k in phi.coeffs) == 5
+    assert formed and max(formed.values()) == 1

@@ -74,3 +74,33 @@ def test_no_test_only_dependency_is_imported():
     }
     assert test_only == {"pytest", "scipy", "sympy"}
     assert not _third_party_imports() & test_only
+
+
+def test_benchmark_imports_exist():
+    """Every name that ``perfbench/*.py`` imports from embedflow, or reads
+    off the package as ``embedflow.<name>``, is there: a deletion in
+    ``src/`` that would break the benchmark fails here."""
+    import importlib.util
+
+    checked = 0
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module.split(".")[0] != "embedflow":
+                    continue
+                module = importlib.import_module(node.module)
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id != "embedflow":
+                    continue
+                module = importlib.import_module("embedflow")
+                names = [node.attr]
+            else:
+                continue
+            for name in names:
+                submodule = f"{module.__name__}.{name}"
+                if not hasattr(module, name) and importlib.util.find_spec(submodule):
+                    importlib.import_module(submodule)  # an attribute once imported
+                assert hasattr(module, name), (path.name, module.__name__, name)
+                checked += 1
+    assert checked
