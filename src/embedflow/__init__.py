@@ -57,6 +57,7 @@ from .embedding import (
     solve_embedding,
     time_one,
     time_one_residuals,
+    time_one_steps,
 )
 from .classify import (
     PlanarVerdict,

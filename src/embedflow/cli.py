@@ -11,25 +11,25 @@ Verbs:
 
 Exit codes: 0 success (field constructed / embeddable), 2 obstruction or
 not embeddable, 3 precondition failure (non-hyperbolic, no real log,
-verification failure), 4 parse error.
+verification failure, a header above MAX_JET_SIZE), 4 parse error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
 from functools import cache
 from importlib import resources
 
-from . import embedding
 from .classify import classify_2d
 from .embedding import (
     Obstruction,
     embedding_residual,
     solve_embedding,
-    time_one,
+    time_one_steps,
 )
 from .germfile import GermFile, GermParseError, parse_germ, serialize_germ
 from .jets import realify
@@ -45,7 +45,7 @@ from .spectral import (
     real_log,
     weakly_nonresonant_branch,
 )
-from .tolerances import NEAR_FACTOR, ODE_BOUND, ODE_ERR_SHARE
+from .tolerances import MAX_JET_SIZE, NEAR_FACTOR, ODE_BOUND, ODE_ERR_SHARE
 
 __all__ = ["main"]
 
@@ -164,7 +164,20 @@ def _coordinates_section(gf: GermFile, report: Report, paired, perm):
     report.line("log eigenvalues (principal): " + ", ".join(fmt_complex(m) for m in mus))
 
 
+def _refuse_oversize(gf: GermFile):
+    """Raise before any work on a germ whose header asks for more than
+    MAX_JET_SIZE jet coefficients."""
+    n, N = gf.dim, gf.degree
+    size = n * math.comb(N + n, n)
+    if size > MAX_JET_SIZE:
+        raise ValueError(
+            f"dimension {n} at degree {N} asks for n*C(N+n, n) = {size} jet "
+            f"coefficients, above MAX_JET_SIZE = {MAX_JET_SIZE}"
+        )
+
+
 def _prepare(gf: GermFile, report: Report):
+    _refuse_oversize(gf)
     spec, paired, perm = gf.to_spec()
     _linear_section(gf, report)
     _coordinates_section(gf, report, paired, perm)
@@ -172,6 +185,7 @@ def _prepare(gf: GermFile, report: Report):
 
 
 def cmd_analyze(gf: GermFile, report: Report) -> int:
+    _refuse_oversize(gf)
     _linear_section(gf, report)
     try:
         paired, perm = gf.linear_spec()
@@ -288,8 +302,7 @@ def _embed_pipeline(gf: GermFile, report: Report):
             _put_jet(report, "field_real", real_v)
         except ValueError:
             report.line("field is not conjugate-symmetric; left complex")
-    steps = embedding._ode_steps(*embedding._oracle_inputs(X, G))
-    r_exp, r_ode, r_err = time_one(X, G, steps=steps)
+    r_exp, r_ode, r_err, steps = time_one_steps(X, G)
     r_emb = embedding_residual(G, X).max_abs()
     report.section("Verification")
     report.line(f"time-one residual (exact flow): {r_exp:.3e}")

@@ -70,6 +70,7 @@ __all__ = [
     "embedding_residual",
     "time_one",
     "time_one_residuals",
+    "time_one_steps",
     "appendix_identity_check",
 ]
 
@@ -628,20 +629,6 @@ def _coupled_terms(tri: TriangularLinear, v: PolyJet) -> list:
     return terms + [(j, m, complex(c)) for (j, m), c in v.coeffs.items()]
 
 
-def _ode_rhs(tri: TriangularLinear, v: PolyJet, degree: int):
-    """Right-hand side C -> B C + v(C) of the jet-coefficient equations.
-
-    C is the flat vector of the coefficients of the returned columns, the
-    reachable ones of :func:`_reachable`; v(C) is the jet of v composed
-    with it, truncated at ``degree``.  B's entries are terms of degree one
-    in the same plan as v's (:func:`_coefficient_plan`).
-    """
-    n = tri.dim
-    cols = _reachable(tri, v, degree)
-    diagonal = [(j, MultiIndex.unit(n, j), complex(d)) for j, d in enumerate(tri.diag)]
-    return cols, _coefficient_plan(cols, diagonal + _coupled_terms(tri, v), degree)
-
-
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed.,
 # II.5, Table 5.2).  Row s of _DP_A gives stage s+1 from the slopes before
 # it, at the node _DP_C[s]; row 6 holds the fifth-order weights, so the
@@ -661,9 +648,8 @@ _DP_E = np.array(
 )
 
 
-def _ode_steps(tri: TriangularLinear, v: PolyJet, degree: int) -> int:
-    """Step count of the ODE oracle: ODE_STEPS_PER_RATE steps per unit of
-    the fastest row rate of its equations (at least 1).
+def _row_rate(tri: TriangularLinear, v: PolyJet, degree: int) -> float:
+    """The fastest row rate of the ODE oracle's equations.
 
     In the frame of :func:`_dp5_time_one`, a row of the composition plan
     for the term c y^p of component j moves at ``<p, mu> - mu_j``, whichever
@@ -672,7 +658,7 @@ def _ode_steps(tri: TriangularLinear, v: PolyJet, degree: int) -> int:
     The modulus, not the real part, so that oscillating rows are resolved.
     """
     mu = tri.eigen.mu_complex()
-    rate = max(
+    return max(
         (
             abs(sum(e * mu_i for e, mu_i in zip(p, mu) if e) - mu[j])
             for j, p in v.coeffs
@@ -680,30 +666,30 @@ def _ode_steps(tri: TriangularLinear, v: PolyJet, degree: int) -> int:
         ),
         default=0.0,
     )
-    return math.ceil(ODE_STEPS_PER_RATE * max(1.0, rate))
 
 
-def _dp5_time_one(tri: TriangularLinear, v: PolyJet, degree: int, steps: int):
-    """Fixed-step integrating-factor Dormand-Prince 5(4) integration of the
-    reachable jet-coefficient equations from the identity to time one.
+def _ode_steps(tri: TriangularLinear, v: PolyJet, degree: int) -> int:
+    """The rate count of the ODE oracle: ODE_STEPS_PER_RATE steps per unit
+    of the fastest row rate of its equations (:func:`_row_rate`), a rate
+    below 1 counting as 1.  :func:`_ode_oracle` runs it on every field that
+    one step does not resolve."""
+    return math.ceil(ODE_STEPS_PER_RATE * max(1.0, _row_rate(tri, v, degree)))
 
-    The state is z = e^(-tD) C, D the rate mu_j of each column (j, m), so
-    z' = e^(-tD) g(e^(tD) z) with g = B C + v(C) less D C (Lawson, SIAM J.
-    Numer. Anal. 4, 1967; Hochbruck & Ostermann, Acta Numerica 19, 2010).
-    A row of g picking columns of rates mu_i into a column of rate mu_j
-    moves in z at sum mu_i - mu_j (:func:`_ode_steps`), not at the rates of
-    e^(tB).  The factors e^(+-tD) at a step's nodes are formed once per step
-    and applied exactly at every stage.
 
-    Returns ``(jet, err)``: C(1) = e^D z(1), and the sum over the steps of
-    the largest local error in C, ``|e^D|`` times the difference of each
-    step's fifth- and fourth-order results in z, plus the roundoff floor
-    ODE_ROUNDOFF times the largest coefficient of C(1).  Six right-hand
-    sides per step.
-    """
-    n = tri.dim
+def _dp5_plan(tri: TriangularLinear, v: PolyJet, degree: int):
+    """``(cols, g)``: the reachable columns of the oracle's equations
+    (:func:`_reachable`) and the plan of g = B C + v(C) less D C on them
+    (:func:`_coefficient_plan`)."""
     cols = _reachable(tri, v, degree)
-    g = _coefficient_plan(cols, _coupled_terms(tri, v), degree)
+    return cols, _coefficient_plan(cols, _coupled_terms(tri, v), degree)
+
+
+def _dp5_run(tri: TriangularLinear, plan, steps: int):
+    """``(y, local, floor)`` of ``steps`` equal steps on a :func:`_dp5_plan`:
+    C(1) on its columns, the sum over the steps of the largest local error
+    in C, and the roundoff floor ODE_ROUNDOFF * max |C(1)|."""
+    n = tri.dim
+    cols, g = plan
     rate = np.array([complex(tri.diag[j]) for j, _ in cols])
     z = np.zeros(len(cols), dtype=complex)
     for k in range(n):
@@ -729,10 +715,61 @@ def _dp5_time_one(tri: TriangularLinear, v: PolyJet, degree: int, steps: int):
         np.dot(e, K, out=local[i])
         K[0] = K[6]
     y = np.exp(rate) * z
-    err = float((np.abs(local) * np.exp(rate.real)).max(axis=1).sum())
-    err += ODE_ROUNDOFF * float(np.abs(y).max())
+    local = float((np.abs(local) * np.exp(rate.real)).max(axis=1).sum())
+    return y, local, ODE_ROUNDOFF * float(np.abs(y).max())
+
+
+def _dp5_jet(tri: TriangularLinear, cols, degree: int, y) -> PolyJet:
+    """The float jet of the coefficients ``y`` on the columns ``cols``."""
     terms = [(j, m, c) for (j, m), c in zip(cols, y) if c != 0]
-    return PolyJet.build(n, degree, MODE_FLOAT, terms), err
+    return PolyJet.build(tri.dim, degree, MODE_FLOAT, terms)
+
+
+def _dp5_time_one(tri: TriangularLinear, v: PolyJet, degree: int, steps: int):
+    """Fixed-step integrating-factor Dormand-Prince 5(4) integration of the
+    reachable jet-coefficient equations from the identity to time one, in
+    ``steps`` equal steps.
+
+    The state is z = e^(-tD) C, D the rate mu_j of each column (j, m), so
+    z' = e^(-tD) g(e^(tD) z) with g = B C + v(C) less D C (Lawson, SIAM J.
+    Numer. Anal. 4, 1967; Hochbruck & Ostermann, Acta Numerica 19, 2010).
+    A row of g picking columns of rates mu_i into a column of rate mu_j
+    moves in z at sum mu_i - mu_j (:func:`_row_rate`), not at the rates of
+    e^(tB).  The factors e^(+-tD) at a step's nodes are formed once per step
+    and applied exactly at every stage.
+
+    Returns ``(jet, err)``: C(1) = e^D z(1), and the sum over the steps of
+    the largest local error in C, ``|e^D|`` times the difference of each
+    step's fifth- and fourth-order results in z, plus the roundoff floor
+    ODE_ROUNDOFF times the largest coefficient of C(1).  Six right-hand
+    sides per step.  :func:`_ode_oracle` chooses the count itself.
+    """
+    plan = _dp5_plan(tri, v, degree)
+    y, local, floor = _dp5_run(tri, plan, steps)
+    return _dp5_jet(tri, plan[0], degree, y), local + floor
+
+
+def _ode_oracle(tri: TriangularLinear, v: PolyJet, degree: int):
+    """``(jet, err, steps)``: :func:`_dp5_time_one` at a step count chosen
+    from the integrator's own error estimate (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.4).
+
+    A field whose rows one step already resolves, ODE_STEPS_PER_RATE * rate
+    <= 1 on every row (:func:`_row_rate`), first takes one step, kept when
+    that step's local error is within the roundoff floor of the estimate.
+    Rate-0 fields whose coefficients are polynomials of low degree in t
+    keep it; long Jordan chains do not.  Every other field runs the rate
+    count of :func:`_ode_steps` on the same plan, so its jet and estimate
+    are those of :func:`_dp5_time_one` at that count.
+    """
+    plan = _dp5_plan(tri, v, degree)
+    if ODE_STEPS_PER_RATE * _row_rate(tri, v, degree) <= 1:
+        y, local, floor = _dp5_run(tri, plan, 1)
+        if local <= floor:
+            return _dp5_jet(tri, plan[0], degree, y), local + floor, 1
+    steps = _ode_steps(tri, v, degree)
+    y, local, floor = _dp5_run(tri, plan, steps)
+    return _dp5_jet(tri, plan[0], degree, y), local + floor, steps
 
 
 def _oracle_inputs(X: FieldGerm, G: GermSpec):
@@ -742,25 +779,9 @@ def _oracle_inputs(X: FieldGerm, G: GermSpec):
     return X.linear.triangular(), X.nonlinear.truncate(N), N
 
 
-def time_one(X: FieldGerm, G: GermSpec, steps=None):
-    """The two independent time-one oracles, against G's map jet.
-
-    Returns ``(residual_exp, residual_ode, residual_ode_err)``: the max-abs
-    distance from the map jet of the closed-form flow of X at t = 1 and of
-    the Dormand-Prince ODE oracle, and the oracle's own error estimate.
-    ``steps`` defaults to the germ-chosen count of :func:`_ode_steps`.
-
-    The estimate is the sum of the steps' local errors, carried to time one
-    by B's diagonal, plus a roundoff floor (:func:`_dp5_time_one`).  It
-    bounds the ODE residual at the germ-chosen count, where every step is
-    short against the rates of the rows.  On a field whose rows all have
-    rate 0 (a field-resonant v and B's couplings) the equations in the
-    moving frame are polynomial in t, and the estimate bounds the residual
-    at any count, down to one step (checked at 1, 2, 3, 5 and 8 steps on
-    the fixtures, the verify workload and random resonant normal forms).
-    On a field with a moving row, such as a weak term, a caller-chosen
-    ``steps`` gives only a reading, which may undercut the true error.
-    """
+def time_one_steps(X: FieldGerm, G: GermSpec, steps=None):
+    """``(residual_exp, residual_ode, residual_ode_err, steps)``:
+    :func:`time_one` and the step count its ODE oracle took."""
     if G.dim != X.dim:
         raise ValueError("dimension mismatch")
     if steps is not None and steps < 1:
@@ -770,9 +791,37 @@ def time_one(X: FieldGerm, G: GermSpec, steps=None):
     phi = flow_jet(X, N)
     exp_res = jet_distance(phi.at_time(1.0).truncate(N), target)
     if steps is None:
-        steps = _ode_steps(tri, v, N)
-    ode, err = _dp5_time_one(tri, v, N, steps)
-    return exp_res, jet_distance(ode, target), err
+        ode, err, steps = _ode_oracle(tri, v, N)
+    else:
+        ode, err = _dp5_time_one(tri, v, N, steps)
+    return exp_res, jet_distance(ode, target), err, steps
+
+
+def time_one(X: FieldGerm, G: GermSpec, steps=None):
+    """The two independent time-one oracles, against G's map jet.
+
+    Returns ``(residual_exp, residual_ode, residual_ode_err)``: the max-abs
+    distance from the map jet of the closed-form flow of X at t = 1 and of
+    the Dormand-Prince ODE oracle, and the oracle's own error estimate.
+    ``steps`` defaults to the oracle's own choice (:func:`_ode_oracle`):
+    one step where that step's local error is within the roundoff floor,
+    otherwise the rate count of :func:`_ode_steps`.
+
+    The estimate is the sum of the steps' local errors, carried to time one
+    by B's diagonal, plus a roundoff floor (:func:`_dp5_time_one`).  It
+    bounds the ODE residual at the rate count, where every step is short
+    against the rates of the rows.  On a field whose rows all have rate 0
+    (a field-resonant v and B's couplings) the equations in the moving
+    frame are polynomial in t, and the estimate has bounded the residual at
+    1, 2, 3, 5 and 8 steps on the fixtures, the verify workload and random
+    resonant normal forms.  It is not a bound at one step on long Jordan
+    chains: sizes (4, 1) at N = 5 can miss by 2.4e-4 against an estimate
+    of 2.0e-4.  The oracle keeps one step only where the estimate reads at
+    roundoff, eight decades below such chains.  On a field with a moving
+    row, such as a weak term, a caller-chosen ``steps`` gives only a
+    reading, which may undercut the true error.
+    """
+    return time_one_steps(X, G, steps)[:3]
 
 
 def time_one_residuals(X: FieldGerm, G: GermSpec, steps=None):

@@ -87,7 +87,7 @@ REAL_EXP = 1e-12
 # The oracle is a fixed-step integrating-factor Dormand-Prince 5(4)
 # integration (see ODE_STEPS_PER_RATE) whose own error is measured, and
 # gated by ODE_ERR_SHARE.  On paper-2.3, whose state moves at rate 8 under
-# e^(tB), 23 steps leave a residual of 6.7e-16 (2.2e-19 relative to its
+# e^(tB), one step leaves a residual of 8.9e-16 (3.0e-19 relative to its
 # scale 2981).  ODE_BOUND leaves room for fields whose rows oscillate
 # while still catching a wrong field, which misses by order one relative.
 ODE_BOUND = 1e-6
@@ -97,10 +97,15 @@ ODE_BOUND = 1e-6
 # the frame z = e^(-tD) C that moves with B's diagonal (D = mu_j on column
 # (j, m)).  There a row of the composition plan, a term c y^p of component
 # j, moves at |<p, mu> - mu_j|: 0 on field-resonant terms and on B's
-# couplings, 2*pi*|l| on weak ones.  The oracle takes ODE_STEPS_PER_RATE
+# couplings, 2*pi*|l| on weak ones.  The rate count is ODE_STEPS_PER_RATE
 # steps per unit of the fastest row rate (a rate below 1 counts as 1), so
 # h * rate <= 1/ODE_STEPS_PER_RATE on every row; the modulus, so that
-# oscillating rows are resolved.  DP5's error falls as h^5.  23 no longer
+# oscillating rows are resolved.  DP5's error falls as h^5.  A field on
+# which one step already meets that rule (ODE_STEPS_PER_RATE * rate <= 1)
+# first takes one step and keeps it when its local error is within
+# ODE_ROUNDOFF; the fixtures and the resonant verify germs do, long Jordan
+# chains (sizes (4, 1) at N = 5, (2, 2, 2) at N = 3) read about 1e-4 and
+# run the rate count, like every field with a moving row.  23 no longer
 # binds any assert: at 4 every accuracy assert of the test suite still
 # passes, and only at 1 do the DOP853 comparison and the Jordan-chain
 # time-one checks fail.  23 is kept so that a moving row is resolved to
@@ -125,5 +130,20 @@ ODE_ERR_SHARE = 0.1
 # (2.2e-16 relative) on the fixtures and on 74 verify-workload germs.
 # 2**-44 = 512 units in the last place is ROUNDING's allowance for chains
 # of up to about 500 roundings; it sits six decades below ODE_ERR_SHARE *
-# ODE_BOUND = 1e-7 relative, so it never fails a field by itself.
+# ODE_BOUND = 1e-7 relative, so it never fails a field by itself.  It is
+# also the oracle's acceptance test for one step: a one-step local error
+# within it is roundoff, and the step stands with an estimate of at most
+# twice the floor (4.5e-13 against residuals of at most 1.8e-15 on the
+# resonant verify germs); above it the rate count runs.
 ODE_ROUNDOFF = 2.0**-44
+
+# The CLI refuses a germ whose header asks for more than MAX_JET_SIZE jet
+# coefficients, n * C(N + n, n) for dimension n and degree N, with exit 3
+# and before any monomial index or normal form is built.  The index, the
+# resonance scan and the normal form grow with that count whatever terms
+# the germ lists: at (n, N) = (6, 10), 48,048, the index takes 0.03 s; at
+# (8, 12), 1,007,760, it takes 0.6 to 0.8 s and 37 to 68 MB before the
+# first coefficient is solved.  The largest germ of the benchmark
+# workloads has 2,310 (n = 5, N = 6).  100,000 admits (6, 10) twice over
+# and refuses (8, 12) tenfold.
+MAX_JET_SIZE = 100_000

@@ -68,17 +68,16 @@ class TestEmbed:
     @pytest.mark.parametrize("verb", ["embed", "verify"])
     def test_ode_steps_from_the_reachable_rate(self, capsys, verb):
         # paper-2.3's one field term is field-resonant, so every row of the
-        # oracle's equations has rate 0 in the frame of B's diagonal, and it
-        # takes ODE_STEPS_PER_RATE steps, where the rate 8 of e^(tB) would
-        # ask for 184
-        from embedflow.tolerances import ODE_STEPS_PER_RATE
-
+        # oracle's equations has rate 0 in the frame of B's diagonal, and one
+        # step's local error is within the estimate's roundoff floor: it
+        # takes 1 step, where the rate count is 23 and the rate 8 of e^(tB)
+        # would ask for 184
         code, out, _ = run(capsys, verb, "--fixture", "paper-2.3")
         m = machine(out)
         assert code == 0
-        steps = ODE_STEPS_PER_RATE
-        assert int(m["ode_steps"]) == steps == 23
-        assert f"ODE oracle steps:               {steps}" in out
+        assert int(m["ode_steps"]) == 1
+        assert "ODE oracle steps:               1\n" in out
+        assert float(m["residual_ode"]) <= float(m["residual_ode_err"])
 
     def test_paper_23_blocked(self, capsys):
         code, out, _ = run(capsys, "embed", "--fixture", "paper-2.3-blocked")
@@ -530,6 +529,46 @@ class TestRefusals:
         m = machine(out)
         assert code == 3
         assert m["status"] == "error" and m["error"] == message
+
+
+class TestJetSizeLimit:
+    """A germ whose header asks for more than MAX_JET_SIZE jet coefficients
+    is refused before any monomial index or normal form is built."""
+
+    @staticmethod
+    def _germ(dim, degree):
+        # a header-only germ: one Jordan block and no terms
+        return f"HEADER\ndimension {dim}\ndegree {degree}\nmode float\nLINEAR\njordan 2 {dim}\n"
+
+    @staticmethod
+    def _forbid_the_work(monkeypatch):
+        from embedflow import normal_form, resonance
+
+        def started(*args):
+            raise AssertionError("the work started")
+
+        monkeypatch.setattr(resonance, "monomial_index", started)
+        monkeypatch.setattr(normal_form, "monomial_index", started)
+
+    @pytest.mark.parametrize("dim, degree, flags", [(8, 12, ()), (8, 2, ("--degree", "12"))])
+    @pytest.mark.parametrize("verb", ["analyze", "normal-form", "embed", "verify"])
+    def test_refused_before_the_work(self, capsys, monkeypatch, verb, dim, degree, flags):
+        # 8 * C(20, 8) = 1,007,760 coefficients
+        self._forbid_the_work(monkeypatch)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self._germ(dim, degree)))
+        code, out, _ = run(capsys, verb, "-", *flags)
+        m = machine(out)
+        assert code == 3 and m["status"] == "error"
+        assert m["error"] == (
+            "dimension 8 at degree 12 asks for n*C(N+n, n) = 1007760 jet "
+            "coefficients, above MAX_JET_SIZE = 100000"
+        )
+
+    def test_admitted_shape_runs(self, capsys, monkeypatch):
+        # 6 * C(16, 6) = 48,048 coefficients
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self._germ(6, 10)))
+        code, out, _ = run(capsys, "analyze", "-")
+        assert code == 0 and machine(out)["status"] == "ok"
 
 
 class TestOneProcess:

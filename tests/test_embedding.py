@@ -48,17 +48,20 @@ from embedflow import (
     solve_embedding,
     time_one,
     time_one_residuals,
+    time_one_steps,
 )
 from embedflow import embedding, jets
 from embedflow.embedding import (
     _DP_A,
     _DP_C,
     _DP_E,
+    _coefficient_plan,
     _composition_table,
+    _coupled_terms,
     _dp5_time_one,
     _exact_ring,
     _lattice_terms,
-    _ode_rhs,
+    _ode_oracle,
     _ode_steps,
     _oracle_inputs,
     _reachable,
@@ -850,6 +853,20 @@ class TestSubstitutionKernel:
                 assert jet_distance(got, want_r) <= 1e-12 * max(1.0, want_r.max_abs())
 
 
+def _ode_rhs(tri, v, degree):
+    """Right-hand side C -> B C + v(C) of the jet-coefficient equations.
+
+    C is the flat vector of the coefficients of the returned columns, the
+    reachable ones of ``_reachable``; v(C) is the jet of v composed with
+    it, truncated at ``degree``.  B's entries are terms of degree one in
+    the same plan as v's (``_coefficient_plan``).
+    """
+    n = tri.dim
+    cols = _reachable(tri, v, degree)
+    diagonal = [(j, MultiIndex.unit(n, j), complex(d)) for j, d in enumerate(tri.diag)]
+    return cols, _coefficient_plan(cols, diagonal + _coupled_terms(tri, v), degree)
+
+
 def _linear_on_columns(tri, cols, C):
     """B C on the columns ``cols`` of a flat coefficient vector C."""
     index = {col: s for s, col in enumerate(cols)}
@@ -916,6 +933,40 @@ def _fixture_field(name):
         G = GermSpec(G.linear, PolyJet.build(G.dim, G.degree, G.nonlinear.mode, kept), G.degree)
         X = solve_embedding(G, B, tol=tol)
     return G, X
+
+
+def _resonant_diag_germ(mode):
+    """A germ of the verify workload's shape: diag(8, 2, 4) at N = 5 with
+    random coefficients on every field-resonant monomial, and its field."""
+    rng = np.random.default_rng(2500)
+    a = BlockMatrix(tuple(JordanBlock(c, 1) for c in (8, 2, 4)))
+    B = real_log(a)
+    terms = []
+    for j, m in field_resonances(B.triangular().eigen, 5).field_resonant:
+        c = QQi(Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))))
+        terms.append((j, m, c if mode == MODE_EXACT else complex(c)))
+    G = GermSpec(a, PolyJet.build(3, 5, mode, terms), 5)
+    return G, solve_embedding(G, B)
+
+
+def _record_oracle_work(monkeypatch):
+    """``(runs, plans)``: filled with the step count of every integration
+    and the name of every plan-building call of the ODE oracle."""
+    runs, plans = [], []
+
+    def recorded(name, record):
+        original = getattr(embedding, name)
+
+        def wrapper(*args):
+            record(args)
+            return original(*args)
+
+        monkeypatch.setattr(embedding, name, wrapper)
+
+    recorded("_dp5_run", lambda args: runs.append(args[2]))
+    for name in ("_reachable", "_composition_table"):
+        recorded(name, lambda args, name=name: plans.append(name))
+    return runs, plans
 
 
 class TestOdeOracle:
@@ -1167,6 +1218,55 @@ class TestOdeOracle:
         assert set(got.coeffs) == set(want.coeffs)
         assert jet_distance(got, want) <= 1e-15 * want.max_abs()
         assert abs(err - want_err) <= 1e-15 * want.max_abs()
+
+    @pytest.mark.parametrize("case", FIXTURES + ("diag-exact", "diag-float"))
+    def test_rate_zero_fields_take_one_step(self, case, monkeypatch):
+        # every row has rate 0 in the frame of B's diagonal, and one step's
+        # local error is within the estimate's roundoff floor
+        if case.startswith("diag-"):
+            G, X = _resonant_diag_germ(MODE_EXACT if case == "diag-exact" else MODE_FLOAT)
+        else:
+            G, X = _fixture_field(case)
+        runs, plans = _record_oracle_work(monkeypatch)
+        _, r_ode, err, steps = time_one_steps(X, G)
+        assert steps == 1 and runs == [1]
+        assert plans == ["_reachable", "_composition_table"]
+        assert r_ode <= err
+        assert time_one(X, G) == time_one_steps(X, G)[:3]
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("sizes, degree", [((4, 1), 5), ((2, 2, 2), 3)])
+    def test_long_jordan_chains_fall_back_to_the_rate_count(
+        self, sizes, degree, exact, monkeypatch
+    ):
+        # rate 0 too, but the chain makes the coefficients polynomials of
+        # higher degree in t: one step's estimate reads about 1e-4, eight
+        # decades above the roundoff floor, and the oracle reruns the rate
+        # count on the plan it built once
+        G, B = _jordan_germ(sizes, degree, exact, np.random.default_rng(7))
+        X = solve_embedding(G, B)
+        tri, v, N = _oracle_inputs(X, G)
+        steps = _ode_steps(tri, v, N)
+        assert steps == ODE_STEPS_PER_RATE
+        want, want_err = _dp5_time_one(tri, v, N, steps)
+        _, one_err = _dp5_time_one(tri, v, N, 1)
+        assert one_err > 1e6 * ODE_ROUNDOFF * want.max_abs()
+        runs, plans = _record_oracle_work(monkeypatch)
+        jet, err, got_steps = _ode_oracle(tri, v, N)
+        assert runs == [1, steps] and got_steps == steps
+        assert plans == ["_reachable", "_composition_table"]
+        assert jet.coeffs == want.coeffs and err == want_err
+
+    def test_moving_rows_never_take_the_trial(self, monkeypatch):
+        # the weak row of test_weak_term_gives_second_embedding's second
+        # field moves at 2*pi: the rate count runs at once
+        X = _weak_term_field()
+        tri, v = X.linear.triangular(), X.nonlinear
+        runs, plans = _record_oracle_work(monkeypatch)
+        _, _, steps = _ode_oracle(tri, v, 4)
+        assert steps == math.ceil(ODE_STEPS_PER_RATE * 2 * math.pi) == 145
+        assert runs == [145]
+        assert plans == ["_reachable", "_composition_table"]
 
     @pytest.mark.parametrize("steps", [0, -1])
     def test_steps_must_be_positive(self, steps):
