@@ -47,18 +47,9 @@ from .normal_form import (
     NormalFormResult,
     distinguished_normal_form,
 )
-from .embedding import (
-    FieldGerm,
-    FlowJet,
-    Obstruction,
-    appendix_identity_check,
-    embedding_residual,
-    flow_jet,
-    solve_embedding,
-    time_one,
-    time_one_residuals,
-    time_one_steps,
-)
+from .embedding import FieldGerm, Obstruction, appendix_identity_check, solve_embedding
+from .flow import FlowJet, flow_jet
+from .verdict import embedding_residual, time_one, time_one_residuals, time_one_steps
 from .classify import (
     PlanarVerdict,
     classify_2d,

@@ -25,12 +25,7 @@ from functools import cache
 from importlib import resources
 
 from .classify import classify_2d
-from .embedding import (
-    Obstruction,
-    embedding_residual,
-    solve_embedding,
-    time_one_steps,
-)
+from .embedding import Obstruction, solve_embedding
 from .germfile import GermFile, GermParseError, parse_germ, serialize_germ
 from .jets import realify
 from .normal_form import NearResonanceError, distinguished_normal_form
@@ -46,6 +41,7 @@ from .spectral import (
     weakly_nonresonant_branch,
 )
 from .tolerances import MAX_JET_SIZE, NEAR_FACTOR, ODE_BOUND, ODE_ERR_SHARE
+from .verdict import embedding_residual, time_one_steps
 
 __all__ = ["main"]
 
@@ -405,7 +401,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # a FILE after a flag; the intermixed parse, ten times slower, places it
+        args = parser.parse_intermixed_args(argv)
     report = Report(f"embedflow {args.verb}")
     start = time.monotonic()
     try:

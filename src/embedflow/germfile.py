@@ -28,7 +28,9 @@ NONLINEAR records are ``j m_1 .. m_n re [im]`` with 1-based component j
 and real coordinates; im defaults to 0.  OPTIONS may set ``tol`` and the
 logarithm branch integers ``branch-k``/``branch-l`` (one per negative
 pair / rotation block).  Rational literals (``7/10``) parse in either
-mode; decimals are accepted and, in exact mode, converted exactly.
+mode; decimals are accepted and, in exact mode, converted exactly.  Every
+number must convert to a finite float, nonzero when it is, and e^U of a
+``-exp`` block too; other numbers are parse errors that name their line.
 """
 
 from __future__ import annotations
@@ -117,11 +119,22 @@ _MODES = (MODE_FLOAT, MODE_EXACT)
 _SECTIONS = ("HEADER", "LINEAR", "NONLINEAR", "OPTIONS")
 
 
+def _float_range(value: Fraction, tok: str, line_no: int, line: str) -> Fraction:
+    """``value``, refused unless it is a finite float, nonzero when it is."""
+    try:
+        if float(value) or not value:
+            return value
+    except OverflowError:
+        pass
+    raise GermParseError(line_no, line, f"{tok!r} is outside the float range")
+
+
 def _parse_fraction(tok: str, line_no: int, line: str) -> Fraction:
     try:
-        return Fraction(tok)
+        value = Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise GermParseError(line_no, line, f"expected a rational number, got {tok!r}")
+    return _float_range(value, tok, line_no, line)
 
 
 def _parse_number(tok: str, mode: str, line_no: int, line: str):
@@ -130,6 +143,7 @@ def _parse_number(tok: str, mode: str, line_no: int, line: str):
         value = Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise GermParseError(line_no, line, f"bad number {tok!r}")
+    _float_range(value, tok, line_no, line)
     return value if mode == MODE_EXACT else float(value)
 
 
@@ -138,6 +152,16 @@ def _parse_int(tok: str, line_no: int, line: str) -> int:
         return int(tok)
     except ValueError:
         raise GermParseError(line_no, line, f"expected an integer, got {tok!r}")
+
+
+def _exp(u, line_no, line) -> float:
+    """e^u, refused unless it is a finite nonzero float."""
+    try:
+        if r := math.exp(u):
+            return r
+    except OverflowError:
+        pass
+    raise GermParseError(line_no, line, "e^u is not a finite nonzero float")
 
 
 def _linear_block(parts, line_no, line):
@@ -162,7 +186,7 @@ def _linear_block(parts, line_no, line):
         u = _parse_fraction(args[0], line_no, line)
         size = _parse_int(args[1], line_no, line)
         return JordanBlock(
-            math.exp(u), size, mu=EigenScalar.from_parts(rat=u)
+            _exp(u, line_no, line), size, mu=EigenScalar.from_parts(rat=u)
         )
     if kind == "rotation":
         need(3)
@@ -177,7 +201,7 @@ def _linear_block(parts, line_no, line):
         u = _parse_fraction(args[0], line_no, line)
         q = _parse_fraction(args[1], line_no, line)
         cells = _parse_int(args[2], line_no, line)
-        r = math.exp(u)
+        r = _exp(u, line_no, line)
         theta = math.pi * float(q)
         # lambda_z = alpha - i*beta = e^u * e^(i*pi*q)
         block = RotationBlock(

@@ -11,7 +11,7 @@ kernel, ``_OnlineComposition`` (online truncated composition): the
 degree-d slice of each monomial of the inner jet is formed once, from the
 inner jet's slices below d, and kept.  ``compose`` puts a known inner jet
 in place at once; the normal form and the flow of
-:func:`embedflow.embedding.flow_jet` let it grow one degree per step.
+:func:`embedflow.flow.flow_jet` let it grow one degree per step.
 ``complexify``/``realify`` move a real jet to coordinates in which a
 rotation-block linear part becomes diagonal, by conjugating with
 z = x_i + i*x_{i+1} on each designated pair.

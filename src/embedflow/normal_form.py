@@ -35,6 +35,7 @@ than dividing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -183,7 +184,10 @@ def _homological_rows(tri, rhs, k, tol, order, resonant, Y):
                 g[(j, sigma)] = val
                 continue
             d = lam_power(sigma) - lam[j]
-            mag = abs(complex(d))
+            try:
+                mag = abs(complex(d))
+            except OverflowError:  # an exact divisor beyond the float range
+                mag = math.inf
             min_div = mag if min_div is None else min(min_div, mag)
             if mode != MODE_EXACT and mag < max(tol, DIVISOR_FLOOR):
                 raise NearResonanceError(j, sigma, d)

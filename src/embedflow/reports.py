@@ -8,11 +8,24 @@ rendered 1-based in both sections (the library itself is 0-based).
 
 from __future__ import annotations
 
+import math
+
 __all__ = ["Report", "fmt_entry", "fmt_complex", "parse_machine"]
 
 
+def _rounded(x) -> float:
+    """The float nearest x, +-inf beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def fmt_complex(c) -> str:
-    c = complex(c)
+    try:
+        c = complex(c)
+    except OverflowError:  # an exact value beyond the float range
+        c = complex(_rounded(c.re), _rounded(c.im))
     if c.imag == 0:
         return repr(c.real)
     return f"{c.real!r}{'+' if c.imag >= 0 else '-'}{abs(c.imag)!r}i"

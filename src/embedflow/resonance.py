@@ -15,8 +15,9 @@ is fixed.  :func:`_witness` answers the question, and it is the only
 resonance decision in the package: :func:`field_resonances` (also named
 :func:`map_resonances`) scans every (j, m) up to a degree with it and fills
 every class at once, the normal form and the embedding solve each take
-their classes from one such report, and
-:class:`embedflow.embedding.FieldGerm` checks its support with it.
+their classes from one such report, and :func:`_lattice_witnesses` reads
+it on a field's support, which :class:`embedflow.embedding.FieldGerm`
+checks and whose witnesses :mod:`embedflow.flow` takes as frequencies.
 
 Exact log data (``EigenScalar`` entries) are decided on an integer lattice
 and never look at ``tol``.  All other data are decided on the complex logs:
@@ -109,7 +110,10 @@ def _power(values, m):
     prod = None
     for k, v in zip(m, values):
         if k:
-            p = v**k
+            try:
+                p = v**k
+            except OverflowError:
+                raise ValueError(f"eigenvalue power ({v})^{k} is outside the float range") from None
             prod = p if prod is None else prod * p
     return prod
 
@@ -180,6 +184,23 @@ def _classify(mu, M, tol):
     shape = (len(mu), len(M))
     hit, l, dist = _witness(*_deltas(mu, M), tol)
     return hit.reshape(shape), l.reshape(shape), None if dist is None else dist.reshape(shape)
+
+
+def _lattice_witnesses(support, eigen: EigenData, tol: float):
+    """``(on, off)``: the witness l of each (j, m) of ``support`` that lies
+    on the resonance lattice, as ``{(j, m): l}`` in the order of
+    ``support``, and the list of the (j, m) off it.  A field's support must
+    lie on it; its flow reads the witnesses as frequencies."""
+    support = list(support)
+    M = np.array([m for _, m in support], dtype=np.int64).reshape(len(support), len(eigen))
+    hit, l, _ = _classify(_mu(eigen), M, tol)
+    on, off = {}, []
+    for t, (j, m) in enumerate(support):
+        if hit[j, t]:
+            on[(j, m)] = int(l[j, t])
+        else:
+            off.append((j, tuple(m)))
+    return on, off
 
 
 @dataclass(frozen=True)

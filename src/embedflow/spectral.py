@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jets import MODE_FLOAT, PolyJet, RealPairing
+from .jets import MODE_EXACT, MODE_FLOAT, PolyJet, RealPairing
 from .scalars import EigenScalar, ExactnessError, QQi
 from .tolerances import DEFAULT_TOL, REAL_EXP
 
@@ -365,10 +365,13 @@ class TriangularLinear:
     def is_diagonal(self) -> bool:
         return not self.nil
 
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(d, QQi) for d in self.diag) and all(
-            isinstance(c, QQi) for _, _, c in self.nil
+    def exact_ring(self, mode: str) -> bool:
+        """Whether the solve and the flow keep a ``mode`` jet's coefficients
+        exact (QQi/PiPoly): exact mode, exact eigen data, QQi couplings."""
+        return (
+            mode == MODE_EXACT
+            and self.eigen.exact
+            and all(isinstance(c, QQi) for _, _, c in self.nil)
         )
 
     def dense(self) -> np.ndarray:

@@ -4,7 +4,7 @@ Terms c * t^k * e^(a*t) keyed by (k, a), with ``a`` an
 :class:`EigenScalar` (exact) or complex, close exponents snapped onto
 2*pi*i*Z: the ring the flow of an embedding field was first built on.
 The package builds its flow on integer frequencies instead
-(:mod:`embedflow.exppoly`); this module is an independent check of that
+(:mod:`embedflow.flow`); this module is an independent check of that
 flow, of the averaging operator T^r (:func:`Tr_matrix`) and of the
 forward-substitution solve in ``test_embedding``.
 
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from embedflow.embedding import _exact_ring, _nil_powers
+from embedflow.flow import _nil_powers
 from embedflow.jets import MODE_EXACT, MODE_FLOAT, MultiIndex, PolyJet, _OnlineComposition, _one
 from embedflow.resonance import field_resonances
 from embedflow.scalars import EigenScalar, ExactnessError, PiPoly, QQi
@@ -514,7 +514,7 @@ def Tr_matrix(B, r: int, basis=None, tol: float = DEFAULT_TOL):
         raise ValueError("degree must be at least 2")
     if basis is None:
         basis = field_resonances(tri.eigen, r, tol).basis(r)
-    exact_ring = _exact_ring(tri, MODE_EXACT)
+    exact_ring = tri.exact_ring(MODE_EXACT)
     _, Em, phi1 = _linear_flow(tri, exact_ring, r)
     unit = _flow_unit(tri, exact_ring)
     index = {jm: t for t, jm in enumerate(basis)}
@@ -541,7 +541,7 @@ def flow_jet(X: FieldGerm, degree=None) -> FlowJet:
     """
     N = X.degree if degree is None else degree
     tri = X.linear.triangular()
-    exact_ring = _exact_ring(tri, X.mode)
+    exact_ring = tri.exact_ring(X.mode)
     unit = _flow_unit(tri, exact_ring)
     E, Em, phi = _linear_flow(tri, exact_ring, N)
     v = X.nonlinear if exact_ring else X.nonlinear.to_float()

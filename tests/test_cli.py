@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -29,10 +30,11 @@ def machine(out: str) -> dict:
 
 
 def field_dict(value: str) -> dict:
+    """A machine jet ``(j,(m)):c;...`` as {entry: complex c}."""
     out = {}
     for entry in value.split(";"):
         key, val = entry.rsplit(":", 1)
-        out[key] = float(val.replace("i", "j").replace("+-", "-"))
+        out[key] = complex(val[:-1] + "j" if val.endswith("i") else val)
     return out
 
 
@@ -273,7 +275,7 @@ def _verify_weak_field(capsys, monkeypatch, steps):
     0.35 z^4 e1: a second embedding, whose oracle row z^4 e1 moves at
     2*pi in the frame of B's diagonal.  ``steps`` forces the oracle's step
     count; None keeps its own.  Returns the exit code and the machine tail."""
-    from embedflow import cli, embedding
+    from embedflow import cli, oracle
     from embedflow.embedding import FieldGerm
     from embedflow.jets import MultiIndex, PolyJet
 
@@ -287,7 +289,7 @@ def _verify_weak_field(capsys, monkeypatch, steps):
 
     monkeypatch.setattr(cli, "solve_embedding", with_weak_term)
     if steps is not None:
-        monkeypatch.setattr(embedding, "_ode_steps", lambda tri, v, degree: steps)
+        monkeypatch.setattr(oracle, "_ode_steps", lambda tri, v, degree: steps)
     monkeypatch.setattr(sys, "stdin", io.StringIO(WEAK_GERM))
     code, out, _ = run(capsys, "verify", "-")
     m = machine(out)
@@ -496,6 +498,88 @@ class TestErrors:
         assert "hyperbolic" in m["error"]
 
 
+def _fixture_with(name: str, old: str, new: str) -> str:
+    """A bundled fixture's text with the line ``old`` replaced by ``new``."""
+    text = (resources.files("embedflow") / "fixtures" / f"{name}.germ").read_text()
+    assert f"\n{old}\n" in text
+    return text.replace(f"\n{old}\n", f"\n{new}\n")
+
+
+class TestFloatRange:
+    """Inputs beyond the float range end in a documented exit code."""
+
+    @pytest.mark.parametrize("verb", ["analyze", "verify"])
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("jordan-exp 8 1", "jordan-exp 1000 1"),  # e^u overflows
+            ("jordan-exp 8 1", "jordan-exp -1000 1"),  # e^u underflows to 0
+            ("rotation-exp 1 1/4 1", "rotation-exp 1e308 1/4 1"),
+            ("rotation-exp 1 1/4 1", "rotation-exp -1000 1/4 1"),
+        ],
+    )
+    def test_exp_blocks_refused_at_their_line(self, capsys, monkeypatch, verb, old, new):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(_fixture_with("paper-2.3", old, new)))
+        code, out, err = run(capsys, verb, "-")
+        assert code == 4 and out == ""
+        assert "e^u is not a finite nonzero float" in err
+        assert repr(new) in err and "line " in err
+
+    @pytest.mark.parametrize("verb", ["analyze", "verify"])
+    def test_huge_exact_eigenvalue(self, capsys, monkeypatch, verb):
+        # lambda_1 = 1e308 is exact; its divisors lambda^m - lambda_1 exceed
+        # the float range and read as inf in the min-divisor diagnostic
+        text = _fixture_with("resonant-2d", "jordan 4 1", "jordan 1e308 1")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, verb, "-")
+        m = machine(out)
+        assert code in (0, 3)
+        assert m["status"] == ("ok" if verb == "analyze" else "field")
+
+    @pytest.mark.parametrize("verb", ["normal-form", "verify"])
+    def test_float_eigenvalue_power_overflow_refused(self, capsys, monkeypatch, verb):
+        text = (
+            "HEADER\ndimension 2\ndegree 2\nmode float\nLINEAR\n"
+            "jordan 4 1\njordan 1e308 1\nNONLINEAR\n1 0 2 1\n"
+        )
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, verb, "-")
+        m = machine(out)
+        assert code == 3 and m["status"] == "error"
+        assert "outside the float range" in m["error"]
+
+    @pytest.mark.parametrize("token", ["1e400", "1e-400"])
+    def test_numbers_outside_the_float_range_refused(self, capsys, monkeypatch, token):
+        text = _fixture_with("resonant-2d", "1 1 1 1", f"1 1 1 {token}")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, "analyze", "-")
+        assert code == 4 and out == ""
+        assert f"'{token}' is outside the float range" in err
+
+    def test_exact_coefficients_beyond_the_float_range_print(self, capsys, monkeypatch):
+        text = _fixture_with("resonant-2d", "1 1 1 1", "1 1 1 -1e308")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "normal-form", "-")
+        assert code == 0
+        assert "(1,(0,4)):-inf" in machine(out)["transform"]
+
+
+class TestArgumentOrder:
+    def test_flag_before_or_after_the_file(self, capsys):
+        path = str(resources.files("embedflow") / "fixtures" / "paper-2.3.germ")
+        outs = []
+        for argv in (
+            ["verify", "--branch", "l=-1", path],
+            ["verify", path, "--branch", "l=-1"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            m = machine(out)
+            assert m["branch"] == "0:-1" and m["verified"] == "yes"
+            outs.append(re.sub(r"time_s=.*", "", out))
+        assert outs[0] == outs[1]
+
+
 class TestRefusals:
     """analyze reads only the pairing of the germ, yet refuses a germ for
     the reasons, and with the messages, of the verbs that complexify its
@@ -642,3 +726,67 @@ class TestCanonical:
         canon = serialize_germ(parse_germ(text))
         for line in canon.splitlines():
             assert line in out
+
+
+def _exact_germ_text(spec) -> str:
+    """Germ-file text of an exact-mode diagonal GermSpec (``_gens``), its
+    coefficients cut to their real parts: germ files are real."""
+    lines = [
+        "HEADER", f"dimension {spec.dim}", f"degree {spec.degree}", "mode exact", "LINEAR",
+        *(f"jordan {b.eigenvalue} 1" for b in spec.linear.blocks),
+        "NONLINEAR",
+    ]
+    for (j, m), c in sorted(spec.nonlinear.coeffs.items()):
+        if c.re:
+            lines.append(f"{j + 1} {' '.join(map(str, m))} {c.re}")
+    return "\n".join(lines) + "\n"
+
+
+class TestModeAgreement:
+    """An exact germ re-run as ``mode float`` keeps its exit code, status
+    and supports, and its coefficients agree to roundoff."""
+
+    JETS = ("normal_form", "transform", "field", "blocked")
+
+    def _runs(self, capsys, monkeypatch, text):
+        out = {}
+        for mode in ("exact", "float"):
+            for verb in ("normal-form", "verify"):
+                monkeypatch.setattr(sys, "stdin", io.StringIO(text.replace("mode exact", f"mode {mode}")))
+                code, report, _ = run(capsys, verb, "-")
+                out[mode, verb] = code, machine(report)
+        return out
+
+    def _agree(self, runs):
+        for verb in ("normal-form", "verify"):
+            (code, exact), (code_f, floats) = runs["exact", verb], runs["float", verb]
+            assert code == code_f and exact["status"] == floats["status"]
+            for key in self.JETS:
+                if key not in exact:
+                    assert key not in floats
+                    continue
+                if key == "blocked" or not exact[key]:
+                    assert exact[key] == floats[key], key
+                    continue
+                want, got = field_dict(exact[key]), field_dict(floats[key])
+                assert want.keys() == got.keys(), key
+                scale = max(abs(c) for c in want.values())
+                assert max(abs(got[k] - c) for k, c in want.items()) <= 1e-13 * scale, key
+
+    def test_random_exact_germs(self, capsys, monkeypatch):
+        from _gens import random_exact_germ
+        import numpy as np
+
+        rng = np.random.default_rng(2610)
+        for i in range(12):
+            spec = random_exact_germ(rng, 2 + i % 2, 3 + i % 3)
+            self._agree(self._runs(capsys, monkeypatch, _exact_germ_text(spec)))
+
+    @pytest.mark.parametrize(
+        "name, status", [("resonant-2d", "field"), ("paper-Astar", "obstruction"), ("paper-F1", "obstruction")]
+    )
+    def test_rational_fixtures(self, capsys, monkeypatch, name, status):
+        text = (resources.files("embedflow") / "fixtures" / f"{name}.germ").read_text()
+        runs = self._runs(capsys, monkeypatch, text.replace("mode float", "mode exact"))
+        self._agree(runs)
+        assert runs["float", "verify"][1]["status"] == status

@@ -50,23 +50,22 @@ from embedflow import (
     time_one_residuals,
     time_one_steps,
 )
-from embedflow import embedding, jets
-from embedflow.embedding import (
+from embedflow import embedding, flow, jets, oracle
+from embedflow.flow import TrigPoly, _lattice_terms
+from embedflow.oracle import (
     _DP_A,
     _DP_C,
     _DP_E,
     _coefficient_plan,
     _composition_table,
     _coupled_terms,
-    _dp5_time_one,
-    _exact_ring,
-    _lattice_terms,
+    _dp5_jet,
+    _dp5_plan,
+    _dp5_run,
     _ode_oracle,
     _ode_steps,
-    _oracle_inputs,
     _reachable,
 )
-from embedflow.exppoly import TrigPoly
 from embedflow.scalars import PiPoly
 from embedflow.tolerances import (
     DEFAULT_TOL,
@@ -374,7 +373,7 @@ def _exp_minus_B(tri, exact_ring):
     one = jets._one(MODE_EXACT if exact_ring else MODE_FLOAT)
     mat = {(i, i): one / lam[i] for i in range(tri.dim)}
     fact = 1
-    for p, npow in enumerate(embedding._nil_powers(tri, exact_ring), start=1):
+    for p, npow in enumerate(flow._nil_powers(tri, exact_ring), start=1):
         fact *= p
         for (i, k), c in npow.items():
             if exact_ring:
@@ -808,7 +807,7 @@ class TestSubstitutionKernel:
         rng = np.random.default_rng(17 + 2 * len(blocks) + exact)
         X = _resonant_field(blocks, degree, exact, rng)
         tri = X.linear.triangular()
-        exact_ring = _exact_ring(tri, X.mode)
+        exact_ring = tri.exact_ring(X.mode)
         assert exact_ring == exact
         phi = flow_jet(X)
         n = X.dim
@@ -824,7 +823,7 @@ class TestSubstitutionKernel:
         x = PolyJet.build(n, degree, X.mode, terms)
         # integer frequencies hold the terms on the resonance lattice only:
         # keep every one of them
-        lattice, _ = _lattice_terms(x.coeffs, tri.eigen, X.tol)
+        lattice = _lattice_terms(x.coeffs, tri.eigen, X.tol)
         x = PolyJet(n, degree, X.mode, {k: x.coeffs[k] for k in lattice})
         # the online composition over the flow's linear part and slices,
         # as flow_jet builds it
@@ -878,6 +877,21 @@ def _linear_on_columns(tri, cols, C):
             if t is not None:
                 want[s] += B[j, k] * C[t]
     return want
+
+
+def _oracle_inputs(X, G):
+    """``(tri, v, N)`` of the ODE oracle for X against G, as ``time_one``
+    passes them: B's triangular form and v at the smaller jet degree N."""
+    N = min(G.degree, X.degree)
+    return X.linear.triangular(), X.nonlinear.truncate(N), N
+
+
+def _dp5_time_one(tri, v, degree, steps):
+    """``(jet, err)`` of the ODE oracle's integration at a fixed step count:
+    C(1) and the sum of the steps' local errors plus the roundoff floor."""
+    plan = _dp5_plan(tri, v, degree)
+    y, local, floor = _dp5_run(tri, plan, steps)
+    return _dp5_jet(tri, plan[0], degree, y), local + floor
 
 
 def _full_state_dp5(tri, v, degree, steps):
@@ -955,13 +969,13 @@ def _record_oracle_work(monkeypatch):
     runs, plans = [], []
 
     def recorded(name, record):
-        original = getattr(embedding, name)
+        original = getattr(oracle, name)
 
         def wrapper(*args):
             record(args)
             return original(*args)
 
-        monkeypatch.setattr(embedding, name, wrapper)
+        monkeypatch.setattr(oracle, name, wrapper)
 
     recorded("_dp5_run", lambda args: runs.append(args[2]))
     for name in ("_reachable", "_composition_table"):
@@ -1047,7 +1061,7 @@ class TestOdeOracle:
         G, B = _jordan_germ((3, 1), 5, True, np.random.default_rng(5))
         cases.append((G, B, DEFAULT_TOL))
         want = [solve_embedding(G, B, tol=tol) for G, B, tol in cases]
-        monkeypatch.setattr(embedding, "_flow_step", boom)
+        monkeypatch.setattr(flow, "_flow_step", boom)
         monkeypatch.setattr(TrigPoly, "integrate_to_t", boom)
         monkeypatch.setattr(PiPoly, "as_qqi", boom)
         with pytest.raises(Called):
@@ -1267,15 +1281,6 @@ class TestOdeOracle:
         assert steps == math.ceil(ODE_STEPS_PER_RATE * 2 * math.pi) == 145
         assert runs == [145]
         assert plans == ["_reachable", "_composition_table"]
-
-    @pytest.mark.parametrize("steps", [0, -1])
-    def test_steps_must_be_positive(self, steps):
-        G = _exact_diag_germ()
-        X = solve_embedding(G, real_log(G.linear))
-        with pytest.raises(ValueError, match="steps"):
-            time_one_residuals(X, G, steps=steps)
-        with pytest.raises(ValueError, match="steps"):
-            max(time_one(X, G, steps=steps)[:2])
 
 
 class TestAppendixIdentity:

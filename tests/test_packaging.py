@@ -1,4 +1,7 @@
-"""The runtime imports of ``src/embedflow`` are exactly the declared dependencies.
+"""The runtime imports of ``src/embedflow`` are exactly the declared
+dependencies, and the verification routes import nothing of the code they
+check: the solve (``embedding``), the flow (``flow``) and the ODE oracle
+(``oracle``) are read for their import edges with ``ast``, without running.
 
 ``pyproject.toml`` is read with a small line parser rather than ``tomllib``,
 which Python 3.10 lacks; it understands the string arrays this project uses.
@@ -104,3 +107,75 @@ def test_benchmark_imports_exist():
                 assert hasattr(module, name), (path.name, module.__name__, name)
                 checked += 1
     assert checked
+
+
+# -- the verification routes stay independent -----------------------------------
+
+
+def _imports(module: str) -> dict:
+    """``{module: names}`` that ``embedflow/<module>.py`` imports anywhere
+    in its body, read with ``ast``: package modules by their full name,
+    and ``"*"`` among the names of a module imported whole."""
+    path = PACKAGE / f"{module}.py"
+    found: dict = {}
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            pairs = [(alias.name, "*") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            pairs = [(f"embedflow.{alias.name}", "*") for alias in node.names]  # from . import x
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "embedflow." if node.level else ""
+            pairs = [(prefix + node.module, alias.name) for alias in node.names]
+        else:
+            continue
+        for name, attr in pairs:
+            found.setdefault(name, set()).add(attr)
+    return found
+
+
+def _reaches(module: str) -> set:
+    """The package modules that ``module`` imports, directly or through
+    other package modules."""
+    seen, todo = set(), [module]
+    while todo:
+        for name in _imports(todo.pop()):
+            if name.startswith("embedflow.") and name not in seen:
+                seen.add(name)
+                todo.append(name.removeprefix("embedflow."))
+    return seen
+
+
+ROUTES = {"embedflow.flow", "embedflow.oracle", "embedflow.verdict"}
+
+
+def test_solve_imports_no_verification_route():
+    assert not _reaches("embedding") & ROUTES
+
+
+def test_flow_imports_neither_the_solve_nor_the_oracle():
+    assert not _reaches("flow") & {"embedflow.embedding", "embedflow.oracle", "embedflow.verdict"}
+
+
+def test_oracle_imports_only_numpy_jet_types_and_its_tolerances():
+    imports = _imports("oracle")
+    allowed = {
+        "__future__": {"annotations"},
+        "math": None,
+        "operator": {"add"},
+        "numpy": None,
+        "embedflow.jets": {"MODE_FLOAT", "MultiIndex", "PolyJet"},
+    }
+    tolerances = imports.pop("embedflow.tolerances", {"*"})
+    assert tolerances and all(name.startswith("ODE_") for name in tolerances)
+    for module, names in imports.items():
+        assert module in allowed, module
+        assert allowed[module] is None or names <= allowed[module], (module, names)
+
+
+def test_only_the_verdict_imports_both_routes():
+    both = [
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if {"embedflow.flow", "embedflow.oracle"} <= _imports(path.stem).keys()
+    ]
+    assert both == ["verdict"]
