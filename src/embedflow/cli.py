@@ -11,7 +11,8 @@ Verbs:
 
 Exit codes: 0 success (field constructed / embeddable), 2 obstruction or
 not embeddable, 3 precondition failure (non-hyperbolic, no real log,
-verification failure, a header above MAX_JET_SIZE), 4 parse error.
+verification failure, a header above MAX_JET_SIZE or MAX_PRODUCTS, an
+eigenvalue beyond MAX_FIELD_SCALE in embed or verify), 4 parse error.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from importlib import resources
 from .classify import classify_2d
 from .embedding import Obstruction, solve_embedding
 from .germfile import GermFile, GermParseError, parse_germ, serialize_germ
+from .graded import product_bound
 from .jets import realify
 from .normal_form import NearResonanceError, distinguished_normal_form
 from .reports import Report, fmt_complex, fmt_entry
@@ -40,7 +42,14 @@ from .spectral import (
     real_log,
     weakly_nonresonant_branch,
 )
-from .tolerances import MAX_JET_SIZE, NEAR_FACTOR, ODE_BOUND, ODE_ERR_SHARE
+from .tolerances import (
+    MAX_FIELD_SCALE,
+    MAX_JET_SIZE,
+    MAX_PRODUCTS,
+    NEAR_FACTOR,
+    ODE_BOUND,
+    ODE_ERR_SHARE,
+)
 from .verdict import embedding_residual, time_one_steps
 
 __all__ = ["main"]
@@ -154,10 +163,13 @@ def _linear_section(gf: GermFile, report: Report) -> bool:
 
 
 def _coordinates_section(gf: GermFile, report: Report, paired, perm):
+    """Print the coordinate order and the principal log eigenvalues, which
+    it returns."""
     if perm != tuple(range(gf.dim)):
         report.line(f"negative pairs interleaved; coordinate order {perm}")
     mus = [complex(m) for m in paired.triangular().eigen.entries]
     report.line("log eigenvalues (principal): " + ", ".join(fmt_complex(m) for m in mus))
+    return mus
 
 
 def _refuse_oversize(gf: GermFile):
@@ -172,12 +184,26 @@ def _refuse_oversize(gf: GermFile):
         )
 
 
+def _refuse_overwork(gf: GermFile):
+    """Raise before any work on a germ whose normal form may form more
+    than MAX_PRODUCTS coefficient products."""
+    n, N = gf.dim, gf.degree
+    products = product_bound(n, N)
+    if products > MAX_PRODUCTS:
+        raise ValueError(
+            f"dimension {n} at degree {N} lets the normal form form up to "
+            f"{products:.3g} coefficient products, above MAX_PRODUCTS = {MAX_PRODUCTS:.0e}"
+        )
+
+
 def _prepare(gf: GermFile, report: Report):
+    """Refuse an oversized germ, complexify it and print its linear part:
+    (spec, paired, perm, principal log eigenvalues)."""
     _refuse_oversize(gf)
+    _refuse_overwork(gf)
     spec, paired, perm = gf.to_spec()
     _linear_section(gf, report)
-    _coordinates_section(gf, report, paired, perm)
-    return spec, paired, perm
+    return spec, paired, perm, _coordinates_section(gf, report, paired, perm)
 
 
 def cmd_analyze(gf: GermFile, report: Report) -> int:
@@ -229,7 +255,7 @@ def cmd_analyze(gf: GermFile, report: Report) -> int:
 
 
 def cmd_normal_form(gf: GermFile, report: Report) -> int:
-    spec, paired, perm = _prepare(gf, report)
+    spec, _, _, _ = _prepare(gf, report)
     result = distinguished_normal_form(spec, tol=gf.tol)
     report.section("Distinguished normal form")
     report.line("resonant coefficients g (complexified coordinates):")
@@ -253,8 +279,23 @@ def cmd_normal_form(gf: GermFile, report: Report) -> int:
     return EXIT_OK
 
 
+def _refuse_field_overflow(mus):
+    """Raise, before the normal form, on log eigenvalues ``mus`` with an
+    eigenvalue lambda whose |lambda * ln lambda|, the scale of the
+    embedding residual, is above MAX_FIELD_SCALE; compared in logarithms,
+    which stay finite."""
+    for mu in mus:
+        if mu and mu.real + math.log(abs(mu)) > math.log(MAX_FIELD_SCALE):
+            raise ValueError(
+                f"eigenvalue e^({mu.real:.6g}{mu.imag:+.6g}i): |lambda * ln lambda|, "
+                "the scale of the embedding residual, is outside the float range "
+                f"(above MAX_FIELD_SCALE = {MAX_FIELD_SCALE:.6g})"
+            )
+
+
 def _embed_pipeline(gf: GermFile, report: Report):
-    spec, paired, perm = _prepare(gf, report)
+    spec, paired, perm, mus = _prepare(gf, report)
+    _refuse_field_overflow(mus)
     result = distinguished_normal_form(spec, tol=gf.tol)
     G = result.germ
     report.section("Normal form")
@@ -363,8 +404,8 @@ def cmd_classify2d(gf: GermFile, report: Report) -> int:
             "log",
             ";".join(",".join(repr(float(v)) for v in row) for row in dense),
         )
-        return EXIT_OK
-    return EXIT_OBSTRUCTION
+    report.put("status", "ok")
+    return EXIT_OBSTRUCTION if verdict.log is None else EXIT_OK
 
 
 _COMMANDS = {

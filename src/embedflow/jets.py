@@ -6,12 +6,15 @@ degree.  Coefficients are machine complex numbers in ``float`` mode and
 Gaussian rationals (or Laurent polynomials in pi) in ``exact`` mode.
 
 The composition and Jacobian operations here are the workhorses of the
-normalization and embedding recursions.  Every jet composition runs on one
-kernel, ``_OnlineComposition`` (online truncated composition): the
-degree-d slice of each monomial of the inner jet is formed once, from the
-inner jet's slices below d, and kept.  ``compose`` puts a known inner jet
-in place at once; the normal form and the flow of
-:func:`embedflow.flow.flow_jet` let it grow one degree per step.
+normalization and embedding recursions.  Every jet composition on dicts
+runs on one kernel, ``_OnlineComposition`` (online truncated
+composition): the degree-d slice of each monomial of the inner jet is
+formed once, from the inner jet's slices below d, and kept.  ``compose``
+puts a known inner jet in place at once; the exact normal form and the
+flow of :func:`embedflow.flow.flow_jet` let it grow one degree per step.
+It serves both modes in ``compose``, the embedding solve and the flow,
+and exact mode in the normal form; the float normal form runs the same
+recursion on dense graded arrays instead (:mod:`embedflow.graded`).
 ``complexify``/``realify`` move a real jet to coordinates in which a
 rotation-block linear part becomes diagonal, by conjugating with
 z = x_i + i*x_{i+1} on each designated pair.

@@ -17,13 +17,23 @@ order, carrying the cross terms in an accumulator.
 
 The right-hand side is the degree-k defect of F(y + h) = (y + h)(Ay + g)
 while h and g are known below k only.  It comes from two online
-compositions (:class:`embedflow.jets._OnlineComposition`) of f over
-X = y + h and of h over Y = Ay + g: the degree-k slice of each monomial of
-X or Y reads their slices below k, which are final, so every slice is
-formed once, and h_k and g_k are appended as the degree-k slices of X and
-Y.  The cross terms of (Ay)^sigma are Y's degree-k slices of its monomials,
-and the residual reuses those slices: the degree-k conjugacy defect of the
-final h and g is the solved defect plus A h_k - g_k - h_k(Ay).
+compositions, of f over X = y + h and of h over Y = Ay + g: the degree-k
+slice of each monomial of X or Y reads their slices below k, which are
+final, so every slice is formed once, and h_k and g_k are appended as the
+degree-k slices of X and Y.  The cross terms of (Ay)^sigma are Y's
+degree-k slices of its monomials, and the residual reuses those slices:
+the degree-k conjugacy defect of the final h and g is the solved defect
+plus A h_k - g_k - h_k(Ay).
+
+Each mode runs this recursion on its own kernel.  Exact germs compose on
+dicts (:class:`embedflow.jets._OnlineComposition`) and solve row by row
+(:func:`_homological_rows`).  Float germs compose on dense graded arrays
+(:class:`embedflow.graded._GradedPowers`), keeping the powers of f's
+support for X and of h's for Y, and solve a diagonal spectrum by one
+masked divide; a triangular one keeps the row-by-row accumulator on
+arrays.  Both take lambda^sigma from :func:`embedflow.resonance._power`
+where the defect is nonzero, in the same row order, so they refuse at the
+same (j, sigma).
 
 Which (j, sigma) are resonant is read from one
 :func:`embedflow.resonance.map_resonances` report per normal form, the
@@ -39,6 +49,9 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
+import numpy as np
+
+from .graded import _GradedPowers, _grading
 from .jets import MODE_EXACT, MultiIndex, PolyJet, _OnlineComposition, _one
 from .resonance import _power, map_resonances, monomial_index
 from .scalars import ExactnessError, QQi
@@ -227,8 +240,16 @@ def distinguished_normal_form(germ: GermSpec, tol: float = DEFAULT_TOL) -> Norma
     Returns the normal form G (resonant nonlinearity only), the
     normalization jet h with x = y + h(y), and per-degree diagnostics.
     Raises :class:`NearResonanceError` when a float-mode divisor is too
-    small to divide honestly.
+    small to divide honestly.  Exact germs run on the dict kernel, float
+    germs on dense graded arrays; both walk the same recursion.
     """
+    if germ.mode == MODE_EXACT:
+        return _exact_normal_form(germ, tol)
+    with np.errstate(all="ignore"):  # inf and nan propagate, as in Python floats
+        return _float_normal_form(germ, tol)
+
+
+def _exact_normal_form(germ: GermSpec, tol: float) -> NormalFormResult:
     tri = germ.linear.triangular()
     n, N, mode = germ.dim, germ.degree, germ.mode
     lin = tri.linear_jet(1, mode)
@@ -265,3 +286,185 @@ def distinguished_normal_form(germ: GermSpec, tol: float = DEFAULT_TOL) -> Norma
     g_jet = PolyJet.build(n, N, mode, [(j, m, c) for (j, m), c in g.items()])
     h_jet = PolyJet.build(n, N, mode, [(j, m, c) for (j, m), c in h.items()])
     return NormalFormResult(GermSpec(germ.linear, g_jet, N), h_jet, residual, tuple(diagnostics))
+
+
+def _graded(terms, grading, n: int):
+    """``{(j, m): c}`` as an (n, offsets[-1]) graded coefficient array."""
+    out = np.zeros((n, grading.offsets[-1]), dtype=complex)
+    offsets, slot = grading.offsets, grading.slot
+    for (j, m), c in terms.items():
+        d = m.degree
+        out[j, offsets[d] + slot[d][m]] = c
+    return out
+
+
+def _float_normal_form(germ: GermSpec, tol: float) -> NormalFormResult:
+    """The recursion of :func:`_exact_normal_form` on dense graded arrays.
+
+    X = y + h and Y = Ay + g are :class:`embedflow.graded._GradedPowers`;
+    the degree-k defect is F X_k - H Y_k, F and H the coefficient matrices
+    of f and h over the kept powers.  X keeps the powers of f's support
+    once h has a term, and until then F X_k = f_k.  Y keeps those of h's
+    support once g has a term above degree 1: until then every power of Y
+    has a single slice, at its own degree, where h has no term yet.
+    """
+    tri = germ.linear.triangular()
+    n, N, mode = germ.dim, germ.degree, germ.mode
+    resonant = map_resonances(tri.eigen, max(N, 2), tol).map_resonant  # N = 1 solves nothing
+    if N < 2:
+        zero = PolyJet.zero(n, N, mode)
+        return NormalFormResult(GermSpec(germ.linear, zero, N), zero, 0.0, ())
+    grading = _grading(n, N)
+    mons, offsets, sizes = grading.monomials, grading.offsets, grading.sizes
+    A = tri.dense()  # (Ay)_j = sum_i A[j, i] y_i
+    f = _graded(germ.nonlinear.coeffs, grading, n)
+    X, Y = _GradedPowers(grading), None  # X keeps f's powers once h has a term
+    h_all, g_all = np.zeros_like(f), np.zeros_like(f)
+    resonant_at = np.zeros(f.shape, dtype=bool)  # (j, graded column of m)
+    columns = [offsets[m.degree] + grading.slot[m.degree][m] for _, m in resonant]
+    resonant_at[[j for j, _ in resonant], columns] = True
+    lam = [complex(d) for d in tri.diag]
+    lam_power = cache(lambda sigma: _power(lam, sigma))
+    floor = max(tol, DIVISOR_FLOOR)
+    g_top = kept = 1  # g's highest nonzero degree; Y keeps h's terms to degree kept
+    lowest = 1, A[::-1, ::-1]  # (degree, (Ay)^sigma by the column of sigma)
+    h, g, diagnostics = {}, {}, []
+    residual = 0.0
+    for k in range(2, N + 1):
+        M, block = sizes[k], slice(offsets[k], offsets[k + 1])
+        if X.degrees[-1] > 1 and len(X.lows) == n:
+            X.add(np.flatnonzero(f.any(axis=0)))
+        defect = X.step(f)
+        if g_top > 1:  # Y's powers can have slices above their own degree
+            if Y is None:
+                Y = _GradedPowers(grading, A[:, ::-1])
+                for d in range(2, k):
+                    Y.step(None)
+                    if g_all[:, offsets[d] : offsets[d + 1]].any():
+                        Y.extend(g_all[:, offsets[d] : offsets[d + 1]])
+            if kept < k - 1:
+                terms = np.flatnonzero(h_all[:, offsets[kept + 1] : block.start].any(axis=0))
+                Y.add(offsets[kept + 1] + terms)
+                kept = k - 1
+            part = Y.step(h_all)
+            if part is not None:
+                defect = -part if defect is None else defect - part
+        nonzero = () if defect is None else np.flatnonzero(defect)
+        if not len(nonzero):  # nothing to solve; X and Y gain zero slices
+            diagnostics.append((k, 0, 0, None))
+            continue
+        on = resonant_at[:, block].reshape(-1)
+        if tri.is_diagonal:
+            hit, solve, h_values, min_div, res = _diagonal_rows(
+                defect, nonzero, on, lam, lam_power, floor, mons[k]
+            )
+        else:
+            while lowest[0] < k:
+                lowest = lowest[0] + 1, _lowest_slices(grading, lowest[0] + 1, lowest[1], A)
+            h_k, g_k, solved, taken, min_div = _triangular_rows(
+                tri, defect, on.reshape(n, M), lam, lam_power, floor, mons[k], lowest[1]
+            )
+            # einsum's own loops: BLAS would grow the peak memory
+            a_h, h_ay = np.einsum("ji,im->jm", A, h_k), np.einsum("js,sm->jm", h_k, lowest[1])
+            res = float(np.abs(defect + a_h - g_k - h_ay).max())
+            hit, solve = np.flatnonzero(taken), np.flatnonzero(solved)
+            h_values = h_k.reshape(-1)[solve]
+        residual = max(residual, res)
+        g_values = defect.reshape(-1)[hit]
+        for out, where, values, into in ((g, hit, g_values, g_all), (h, solve, h_values, h_all)):
+            if not len(where):
+                continue
+            rows, cols = np.divmod(where, M)
+            into[rows, offsets[k] + cols] = values
+            cols = cols.tolist()
+            out.update(zip(zip(rows.tolist(), [mons[k][s] for s in cols]), values.tolist()))
+        if len(solve):
+            X.extend(h_all[:, block])
+        if len(hit):
+            g_top = k
+            if Y is not None:
+                Y.extend(g_all[:, block])
+        diagnostics.append((k, len(hit), len(solve), min_div))
+    g_jet = PolyJet(n, N, mode, {key: c for key, c in g.items() if c})
+    h_jet = PolyJet(n, N, mode, {key: c for key, c in h.items() if c})
+    return NormalFormResult(GermSpec(germ.linear, g_jet, N), h_jet, residual, tuple(diagnostics))
+
+
+def _lowest_slices(grading, k: int, below, A):
+    """(Ay)^sigma for every sigma of degree k, one row per sigma, from the
+    rows ``below`` of degree k - 1; (Ay)_i = sum_l A[i, l] y_l."""
+    parents, variables, products = grading.lowest(k)
+    return products.multiply(below, parents, A[:, ::-1], variables)
+
+
+def _diagonal_rows(defect, nonzero, resonant, lam, lam_power, floor, mons):
+    """The degree-k solve on a diagonal spectrum at the flat positions
+    j * M_k + s where the defect is nonzero: g takes the defect where
+    ``resonant`` holds and h = defect / (lambda^sigma - lambda_j) elsewhere.
+    A divisor below ``floor``, or a power outside the float range, is
+    refused at the first (j, sigma) in row order that needs it.  Returns
+    (where g is taken, where h is solved, h there, min divisor, residual),
+    the residual being the largest conjugacy defect that h and g leave at
+    degree k."""
+    on = resonant[nonzero]
+    hit, solve = nonzero[on], nonzero[~on]
+    if not len(solve):
+        return hit, solve, None, None, 0.0
+    rows, cols = np.divmod(solve, defect.shape[1])
+    powers = np.zeros(defect.shape[1], dtype=complex)
+    overflow = []
+    for s in set(cols.tolist()):
+        try:
+            powers[s] = lam_power(mons[s])
+        except ValueError:
+            overflow.append(s)
+    if overflow:  # refuse at the first (j, sigma) in row order
+        for j, s in zip(rows.tolist(), cols.tolist()):
+            if s in overflow:
+                lam_power(mons[s])  # raises its ValueError
+            if abs(complex(powers[s] - lam[j])) < floor:
+                raise NearResonanceError(j, mons[s], powers[s] - lam[j])
+    divisor = powers[cols] - np.asarray(lam)[rows]
+    sizes = list(map(abs, divisor.tolist()))  # Python's complex abs, as on the dict kernel
+    least = min(sizes)
+    if least < floor:
+        t = next(t for t, size in enumerate(sizes) if size < floor)
+        raise NearResonanceError(int(rows[t]), mons[cols[t]], divisor[t])
+    values = defect.reshape(-1)[solve]
+    quotient = values / divisor
+    return hit, solve, quotient, least, float(np.abs(values - divisor * quotient).max())
+
+
+def _triangular_rows(tri, defect, resonant, lam, lam_power, floor, mons, lowest):
+    """:func:`_homological_rows` on arrays: the same row-by-row accumulator,
+    with (Ay)^sigma read from the rows of ``lowest``.  Returns (h, g, where
+    h is solved, where g is taken, min divisor)."""
+    n, size = defect.shape
+    h = np.zeros_like(defect)
+    g = np.zeros_like(defect)
+    solved = np.zeros(defect.shape, dtype=bool)
+    hit = np.zeros(defect.shape, dtype=bool)
+    min_div = None
+    for j in range(n):
+        acc = defect[j].copy()
+        for i, k, c in tri.nil:
+            if i == j:
+                acc += complex(c) * h[k]
+        for s in range(size):
+            val = acc[s]
+            if not val:
+                continue
+            if resonant[j, s]:
+                g[j, s] = val
+                hit[j, s] = True
+                continue
+            d = lam_power(mons[s]) - lam[j]
+            mag = abs(d)
+            min_div = mag if min_div is None else min(min_div, mag)
+            if mag < floor:
+                raise NearResonanceError(j, mons[s], d)
+            coef = complex(val) / d
+            h[j, s] = coef
+            solved[j, s] = True
+            acc -= coef * lowest[s]
+    return h, g, solved, hit, min_div

@@ -23,6 +23,8 @@ algorithm and stays there.  The flow needs no threshold: its frequencies
 are the integer witnesses of the one resonance rule.
 """
 
+import sys
+
 # The default of every ``tol`` parameter and of a germ file's ``tol``
 # option.  Absolute in mu (logs, of order one) in the one resonance rule,
 # which decides map, field and weak resonance alike and so the integer
@@ -147,3 +149,31 @@ ODE_ROUNDOFF = 2.0**-44
 # workloads has 2,310 (n = 5, N = 6).  100,000 admits (6, 10) twice over
 # and refuses (8, 12) tenfold.
 MAX_JET_SIZE = 100_000
+
+# normal-form, embed and verify also refuse a germ whose dimension n and
+# degree N let the normal form's compositions form more than MAX_PRODUCTS
+# coefficient products, counted by embedflow.graded.product_bound (the
+# dense germ's count), with exit 3 and before any monomial index or product
+# list is built.  The cost follows the degree, not the coefficient count:
+# a planar germ at N = 60 has 3,782 coefficients and 1.6e9 products.  The
+# exact path (Gaussian rationals on the dict kernel) is the slower one.
+# Dense exact germs took 140 ns per bounded product at (n, N) = (3, 10),
+# 830 ns at (2, 20) and 1.0 us at (2, 30), the rationals growing with the
+# degree; float germs take a few ns on the graded arrays.  10**9 admits
+# every fixture and benchmark germ (at most 6.5e5, the paper-2.3 fixtures
+# at (3, 8)), (2, 40) at 1.6e8 and (6, 8) and (3, 20) at 5.7e8, with a
+# dense exact germ at the limit running for about a quarter of an hour.
+# (2, 120), at 9.3e10, is refused: about half an hour on the float dict
+# kernel and more than a day exact.
+MAX_PRODUCTS = 10**9
+
+# embed and verify refuse a germ with an eigenvalue lambda whose
+# |lambda| * |ln lambda| exceeds MAX_FIELD_SCALE, the largest float, with
+# exit 3 and before the normal form.  The embedding residual X(G) - DG.X
+# composes the field, whose linear part carries ln lambda, with the map,
+# whose linear part carries lambda, so its coefficients reach
+# lambda * ln lambda; past the float range they read inf - inf = nan, and
+# a residual that is not a number decides nothing.  Exact
+# ``jordan 1e308 1`` (1e308 * 709 = 7e310) is refused; analyze and
+# normal-form compose no field and still take it.
+MAX_FIELD_SCALE = sys.float_info.max

@@ -527,14 +527,19 @@ class TestFloatRange:
 
     @pytest.mark.parametrize("verb", ["analyze", "verify"])
     def test_huge_exact_eigenvalue(self, capsys, monkeypatch, verb):
-        # lambda_1 = 1e308 is exact; its divisors lambda^m - lambda_1 exceed
-        # the float range and read as inf in the min-divisor diagnostic
+        # lambda_1 = 1e308 is exact; analyze reads it, but the embedding
+        # residual would reach lambda * ln lambda = 7e310, past the float
+        # range, so verify refuses it before the work
         text = _fixture_with("resonant-2d", "jordan 4 1", "jordan 1e308 1")
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code, out, _ = run(capsys, verb, "-")
         m = machine(out)
-        assert code in (0, 3)
-        assert m["status"] == ("ok" if verb == "analyze" else "field")
+        if verb == "analyze":
+            assert code == 0 and m["status"] == "ok"
+        else:
+            assert code == 3 and m["status"] == "error"
+            assert "MAX_FIELD_SCALE" in m["error"]
+            assert "residual_embedding" not in m
 
     @pytest.mark.parametrize("verb", ["normal-form", "verify"])
     def test_float_eigenvalue_power_overflow_refused(self, capsys, monkeypatch, verb):
@@ -653,6 +658,111 @@ class TestJetSizeLimit:
         monkeypatch.setattr(sys, "stdin", io.StringIO(self._germ(6, 10)))
         code, out, _ = run(capsys, "analyze", "-")
         assert code == 0 and machine(out)["status"] == "ok"
+
+
+FIXTURES = ("paper-2.3", "paper-2.3-blocked", "paper-Astar", "paper-F1", "resonant-2d")
+
+
+class TestProductLimit:
+    """normal-form, embed and verify refuse a germ whose normal form may
+    form more than MAX_PRODUCTS coefficient products, before any monomial
+    index or product list is built; the verbs that compose nothing do not."""
+
+    @staticmethod
+    def _germ(dim, degree, mode="float"):
+        blocks = "".join(f"jordan {p} 1\n" for p in (2, 3, 5, 7, 11, 13)[:dim])
+        first = " ".join(["2"] + ["0"] * (dim - 1))
+        return (
+            f"HEADER\ndimension {dim}\ndegree {degree}\nmode {mode}\nLINEAR\n{blocks}"
+            f"NONLINEAR\n2 {first} 1\n"
+        )
+
+    @staticmethod
+    def _forbid_the_work(monkeypatch):
+        from embedflow import graded, normal_form, resonance
+
+        def started(*args):
+            raise AssertionError("the work started")
+
+        for module, name in ((resonance, "monomial_index"), (normal_form, "monomial_index"),
+                             (normal_form, "_grading"), (graded, "_grading")):
+            monkeypatch.setattr(module, name, started)
+
+    @pytest.mark.parametrize("verb", ["normal-form", "embed", "verify"])
+    def test_planar_degree_120_refused_at_once(self, capsys, monkeypatch, verb):
+        # 2 * C(122, 2) = 14,762 coefficients pass MAX_JET_SIZE; the normal
+        # form would form up to 9.28e10 products
+        import time
+
+        self._forbid_the_work(monkeypatch)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self._germ(2, 120)))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, verb, "-")
+        assert time.perf_counter() - start < 1.0
+        m = machine(out)
+        assert code == 3 and m["status"] == "error"
+        assert m["error"] == (
+            "dimension 2 at degree 120 lets the normal form form up to 9.28e+10 "
+            "coefficient products, above MAX_PRODUCTS = 1e+09"
+        )
+
+    @pytest.mark.parametrize("verb, want", [("analyze", 0), ("classify2d", 0)])
+    def test_verbs_that_compose_nothing_take_it(self, capsys, monkeypatch, verb, want):
+        from embedflow import graded
+
+        monkeypatch.setattr(graded, "_grading", None)  # no product list either
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self._germ(2, 120)))
+        code, out, _ = run(capsys, verb, "-")
+        assert code == want and machine(out)["status"] == "ok"
+
+    def test_fixtures_workloads_and_the_baseline_sizes_are_admitted(self, monkeypatch):
+        import importlib.util
+        from pathlib import Path
+
+        from embedflow import parse_germ
+        from embedflow.graded import product_bound
+        from embedflow.tolerances import MAX_PRODUCTS
+
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("_bench_gen", root / "perfbench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
+        spec.loader.exec_module(gen)
+        texts = [(resources.files("embedflow") / "fixtures" / f"{name}.germ").read_text()
+                 for name in FIXTURES]
+        for workload in gen.WORKLOADS:
+            stream = gen.cases(workload, 1)
+            texts += [case.text for case in (next(stream) for _ in range(gen.cycle_length(workload)))
+                      if case.text is not None]
+        sizes = {(gf.dim, gf.degree) for gf in map(parse_germ, texts)}
+        sizes |= {(2, 40), (6, 8), (3, 20)}  # the largest high-degree germs measured
+        assert max(product_bound(n, N) for n, N in sizes) <= MAX_PRODUCTS
+
+    @pytest.mark.parametrize("verb", ["normal-form", "verify"])
+    def test_admitted_germ_runs(self, capsys, monkeypatch, verb):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self._germ(2, 12)))
+        code, out, _ = run(capsys, verb, "-")
+        assert code == 0 and machine(out)["status"] in ("ok", "field")
+
+
+class TestWithoutProductLists:
+    """The verbs that compose nothing never build a product list: with the
+    builder raising, analyze and classify2d still end every fixture as the
+    console-script table says."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_analyze_and_classify2d(self, capsys, monkeypatch, name):
+        from embedflow import graded
+
+        def builder(*args):
+            raise AssertionError("a product list was built")
+
+        monkeypatch.setattr(graded._Grading, "__init__", builder)
+        monkeypatch.setattr(graded._Grading, "products", builder)
+        graded._grading.cache_clear()
+        for verb, want in (("analyze", 0), ("classify2d", 0 if name == "resonant-2d" else 3)):
+            code, out, _ = run(capsys, verb, "--fixture", name)
+            assert code == want and "status" in machine(out), (verb, out)
 
 
 class TestOneProcess:

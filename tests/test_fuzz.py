@@ -75,6 +75,4 @@ def test_every_mutant_ends_in_a_documented_exit_code(name, capsys, monkeypatch):
             out = capsys.readouterr().out
             assert code in (0, 2, 3, 4), (verb, text)
             if code != 4:
-                # classify2d reports its verdict as embeddable=, not status=
-                key = "embeddable" if verb == "classify2d" and code != 3 else "status"
-                assert key in parse_machine(out), (verb, text, out)
+                assert "status" in parse_machine(out), (verb, text, out)

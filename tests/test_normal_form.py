@@ -8,6 +8,7 @@ test_sympy_conjugacy_independent).
 
 import time
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -330,3 +331,218 @@ def test_normal_form_composes_online(monkeypatch):
     got = distinguished_normal_form(_dense_diagonal_germ((8, 2, 4), 6, MODE_EXACT))
     assert got.transform.coeffs == want.transform.coeffs
     assert got.germ.nonlinear.coeffs == want.germ.nonlinear.coeffs
+
+
+# -- float germs on graded arrays --------------------------------------------
+#
+# Float germs normalize on embedflow.graded; the dict kernel still runs the
+# same recursion for exact germs, and on a float germ it is the reference.
+
+
+def _outcome(normal_form, germ, tol):
+    """What a normal form ends in: its h, g and diagnostics, or the refusal
+    it raised, with the (j, sigma) it names."""
+    from embedflow.normal_form import NearResonanceError
+
+    try:
+        result = normal_form(germ, tol)
+    except NearResonanceError as exc:
+        return "near", exc.target, exc.exponent
+    except ValueError as exc:
+        return "range", str(exc)
+    return "ok", result.transform.coeffs.keys(), result.germ.nonlinear.coeffs.keys(), result.diagnostics
+
+
+def _diagonal_float_germ(lams, terms, N):
+    a = BlockMatrix(tuple(JordanBlock(lam, 1) for lam in lams))
+    return GermSpec(a, PolyJet.build(len(lams), N, MODE_FLOAT, terms), N)
+
+
+@pytest.mark.parametrize(
+    "lams, terms, want",
+    [
+        # (1, (2,0,0)) and (2, (1,1,0)) both have divisors near 1e-10, but
+        # only the second has a nonzero defect
+        ((2.0, 4.0 + 1e-10, 8.0 + 1e-10), [(2, (1, 1, 0), 1.0)], ("near", 2, (1, 1, 0))),
+        # lambda_0^2 leaves the float range at (1, (2,0,0)), first in row order
+        ((1e200, 2.0, 4.0 + 4e-10), [(1, (2, 0, 0), 1.0), (2, (0, 2, 0), 1.0)], ("range",)),
+        # in row 2, (0,2,0) comes before (2,0,0), so the near divisor is first
+        ((1e200, 2.0, 4.0 + 4e-10), [(2, (0, 2, 0), 1.0), (2, (2, 0, 0), 1.0)], ("near", 2, (0, 2, 0))),
+        # lambda_0^2 overflows only where the defect is zero
+        ((1e200, 2.0), [(0, (0, 2), 1.0)], ("ok",)),
+    ],
+)
+def test_float_refusals_at_the_first_nonzero_defect(lams, terms, want):
+    """Both refusals, the near-resonant divisor and the eigenvalue power
+    outside the float range, come at the same first (j, sigma) as on the
+    dict kernel, and only where the defect is nonzero."""
+    from embedflow.normal_form import _exact_normal_form, _float_normal_form
+
+    germ = _diagonal_float_germ(lams, terms, 3)
+    got = _outcome(_float_normal_form, germ, 1e-12)
+    assert got == _outcome(_exact_normal_form, germ, 1e-12)
+    assert got[: len(want)] == want
+    if want[0] == "range":
+        assert "outside the float range" in got[1]
+
+
+def _closure(monomials):
+    """The monomials and their parent chains m -> m - e_i, i the last
+    coordinate with m_i > 0, down to degree 2."""
+    out = set()
+    for m in monomials:
+        m = tuple(m)
+        while sum(m) > 1 and m not in out:
+            out.add(m)
+            i = max(k for k, e in enumerate(m) if e)
+            m = m[:i] + (m[i] - 1,) + m[i + 1 :]
+    return out
+
+
+def _record_forming(monkeypatch):
+    """Every slice formed by a graded power table, as (table, degree, the
+    formed rows' monomials, the b's of the product lists, top then)."""
+    from embedflow import graded
+
+    formed = []
+    form, products = graded._GradedPowers._form, graded._Grading.products
+    current = []
+
+    def recording_form(self, d, rows, coefficients=None):
+        monomials = {self.grading.flat[c] for c in self.columns[rows].tolist()}
+        current.append((self, d, monomials, [], max(self.degrees, default=0)))
+        try:
+            return form(self, d, rows, coefficients)
+        finally:
+            formed.append(current.pop())
+
+    def recording_products(self, d, degrees):
+        current[-1][3].extend(degrees)
+        return products(self, d, degrees)
+
+    monkeypatch.setattr(graded._GradedPowers, "_form", recording_form)
+    monkeypatch.setattr(graded._Grading, "products", recording_products)
+    return formed
+
+
+def _sparse_float_germs():
+    from embedflow import parse_germ
+
+    germs = []
+    for name in ("paper-2.3", "paper-2.3-blocked", "paper-Astar", "paper-F1", "resonant-2d"):
+        text = (resources.files("embedflow") / "fixtures" / f"{name}.germ").read_text()
+        germs.append(parse_germ(text.replace("mode exact", "mode float")).to_spec()[0])
+    # a few terms up to degree 5: h gets a support of its own, and the
+    # resonant y2^2 e3 (4 = 2^2) gives g a term of degree 2
+    terms = [(2, (0, 2, 0), 1.0), (1, (1, 1, 0), 1.0), (0, (0, 0, 5), 0.5), (1, (2, 0, 3), -0.5)]
+    germs.append(_diagonal_float_germ((8.0, 2.0, 4.0), terms, 7))
+    return germs
+
+
+def test_sparse_germs_form_only_reachable_products(monkeypatch):
+    """On sparse germs X forms powers only in the parent closure of f's
+    support and Y only in that of h's, and a product list never reads a
+    slice of X above top: only degrees at which X has a nonzero slice."""
+    from embedflow.normal_form import _float_normal_form
+
+    for germ in _sparse_float_germs():
+        formed = _record_forming(monkeypatch)
+        result = _float_normal_form(germ, DEFAULT_TOL)
+        monkeypatch.undo()
+        # X is the table of y + h, whose lowest slices are y^m
+        support = {True: _closure(m for _, m in germ.nonlinear.coeffs)}
+        support[False] = _closure(m for _, m in result.transform.coeffs)
+        for table, d, rows, bs, top in formed:
+            assert rows <= support[table._unit], (d, rows)
+            assert all(b <= top and b in table.degrees for b in bs), (d, bs, top)
+    # the last germ forms powers of both tables
+    assert {table._unit for table, _, _, bs, _ in formed if bs} == {True, False}
+
+
+@pytest.mark.parametrize(
+    "germ",
+    [
+        pytest.param(_dense_diagonal_germ((4, 2), 10, MODE_FLOAT), id="diag(4,2) N=10"),
+        pytest.param(_dense_diagonal_germ((8, 2, 4), 6, MODE_FLOAT), id="diag(8,2,4) N=6"),
+        pytest.param(_dense_diagonal_germ((3, 2), 12, MODE_FLOAT), id="diag(3,2) N=12"),
+        pytest.param(
+            GermSpec(
+                BlockMatrix((JordanBlock(3.0, 2), JordanBlock(9.0, 1))),
+                _random_nonlinear(np.random.default_rng(8), 3, 6, MODE_FLOAT, density=1.0),
+                6,
+            ),
+            id="jordan dense N=6",
+        ),
+    ],
+)
+def test_product_bound_holds_on_dense_float_germs(monkeypatch, germ):
+    """product_bound(n, N) bounds the products the float normal form forms
+    on dense germs, counted where every product list runs."""
+    from embedflow import graded
+
+    formed = []
+    multiply = graded._Products.multiply
+
+    def counting(self, left, lrows, right, rrows):
+        formed.append(len(lrows) * self.size)
+        return multiply(self, left, lrows, right, rrows)
+
+    monkeypatch.setattr(graded._Products, "multiply", counting)
+    distinguished_normal_form(germ)
+    assert 0 < sum(formed) <= graded.product_bound(germ.dim, germ.degree)
+
+
+def _count_dict_products(monkeypatch):
+    """A list that collects the coefficient products every dict-kernel
+    slice formation forms, read off the kernel's state as it leaves it."""
+    counts = []
+    slices = _OnlineComposition._slices
+
+    def counting(self, m, low, d):
+        entry = self._powers.get(m)
+        before = len(entry[2]) if entry else 0
+        out = slices(self, m, low, d)
+        if low > 1:
+            i, parent, formed = self._powers[m]
+            below = self._x[parent.index(1)] if low == 2 else self._powers[parent][2]
+            end = low - 1 + len(below)
+            for k in range(low + before, low + len(formed)):
+                counts.append(sum(
+                    len(below[a - low + 1]) * len(self._x[i][k - a - 1])
+                    for a in range(max(low - 1, k - self._top), min(k, end))
+                ))
+        return out
+
+    monkeypatch.setattr(_OnlineComposition, "_slices", counting)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "lams, N", [((4, 2), 8), ((8, 2, 4), 5), ((3, 2), 9)], ids=["diag(4,2)", "diag(8,2,4)", "diag(3,2)"]
+)
+def test_product_bound_holds_on_dense_exact_germs(monkeypatch, lams, N):
+    """The same bound holds for the dict kernel that exact germs run on."""
+    from embedflow import graded
+
+    germ = _dense_diagonal_germ(lams, N, MODE_EXACT)
+    counts = _count_dict_products(monkeypatch)
+    distinguished_normal_form(germ)
+    assert 0 < sum(counts) <= graded.product_bound(germ.dim, germ.degree)
+
+
+def test_product_bound_is_the_dense_count():
+    """The bound is the closed form of the dense sum it documents."""
+    from math import comb
+
+    from embedflow.graded import product_bound
+
+    def size(n, d):
+        return comb(d + n - 1, n - 1)
+
+    for n, N in ((1, 6), (2, 9), (3, 5), (5, 3)):
+        dense = sum(
+            sum(size(n, r) for r in range(2, d + 1))
+            * sum(size(n, d - b) * size(n, b) for b in range(1, d))
+            for d in range(2, N + 1)
+        )
+        assert product_bound(n, N) == 2 * dense
