@@ -232,7 +232,9 @@ class _GradedPowers:
             grown[: len(self.table)] = self.table
             self.table = grown
         rows = np.arange(first, len(row_of))
-        if self._lead is not None:
+        if self._unit:
+            self.table[rows[: stored - first], new[: stored - first]] = 1
+        elif self._lead is not None:  # by degree: each from its parent's
             for d in sorted({degree[c] for c in new[: stored - first]}):
                 at = rows[self.lows[rows] == d]
                 self.table[at, self.columns[at]] = self._lowest(at)
