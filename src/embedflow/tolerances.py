@@ -163,8 +163,8 @@ MAX_JET_SIZE = 100_000
 # every fixture and benchmark germ (at most 6.5e5, the paper-2.3 fixtures
 # at (3, 8)), (2, 40) at 1.6e8 and (6, 8) and (3, 20) at 5.7e8, with a
 # dense exact germ at the limit running for about a quarter of an hour.
-# (2, 120), at 9.3e10, is refused: about half an hour on the float dict
-# kernel and more than a day exact.
+# (2, 120), at 9.3e10, is refused: by extrapolation about half an hour on
+# the float dict kernel and more than a day exact.
 MAX_PRODUCTS = 10**9
 
 # embed and verify refuse a germ with an eigenvalue lambda whose
