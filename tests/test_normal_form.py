@@ -342,8 +342,6 @@ def test_normal_form_composes_online(monkeypatch):
 def _outcome(normal_form, germ, tol):
     """What a normal form ends in: its h, g and diagnostics, or the refusal
     it raised, with the (j, sigma) it names."""
-    from embedflow.normal_form import NearResonanceError
-
     try:
         result = normal_form(germ, tol)
     except NearResonanceError as exc:
