@@ -26,7 +26,6 @@ from .spectral import (
     RotationBlock,
     SpectralError,
     TriangularLinear,
-    block_matrix_from_dense,
     dense_exp,
     has_real_log,
     is_hyperbolic,
@@ -38,8 +37,6 @@ from .resonance import (
     ResonanceReport,
     field_resonances,
     map_resonances,
-    operator_L_field_spectrum,
-    operator_L_map_spectrum,
 )
 from .normal_form import (
     GermSpec,
@@ -47,15 +44,10 @@ from .normal_form import (
     NormalFormResult,
     distinguished_normal_form,
 )
-from .embedding import FieldGerm, Obstruction, appendix_identity_check, solve_embedding
+from .embedding import FieldGerm, Obstruction, solve_embedding
 from .flow import FlowJet, flow_jet
-from .verdict import embedding_residual, time_one, time_one_residuals, time_one_steps
-from .classify import (
-    PlanarVerdict,
-    classify_2d,
-    planar_from_dense,
-    positive_spectrum_log,
-)
+from .verdict import Verdict, certify, embedding_residual, time_one_residuals, time_one_steps
+from .classify import PlanarVerdict, classify_2d
 from .germfile import GermFile, GermParseError, parse_germ, serialize_germ
 from .reports import Report, fmt_complex, fmt_entry, parse_machine
 

@@ -1,4 +1,4 @@
-"""Planar embeddability and positive-spectrum logarithms.
+"""Planar embeddability.
 
 For hyperbolic 2x2 linear parts the embedding question closes completely:
 A admits an embedding flow iff it has no negative eigenvalues or is
@@ -7,16 +7,10 @@ case an explicit real logarithm works, and its eigenvalues are weakly
 nonresonant (the real part of <m,mu> - mu_j is (|m|-1)*ln|lambda| != 0
 whenever the moduli agree, and nonzero by hyperbolicity otherwise), so
 the solver route is guaranteed.
-
-For any dimension, a matrix with all-positive real spectrum has a real
-logarithm with all-real eigenvalues; weak resonance needs a nonzero
-imaginary part, so such a logarithm is weakly nonresonant at every
-degree.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .resonance import field_resonances
@@ -24,20 +18,13 @@ from .spectral import (
     BlockMatrix,
     JordanBlock,
     NegativePairBlock,
-    RotationBlock,
     SpectralError,
     is_hyperbolic,
     pair_negative_blocks,
     real_log,
 )
-from .tolerances import DEFAULT_TOL
 
-__all__ = [
-    "PlanarVerdict",
-    "classify_2d",
-    "planar_from_dense",
-    "positive_spectrum_log",
-]
+__all__ = ["PlanarVerdict", "classify_2d"]
 
 REASON_NO_NEGATIVE = "no-negative-eigenvalues"
 REASON_EQUAL_NEGATIVE = "equal-negative-diagonalizable"
@@ -114,46 +101,3 @@ def classify_2d(A: BlockMatrix) -> PlanarVerdict:
         _assert_weakly_nonresonant(log)
         return PlanarVerdict(True, REASON_EQUAL_NEGATIVE, log)
     return PlanarVerdict(False, REASON_UNPAIRED, None)
-
-
-def planar_from_dense(mat, tol: float = DEFAULT_TOL) -> BlockMatrix:
-    """Canonical block form of a dense 2x2 matrix via the quadratic formula.
-
-    Returns the Jordan-type block list of A (not a conjugation of A
-    itself); classification and the suggested logarithm refer to this
-    canonical form.
-    """
-    (a, b), (c, d) = (mat[0][0], mat[0][1]), (mat[1][0], mat[1][1])
-    tr = float(a) + float(d)
-    det = float(a) * float(d) - float(b) * float(c)
-    scale = max(1.0, abs(float(a)), abs(float(b)), abs(float(c)), abs(float(d)))
-    disc = tr * tr - 4.0 * det
-    if disc > tol * scale * scale:
-        root = math.sqrt(disc)
-        lam1, lam2 = (tr + root) / 2.0, (tr - root) / 2.0
-        return BlockMatrix((JordanBlock(lam1, 1), JordanBlock(lam2, 1)))
-    if disc < -tol * scale * scale:
-        alpha = tr / 2.0
-        beta = math.sqrt(-disc) / 2.0
-        return BlockMatrix((RotationBlock(alpha, beta, 1),))
-    lam = tr / 2.0
-    off = max(
-        abs(float(a) - lam), abs(float(d) - lam), abs(float(b)), abs(float(c))
-    )
-    if off <= tol * scale:
-        return BlockMatrix((JordanBlock(lam, 1), JordanBlock(lam, 1)))
-    return BlockMatrix((JordanBlock(lam, 2),))
-
-
-def positive_spectrum_log(A: BlockMatrix) -> BlockMatrix:
-    """Real logarithm with all-real eigenvalues for positive real spectrum.
-
-    Weak resonance requires a nonzero imaginary part in some mu_j, so the
-    returned logarithm is weakly nonresonant at every degree.
-    """
-    for block in A.blocks:
-        if not isinstance(block, JordanBlock) or float(block.eigenvalue) <= 0:
-            raise SpectralError(
-                "positive_spectrum_log needs all eigenvalues real and positive"
-            )
-    return real_log(A)

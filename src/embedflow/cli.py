@@ -5,8 +5,9 @@ Verbs:
     analyze     hyperbolicity, real-log existence, branch search, resonances
     normal-form distinguished normal form with conjugacy diagnostics
     embed       full pipeline: normalize, pick/validate B, solve, verify
-    verify      embed plus a hard pass/fail on the oracle residuals and the
-                ODE oracle's error estimate
+    verify      embed plus a hard pass/fail on the time-one residuals of
+                both routes, the ODE oracle's error estimate and the
+                embedding-equation residual (verdict.certify)
     classify2d  planar embeddability verdict with the explicit logarithm
 
 Exit codes: 0 success (field constructed / embeddable), 2 obstruction or
@@ -42,15 +43,8 @@ from .spectral import (
     real_log,
     weakly_nonresonant_branch,
 )
-from .tolerances import (
-    MAX_FIELD_SCALE,
-    MAX_JET_SIZE,
-    MAX_PRODUCTS,
-    NEAR_FACTOR,
-    ODE_BOUND,
-    ODE_ERR_SHARE,
-)
-from .verdict import embedding_residual, time_one_steps
+from .tolerances import MAX_FIELD_SCALE, MAX_JET_SIZE, MAX_PRODUCTS, NEAR_FACTOR
+from .verdict import certify
 
 __all__ = ["main"]
 
@@ -294,6 +288,8 @@ def _refuse_field_overflow(mus):
 
 
 def _embed_pipeline(gf: GermFile, report: Report):
+    """Normalize, solve and certify, printing each stage: ``(outcome,
+    verdict)``, the verdict None when the outcome is an obstruction."""
     spec, paired, perm, mus = _prepare(gf, report)
     _refuse_field_overflow(mus)
     result = distinguished_normal_form(spec, tol=gf.tol)
@@ -322,7 +318,7 @@ def _embed_pipeline(gf: GermFile, report: Report):
         report.put_set(
             "blocked", (fmt_entry(j, m, l) for j, m, l, _ in outcome.entries)
         )
-        return outcome, None, (G, paired)
+        return outcome, None
     X = outcome
     report.section("Embedding field")
     report.line("nonlinear coefficients (complexified coordinates):")
@@ -339,53 +335,41 @@ def _embed_pipeline(gf: GermFile, report: Report):
             _put_jet(report, "field_real", real_v)
         except ValueError:
             report.line("field is not conjugate-symmetric; left complex")
-    r_exp, r_ode, r_err, steps = time_one_steps(X, G)
-    r_emb = embedding_residual(G, X).max_abs()
+    verdict = certify(G, X, gf.tol)
     report.section("Verification")
-    report.line(f"time-one residual (exact flow): {r_exp:.3e}")
-    report.line(f"time-one residual (ODE oracle): {r_ode:.3e}")
-    report.line(f"ODE oracle steps:               {steps}")
-    report.line(f"ODE oracle error estimate:      {r_err:.3e}")
-    report.line(f"embedding-equation residual:    {r_emb:.3e}")
-    report.put("residual_exp", repr(r_exp))
-    report.put("residual_ode", repr(r_ode))
-    report.put("residual_ode_err", repr(r_err))
-    report.put("ode_steps", steps)
-    report.put("residual_embedding", repr(r_emb))
+    report.line(f"time-one residual (exact flow): {verdict.residual_exp:.3e}")
+    report.line(f"time-one residual (ODE oracle): {verdict.residual_ode:.3e}")
+    report.line(f"ODE oracle steps:               {verdict.ode_steps}")
+    report.line(f"ODE oracle error estimate:      {verdict.residual_ode_err:.3e}")
+    report.line(f"embedding-equation residual:    {verdict.residual_embedding:.3e}")
+    report.put("residual_exp", repr(verdict.residual_exp))
+    report.put("residual_ode", repr(verdict.residual_ode))
+    report.put("residual_ode_err", repr(verdict.residual_ode_err))
+    report.put("ode_steps", verdict.ode_steps)
+    report.put("residual_embedding", repr(verdict.residual_embedding))
     report.put("status", "field")
-    return X, (r_exp, r_ode, r_err, r_emb), (G, paired)
+    return X, verdict
 
 
 def cmd_embed(gf: GermFile, report: Report) -> int:
-    outcome, residuals, _ = _embed_pipeline(gf, report)
+    outcome, _ = _embed_pipeline(gf, report)
     if isinstance(outcome, Obstruction):
         return EXIT_OBSTRUCTION
     return EXIT_OK
 
 
 def cmd_verify(gf: GermFile, report: Report) -> int:
-    outcome, residuals, (G, paired) = _embed_pipeline(gf, report)
+    outcome, verdict = _embed_pipeline(gf, report)
     if isinstance(outcome, Obstruction):
         return EXIT_OBSTRUCTION
-    r_exp, r_ode, r_err, r_emb = residuals
-    scale = max(1.0, G.map_jet().to_float().max_abs())
-    bound_exp = gf.tol * scale
-    bound_ode = max(ODE_BOUND * scale, bound_exp)
-    bound_err = ODE_ERR_SHARE * bound_ode
-    ok = (
-        r_exp <= bound_exp
-        and r_ode <= bound_ode
-        and r_err <= bound_err
-        and r_emb <= bound_exp
-    )
     report.section("Verdict")
     report.line(
-        f"verified: {'yes' if ok else 'NO'} "
-        f"(exact-flow bound {bound_exp:.1e}, ODE bound {bound_ode:.1e}, "
-        f"ODE estimate bound {bound_err:.1e})"
+        f"verified: {'yes' if verdict.ok else 'NO'} "
+        f"(exact-flow bound {verdict.bound_exp:.1e}, ODE bound {verdict.bound_ode:.1e}, "
+        f"ODE estimate bound {verdict.bound_err:.1e})"
     )
-    report.put("verified", "yes" if ok else "no")
-    return EXIT_OK if ok else EXIT_PRECONDITION
+    report.put("verified", "yes" if verdict.ok else "no")
+    return EXIT_OK if verdict.ok else EXIT_PRECONDITION
 
 
 def cmd_classify2d(gf: GermFile, report: Report) -> int:

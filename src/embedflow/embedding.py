@@ -32,12 +32,12 @@ import numpy as np
 
 from .jets import MODE_EXACT, MODE_FLOAT, MultiIndex, PolyJet, _composer, _one
 from .normal_form import GermSpec
-from .resonance import ResonanceReport, _delta, _lattice_witnesses, _mu, field_resonances
-from .scalars import EigenScalar, ExactnessError, QQi
+from .resonance import ResonanceReport, _lattice_witnesses, field_resonances
+from .scalars import ExactnessError, QQi
 from .spectral import BlockMatrix, SpectralError, TriangularLinear, log_residual
 from .tolerances import DEFAULT_TOL, LOG_RESIDUAL, STRAY_DEMAND
 
-__all__ = ["FieldGerm", "Obstruction", "solve_embedding", "appendix_identity_check"]
+__all__ = ["FieldGerm", "Obstruction", "solve_embedding"]
 
 
 # -- public types ---------------------------------------------------------------
@@ -235,27 +235,3 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
             )
     v = PolyJet(n, N, jet_mode, {k: c for k, c in Y.coeffs.items() if k in field})
     return FieldGerm(B, v, N, tol)
-
-
-def appendix_identity_check(B: BlockMatrix, g: PolyJet) -> PolyJet:
-    """Jet of Dg(y)·By - B g(y) for diagonal B.
-
-    Term by term the coefficient is (<m, mu> - mu_j) g_{j,m}; with exact
-    eigen data a resonant monomial contributes exactly zero.  The returned
-    jet is float-mode with exact zeros pruned.
-    """
-    tri = B.triangular() if isinstance(B, BlockMatrix) else B
-    if not tri.is_diagonal:
-        raise ValueError("the identity holds for diagonal linear parts only")
-    if g.dim != tri.dim:
-        raise ValueError("dimension mismatch")
-    mu = _mu(tri.eigen)
-    terms = []
-    for (j, m), c in g.coeffs.items():
-        delta = _delta(mu, j, m)
-        if isinstance(delta, EigenScalar):
-            if delta.is_zero:
-                continue
-            delta = complex(delta)
-        terms.append((j, m, delta * complex(c)))
-    return PolyJet.build(g.dim, g.degree, MODE_FLOAT, terms)

@@ -26,10 +26,6 @@ NEAR_FACTOR times ``tol`` is reported as near, so borderline spectra are
 never classified silently.  The default ``tol`` and NEAR_FACTOR live in
 :mod:`embedflow.tolerances`.  The exponents scanned come from one cached
 :class:`MonomialIndex` per dimension and degree.
-
-Also exposed: the spectra of the degree-r homological operators
-h |-> A h - h(A .) (map side, eigenvalues lambda_j - lambda^m) and
-h |-> Dh . B - B h (field side, eigenvalues <m, mu> - mu_j).
 """
 
 from __future__ import annotations
@@ -50,8 +46,6 @@ __all__ = [
     "field_resonances",
     "map_resonances",
     "monomial_index",
-    "operator_L_map_spectrum",
-    "operator_L_field_spectrum",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -90,19 +84,8 @@ class ResonanceReport:
 
 
 def _mu(eigen: EigenData):
-    """Log eigenvalues as _deltas takes them: exact entries, else complex."""
+    """Log eigenvalues as :func:`_deltas` takes them: exact entries, else complex."""
     return eigen.entries if eigen.exact else eigen.mu_complex()
-
-
-def _delta(mu, j: int, m):
-    """<m, mu> - mu_j as a value: an EigenScalar for exact entries, else complex."""
-    if isinstance(mu[j], EigenScalar):
-        total = EigenScalar.zero()
-        for k, v in zip(m, mu):
-            if k:
-                total = total + v.scaled(k)
-        return total - mu[j]
-    return sum(k * v for k, v in zip(m, mu) if k) - mu[j]
 
 
 def _power(values, m):
@@ -146,7 +129,8 @@ def _deltas(mu, M):
     Exact entries give ``(rows, D)``: integer coordinates of D times each
     value, as in :func:`_lattice`.  Complex entries give ``(values, None)``;
     <M[t], mu> is accumulated coordinate by coordinate, so each value is
-    the same float sum as :func:`_delta` forms.
+    the float sum that sum(m_i * mu_i) - mu_j forms term by term in
+    coordinate order.
     """
     if isinstance(mu[0], EigenScalar):
         W, D = _lattice(mu)
@@ -278,32 +262,3 @@ def _scan(entries: tuple, degree: int, tol: float) -> ResonanceReport:
 
 # once mu is fixed, lambda_j = lambda^m is the same scan read with any l
 map_resonances = field_resonances
-
-
-def operator_L_map_spectrum(eigen: EigenData, r: int) -> tuple[complex, ...]:
-    """Multiset { lambda_j - lambda^m : |m| = r } of the degree-r map operator.
-
-    Values are exact differences converted to complex when the map
-    eigenvalues are Gaussian rational, so resonant entries are exactly 0.
-    """
-    if r < 2:
-        raise ValueError("degree must be at least 2")
-    n = len(eigen)
-    exact = eigen.lambda_exact()
-    lam = exact if exact is not None else eigen.lambda_complex()
-    return tuple(
-        complex(lam[j] - _power(lam, m))
-        for j in range(n)
-        for m in multiindices(n, r)
-    )
-
-
-def operator_L_field_spectrum(eigen: EigenData, r: int) -> tuple[complex, ...]:
-    """Multiset { <m, mu> - mu_j : |m| = r } of the degree-r field operator."""
-    if r < 2:
-        raise ValueError("degree must be at least 2")
-    n = len(eigen)
-    mu = _mu(eigen)
-    return tuple(
-        complex(_delta(mu, j, m)) for j in range(n) for m in multiindices(n, r)
-    )

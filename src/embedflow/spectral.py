@@ -56,7 +56,6 @@ __all__ = [
     "real_log",
     "weakly_nonresonant_branch",
     "BRANCH_BOUND",
-    "block_matrix_from_dense",
     "dense_exp",
 ]
 
@@ -763,75 +762,3 @@ def weakly_nonresonant_branch(
     for slot, v in zip(slots, best):
         values[slot] = v
     return BranchChoice(tuple(values))
-
-
-# -- dense loader ------------------------------------------------------------
-
-
-def block_matrix_from_dense(matrix, tol=DEFAULT_TOL) -> BlockMatrix:
-    """Parse a dense matrix that is exactly in block normal form.
-
-    Supports Jordan blocks (unit subdiagonal) and rotation blocks
-    (including repeated cells with identity couplings).  Anything else --
-    stray entries, non-matching cells -- is rejected; this is a loader,
-    not a normal-form algorithm.
-    """
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    exact = all(_is_rational(x) for row in matrix for x in row)
-
-    def eq(x, y):
-        if exact:
-            return Fraction(x) == Fraction(y)
-        return abs(float(x) - float(y)) <= tol * max(1.0, abs(float(y)))
-
-    blocks = []
-    o = 0
-    while o < n:
-        if o + 1 < n and not eq(matrix[o][o + 1], 0):
-            a, b = matrix[o][o], matrix[o][o + 1]
-            if not (eq(matrix[o + 1][o], -b) and eq(matrix[o + 1][o + 1], a)):
-                raise ValueError(f"not a rotation cell at offset {o}")
-            cells = 1
-            while o + 2 * cells + 1 < n:
-                p = o + 2 * cells
-                if not (
-                    eq(matrix[p][p], a)
-                    and eq(matrix[p][p + 1], b)
-                    and eq(matrix[p + 1][p], -b)
-                    and eq(matrix[p + 1][p + 1], a)
-                    and eq(matrix[p][p - 2], 1)
-                    and eq(matrix[p + 1][p - 1], 1)
-                    and eq(matrix[p][p - 1], 0)
-                    and eq(matrix[p + 1][p - 2], 0)
-                ):
-                    break
-                cells += 1
-            if exact:
-                blocks.append(RotationBlock(Fraction(a), Fraction(b), cells))
-            else:
-                blocks.append(RotationBlock(float(a), float(b), cells))
-            o += 2 * cells
-            continue
-        lam = matrix[o][o]
-        size = 1
-        while (
-            o + size < n
-            and eq(matrix[o + size][o + size - 1], 1)
-            and eq(matrix[o + size][o + size], lam)
-        ):
-            size += 1
-        blocks.append(
-            JordanBlock(Fraction(lam) if exact else float(lam), size)
-        )
-        o += size
-    out = BlockMatrix(tuple(blocks))
-    dense = out.to_dense()
-    given = np.array([[float(x) for x in row] for row in matrix])
-    if float(np.max(np.abs(dense - given))) > tol * max(
-        1.0, float(np.max(np.abs(given)))
-    ):
-        raise ValueError("matrix is not exactly block structured")
-    return out

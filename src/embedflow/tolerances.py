@@ -28,9 +28,9 @@ import sys
 # The default of every ``tol`` parameter and of a germ file's ``tol``
 # option.  Absolute in mu (logs, of order one) in the one resonance rule,
 # which decides map, field and weak resonance alike and so the integer
-# frequencies of the flow, and in | |lambda| - 1 | for hyperbolicity; relative to
-# max(1, |lambda_j|) in the dense-matrix loader.  1e-9 sits about seven digits above double roundoff on
-# eigenvalues of order one and far below any resonance gap a user means.
+# frequencies of the flow, and in | |lambda| - 1 | for hyperbolicity.  1e-9
+# sits about seven digits above double roundoff on eigenvalues of order one
+# and far below any resonance gap a user means.
 DEFAULT_TOL = 1e-9
 
 # A float resonance miss within NEAR_FACTOR times its cut is reported as
@@ -84,7 +84,7 @@ ROUNDING = 2.0**-44
 # far below that.
 REAL_EXP = 1e-12
 
-# verify accepts the ODE oracle's time-one residual up to
+# verify (verdict.certify) accepts the ODE oracle's time-one residual up to
 # max(ODE_BOUND, tol) * scale, scale = max(1, max |map jet coefficient|).
 # The oracle is a fixed-step integrating-factor Dormand-Prince 5(4)
 # integration (see ODE_STEPS_PER_RATE) whose own error is measured, and
@@ -115,7 +115,7 @@ ODE_BOUND = 1e-6
 # field of the tests (rate 2*pi, 145 steps) reads 1.0e-10 against 7.4e-7.
 ODE_STEPS_PER_RATE = 23
 
-# verify also requires the oracle's error estimate to be at most
+# verify (verdict.certify) also requires the oracle's error estimate to be at most
 # ODE_ERR_SHARE * bound_ode.  The estimate is the sum over the steps of
 # the largest local error in y: |e^D| times the difference of the
 # embedded fifth- and fourth-order results in z, which e^(tB)'s diagonal

@@ -1,20 +1,25 @@
-"""The residuals that ``verify`` judges a field by.
+"""The verdict on a field: its residuals, their bounds and the pass rule.
 
-:func:`time_one` compares e^X with G by two routes that share no code, the
-flow of :mod:`embedflow.flow` and the ODE oracle of :mod:`embedflow.oracle`;
-this is the only module that imports both.  :func:`embedding_residual`
-checks the embedding equation X o G = DG X by jet composition.
+:func:`certify` is the one place where ``verify`` decides.  It compares e^X
+with G by two routes that share no code, the flow of :mod:`embedflow.flow`
+and the ODE oracle of :mod:`embedflow.oracle` (this is the only module
+that imports both), checks the embedding equation X o G = DG X by jet
+composition (:func:`embedding_residual`), and bounds each residual by the
+tolerances of :mod:`embedflow.tolerances`.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .embedding import FieldGerm
 from .flow import flow_jet
 from .jets import PolyJet, compose, jacobian_apply, jet_distance
 from .normal_form import GermSpec
 from .oracle import _ode_oracle
+from .tolerances import ODE_BOUND, ODE_ERR_SHARE
 
-__all__ = ["embedding_residual", "time_one", "time_one_residuals", "time_one_steps"]
+__all__ = ["Verdict", "certify", "embedding_residual", "time_one_residuals", "time_one_steps"]
 
 
 def embedding_residual(G: GermSpec, X: FieldGerm) -> PolyJet:
@@ -30,8 +35,17 @@ def embedding_residual(G: GermSpec, X: FieldGerm) -> PolyJet:
 
 
 def time_one_steps(X: FieldGerm, G: GermSpec):
-    """``(residual_exp, residual_ode, residual_ode_err, steps)``:
-    :func:`time_one` and the step count its ODE oracle took."""
+    """The two independent time-one oracles, against G's map jet.
+
+    Returns ``(residual_exp, residual_ode, residual_ode_err, steps)``: the
+    max-abs distance from the map jet of the closed-form flow of X at t = 1
+    and of the Dormand-Prince ODE oracle, the oracle's own error estimate,
+    and the step count the oracle chose (:func:`embedflow.oracle._ode_oracle`).
+    The estimate bounds the ODE residual at the rate count.  One step is
+    kept only where its estimate reads at roundoff: on a long Jordan chain,
+    sizes (4, 1) at N = 5, one step can miss by 2.4e-4 against an estimate
+    of 2.0e-4.
+    """
     if G.dim != X.dim:
         raise ValueError("dimension mismatch")
     N = min(G.degree, X.degree)
@@ -42,22 +56,55 @@ def time_one_steps(X: FieldGerm, G: GermSpec):
     return exp_res, jet_distance(ode, target), err, steps
 
 
-def time_one(X: FieldGerm, G: GermSpec):
-    """The two independent time-one oracles, against G's map jet.
-
-    Returns ``(residual_exp, residual_ode, residual_ode_err)``: the max-abs
-    distance from the map jet of the closed-form flow of X at t = 1 and of
-    the Dormand-Prince ODE oracle, and the oracle's own error estimate, at
-    the step count the oracle chooses (:func:`embedflow.oracle._ode_oracle`).
-    The estimate bounds the ODE residual at the rate count.  One step is
-    kept only where its estimate reads at roundoff: on a long Jordan chain,
-    sizes (4, 1) at N = 5, one step can miss by 2.4e-4 against an estimate
-    of 2.0e-4.
-    """
-    return time_one_steps(X, G)[:3]
-
-
 def time_one_residuals(X: FieldGerm, G: GermSpec):
-    """``(residual_exp, residual_ode)`` of :func:`time_one`, without the
-    error estimate."""
-    return time_one(X, G)[:2]
+    """``(residual_exp, residual_ode)`` of :func:`time_one_steps`.
+
+    Nothing in the package calls it; it is kept because the benchmark's
+    traced run (``perfbench/tracing.py``) imports it.
+    """
+    return time_one_steps(X, G)[:2]
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The residuals of a field X against a normal form G, and their bounds.
+
+    ``scale`` is the larger of 1 and the largest coefficient modulus of G's
+    map jet.  The exact-flow and embedding-equation residuals are bounded
+    by ``bound_exp = tol * scale``, the ODE residual by ``bound_ode =
+    max(ODE_BOUND * scale, bound_exp)`` and the oracle's error estimate by
+    ``bound_err = ODE_ERR_SHARE * bound_ode``.  :attr:`ok` holds when every
+    residual is at most its bound.
+    """
+
+    residual_exp: float
+    residual_ode: float
+    residual_ode_err: float
+    residual_embedding: float
+    ode_steps: int
+    scale: float
+    bound_exp: float
+    bound_ode: float
+    bound_err: float
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.residual_exp <= self.bound_exp
+            and self.residual_ode <= self.bound_ode
+            and self.residual_ode_err <= self.bound_err
+            and self.residual_embedding <= self.bound_exp
+        )
+
+
+def certify(G: GermSpec, X: FieldGerm, tol: float) -> Verdict:
+    """The :class:`Verdict` on X as a field whose time-one map is G, with
+    the exact-flow bound ``tol`` relative to G's scale."""
+    r_exp, r_ode, r_err, steps = time_one_steps(X, G)
+    r_emb = embedding_residual(G, X).max_abs()
+    scale = max(1.0, G.map_jet().to_float().max_abs())
+    bound_exp = tol * scale
+    bound_ode = max(ODE_BOUND * scale, bound_exp)
+    return Verdict(
+        r_exp, r_ode, r_err, r_emb, steps, scale, bound_exp, bound_ode, ODE_ERR_SHARE * bound_ode
+    )

@@ -29,7 +29,6 @@ from embedflow import (
     PolyJet,
     QQi,
     RotationBlock,
-    appendix_identity_check,
     classify_2d,
     compose,
     distinguished_normal_form,
@@ -39,8 +38,6 @@ from embedflow import (
     jet_distance,
     map_resonances,
     multiindices,
-    operator_L_field_spectrum,
-    operator_L_map_spectrum,
     pair_negative_blocks,
     parse_germ,
     parse_machine,
@@ -56,6 +53,7 @@ from _gens import (
     random_loggable_blocks,
     random_resonant_normal_form,
 )
+from _reference import appendix_identity_check, operator_L_field_spectrum, operator_L_map_spectrum
 
 
 _CAPTURE = None

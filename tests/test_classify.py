@@ -26,12 +26,11 @@ from embedflow import (
     complexify,
     distinguished_normal_form,
     field_resonances,
-    planar_from_dense,
-    positive_spectrum_log,
     real_log,
     solve_embedding,
-    time_one,
+    time_one_steps,
 )
+from _reference import planar_from_dense, positive_spectrum_log
 
 
 def _dense(bm: BlockMatrix) -> np.ndarray:
@@ -131,7 +130,7 @@ class TestClassify2d:
         nf = distinguished_normal_form(GermSpec(A, zf, 3))
         out = solve_embedding(nf.germ, v.log)
         assert isinstance(out, FieldGerm)
-        assert max(time_one(out, nf.germ)[:2]) < 1e-9
+        assert max(time_one_steps(out, nf.germ)[:2]) < 1e-9
 
 
 class TestPlanarFromDense:

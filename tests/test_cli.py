@@ -362,6 +362,68 @@ class TestVerify:
         assert float(m["residual_exp"]) < 1e-12
 
 
+# each residual of the verdict and the bound that gates it
+GATES = {
+    "residual_exp": "bound_exp",
+    "residual_ode": "bound_ode",
+    "residual_ode_err": "bound_err",
+    "residual_embedding": "bound_exp",
+}
+
+
+def _certify_paper_23(capsys, monkeypatch):
+    """``(G, X, tol, verdict)`` of the one ``certify`` call that ``verify``
+    makes on paper-2.3."""
+    from embedflow import cli, verdict
+
+    calls = []
+
+    def record(G, X, tol):
+        calls.append((G, X, tol, verdict.certify(G, X, tol)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(cli, "certify", record)
+    run(capsys, "verify", "--fixture", "paper-2.3")
+    monkeypatch.undo()
+    (call,) = calls
+    return call
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+@pytest.mark.parametrize("residual", list(GATES))
+def test_each_residual_alone_gates_the_verdict(capsys, monkeypatch, residual, above):
+    """paper-2.3 passes with every residual far inside its bound.  Raising
+    one residual alone to its bound keeps the verdict (the rule is <=); one
+    ulp above it fails the verdict and ``verify`` exits 3."""
+    from embedflow import verdict
+    from embedflow.jets import MODE_FLOAT, MultiIndex, PolyJet
+
+    G, X, tol, base = _certify_paper_23(capsys, monkeypatch)
+    assert base.ok
+    bound = getattr(base, GATES[residual])
+    value = math.nextafter(bound, math.inf) if above else bound
+    if residual == "residual_embedding":
+        jet = PolyJet.build(X.dim, X.degree, MODE_FLOAT, [(0, MultiIndex((2, 0, 0)), value)])
+        monkeypatch.setattr(verdict, "embedding_residual", lambda G, X: jet)
+    else:
+        index = ("residual_exp", "residual_ode", "residual_ode_err").index(residual)
+        time_one_steps = verdict.time_one_steps
+
+        def raised(X, G):
+            out = list(time_one_steps(X, G))
+            out[index] = value
+            return tuple(out)
+
+        monkeypatch.setattr(verdict, "time_one_steps", raised)
+    got = verdict.certify(G, X, tol)
+    assert getattr(got, residual) == value
+    assert got.ok is not above
+    code, out, _ = run(capsys, "verify", "--fixture", "paper-2.3")
+    m = machine(out)
+    assert m[residual] == repr(value)
+    assert (code, m["verified"]) == ((3, "no") if above else (0, "yes"))
+
+
 class TestNormalForm:
     def test_resonant_2d(self, capsys):
         code, out, _ = run(capsys, "normal-form", "--fixture", "resonant-2d")

@@ -34,7 +34,6 @@ from embedflow import (
     QQi,
     RotationBlock,
     SpectralError,
-    appendix_identity_check,
     compose,
     distinguished_normal_form,
     embedding_residual,
@@ -46,7 +45,7 @@ from embedflow import (
     parse_germ,
     real_log,
     solve_embedding,
-    time_one,
+    certify,
     time_one_residuals,
     time_one_steps,
 )
@@ -79,6 +78,7 @@ import _expflow
 from _expflow import Tr_matrix
 from _gens import random_branch_spectrum, random_exact_germ, random_resonant_normal_form
 from _quadrature import tr_matrix_quadrature
+from _reference import appendix_identity_check
 
 
 def _exact_diag_germ():
@@ -241,7 +241,7 @@ class TestSolveEmbedding:
         assert set(X.nonlinear.coeffs) == {(0, (0, 2))}
         assert X.nonlinear.coeffs[(0, (0, 2))] == QQi(Fraction(1, 4))
         assert embedding_residual(G, X).max_abs() == 0.0
-        assert max(time_one(X, G)[:2]) < 1e-9
+        assert max(time_one_steps(X, G)[:2]) < 1e-9
 
     def test_paper_23_coefficient(self):
         G = _paper_23_germ(a_coeff=0.7)
@@ -471,7 +471,7 @@ def _assert_matches_reference(G, B, tol=DEFAULT_TOL):
         assert got.nonlinear.coeffs == want.nonlinear.coeffs
     else:
         assert jet_distance(got.nonlinear, want.nonlinear) <= 1e-12 * scale
-    r_exp, r_ode, r_err = time_one(got, G)
+    r_exp, r_ode, r_err, _ = time_one_steps(got, G)
     bound_exp = tol * scale
     bound_ode = max(ODE_BOUND * scale, bound_exp)
     assert r_exp <= bound_exp
@@ -880,7 +880,7 @@ def _linear_on_columns(tri, cols, C):
 
 
 def _oracle_inputs(X, G):
-    """``(tri, v, N)`` of the ODE oracle for X against G, as ``time_one``
+    """``(tri, v, N)`` of the ODE oracle for X against G, as ``time_one_steps``
     passes them: B's triangular form and v at the smaller jet degree N."""
     N = min(G.degree, X.degree)
     return X.linear.triangular(), X.nonlinear.truncate(N), N
@@ -1118,7 +1118,7 @@ class TestOdeOracle:
         # the closed-form flow reproduces G to roundoff, so the ODE residual
         # is the oracle's true error, and its estimate must not undercut it
         G, X = _fixture_field(fixture)
-        r_exp, r_ode, err = time_one(X, G)
+        r_exp, r_ode, err, _ = time_one_steps(X, G)
         assert r_exp <= 1e-14 * max(1.0, G.map_jet().to_float().max_abs())
         assert r_ode <= err
 
@@ -1127,7 +1127,7 @@ class TestOdeOracle:
         for i in range(12):
             G, B = random_resonant_normal_form(rng, degree=4 + i % 3, nil=(i % 4 == 0))
             X = solve_embedding(G, B)
-            _, r_ode, err = time_one(X, G)
+            _, r_ode, err, _ = time_one_steps(X, G)
             assert r_ode <= err
 
     def test_estimate_bounds_true_error_branch_spectra(self):
@@ -1153,7 +1153,7 @@ class TestOdeOracle:
                 branch = BranchChoice(tuple(next(it) if s else 0 for s in slots))
                 X = solve_embedding(G, real_log(a, branch))
                 if isinstance(X, FieldGerm):
-                    _, r_ode, err = time_one(X, G)
+                    _, r_ode, err, _ = time_one_steps(X, G)
                     assert r_ode <= err
                     fields += 1
         assert fields >= 4
@@ -1246,7 +1246,8 @@ class TestOdeOracle:
         assert steps == 1 and runs == [1]
         assert plans == ["_reachable", "_composition_table"]
         assert r_ode <= err
-        assert time_one(X, G) == time_one_steps(X, G)[:3]
+        v = certify(G, X, X.tol)
+        assert (v.residual_exp, v.residual_ode, v.residual_ode_err, v.ode_steps) == time_one_steps(X, G)
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     @pytest.mark.parametrize("sizes, degree", [((4, 1), 5), ((2, 2, 2), 3)])
@@ -1352,7 +1353,7 @@ class TestResidualSensitivity:
         )
         Y = FieldGerm(B, bumped, 4)
         assert embedding_residual(G, Y).max_abs() < 1e-12
-        assert max(time_one(Y, G)[:2]) > 1e-4
+        assert max(time_one_steps(Y, G)[:2]) > 1e-4
 
     def test_weak_term_gives_second_embedding(self):
         # weakly resonant monomials are map-resonant (lambda^m = lambda_j),
@@ -1375,7 +1376,7 @@ class TestResidualSensitivity:
         terms.append((0, MultiIndex((0, 4, 0)), 0.35))
         Y = FieldGerm(B, PolyJet.build(3, 4, MODE_FLOAT, terms), 4)
         assert embedding_residual(G, Y).max_abs() < 1e-12
-        assert max(time_one(Y, G)[:2]) < 1e-9
+        assert max(time_one_steps(Y, G)[:2]) < 1e-9
 
     def test_cross_component_bump_caught_by_both(self):
         # spectrum (8, 4, 2): resonances y2 y3 e_1, y3^3 e_1, y3^2 e_2
@@ -1401,4 +1402,4 @@ class TestResidualSensitivity:
         Y = FieldGerm(B, PolyJet.build(3, 3, MODE_FLOAT, terms), 3)
         res = embedding_residual(G, Y)
         assert abs(complex(res.coeffs[(0, (0, 0, 3))]) + 1e-3) < 1e-12
-        assert max(time_one(Y, G)[:2]) > 1e-4
+        assert max(time_one_steps(Y, G)[:2]) > 1e-4

@@ -2,12 +2,15 @@
 dependencies, and the verification routes import nothing of the code they
 check: the solve (``embedding``), the flow (``flow``) and the ODE oracle
 (``oracle``) are read for their import edges with ``ast``, without running.
+The same reading finds that every name the package exports is run by a
+verb or by the benchmark.
 
 ``pyproject.toml`` is read with a small line parser rather than ``tomllib``,
 which Python 3.10 lacks; it understands the string arrays this project uses.
 """
 
 import ast
+import functools
 import re
 import sys
 from pathlib import Path
@@ -79,6 +82,27 @@ def test_no_test_only_dependency_is_imported():
     assert not _third_party_imports() & test_only
 
 
+def _benchmark_imports():
+    """``(path, module, name)`` for every name that ``perfbench/*.py``
+    imports from embedflow, or reads off the package as ``embedflow.<name>``."""
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module.split(".")[0] != "embedflow":
+                    continue
+                module = node.module
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id != "embedflow":
+                    continue
+                module = "embedflow"
+                names = [node.attr]
+            else:
+                continue
+            for name in names:
+                yield path, module, name
+
+
 def test_benchmark_imports_exist():
     """Every name that ``perfbench/*.py`` imports from embedflow, or reads
     off the package as ``embedflow.<name>``, is there: a deletion in
@@ -86,26 +110,13 @@ def test_benchmark_imports_exist():
     import importlib.util
 
     checked = 0
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ImportFrom) and node.level == 0:
-                if node.module.split(".")[0] != "embedflow":
-                    continue
-                module = importlib.import_module(node.module)
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                if node.value.id != "embedflow":
-                    continue
-                module = importlib.import_module("embedflow")
-                names = [node.attr]
-            else:
-                continue
-            for name in names:
-                submodule = f"{module.__name__}.{name}"
-                if not hasattr(module, name) and importlib.util.find_spec(submodule):
-                    importlib.import_module(submodule)  # an attribute once imported
-                assert hasattr(module, name), (path.name, module.__name__, name)
-                checked += 1
+    for path, module_name, name in _benchmark_imports():
+        module = importlib.import_module(module_name)
+        submodule = f"{module.__name__}.{name}"
+        if not hasattr(module, name) and importlib.util.find_spec(submodule):
+            importlib.import_module(submodule)  # an attribute once imported
+        assert hasattr(module, name), (path.name, module.__name__, name)
+        checked += 1
     assert checked
 
 
@@ -179,3 +190,79 @@ def test_only_the_verdict_imports_both_routes():
         if {"embedflow.flow", "embedflow.oracle"} <= _imports(path.stem).keys()
     ]
     assert both == ["verdict"]
+
+
+# -- every export is run by a verb or by the benchmark ---------------------------
+
+
+def _bindings(module: str) -> dict:
+    """``{name: (module, name)}``: the names that ``embedflow/<module>.py``
+    binds by importing them from another package module."""
+    return {
+        name: (source.removeprefix("embedflow."), name)
+        for source, names in _imports(module).items()
+        if source.startswith("embedflow.")
+        for name in names
+    }
+
+
+def _references(module: str) -> dict:
+    """``{name: names}``: every name that each top-level function, class or
+    assignment of ``embedflow/<module>.py`` refers to in its body."""
+    path = PACKAGE / f"{module}.py"
+    found: dict = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, ast.Assign):
+            defined = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        used = {ref.id for ref in ast.walk(node) if isinstance(ref, ast.Name)}
+        for name in defined:
+            found.setdefault(name, set()).update(used)
+    return found
+
+
+def _reachable(roots) -> set:
+    """The ``(module, name)`` definitions that the ``(module, name)`` roots
+    refer to, directly or through other definitions, with every imported
+    name followed to the module that defines it."""
+
+    @functools.cache
+    def tables(module):
+        return _references(module), _bindings(module)
+
+    def resolve(module, name):
+        while True:
+            references, bindings = tables(module)
+            if name in references:
+                return module, name
+            if name not in bindings:
+                return None  # a builtin, a third-party or a local name
+            module, name = bindings[name]
+
+    seen, todo = set(), [resolve(*root) for root in roots]
+    while todo:
+        node = todo.pop()
+        if node is None or node in seen:
+            continue
+        seen.add(node)
+        module, name = node
+        todo += [resolve(module, used) for used in tables(module)[0][name]]
+    return seen
+
+
+def test_every_export_is_reachable_from_a_verb_or_the_benchmark():
+    """Every name that ``embedflow`` exports is reached, through the names
+    that function and class bodies refer to, from ``cli.main`` or from a
+    name that ``perfbench/*.py`` imports: the package exports nothing that
+    only tests run."""
+    roots = [("cli", "main")]
+    for _, module, name in _benchmark_imports():
+        roots.append((module.removeprefix("embedflow").lstrip(".") or "__init__", name))
+    reachable = _reachable(roots)
+    exports = _bindings("__init__")
+    dead = sorted(name for name, definition in exports.items() if definition not in reachable)
+    assert exports
+    assert dead == []

@@ -1,0 +1,23 @@
+"""The README's library quick start runs and prints what its comments say."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_quick_start_prints_its_comments():
+    text = README.read_text()
+    section = text[text.index("## Library quick start"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    want = [
+        line.split("# ", 1)[1].strip()
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert want and out.getvalue().splitlines() == want

@@ -25,12 +25,11 @@ from embedflow import (
     field_resonances,
     map_resonances,
     multiindices,
-    operator_L_field_spectrum,
-    operator_L_map_spectrum,
     pair_negative_blocks,
     real_log,
 )
 from _gens import random_branch_spectrum, random_loggable_blocks
+from _reference import operator_L_field_spectrum, operator_L_map_spectrum
 
 
 def _eigen_2_3() -> EigenData:

@@ -23,7 +23,6 @@ from embedflow import (
     NegativePairBlock,
     RotationBlock,
     SpectralError,
-    block_matrix_from_dense,
     dense_exp,
     field_resonances,
     has_real_log,
@@ -34,6 +33,7 @@ from embedflow import (
     weakly_nonresonant_branch,
 )
 from embedflow.spectral import BRANCH_BOUND
+from _reference import block_matrix_from_dense
 from _gens import random_branch_spectrum, random_loggable_blocks
 
 
