@@ -13,7 +13,6 @@ from .jets import (
     jacobian_apply,
     jet_distance,
     multiindices,
-    permute_jet,
     realify,
 )
 from .spectral import (

@@ -137,14 +137,15 @@ def _put_resonances(report: Report, eigen, degree: int, tol: float):
     return rep
 
 
-def _put_jet(report: Report, key: str, jet):
-    report.put_set(
-        key,
-        (
-            f"{fmt_entry(j, m)}:{fmt_complex(c)}"
-            for (j, m), c in jet.coeffs.items()
-        ),
-    )
+def _put_jet(report: Report, key: str, jet, show: bool = True):
+    """Put the jet's coefficients as the machine set ``key`` and, when
+    ``show``, print them as human lines in (j, m) order; each is formatted
+    once for both."""
+    entries = [(fmt_entry(j, m), fmt_complex(c)) for (j, m), c in sorted(jet.coeffs.items())]
+    if show:
+        for entry, value in entries:
+            report.line(f"  {entry}: {value}")
+    report.put_set(key, (f"{entry}:{value}" for entry, value in entries))
 
 
 def _linear_section(gf: GermFile, report: Report) -> bool:
@@ -253,11 +254,9 @@ def cmd_normal_form(gf: GermFile, report: Report) -> int:
     result = distinguished_normal_form(spec, tol=gf.tol)
     report.section("Distinguished normal form")
     report.line("resonant coefficients g (complexified coordinates):")
-    for (j, m), c in sorted(result.germ.nonlinear.coeffs.items()):
-        report.line(f"  {fmt_entry(j, m)}: {fmt_complex(c)}")
+    _put_jet(report, "normal_form", result.germ.nonlinear)
     report.line("transform h (nonresonant coefficients):")
-    for (j, m), c in sorted(result.transform.coeffs.items()):
-        report.line(f"  {fmt_entry(j, m)}: {fmt_complex(c)}")
+    _put_jet(report, "transform", result.transform)
     report.line(f"conjugacy residual: {result.residual:.3e}")
     for degree, resonant, solved, divisor in result.diagnostics:
         # a degree that solves no coefficient has no divisor
@@ -266,8 +265,6 @@ def cmd_normal_form(gf: GermFile, report: Report) -> int:
             f"  degree {degree}: {resonant} resonant, {solved} solved, "
             f"min divisor {shown}"
         )
-    _put_jet(report, "normal_form", result.germ.nonlinear)
-    _put_jet(report, "transform", result.transform)
     report.put("residual_conjugacy", repr(result.residual))
     report.put("status", "ok")
     return EXIT_OK
@@ -296,7 +293,7 @@ def _embed_pipeline(gf: GermFile, report: Report):
     G = result.germ
     report.section("Normal form")
     report.line(f"conjugacy residual {result.residual:.3e}")
-    _put_jet(report, "normal_form", G.nonlinear)
+    _put_jet(report, "normal_form", G.nonlinear, show=False)
     branch = _branch_for(gf, paired)
     branch.validate(paired)
     B = real_log(paired, branch)
@@ -322,16 +319,12 @@ def _embed_pipeline(gf: GermFile, report: Report):
     X = outcome
     report.section("Embedding field")
     report.line("nonlinear coefficients (complexified coordinates):")
-    for (j, m), c in sorted(X.nonlinear.coeffs.items()):
-        report.line(f"  {fmt_entry(j, m)}: {fmt_complex(c)}")
     _put_jet(report, "field", X.nonlinear)
     pairing = paired.pairing()
     if not pairing.trivial:
         try:
             real_v = realify(X.nonlinear.to_float(), pairing)
             report.line("realified coefficients:")
-            for (j, m), c in sorted(real_v.coeffs.items()):
-                report.line(f"  {fmt_entry(j, m)}: {fmt_complex(c)}")
             _put_jet(report, "field_real", real_v)
         except ValueError:
             report.line("field is not conjugate-symmetric; left complex")

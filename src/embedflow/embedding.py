@@ -33,7 +33,7 @@ import numpy as np
 from .jets import MODE_EXACT, MODE_FLOAT, MultiIndex, PolyJet, _composer, _one
 from .normal_form import GermSpec
 from .resonance import ResonanceReport, _lattice_witnesses, field_resonances
-from .scalars import ExactnessError, QQi
+from .scalars import ExactnessError
 from .spectral import BlockMatrix, SpectralError, TriangularLinear, log_residual
 from .tolerances import DEFAULT_TOL, LOG_RESIDUAL, STRAY_DEMAND
 
@@ -127,9 +127,9 @@ def _ring_flags(tri: TriangularLinear, mode: str) -> bool:
 
 
 def _is_zero(c, exact_ring: bool, tol: float) -> bool:
-    if exact_ring or isinstance(c, (QQi, int, Fraction)):
-        return not bool(c)
-    return abs(complex(c)) <= tol
+    if exact_ring:
+        return not c
+    return abs(c) <= tol
 
 
 def _validate_normal_form(G: GermSpec, report: ResonanceReport, tol: float):

@@ -46,7 +46,6 @@ from .jets import (
     PolyJet,
     _require_real,
     complexify,
-    permute_jet,
 )
 from .normal_form import GermSpec, _check_germ
 from .scalars import EigenScalar, QQi
@@ -95,12 +94,12 @@ class GermFile:
         """Complexified GermSpec plus the pairing permutation used.
 
         Negative Jordan blocks are paired (raises SpectralError when
-        impossible), coordinates permuted accordingly, and the jet pushed
-        into complex pair coordinates.
+        impossible), and one call of :func:`complexify` relabels the
+        coordinates accordingly and pushes the jet into complex pair
+        coordinates.
         """
         paired, perm = pair_negative_blocks(self.blocks)
-        jet = permute_jet(self.real_jet(), perm)
-        zjet = complexify(jet, paired.pairing())
+        zjet = complexify(self.real_jet(), paired.pairing(), perm)
         return GermSpec(paired, zjet, self.degree), paired, perm
 
     def linear_spec(self):

@@ -17,7 +17,10 @@ and exact mode in the normal form; the float normal form runs the same
 recursion on dense graded arrays instead (:mod:`embedflow.graded`).
 ``complexify``/``realify`` move a real jet to coordinates in which a
 rotation-block linear part becomes diagonal, by conjugating with
-z = x_i + i*x_{i+1} on each designated pair.
+z = x_i + i*x_{i+1} on each designated pair; ``complexify`` folds a
+relabeling of the coordinates into the same change.  Both run on
+``_linear_change``, which substitutes a linear inner map and mixes the
+components by a linear outer one, with no composition.
 
 The composition kernel and ``jacobian_apply`` work on packed monomial keys:
 at truncation degree N each exponent vector becomes one integer with its
@@ -28,8 +31,8 @@ each operation packs its inputs once and unpacks its result once.
 
 Every operation drops exact zeros only, in every coefficient ring: a
 float coefficient is kept however small it is.  The one exception is the
-float pair change of ``complexify``/``realify``, which drops a coefficient
-that lies within rounding of the magnitudes that formed it
+float linear change of ``complexify``/``realify``, which drops a
+coefficient that lies within rounding of the magnitudes that formed it
 (:data:`embedflow.tolerances.ROUNDING`), so cross terms that cancel
 exactly in exact arithmetic vanish in float arithmetic too.
 
@@ -57,7 +60,6 @@ __all__ = [
     "multiindices",
     "complexify",
     "realify",
-    "permute_jet",
     "jet_distance",
 ]
 
@@ -609,33 +611,6 @@ class RealPairing:
         return not self.pairs
 
 
-def _pairing_jets(pairing: RealPairing, degree, mode):
-    n = pairing.dim
-    if mode == MODE_FLOAT:
-        one, img, half = 1.0 + 0j, 1j, 0.5 + 0j
-    else:
-        one, img, half = QQi(1), QQi(0, 1), QQi(Fraction(1, 2))
-    fw = []   # new-from-old:  z_i = x_i + i x_{i+1}
-    bw = []   # old-from-new:  x_i = (z + zbar)/2
-    for i in pairing.real_indices:
-        u = MultiIndex.unit(n, i)
-        fw.append((i, u, one))
-        bw.append((i, u, one))
-    for i, k in pairing.pairs:
-        ui, uk = MultiIndex.unit(n, i), MultiIndex.unit(n, k)
-        fw.append((i, ui, one))
-        fw.append((i, uk, img))
-        fw.append((k, ui, one))
-        fw.append((k, uk, -img))
-        bw.append((i, ui, half))
-        bw.append((i, uk, half))
-        bw.append((k, ui, -img * half))
-        bw.append((k, uk, img * half))
-    forward = PolyJet.build(n, degree, mode, fw)
-    backward = PolyJet.build(n, degree, mode, bw)
-    return forward, backward
-
-
 def _imag_violation(jet: PolyJet) -> float:
     worst = 0.0
     for c in jet.coeffs.values():
@@ -673,52 +648,89 @@ def _drop_imag(jet: PolyJet) -> PolyJet:
     return PolyJet(jet.dim, jet.degree, jet.mode, out)
 
 
-def _magnitudes(jet: PolyJet) -> PolyJet:
-    """The same jet with every coefficient replaced by its modulus."""
-    return PolyJet(
-        jet.dim, jet.degree, jet.mode,
-        {k: complex(abs(c)) for k, c in jet.coeffs.items()},
-    )
+def _pair_change(pairing: RealPairing, mode):
+    """``(forward, backward)`` as rows ``(j, k, c)`` of the linear map
+    y -> (sum c y_k)_j: forward gives z = x_i + i*x_{i+1} and its conjugate
+    on each pair, backward gives x back from z."""
+    if mode == MODE_FLOAT:
+        one, img, half = 1.0 + 0j, 1j, 0.5 + 0j
+    else:
+        one, img, half = QQi(1), QQi(0, 1), QQi(Fraction(1, 2))
+    forward = [(i, i, one) for i in pairing.real_indices]
+    backward = list(forward)
+    for i, k in pairing.pairs:
+        forward += [(i, i, one), (i, k, img), (k, i, one), (k, k, -img)]
+        backward += [(i, i, half), (i, k, half), (k, i, -img * half), (k, k, img * half)]
+    return forward, backward
 
 
-def _conjugate(outer: PolyJet, f: PolyJet, inner: PolyJet) -> PolyJet:
-    """outer(f(inner(y))), truncated at f's degree.
+def _linear_change(f: PolyJet, outer, inner) -> PolyJet:
+    """outer(f(inner(y))) truncated at f's degree, for linear maps given as
+    rows ``(j, k, c)``.
 
-    In float mode a coefficient c is dropped when |c| <= ROUNDING * b, b
-    being the same coefficient of |outer|(|f|(|inner|)): c is then the
-    roundoff of terms that cancel exactly.
+    The inner map goes in through :class:`_OnlineComposition`, where a
+    power of a linear map is one slice; the outer one mixes the components,
+    each coefficient summing its row in row order.  In float mode a
+    coefficient c is dropped when |c| <= ROUNDING * b, b being the same
+    coefficient of |outer|(|f|(|inner|)), formed by the same two steps on
+    moduli: c is then the roundoff of terms that cancel exactly.
     """
-    N = f.degree
-    out = compose(outer, compose(f, inner, N), N)
+    n, N = f.dim, f.degree
+
+    def change(coeffs, outer, inner, one):
+        components = [{} for _ in range(n)]
+        for j, k, c in inner:
+            components[j][MultiIndex.unit(n, k)] = c
+        parts = [[] for _ in range(n)]
+        for (k, m), c in _OnlineComposition.of(components, N).substitute(coeffs, N, one).items():
+            parts[k].append((m, c))
+        out = {}
+        for j, k, c in outer:
+            for m, cc in parts[k]:
+                s = out.get((j, m))
+                out[(j, m)] = c * cc if s is None else s + c * cc
+        return {key: c for key, c in out.items() if c}
+
+    out = change(f.coeffs, outer, inner, _one(f.mode))
     if f.mode == MODE_EXACT:
-        return out
-    bound = compose(
-        _magnitudes(outer), compose(_magnitudes(f), _magnitudes(inner), N), N
-    ).coeffs
-    return PolyJet(
-        f.dim, N, f.mode,
-        {k: c for k, c in out.coeffs.items() if abs(c) > ROUNDING * bound[k].real},
+        return PolyJet(n, N, f.mode, out)
+    bound = change(
+        {key: abs(c) for key, c in f.coeffs.items()},
+        [(j, k, abs(c)) for j, k, c in outer],
+        [(j, k, abs(c)) for j, k, c in inner],
+        1.0,
     )
+    kept = {key: c for key, c in out.items() if abs(c) > ROUNDING * bound[key]}
+    return PolyJet(n, N, f.mode, kept)
 
 
-def complexify(f: PolyJet, pairing: RealPairing) -> PolyJet:
+def complexify(f: PolyJet, pairing: RealPairing, perm=None) -> PolyJet:
     """Conjugate a real-coefficient jet into paired complex coordinates.
 
-    On each pair the new coordinates are z = x_i + i*x_{i+1} and its
-    conjugate; a rotation block [[a, b], [-b, a]] becomes
-    diag(a - i*b, a + i*b).
+    The coordinates are first relabeled, new x_i = old x_{perm[i]} (kept
+    when ``perm`` is None).  Then on each pair the new coordinates are
+    z = x_i + i*x_{i+1} and its conjugate; a rotation block
+    [[a, b], [-b, a]] becomes diag(a - i*b, a + i*b).
     """
-    if pairing.dim != f.dim:
+    n = f.dim
+    if pairing.dim != n:
         raise ValueError("pairing dimension mismatch")
     _require_real(f)
-    if pairing.trivial:
+    perm = tuple(range(n) if perm is None else perm)
+    if sorted(perm) != list(range(n)):
+        raise ValueError("not a permutation")
+    if pairing.trivial and perm == tuple(range(n)):
         return f
-    forward, backward = _pairing_jets(pairing, f.degree, f.mode)
-    return _conjugate(forward, f, backward)
+    forward, backward = _pair_change(pairing, f.mode)
+    # outer: the relabeling, then forward; inner: backward, then its inverse
+    return _linear_change(
+        f, [(j, perm[k], c) for j, k, c in forward], [(perm[j], k, c) for j, k, c in backward]
+    )
 
 
 def realify(f: PolyJet, pairing: RealPairing) -> PolyJet:
-    """Inverse of :func:`complexify`; checks conjugate symmetry.
+    """Inverse of :func:`complexify` without relabeling; checks conjugate
+    symmetry.
 
     The imaginary residue of the back-transformed jet must vanish (within
     ``CONJUGATE_SYMMETRY`` in float mode, exactly in exact mode) or the
@@ -729,8 +741,8 @@ def realify(f: PolyJet, pairing: RealPairing) -> PolyJet:
     if pairing.trivial:
         out = f
     else:
-        forward, backward = _pairing_jets(pairing, f.degree, f.mode)
-        out = _conjugate(backward, f, forward)
+        forward, backward = _pair_change(pairing, f.mode)
+        out = _linear_change(f, backward, forward)
     bad = _imag_violation(out)
     limit = 0.0 if f.mode == MODE_EXACT else CONJUGATE_SYMMETRY
     if bad > limit:
@@ -738,19 +750,3 @@ def realify(f: PolyJet, pairing: RealPairing) -> PolyJet:
             f"conjugate symmetry violated: imaginary residue {bad:.3e}"
         )
     return _drop_imag(out)
-
-
-def permute_jet(f: PolyJet, perm) -> PolyJet:
-    """Conjugate a jet by the coordinate relabeling new_i = old_{perm[i]}."""
-    n = f.dim
-    perm = tuple(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation")
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    out = {}
-    for (j, m), c in f.coeffs.items():
-        mm = MultiIndex(m[perm[i]] for i in range(n))
-        out[(inv[j], mm)] = c
-    return PolyJet(n, f.degree, f.mode, out)

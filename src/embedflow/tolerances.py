@@ -66,11 +66,12 @@ STRAY_DEMAND = 1e-7
 CONJUGATE_SYMMETRY = 1e-9
 
 # complexify and realify conjugate a float jet by the pair change of
-# coordinates.  Each output coefficient c is a sum of products of input
-# coefficients, and by the summation bound (Higham, Accuracy and Stability
-# of Numerical Algorithms, 2nd ed., 3.1) its rounding error is at most
-# gamma_k * b, where b is the same sum taken over absolute values and
-# gamma_k = k*u / (1 - k*u), u = 2**-53, for a chain of k roundings.
+# coordinates in jets._linear_change.  Each output coefficient c is a sum of
+# products of input coefficients, and by the summation bound (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1) its rounding
+# error is at most gamma_k * b, gamma_k = k*u / (1 - k*u), u = 2**-53, for a
+# chain of k roundings; b, the same sum over absolute values, is the shadow
+# |outer|(|f|(|inner|)) that _linear_change forms by c's steps on moduli.
 # A coefficient with |c| <= ROUNDING * b is therefore roundoff of terms
 # that cancel exactly, such as the binomial cross terms of
 # (x_2^2 + x_3^2)^4.  2**-44 = 512*u covers chains of up to about 500

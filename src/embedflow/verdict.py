@@ -27,7 +27,7 @@ def embedding_residual(G: GermSpec, X: FieldGerm) -> PolyJet:
     if G.dim != X.dim:
         raise ValueError("dimension mismatch")
     N = min(G.degree, X.degree)
-    Gjet = G.map_jet().to_float().truncate(N)
+    Gjet = G.float_map_jet.truncate(N)
     Xjet = X.field_jet().truncate(N)
     left = compose(Xjet, Gjet, degree=N)
     right = jacobian_apply(Gjet, Xjet, degree=N)
@@ -49,7 +49,7 @@ def time_one_steps(X: FieldGerm, G: GermSpec):
     if G.dim != X.dim:
         raise ValueError("dimension mismatch")
     N = min(G.degree, X.degree)
-    target = G.map_jet().to_float().truncate(N)
+    target = G.float_map_jet.truncate(N)
     phi = flow_jet(X, N)
     exp_res = jet_distance(phi.at_time(1.0).truncate(N), target)
     ode, err, steps = _ode_oracle(X.linear.triangular(), X.nonlinear.truncate(N), N)
@@ -102,7 +102,7 @@ def certify(G: GermSpec, X: FieldGerm, tol: float) -> Verdict:
     the exact-flow bound ``tol`` relative to G's scale."""
     r_exp, r_ode, r_err, steps = time_one_steps(X, G)
     r_emb = embedding_residual(G, X).max_abs()
-    scale = max(1.0, G.map_jet().to_float().max_abs())
+    scale = max(1.0, G.float_map_jet.max_abs())
     bound_exp = tol * scale
     bound_ode = max(ODE_BOUND * scale, bound_exp)
     return Verdict(

@@ -14,7 +14,9 @@ the pipeline the verbs run:
   (eigenvalues lambda_j - lambda^m) and h |-> Dh . B - B h (eigenvalues
   <m, mu> - mu_j);
 * :func:`appendix_identity_check` is the commutation identity
-  Dg(y) By - B g(y) for diagonal B, term by term.
+  Dg(y) By - B g(y) for diagonal B, term by term;
+* :func:`permute_jet` is the coordinate relabeling that
+  :func:`embedflow.jets.complexify` folds into its pair change.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from embedflow.jets import MODE_FLOAT, PolyJet, multiindices
+from embedflow.jets import MODE_FLOAT, MultiIndex, PolyJet, multiindices
 from embedflow.resonance import _mu, _power
 from embedflow.scalars import EigenScalar
 from embedflow.spectral import (
@@ -219,3 +221,22 @@ def appendix_identity_check(B: BlockMatrix, g: PolyJet) -> PolyJet:
             delta = complex(delta)
         terms.append((j, m, delta * complex(c)))
     return PolyJet.build(g.dim, g.degree, MODE_FLOAT, terms)
+
+
+# -- coordinate relabeling -------------------------------------------------------
+
+
+def permute_jet(f: PolyJet, perm) -> PolyJet:
+    """Conjugate a jet by the coordinate relabeling new_i = old_{perm[i]}."""
+    n = f.dim
+    perm = tuple(perm)
+    if sorted(perm) != list(range(n)):
+        raise ValueError("not a permutation")
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    out = {}
+    for (j, m), c in f.coeffs.items():
+        mm = MultiIndex(m[perm[i]] for i in range(n))
+        out[(inv[j], mm)] = c
+    return PolyJet(n, f.degree, f.mode, out)

@@ -221,11 +221,12 @@ class TestAnalyze:
         assert m["status"] == "no-real-log"
         assert m["real_log"] == "no"
 
-    def test_non_adjacent_negative_pairs(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_non_adjacent_negative_pairs(self, capsys, monkeypatch, mode):
         """-2 pairs with the last block and -3 with the middle two, so a real
-        logarithm exists; analyze and embed must both use it."""
+        logarithm exists; analyze, embed and verify must all use it."""
         text = (
-            "HEADER\ndimension 4\ndegree 3\nmode exact\nLINEAR\n"
+            f"HEADER\ndimension 4\ndegree 3\nmode {mode}\nLINEAR\n"
             "jordan -2 1\njordan -3 1\njordan -3 1\njordan -2 1\nNONLINEAR\n"
             "1 0 2 0 0 1\n"
         )
@@ -240,6 +241,11 @@ class TestAnalyze:
         m = machine(out)
         assert code == 0
         assert m["real_log"] == "yes" and m["status"] == "field"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "verify", "-")
+        m = machine(out)
+        assert code == 0
+        assert m["status"] == "field" and m["verified"] == "yes"
 
 
 class TestModuleEntry:

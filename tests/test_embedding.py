@@ -78,7 +78,7 @@ import _expflow
 from _expflow import Tr_matrix
 from _gens import random_branch_spectrum, random_exact_germ, random_resonant_normal_form
 from _quadrature import tr_matrix_quadrature
-from _reference import appendix_identity_check
+from _reference import appendix_identity_check, permute_jet
 
 
 def _exact_diag_germ():
@@ -269,7 +269,7 @@ class TestSolveEmbedding:
 
     def test_f1_family_blocked_iff_bc_differ_or_a(self):
         # (-2x1, -2x2, 4x3 + a x1 x2 + b x1^2 + c x2^2)
-        from embedflow import complexify, permute_jet
+        from embedflow import complexify
         from embedflow.spectral import pair_negative_blocks
 
         def run(a_, b_, c_):

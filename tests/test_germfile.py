@@ -19,6 +19,8 @@ from embedflow import (
     serialize_germ,
 )
 
+from _reference import permute_jet
+
 BASIC = """\
 # a comment
 HEADER
@@ -258,8 +260,6 @@ class TestToSpec:
         assert paired.blocks[0].cells == 2
         # evaluation identity: the complexified jet at z(x) reproduces the
         # permuted real jet at x
-        from embedflow import permute_jet
-
         x = [0.3, -1.1, 0.7, 0.2]
         xp = [x[perm[i]] for i in range(4)]
         z = [

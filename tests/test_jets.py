@@ -19,9 +19,10 @@ from embedflow import (
     jacobian_apply,
     jet_distance,
     multiindices,
-    permute_jet,
     realify,
 )
+
+from _reference import permute_jet
 
 
 def _sympy_scalar(c):
@@ -444,6 +445,56 @@ def test_float_complexify_matches_exact(seed):
         back = realify(got, pairing)
         assert set(back.coeffs) == set(f.coeffs)
         assert jet_distance(back, f) <= 1e-14 * f.max_abs()
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_FLOAT])
+@pytest.mark.parametrize("seed", range(4))
+def test_complexify_folds_the_relabeling(seed, mode):
+    """complexify with a permutation is complexify of the permuted jet
+    (exactly in exact mode; with the same support and to roundoff in
+    float mode), and realify returns the permuted real jet."""
+    import random
+
+    rng = random.Random(seed)
+    for _ in range(20):
+        n, N = rng.randint(1, 5), rng.randint(1, 5)
+        pairs, i = [], 0
+        while i < n - 1:
+            if rng.random() < 0.5:
+                pairs.append((i, i + 1))
+                i += 2
+            else:
+                i += 1
+        pairing = RealPairing(n, tuple(pairs))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        terms = [
+            (j, m, Fraction(rng.randint(-99, 99), 10) if mode == MODE_EXACT else rng.uniform(-1, 1))
+            for r in range(1, N + 1)
+            for m in multiindices(n, r)
+            for j in range(n)
+            if rng.random() < 0.3
+        ]
+        f = PolyJet.build(n, N, mode, terms)
+        permuted = permute_jet(f, perm)
+        got = complexify(f, pairing, perm)
+        want = complexify(permuted, pairing)
+        back = realify(got, pairing)
+        if mode == MODE_EXACT:
+            assert got.coeffs == want.coeffs
+            assert back.coeffs == permuted.coeffs
+            continue
+        assert set(got.coeffs) == set(want.coeffs)
+        for key, c in got.coeffs.items():
+            assert abs(c - want.coeffs[key]) <= 1e-15 * abs(want.coeffs[key]), key
+        assert set(back.coeffs) == set(permuted.coeffs)
+        assert jet_distance(back, permuted) <= 1e-14 * permuted.max_abs()
+
+
+def test_complexify_refuses_a_non_permutation():
+    f = PolyJet.identity(3, 2)
+    with pytest.raises(ValueError, match="not a permutation"):
+        complexify(f, RealPairing(3, ()), (0, 0, 1))
 
 
 # -- compose on the online composition --------------------------------------
