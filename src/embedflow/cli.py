@@ -13,7 +13,8 @@ Verbs:
 Exit codes: 0 success (field constructed / embeddable), 2 obstruction or
 not embeddable, 3 precondition failure (non-hyperbolic, no real log,
 verification failure, a header above MAX_JET_SIZE or MAX_PRODUCTS, an
-eigenvalue beyond MAX_FIELD_SCALE in embed or verify), 4 parse error.
+eigenvalue beyond MAX_FIELD_SCALE in embed or verify), 4 parse error
+(including a tolerance that is not a finite positive number).
 """
 
 from __future__ import annotations
@@ -96,6 +97,8 @@ def _apply_overrides(gf: GermFile, args) -> GermFile:
     if args.degree is not None:
         changes["degree"] = args.degree
     if args.tol is not None:
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ValueError(f"--tol must be a finite positive number, got {args.tol!r}")
         changes["tol"] = args.tol
     if args.mode is not None and args.mode != gf.mode:
         raise SpectralError(

@@ -30,7 +30,13 @@ logarithm branch integers ``branch-k``/``branch-l`` (one per negative
 pair / rotation block).  Rational literals (``7/10``) parse in either
 mode; decimals are accepted and, in exact mode, converted exactly.  Every
 number must convert to a finite float, nonzero when it is, and e^U of a
-``-exp`` block too; other numbers are parse errors that name their line.
+``-exp`` block too, and ``tol`` must be positive; other numbers are parse
+errors that name their line.
+
+Every germ of a process whose LINEAR section has the same lines gets the
+same :class:`BlockMatrix` object, from a table of the last
+``LINEAR_PARTS`` sections, so that the spectral analyses kept on it
+(:mod:`embedflow.spectral`) are computed once per distinct section.
 """
 
 from __future__ import annotations
@@ -116,6 +122,28 @@ class GermFile:
 
 _MODES = (MODE_FLOAT, MODE_EXACT)
 _SECTIONS = ("HEADER", "LINEAR", "NONLINEAR", "OPTIONS")
+
+# The parsed LINEAR sections of the process, keyed by their split lines (not
+# by block values: ``JordanBlock(2.0, 1)`` equals ``JordanBlock(Fraction(2),
+# 1)``, yet the two analyse differently), least recently used first.  A kept
+# linear part with its analyses takes 7-12 KB on germs with n <= 5 and
+# N <= 10 (tracemalloc), and up to 6.6 MB when one resonance scan lists all
+# ~95,000 (j, m) pairs that a MAX_JET_SIZE header allows: 32 of them hold
+# under 0.5 MB in the common case and about 210 MB at worst.
+LINEAR_PARTS = 32
+_linear_parts: dict = {}
+
+
+def _shared_linear_part(key: tuple, blocks: list) -> BlockMatrix:
+    """The table's matrix for the LINEAR lines ``key``, made from ``blocks``
+    on a miss; the least recently used one leaves a full table."""
+    bm = _linear_parts.pop(key, None)
+    if bm is None:
+        bm = BlockMatrix(tuple(blocks))
+        if len(_linear_parts) >= LINEAR_PARTS:
+            del _linear_parts[next(iter(_linear_parts))]
+    _linear_parts[key] = bm
+    return bm
 
 
 def _float_range(value: Fraction, tok: str, line_no: int, line: str) -> Fraction:
@@ -221,6 +249,7 @@ def _linear_block(parts, line_no, line):
 def parse_germ(text: str) -> GermFile:
     header: dict = {}
     blocks: list = []
+    linear: list = []  # the split LINEAR lines, the key of the shared matrix
     records: list = []
     options: dict = {}
     section = None
@@ -244,6 +273,7 @@ def parse_germ(text: str) -> GermFile:
                 header[key] = _parse_int(parts[1], line_no, raw)
         elif section == "LINEAR":
             blocks.append(_linear_block(parts, line_no, raw))
+            linear.append(tuple(parts))
         elif section == "NONLINEAR":
             records.append((line_no, raw, parts))
         elif section == "OPTIONS":
@@ -253,7 +283,10 @@ def parse_germ(text: str) -> GermFile:
             if key == "tol":
                 if len(vals) != 1:
                     raise GermParseError(line_no, raw, "tol takes one value")
-                options["tol"] = float(_parse_fraction(vals[0], line_no, raw))
+                tol = float(_parse_fraction(vals[0], line_no, raw))
+                if tol <= 0:
+                    raise GermParseError(line_no, raw, f"tol must be positive, got {vals[0]!r}")
+                options["tol"] = tol
             elif key in ("branch-k", "branch-l"):
                 options[key] = tuple(_parse_int(v, line_no, raw) for v in vals)
             else:
@@ -268,10 +301,10 @@ def parse_germ(text: str) -> GermFile:
         raise GermParseError(0, "", "dimension must be positive")
     if N < 2:
         raise GermParseError(0, "", "degree must be at least 2")
-    bm = BlockMatrix(tuple(blocks))
-    if bm.dim != n:
+    covered = sum(b.order for b in blocks)
+    if covered != n:
         raise GermParseError(
-            0, "", f"LINEAR blocks cover {bm.dim} coordinates, dimension says {n}"
+            0, "", f"LINEAR blocks cover {covered} coordinates, dimension says {n}"
         )
     terms = []
     for line_no, raw, parts in records:
@@ -307,7 +340,7 @@ def parse_germ(text: str) -> GermFile:
         dim=n,
         degree=N,
         mode=mode,
-        blocks=bm,
+        blocks=_shared_linear_part(tuple(linear), blocks),
         terms=tuple(terms),
         tol=options.get("tol", DEFAULT_TOL),
         branch_k=options.get("branch-k", ()),

@@ -25,20 +25,21 @@ a hit lies within ``tol`` (absolute in mu) of 2*pi*i*Z, and a miss within
 NEAR_FACTOR times ``tol`` is reported as near, so borderline spectra are
 never classified silently.  The default ``tol`` and NEAR_FACTOR live in
 :mod:`embedflow.tolerances`.  The exponents scanned come from one cached
-:class:`MonomialIndex` per dimension and degree.
+:class:`MonomialIndex` per dimension and degree, and each report is kept
+on the :class:`EigenData` it scanned, per degree and ``tol``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
 from .jets import multiindices
 from .scalars import EigenScalar
-from .spectral import EigenData
+from .spectral import EigenData, _keep
 from .tolerances import DEFAULT_TOL, NEAR_FACTOR
 
 __all__ = [
@@ -226,15 +227,15 @@ def field_resonances(eigen: EigenData, degree: int, tol: float = DEFAULT_TOL) ->
     """
     if degree < 2:
         raise ValueError("degree must be at least 2")
-    return _scan(eigen.entries, degree, tol)
+    return _keep(eigen, ("scan", degree, tol), lambda: _scan(eigen, degree, tol))
 
 
-@lru_cache(maxsize=1)
-def _scan(entries: tuple, degree: int, tol: float) -> ResonanceReport:
-    """The scan of :func:`field_resonances`.  The last one is kept: the
-    embedding solve reads the normal form's scan again whenever its
-    logarithm branch leaves A's log eigenvalues as they are."""
-    eigen = EigenData(entries)
+def _scan(eigen: EigenData, degree: int, tol: float) -> ResonanceReport:
+    """The scan of :func:`field_resonances`, which keeps it on ``eigen``.
+    The principal logarithm of A shares A's :class:`EigenData`
+    (:func:`embedflow.spectral.real_log`), so the embedding solve reads the
+    normal form's scan again whenever its branch leaves A's log eigenvalues
+    as they are."""
     n = len(eigen)
     index = monomial_index(n, degree)
     hit, l, dist = _classify(_mu(eigen), index.matrix, tol)

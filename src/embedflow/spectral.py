@@ -23,6 +23,13 @@ couplings only between equal-eigenvalue coordinates
 is described once as ``cells`` copies of a 1- or 2-coordinate cell coupled
 to the cells before it; the triangular form, the eigen data and the real
 dense form are all read off that description.
+
+A block matrix, its triangular form and its eigen data are immutable, and
+every value derived from one of them (the pairing of negative blocks, the
+real logarithm per branch, the dense forms, the linear jets, the resonance
+scans, ...) is computed once and kept on that object, per argument tuple
+(:func:`_keep`).  Kept arrays are read-only and kept jets have read-only
+coefficient maps, so that no caller can change what a later one reads.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -70,6 +78,31 @@ class SpectralError(ValueError):
 
 def _is_rational(x) -> bool:
     return isinstance(x, (int, Fraction))
+
+
+_UNSET = object()
+
+
+def _keep(obj, key, build):
+    """``build()``, computed on the first call and kept on ``obj`` under ``key``.
+
+    ``obj`` is an immutable linear-part object: a :class:`BlockMatrix`, a
+    :class:`TriangularLinear` or an :class:`EigenData`.  The value lives in
+    the object's own ``__dict__``, as a ``cached_property`` does, and never
+    in a table keyed by value: ``JordanBlock(2.0, 1)`` and
+    ``JordanBlock(Fraction(2), 1)`` compare and hash equal, yet analyse to
+    complex and QQi diagonals.  A build that raises keeps nothing.
+    """
+    kept = obj.__dict__.setdefault("_kept", {})
+    value = kept.get(key, _UNSET)
+    if value is _UNSET:
+        value = kept[key] = build()
+    return value
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 # -- block kinds ----------------------------------------------------------
@@ -198,17 +231,23 @@ class EigenData:
     def mu_complex(self) -> list[complex]:
         return [complex(e) for e in self.entries]
 
-    def lambda_complex(self) -> list[complex]:
-        out = []
-        for e in self.entries:
-            if isinstance(e, EigenScalar):
-                out.append(e.exp_complex())
-            else:
-                out.append(cmath.exp(e))
-        return out
+    def lambda_complex(self) -> tuple:
+        """Map eigenvalues as complex numbers; kept."""
+        return self._lambda_complex
+
+    @cached_property
+    def _lambda_complex(self) -> tuple:
+        return tuple(
+            e.exp_complex() if isinstance(e, EigenScalar) else cmath.exp(e)
+            for e in self.entries
+        )
 
     def lambda_exact(self):
-        """Map eigenvalues as QQi scalars, or None when any is irrational."""
+        """Map eigenvalues as QQi scalars, or None when any is irrational; kept."""
+        return self._lambda_exact
+
+    @cached_property
+    def _lambda_exact(self):
         out = []
         for e in self.entries:
             if not isinstance(e, EigenScalar):
@@ -217,7 +256,7 @@ class EigenData:
             if q is None:
                 return None
             out.append(q)
-        return out
+        return tuple(out)
 
     @staticmethod
     def from_values(values) -> "EigenData":
@@ -329,14 +368,6 @@ def _log_coupling(lam, j: int):
     return (-1.0) ** (j + 1) / j * lam ** (-j)
 
 
-def _modulus_is_one(lam, mu, tol) -> bool:
-    if isinstance(mu, EigenScalar):
-        return mu.real_is_zero
-    if isinstance(lam, QQi):
-        return lam._a * lam._a + lam._b * lam._b == lam._d * lam._d
-    return abs(abs(lam) - 1.0) <= tol
-
-
 # -- triangular (complexified) form -----------------------------------------
 
 
@@ -374,20 +405,31 @@ class TriangularLinear:
         )
 
     def dense(self) -> np.ndarray:
+        """The complex matrix, read-only; kept."""
+        return self._dense
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for j, d in enumerate(self.diag):
             out[j, j] = complex(d)
         for i, k, c in self.nil:
             out[i, k] = complex(c)
-        return out
+        return _read_only(out)
 
     def linear_jet(self, degree, mode=MODE_FLOAT) -> PolyJet:
+        """The map as a ``mode`` jet truncated at ``degree``, with a
+        read-only coefficient map; kept per ``(degree, mode)``."""
+        return _keep(self, ("linear_jet", degree, mode), lambda: self._linear_jet(degree, mode))
+
+    def _linear_jet(self, degree, mode) -> PolyJet:
         terms = []
         for j, d in enumerate(self.diag):
             terms.append((j, tuple(int(i == j) for i in range(self.dim)), _cast(d, mode)))
         for i, k, c in self.nil:
             terms.append((i, tuple(int(t == k) for t in range(self.dim)), _cast(c, mode)))
-        return PolyJet.build(self.dim, degree, mode, terms)
+        jet = PolyJet.build(self.dim, degree, mode, terms)
+        return PolyJet(jet.dim, jet.degree, jet.mode, MappingProxyType(jet.coeffs))
 
 
 def _cast(c, mode):
@@ -458,22 +500,30 @@ class BlockMatrix:
                     for s, w in enumerate(ws):
                         nil.append((o + stride * k + s, o + stride * (k - j) + s, w))
             o += stride * cells
-        return TriangularLinear(self.dim, tuple(diag), tuple(nil), self.eigen())
+        return TriangularLinear(self.dim, tuple(diag), tuple(nil), self._eigen)
 
     def triangular(self) -> TriangularLinear:
         return self._triangular
 
     def eigen(self) -> EigenData:
+        return self._eigen
+
+    @cached_property
+    def _eigen(self) -> EigenData:
         return EigenData.from_values(
             mu for _, (_, cells, _, mus) in self._described for mu in mus * cells
         )
 
     def to_dense(self) -> np.ndarray:
-        """Real matrix of the triangular form.
+        """Real matrix of the triangular form, read-only; kept.
 
         A z-side entry c is the real cell [[Re c, -Im c], [Im c, Re c]] (its
         conjugate twin is implied); an unpaired entry is real.
         """
+        return self._real_dense
+
+    @cached_property
+    def _real_dense(self) -> np.ndarray:
         tri = self._triangular
         pairing = self.pairing()
         zside = {i for i, _ in pairing.pairs}
@@ -487,7 +537,7 @@ class BlockMatrix:
                 out[i : i + 2, k : k + 2] = [[c.real, -c.imag], [c.imag, c.real]]
             elif i in real:
                 out[i, k] = c.real
-        return out + 0.0  # no -0.0 from negated zero imaginary parts
+        return _read_only(out + 0.0)  # no -0.0 from negated zero imaginary parts
 
     @cached_property
     def _pairing(self) -> RealPairing:
@@ -545,15 +595,36 @@ def _check_nonsingular(a: BlockMatrix):
             raise SpectralError("singular matrix: zero eigenvalue")
 
 
-def is_hyperbolic(a: BlockMatrix, tol=DEFAULT_TOL) -> bool:
-    """True when no eigenvalue has modulus 1 (within ``tol`` for floats).
+def _unit_modulus(block, tol) -> bool:
+    """Whether a source block's eigenvalue has modulus 1: exactly from a
+    given log ``mu`` or from rational parameters, else within ``tol``."""
+    mu = getattr(block, "mu", None)
+    if mu is not None:
+        return mu.real_is_zero
+    if isinstance(block, RotationBlock):
+        a, b = block.alpha, block.beta
+        if _is_rational(a) and _is_rational(b):
+            return a * a + b * b == 1
+        return abs(abs(complex(float(a), -float(b))) - 1.0) <= tol
+    lam = block.eigenvalue
+    if _is_rational(lam):
+        return abs(lam) == 1
+    return abs(abs(float(lam)) - 1.0) <= tol
 
-    The test is exact whenever the block's log or eigenvalue is.
+
+def is_hyperbolic(a: BlockMatrix, tol=DEFAULT_TOL) -> bool:
+    """True when no eigenvalue has modulus 1 (within ``tol`` for floats);
+    kept per ``tol``.
+
+    The test is exact whenever the block's log or eigenvalue is, and reads
+    the block parameters alone: no logarithm is formed.
     """
+    return _keep(a, ("is_hyperbolic", tol), lambda: _is_hyperbolic(a, tol))
+
+
+def _is_hyperbolic(a: BlockMatrix, tol) -> bool:
     _check_nonsingular(a)
-    return not any(
-        _modulus_is_one(lams[0], mus[0], tol) for _, (_, _, lams, mus) in a._described
-    )
+    return not any(_unit_modulus(_source(b), tol) for b in a.blocks)
 
 
 def _jordan_eq(b1: JordanBlock, b2: JordanBlock, tol=DEFAULT_TOL) -> bool:
@@ -566,7 +637,7 @@ def _jordan_eq(b1: JordanBlock, b2: JordanBlock, tol=DEFAULT_TOL) -> bool:
 
 
 def has_real_log(a: BlockMatrix):
-    """Decide existence of a real logarithm; return (bool, pairing).
+    """Decide existence of a real logarithm; return (bool, pairing); kept.
 
     A real log exists iff the negative-eigenvalue Jordan blocks of each size
     and eigenvalue come in pairs (Culver, Proc. AMS 17, 1966); negative
@@ -574,6 +645,10 @@ def has_real_log(a: BlockMatrix):
     matched with the first later unmatched equal block; the returned
     pairing lists the matched block indices, sorted.
     """
+    return _keep(a, "has_real_log", lambda: _has_real_log(a))
+
+
+def _has_real_log(a: BlockMatrix):
     _check_nonsingular(a)
     pairs, open_idx = [], []
     for i, b in enumerate(a.blocks):
@@ -594,8 +669,12 @@ def pair_negative_blocks(a: BlockMatrix):
     block sits; the partner's coordinates move next to it.  Returns
     ``(a2, perm)`` where coordinate ``i`` of the new matrix is coordinate
     ``perm[i]`` of the old one.  For adjacent size-1 pairs the permutation
-    is the identity.
+    is the identity.  Kept: every call on ``a`` returns the same ``a2``.
     """
+    return _keep(a, "pair_negative_blocks", lambda: _pair_negative_blocks(a))
+
+
+def _pair_negative_blocks(a: BlockMatrix):
     ok, pairs = has_real_log(a)
     if not ok:
         raise SpectralError("no real logarithm: unpaired negative Jordan block")
@@ -624,22 +703,32 @@ def real_log(a: BlockMatrix, branch: BranchChoice | None = None) -> BlockMatrix:
     Negative Jordan blocks must have been paired
     (:func:`pair_negative_blocks`) first.  ``branch`` selects the angle
     branch per rotation block (theta + 2*pi*l) and per negative pair
-    ((2k+1)*pi); the default takes every integer zero.
+    ((2k+1)*pi); the default takes every integer zero.  Kept per branch:
+    every call on ``a`` with the same integers returns the same B.
     """
+    if branch is None:
+        branch = BranchChoice.zeros(a)
+    return _keep(a, ("real_log", branch.values), lambda: _real_log(a, branch))
+
+
+def _real_log(a: BlockMatrix, branch: BranchChoice) -> BlockMatrix:
     _check_nonsingular(a)
     for b in a.blocks:
         if isinstance(b, JordanBlock) and float(b.eigenvalue) < 0:
             raise SpectralError(
                 "negative Jordan block: pair_negative_blocks first"
             )
-    if branch is None:
-        branch = BranchChoice.zeros(a)
     branch.validate(a)
-    return BlockMatrix(
+    log = BlockMatrix(
         tuple(
             LogBlock(b, v) for b, v in zip(a.blocks, branch.values)
         )
     )
+    if not any(branch.values):
+        # the principal logarithm's log eigenvalues are A's: one EigenData
+        # serves both, and with it every resonance scan kept on it
+        log.__dict__["_eigen"] = a.eigen()
+    return log
 
 
 def dense_exp(m: np.ndarray, terms=40) -> np.ndarray:
@@ -671,15 +760,19 @@ def log_residual(a: BlockMatrix, b: BlockMatrix) -> float:
     in closed form.  That is compared with A's triangular form, entry by
     entry.  When the pairings differ the two forms sit in different
     coordinates, and the real dense matrices are compared through
-    :func:`dense_exp` instead.
+    :func:`dense_exp` instead.  Kept on ``a`` per B, by B's identity (B is
+    kept alongside, so that its id passes to no other object).
     """
+    return _keep(a, ("log_residual", id(b)), lambda: (b, _log_residual(a, b)))[1]
+
+
+def _log_residual(a: BlockMatrix, b: BlockMatrix) -> float:
     if a.pairing() != b.pairing():  # RealPairing holds the dimension too
         return float(np.max(np.abs(dense_exp(b.to_dense()) - a.to_dense())))
     tri = b.triangular()
     total = term = np.eye(b.dim, dtype=complex)
     if tri.nil:
-        nil = tri.dense()
-        np.fill_diagonal(nil, 0.0)
+        nil = np.tril(tri.dense(), -1)  # a new array: the kept one is read-only
         for k in range(1, b.dim):
             term = term @ nil / k
             if not term.any():

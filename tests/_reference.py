@@ -16,7 +16,11 @@ the pipeline the verbs run:
 * :func:`appendix_identity_check` is the commutation identity
   Dg(y) By - B g(y) for diagonal B, term by term;
 * :func:`permute_jet` is the coordinate relabeling that
-  :func:`embedflow.jets.complexify` folds into its pair change.
+  :func:`embedflow.jets.complexify` folds into its pair change;
+* :func:`hyperbolic_by_description` decides hyperbolicity on the full
+  block description (QQi eigenvalues, EigenScalar logs), as
+  :func:`embedflow.spectral.is_hyperbolic` did before it read the block
+  parameters alone.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ import numpy as np
 
 from embedflow.jets import MODE_FLOAT, MultiIndex, PolyJet, multiindices
 from embedflow.resonance import _mu, _power
-from embedflow.scalars import EigenScalar
+from embedflow.scalars import EigenScalar, QQi
 from embedflow.spectral import (
     BlockMatrix,
     EigenData,
     JordanBlock,
     RotationBlock,
     SpectralError,
+    _check_nonsingular,
     _is_rational,
     real_log,
 )
@@ -240,3 +245,23 @@ def permute_jet(f: PolyJet, perm) -> PolyJet:
         mm = MultiIndex(m[perm[i]] for i in range(n))
         out[(inv[j], mm)] = c
     return PolyJet(n, f.degree, f.mode, out)
+
+
+# -- hyperbolicity on the block description ----------------------------------------
+
+
+def _modulus_is_one(lam, mu, tol) -> bool:
+    if isinstance(mu, EigenScalar):
+        return mu.real_is_zero
+    if isinstance(lam, QQi):
+        return lam._a * lam._a + lam._b * lam._b == lam._d * lam._d
+    return abs(abs(lam) - 1.0) <= tol
+
+
+def hyperbolic_by_description(a: BlockMatrix, tol=DEFAULT_TOL) -> bool:
+    """No eigenvalue of modulus 1, read off each block's first eigenvalue
+    and its log in the block description."""
+    _check_nonsingular(a)
+    return not any(
+        _modulus_is_one(lams[0], mus[0], tol) for _, (_, _, lams, mus) in a._described
+    )

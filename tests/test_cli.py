@@ -29,6 +29,19 @@ def machine(out: str) -> dict:
     return parse_machine(out)
 
 
+def clear_process_tables():
+    """Empty every process-wide table of the package: the shared LINEAR
+    matrices, with every analysis kept on them, and the caches by size."""
+    from embedflow import cli, flow, germfile, graded, resonance
+
+    germfile._linear_parts.clear()
+    for cached in (
+        cli._build_parser, flow._weights, graded._grading, graded.product_bound,
+        resonance.monomial_index,
+    ):
+        cached.cache_clear()
+
+
 def field_dict(value: str) -> dict:
     """A machine jet ``(j,(m)):c;...`` as {entry: complex c}."""
     out = {}
@@ -566,6 +579,32 @@ class TestErrors:
         assert "hyperbolic" in m["error"]
 
 
+class TestTolerance:
+    """A tolerance must be a finite positive number: every bound of the
+    verdict is tol times a scale, and every float resonance test reads it."""
+
+    @pytest.mark.parametrize("value, shown", [
+        ("inf", "inf"), ("-inf", "-inf"), ("nan", "nan"), ("-1", "-1.0"), ("0", "0.0"),
+    ])
+    def test_flag_refused(self, capsys, value, shown):
+        code, out, err = run(capsys, "verify", "--fixture", "paper-2.3", f"--tol={value}")
+        assert code == 4 and out == ""
+        assert err == f"error: --tol must be a finite positive number, got {shown}\n"
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_germ_file_option_refused(self, capsys, monkeypatch, value):
+        text = (resources.files("embedflow") / "fixtures" / "paper-2.3.germ").read_text()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text + f"OPTIONS\ntol {value}\n"))
+        code, out, err = run(capsys, "verify", "-")
+        assert code == 4 and out == ""
+        assert err.startswith("parse error: line ")
+        assert f"tol must be positive, got {value!r}" in err
+
+    def test_small_tolerance_still_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", "--fixture", "paper-2.3", "--tol", "1e-6")
+        assert code == 0 and machine(out)["verified"] == "yes"
+
+
 def _fixture_with(name: str, old: str, new: str) -> str:
     """A bundled fixture's text with the line ``old`` replaced by ``new``."""
     text = (resources.files("embedflow") / "fixtures" / f"{name}.germ").read_text()
@@ -881,11 +920,86 @@ class TestOneProcess:
             return classify(*args)
 
         monkeypatch.setattr(resonance, "_classify", counted)
-        resonance._scan.cache_clear()
+        clear_process_tables()  # paper-Astar's scans are kept from earlier tests
         code, out, _ = run(capsys, "verify", "--fixture", "paper-Astar", *flags)
         assert code == 2
         assert set(machine(out)["blocked"].split(";")) == blocked
         assert len(calls) == scans
+
+
+class TestSharedLinearParts:
+    """Germs of one process that share a LINEAR section share its analyses;
+    every call must print what it prints in a fresh process."""
+
+    FIXTURES = ["paper-2.3", "paper-2.3-blocked", "paper-Astar", "paper-F1", "resonant-2d"]
+
+    def _sequence(self, tmp_path):
+        calls = []
+        for name in self.FIXTURES:
+            text = (resources.files("embedflow") / "fixtures" / f"{name}.germ").read_text()
+            path, twin = tmp_path / f"{name}.germ", tmp_path / f"{name}-twin.germ"
+            path.write_text(text)
+            # the same LINEAR lines in the other coefficient mode
+            flipped = {"mode exact": "mode float", "mode float": "mode exact"}
+            twin.write_text(re.sub("mode (exact|float)", lambda m: flipped[m.group(0)], text))
+            calls += [
+                ("verify", str(path)),
+                ("verify", str(twin)),
+                ("analyze", str(path), "--branch", "k=1"),
+                ("verify", str(path), "--branch", "l=-1"),
+                ("normal-form", str(path), "--degree", "3"),
+                ("verify", str(path), "--degree", "2"),  # below a term's degree on most
+                ("embed", str(twin), "--tol", "1e-6"),
+                ("analyze", str(twin), "--degree", "4", "--tol", "1e-3"),
+                ("classify2d", str(path)),
+                ("verify", "--fixture", name),
+                ("analyze", str(path)),
+            ]
+        return calls
+
+    def test_many_germs_print_what_fresh_tables_print(self, capsys, tmp_path):
+        def masked(argv):
+            code, out, err = run(capsys, *argv)
+            return code, re.sub(r"time_s=.*", "time_s=", out), err
+
+        calls = self._sequence(tmp_path)
+        clear_process_tables()
+        shared = [masked(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            clear_process_tables()
+            fresh.append(masked(argv))
+        for argv, got, want in zip(calls, shared, fresh):
+            assert got == want, argv
+        codes = [code for code, _, _ in shared]
+        assert codes.count(0) >= 20 and codes.count(2) >= 5 and codes.count(3) >= 10
+
+    def test_one_call_builds_each_analysis_once(self, capsys, monkeypatch):
+        from embedflow import resonance, spectral
+
+        built = []
+        for module, name in (
+            (spectral, "_has_real_log"), (spectral, "_pair_negative_blocks"),
+            (spectral, "_is_hyperbolic"), (spectral, "_real_log"), (spectral, "_log_residual"),
+            (resonance, "_scan"),
+        ):
+            def counted(*args, _build=getattr(module, name), _name=name):
+                built.append((_name, *(id(a) if isinstance(a, spectral.BlockMatrix) else a
+                                       for a in args)))
+                return _build(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        clear_process_tables()
+        for argv in (("verify", "--fixture", "paper-Astar"), ("verify", "--fixture", "paper-2.3")):
+            built.clear()
+            code, _, _ = run(capsys, *argv)
+            assert code in (0, 2)
+            assert len(set(map(repr, built))) == len(built), built
+            scans = [(tuple(b[1].entries), *b[2:]) for b in built if b[0] == "_scan"]
+            assert len(scans) == len(set(scans)) == 1  # the solve reads the normal form's scan
+        before = len(built)
+        run(capsys, "verify", "--fixture", "paper-2.3")
+        assert len(built) == before  # a second call on the same section builds nothing
 
 
 class TestCanonical:

@@ -1,6 +1,7 @@
 """Germ file parsing, canonical serialization, and complexification."""
 
 import math
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -8,6 +9,7 @@ import pytest
 
 from embedflow import (
     MODE_EXACT,
+    germfile,
     BlockMatrix,
     GermFile,
     GermParseError,
@@ -156,6 +158,23 @@ class TestParse:
         with pytest.raises(GermParseError, match="at least 2"):
             parse_germ(BASIC.replace("degree 4", "degree 1"))
 
+    @pytest.mark.parametrize(
+        "value, needle",
+        [
+            ("-1", "tol must be positive, got '-1'"),
+            ("0", "tol must be positive, got '0'"),
+            ("-1/2", "tol must be positive, got '-1/2'"),
+            ("0.0", "tol must be positive, got '0.0'"),
+            ("inf", "got 'inf'"),
+            ("nan", "got 'nan'"),
+            ("1e-400", "'1e-400' is outside the float range"),
+        ],
+    )
+    def test_tol_must_be_a_finite_positive_number(self, value, needle):
+        with pytest.raises(GermParseError, match=re.escape(needle)) as info:
+            parse_germ(BASIC + f"OPTIONS\ntol {value}\n")
+        assert info.value.line_no == 14
+
 
 class TestSerialize:
     def test_canonical_idempotent(self):
@@ -294,3 +313,40 @@ class TestToSpec:
         assert gf.mode == MODE_EXACT
         assert spec.mode == MODE_EXACT
         assert all(isinstance(c, QQi) for c in spec.nonlinear.coeffs.values())
+
+
+class TestSharedLinearPart:
+    """Germs whose LINEAR sections have the same lines share one matrix,
+    from a table of the last ``LINEAR_PARTS`` sections."""
+
+    @pytest.fixture(autouse=True)
+    def own_table(self, monkeypatch):
+        monkeypatch.setattr(germfile, "_linear_parts", {})
+
+    def test_same_lines_share_one_matrix(self):
+        a = parse_germ(BASIC).blocks
+        exact = BASIC.replace("mode float", "mode exact").replace("degree 4", "degree 3")
+        assert parse_germ(exact).blocks is a
+        assert parse_germ(BASIC.replace("1 0 3 -0.5 2.25\n", "")).blocks is a
+
+    def test_equal_values_on_other_lines_do_not_share(self):
+        a = parse_germ(BASIC).blocks
+        b = parse_germ(BASIC.replace("jordan 4 1", "jordan 8/2 1")).blocks
+        assert a == b and a is not b
+
+    def test_table_keeps_the_last_used_sections(self):
+        def text(k):
+            return BASIC.replace("jordan 4 1", f"jordan {k + 5} 1")
+
+        first = [parse_germ(text(k)).blocks for k in range(germfile.LINEAR_PARTS)]
+        assert parse_germ(text(0)).blocks is first[0]  # now the most recent
+        parse_germ(text(germfile.LINEAR_PARTS))  # a full table drops section 1
+        assert len(germfile._linear_parts) == germfile.LINEAR_PARTS
+        assert parse_germ(text(0)).blocks is first[0]
+        assert parse_germ(text(2)).blocks is first[2]
+        assert parse_germ(text(1)).blocks is not first[1]
+
+    def test_a_refused_germ_keeps_no_matrix(self):
+        with pytest.raises(GermParseError, match="record needs"):
+            parse_germ(BASIC.replace("1 0 2 1", "1 0 2"))
+        assert germfile._linear_parts == {}

@@ -32,8 +32,11 @@ from embedflow import (
     real_log,
     weakly_nonresonant_branch,
 )
-from embedflow.spectral import BRANCH_BOUND
-from _reference import block_matrix_from_dense
+from embedflow import spectral
+from embedflow.jets import MODE_EXACT, MODE_FLOAT
+from embedflow.scalars import ExactnessError
+from embedflow.spectral import BRANCH_BOUND, log_residual
+from _reference import block_matrix_from_dense, hyperbolic_by_description
 from _gens import random_branch_spectrum, random_loggable_blocks
 
 
@@ -332,3 +335,239 @@ def test_eigen_exactness_for_rational_spectra():
     mus = eig.mu_complex()
     assert mus[0] == pytest.approx(2 * math.log(2))
     assert mus[1] == pytest.approx(math.log(2))
+
+
+# -- hyperbolicity from the block parameters -------------------------------------
+
+FIXTURES = ["paper-2.3", "paper-2.3-blocked", "paper-Astar", "paper-F1", "resonant-2d"]
+
+
+def _unit_blocks():
+    """A block of modulus 1 of every kind the parser and the library make."""
+    third = Fraction(1, 3)
+    return [
+        JordanBlock(-1, 1),
+        JordanBlock(Fraction(-1), 2),
+        JordanBlock(1.0, 1),
+        JordanBlock(-1.0, 1),
+        JordanBlock(1.0, 1, mu=EigenScalar.from_parts(rat=0)),  # jordan-exp 0
+        NegativePairBlock(-1, 1),
+        NegativePairBlock(-1.0, 2),
+        RotationBlock(Fraction(3, 5), Fraction(4, 5)),
+        RotationBlock(Fraction(-4, 5), Fraction(3, 5), 2),
+        RotationBlock(0.6, 0.8),
+        RotationBlock(Fraction(3, 5), 0.8),
+        RotationBlock(0, 1),
+        RotationBlock(math.cos(math.pi * third), -math.sin(math.pi * third), 1,
+                      mu=EigenScalar.from_parts(rat=0, pi_part=third)),  # rotation-exp 0 1/3
+    ]
+
+
+def _near_unit_blocks():
+    return [
+        JordanBlock(1.0 + 1e-10, 1),  # unit within 1e-9
+        RotationBlock(0.6 * (1 + 1e-6), 0.8),  # unit within 1e-3 only
+        NegativePairBlock(-1.0 - 1e-4, 1),
+    ]
+
+
+def _off_unit_blocks():
+    return [
+        JordanBlock(2, 1),
+        JordanBlock(Fraction(-1, 2), 1),
+        JordanBlock(0.5, 2),
+        JordanBlock(math.e**8, 1, mu=EigenScalar.from_parts(rat=8)),
+        NegativePairBlock(-3, 1),
+        NegativePairBlock(-0.25, 1),
+        RotationBlock(1, 1),
+        RotationBlock(Fraction(3, 4), Fraction(4, 5)),
+        RotationBlock(2.5, -0.5, 2),
+        RotationBlock(math.e * math.cos(math.pi / 4), -math.e * math.sin(math.pi / 4), 1,
+                      mu=EigenScalar.from_parts(rat=1, pi_part=Fraction(1, 4))),
+    ]
+
+
+def _fixture_text(name):
+    from importlib import resources
+
+    return resources.files("embedflow").joinpath("fixtures", f"{name}.germ").read_text()
+
+
+def _hyperbolicity_corpus():
+    rng = np.random.default_rng(20240611)
+    corpus = []
+    for name in FIXTURES:
+        gf = parse_germ(_fixture_text(name))
+        corpus += [gf.blocks, pair_negative_blocks(gf.blocks)[0]]
+    pool = _unit_blocks() + _near_unit_blocks() + _off_unit_blocks()
+    for _ in range(150):
+        k = int(rng.integers(1, 4))
+        corpus.append(BlockMatrix(tuple(pool[int(i)] for i in rng.integers(0, len(pool), k))))
+    for _ in range(30):
+        corpus.append(random_loggable_blocks(rng))
+        corpus.append(random_branch_spectrum(rng, bool(rng.random() < 0.5), int(rng.integers(0, 3))))
+    corpus += [real_log(BlockMatrix((b,))) for b in pool if not (
+        isinstance(b, JordanBlock) and float(b.eigenvalue) < 0
+    )]
+    return corpus
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_hyperbolicity_from_blocks_matches_the_description(tol):
+    corpus = _hyperbolicity_corpus()
+    verdicts = []
+    for a in corpus:
+        want = hyperbolic_by_description(a, tol)
+        assert spectral._is_hyperbolic(a, tol) == want, a
+        assert is_hyperbolic(a, tol) == want, a
+        verdicts.append(want)
+    assert any(verdicts) and not all(verdicts)
+    for block in _unit_blocks():
+        assert not is_hyperbolic(BlockMatrix((block,)), tol), block
+    for block in _off_unit_blocks():
+        assert is_hyperbolic(BlockMatrix((block,)), tol), block
+
+
+def test_hyperbolicity_reads_tol_on_float_blocks_only():
+    near = BlockMatrix((RotationBlock(0.6 * (1 + 1e-6), 0.8),))
+    assert is_hyperbolic(near, 1e-9) and not is_hyperbolic(near, 1e-3)
+    exact = BlockMatrix((RotationBlock(Fraction(3, 5) * (1 + Fraction(1, 10**6)), Fraction(4, 5)),))
+    assert is_hyperbolic(exact, 1e-9) and is_hyperbolic(exact, 1e-3)
+    with pytest.raises(SpectralError):
+        is_hyperbolic(BlockMatrix((JordanBlock(0, 1),)))
+
+
+# -- analyses kept on the objects ------------------------------------------------
+
+
+def _twins():
+    """Equal, hash-equal matrices with float and with Fraction eigenvalues."""
+    floats = BlockMatrix((JordanBlock(2.0, 1), JordanBlock(3.0, 1)))
+    fractions = BlockMatrix((JordanBlock(Fraction(2), 1), JordanBlock(Fraction(3), 1)))
+    assert floats == fractions and hash(floats) == hash(fractions)
+    return floats, fractions
+
+
+def _analysis(a, fresh=False):
+    """Every kept analysis of ``a``, typed: the reprs tell complex from QQi.
+    With ``fresh`` each comes from its builder, which reads nothing kept."""
+    tri = a.triangular()
+    if fresh:
+        log = spectral._real_log(a, BranchChoice.zeros(a))
+        paired, perm = spectral._pair_negative_blocks(a)
+        linear_jet, hyperbolic, culver = tri._linear_jet, spectral._is_hyperbolic, spectral._has_real_log
+        scan = embedflow.resonance._scan
+        residual = spectral._log_residual(paired, spectral._real_log(paired, BranchChoice.zeros(paired)))
+    else:
+        log = real_log(a)
+        paired, perm = pair_negative_blocks(a)
+        linear_jet, hyperbolic, culver, scan = tri.linear_jet, is_hyperbolic, has_real_log, field_resonances
+        residual = log_residual(paired, real_log(paired))
+    try:
+        exact_jet = repr(sorted(linear_jet(2, MODE_EXACT).coeffs.items()))
+    except ExactnessError:
+        exact_jet = "refused"
+    return (
+        repr(tri.diag),
+        repr(tri.eigen.lambda_exact()),
+        repr(tri.eigen.lambda_complex()),
+        repr(log.triangular().diag),
+        repr(log.eigen().entries),
+        exact_jet,
+        repr(sorted(linear_jet(2, MODE_FLOAT).coeffs.items())),
+        repr(scan(log.eigen(), 4, 1e-9)),
+        repr(paired.triangular().diag),
+        perm,
+        hyperbolic(a, 1e-9),
+        culver(a),
+        a.to_dense().tolist(),
+        residual,
+    )
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_kept_analyses_belong_to_objects_not_to_values(first):
+    pair = _twins()
+    for i in (first, 1 - first, first):
+        assert _analysis(pair[i]) == _analysis(_twins()[i], fresh=True), i
+    fresh = [_analysis(a, fresh=True) for a in _twins()]
+    assert fresh[0][0] == "((2+0j), (3+0j))" and fresh[1][0] == "(QQi(2), QQi(3))"
+    assert fresh[0][1] == "None" and fresh[1][1] == "(QQi(2), QQi(3))"
+    assert fresh[0][5] == "refused" != fresh[1][5]
+
+
+def test_kept_values_are_shared_and_read_only():
+    a = BlockMatrix((JordanBlock(-2, 1), JordanBlock(Fraction(1, 3), 1), JordanBlock(-2, 1)))
+    assert pair_negative_blocks(a) is pair_negative_blocks(a)
+    paired, _ = pair_negative_blocks(a)
+    b = real_log(paired)
+    assert b is real_log(paired) is real_log(paired, BranchChoice.zeros(paired))
+    assert real_log(paired, BranchChoice.assign(paired, (1,))) is not b
+    # the principal log's eigen data is A's, so its scans are A's
+    assert b.eigen() is paired.eigen() is paired.triangular().eigen
+    assert real_log(paired, BranchChoice.assign(paired, (1,))).eigen() is not paired.eigen()
+    assert field_resonances(b.eigen(), 3) is field_resonances(paired.triangular().eigen, 3)
+    assert field_resonances(b.eigen(), 3) is not field_resonances(b.eigen(), 4)
+    tri = paired.triangular()
+    assert tri.linear_jet(3, MODE_EXACT) is tri.linear_jet(3, MODE_EXACT)
+    assert tri.linear_jet(3) is tri.linear_jet(3, MODE_FLOAT) is not tri.linear_jet(2)
+    assert tri.eigen.lambda_exact() is tri.eigen.lambda_exact()
+    for array in (paired.to_dense(), tri.dense(), b.to_dense(), b.triangular().dense()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 7.0
+    jet = tri.linear_jet(3, MODE_EXACT)
+    with pytest.raises(TypeError):
+        jet.coeffs[next(iter(jet.coeffs))] = 0
+    assert (jet + jet).coeffs == {k: c + c for k, c in jet.coeffs.items()}
+
+
+def test_a_call_that_raises_keeps_nothing(monkeypatch):
+    calls = []
+    build = spectral._real_log
+
+    def counted(a, branch):
+        calls.append(branch.values)
+        return build(a, branch)
+
+    monkeypatch.setattr(spectral, "_real_log", counted)
+    a = BlockMatrix((JordanBlock(-2, 1), JordanBlock(3, 1)))
+    for _ in range(2):
+        with pytest.raises(SpectralError):
+            real_log(a)
+        with pytest.raises(SpectralError):
+            pair_negative_blocks(a)
+        with pytest.raises(ValueError):
+            real_log(a, BranchChoice((1, 0)))
+    assert len(calls) == 4
+    tri = BlockMatrix((JordanBlock(2.0, 1),)).triangular()
+    for _ in range(2):
+        with pytest.raises(ExactnessError):
+            tri.linear_jet(2, MODE_EXACT)
+    assert ("linear_jet", 2, MODE_EXACT) not in tri.__dict__.get("_kept", {})
+    singular = BlockMatrix((JordanBlock(0.0, 1),))
+    for _ in range(2):
+        with pytest.raises(SpectralError):
+            is_hyperbolic(singular)
+    assert not singular.__dict__.get("_kept")
+
+
+def test_log_residual_is_kept_per_logarithm_object(monkeypatch):
+    calls = []
+    build = spectral._log_residual
+
+    def counted(a, b):
+        calls.append(b)
+        return build(a, b)
+
+    monkeypatch.setattr(spectral, "_log_residual", counted)
+    a = BlockMatrix((JordanBlock(Fraction(1, 3), 2), NegativePairBlock(-2, 1)))
+    b = real_log(a)
+    twin = BlockMatrix(b.blocks)
+    assert twin == b and twin is not b
+    nil = b.triangular().dense().copy()
+    r = log_residual(a, b)
+    assert r < 1e-12
+    assert log_residual(a, b) == r and log_residual(a, twin) == r
+    assert log_residual(a, twin) == r
+    assert calls == [b, twin]
+    assert np.array_equal(b.triangular().dense(), nil)
