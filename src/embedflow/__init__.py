@@ -25,7 +25,6 @@ from .spectral import (
     RotationBlock,
     SpectralError,
     TriangularLinear,
-    dense_exp,
     has_real_log,
     is_hyperbolic,
     pair_negative_blocks,

@@ -137,7 +137,6 @@ def _put_resonances(report: Report, eigen, degree: int, tol: float):
         "field_resonant", (fmt_entry(j, m) for j, m in rep.field_resonant)
     )
     report.put_set("weak", (fmt_entry(j, m, l) for j, m, l in rep.weak))
-    return rep
 
 
 def _put_jet(report: Report, key: str, jet, show: bool = True):
@@ -219,20 +218,11 @@ def cmd_analyze(gf: GermFile, report: Report) -> int:
         report.put("status", "no-real-log")
         return EXIT_PRECONDITION
     _coordinates_section(gf, report, paired, perm)
-    branch = _branch_for(gf, paired)
-    try:
-        B = real_log(paired, branch)
-    except SpectralError as exc:
-        _put_resonances(report, paired.triangular().eigen, gf.degree, gf.tol)
-        report.section("Error")
-        report.line(str(exc))
-        report.put("status", "no-real-log")
-        return EXIT_PRECONDITION
-    rep = _put_resonances(report, B.triangular().eigen, gf.degree, gf.tol)
-    # on the principal branch that scan is the one the branch search reads
-    found = weakly_nonresonant_branch(
-        paired, gf.degree, tol=gf.tol, principal=None if any(branch.values) else rep
-    )
+    B = real_log(paired, _branch_for(gf, paired))
+    _put_resonances(report, B.triangular().eigen, gf.degree, gf.tol)
+    # on the principal branch B's eigen data are A's, and the branch search
+    # reads the scan just printed
+    found = weakly_nonresonant_branch(paired, gf.degree, gf.tol)
     report.section("Branch search")
     if found is None:
         report.line(

@@ -155,10 +155,16 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
     ``B + v`` with v the nonlinear part of Y on field-resonant monomials,
     or, at the lowest degree where Y has a nonzero weakly resonant
     coefficient, an :class:`Obstruction` naming those coefficients.
-    Raises :class:`SpectralError` when exp(B) != A.
+    Raises :class:`SpectralError` when B's complex pairing is not the
+    germ's (B is then a logarithm in other coordinates) or exp(B) != A.
     """
     if not B.is_log:
         raise ValueError("B must be a logarithm block matrix")
+    if B.pairing() != G.linear.pairing():  # RealPairing holds the dimension too
+        raise SpectralError(
+            "B is a logarithm in other coordinates: its complex pairing "
+            "differs from the germ's"
+        )
     N = G.degree
     scale = float(np.max(np.abs(G.linear.to_dense())))
     res = log_residual(G.linear, B)

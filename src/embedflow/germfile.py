@@ -36,7 +36,9 @@ errors that name their line.
 Every germ of a process whose LINEAR section has the same lines gets the
 same :class:`BlockMatrix` object, from a table of the last
 ``LINEAR_PARTS`` sections, so that the spectral analyses kept on it
-(:mod:`embedflow.spectral`) are computed once per distinct section.
+(:mod:`embedflow.spectral`) are computed once per distinct section.  Only
+``rotation`` lines parse differently by mode, to floats in float mode and
+to fractions in exact mode, and they are keyed apart.
 """
 
 from __future__ import annotations
@@ -217,8 +219,8 @@ def _linear_block(parts, line_no, line):
         )
     if kind == "rotation":
         need(3)
-        alpha = float(_parse_fraction(args[0], line_no, line))
-        beta = float(_parse_fraction(args[1], line_no, line))
+        alpha = _parse_fraction(args[0], line_no, line)
+        beta = _parse_fraction(args[1], line_no, line)
         cells = _parse_int(args[2], line_no, line)
         if beta == 0:
             raise GermParseError(line_no, line, "rotation needs beta != 0")
@@ -301,6 +303,14 @@ def parse_germ(text: str) -> GermFile:
         raise GermParseError(0, "", "dimension must be positive")
     if N < 2:
         raise GermParseError(0, "", "degree must be at least 2")
+    if mode == MODE_FLOAT:
+        # float germs read rotation parameters as floats; their key tells
+        # them from the same lines of an exact germ, which keeps fractions
+        for i, parts in enumerate(linear):
+            if parts[0] == "rotation":
+                b = blocks[i]
+                blocks[i] = RotationBlock(float(b.alpha), float(b.beta), b.cells)
+                linear[i] = (MODE_FLOAT, *parts)
     covered = sum(b.order for b in blocks)
     if covered != n:
         raise GermParseError(
@@ -371,6 +381,8 @@ def _fmt_block(b) -> str:
                 f"rotation-exp {_fmt_fraction(b.mu.rat)} "
                 f"{_fmt_fraction(b.mu.pi_part)} {b.cells}"
             )
+        if isinstance(b.alpha, Fraction):
+            return f"rotation {_fmt_fraction(b.alpha)} {_fmt_fraction(b.beta)} {b.cells}"
         return f"rotation {b.alpha!r} {b.beta!r} {b.cells}"
     if isinstance(b, NegativePairBlock):
         return f"negpair {_fmt_fraction(Fraction(b.eigenvalue))} {b.cells}"

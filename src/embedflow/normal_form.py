@@ -27,20 +27,20 @@ plus A h_k - g_k - h_k(Ay).
 
 Each mode runs this recursion on its own kernel.  Exact germs compose on
 dicts (:class:`embedflow.jets._OnlineComposition`) and solve row by row
-(:func:`_homological_rows`).  Float germs compose on dense graded arrays
+(:func:`_homological_rows`), which is exact-only: its divisors are
+Gaussian rationals.  Float germs compose on dense graded arrays
 (:class:`embedflow.graded._GradedPowers`), keeping the powers of f's
 support for X and of h's for Y, and solve a diagonal spectrum by one
 masked divide; a triangular one keeps the row-by-row accumulator on
 arrays.  Both take lambda^sigma from :func:`embedflow.resonance._power`
-where the defect is nonzero, in the same row order, so they refuse at the
-same (j, sigma).
+where the defect is nonzero, in row order.
 
 Which (j, sigma) are resonant is read from one
 :func:`embedflow.resonance.map_resonances` report per normal form, the
 same rule that classifies the embedding solve; the divisors
-lambda^sigma - lambda_j of the others live in the jet's mode, and in float
-mode one below tolerance aborts with :class:`NearResonanceError` rather
-than dividing.
+lambda^sigma - lambda_j of the others live in the jet's mode.  On the
+graded kernel a float divisor below tolerance aborts with
+:class:`NearResonanceError` rather than dividing.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 from .graded import _GradedPowers, _grading
 from .jets import MODE_EXACT, MultiIndex, PolyJet, _OnlineComposition, _one
 from .resonance import _power, map_resonances, monomial_index
-from .spectral import BlockMatrix, _cast, is_hyperbolic
+from .spectral import BlockMatrix, is_hyperbolic
 from .tolerances import DEFAULT_TOL, DIVISOR_FLOOR
 
 __all__ = [
@@ -145,19 +145,14 @@ class NormalFormResult:
     diagnostics: tuple
 
 
-def _homological_rows(tri, rhs, k, tol, order, resonant, Y):
-    """Row-by-row accumulator solve over the degree-k exponents ``order``;
-    ``resonant`` holds the map-resonant (j, sigma), and ``Y`` is an
-    :class:`_OnlineComposition` whose degree-1 part is Ay, from which
-    (Ay)^sigma is read.  Returns (h, g, min divisor).  The package runs it
-    in exact mode only; in float mode it is the dict kernel that the tests
-    check the graded float normal form against."""
-    mode = rhs.mode
-    n = tri.dim
-    # divisors live in the jet's mode
-    lam = list(tri.diag) if mode == MODE_EXACT else [complex(d) for d in tri.diag]
-    nil = [(i, kk, _cast(c, mode)) for i, kk, c in tri.nil]
-
+def _homological_rows(tri, rhs, k, order, resonant, Y):
+    """Row-by-row accumulator solve of an exact germ over the degree-k
+    exponents ``order``; ``resonant`` holds the map-resonant (j, sigma),
+    and ``Y`` is an :class:`_OnlineComposition` whose degree-1 part is Ay,
+    from which (Ay)^sigma is read.  The divisors are exact Gaussian
+    rationals, nonzero off the resonant set, so none is refused.  Returns
+    (h, g, min divisor)."""
+    lam = tri.diag
     # lambda^sigma serves every row j
     lam_power = cache(lambda sigma: _power(lam, sigma))
 
@@ -178,9 +173,9 @@ def _homological_rows(tri, rhs, k, tol, order, resonant, Y):
     h: dict = {}
     g: dict = {}
     min_div = None
-    for j in range(n):
+    for j in range(tri.dim):
         acc = {m: c for m, c in rhs.component(j).items() if m.degree == k}
-        for i, kk, c in nil:
+        for i, kk, c in tri.nil:
             if i != j:
                 continue
             for (jj, m), hc in h.items():
@@ -201,11 +196,9 @@ def _homological_rows(tri, rhs, k, tol, order, resonant, Y):
             d = lam_power(sigma) - lam[j]
             try:
                 mag = abs(complex(d))
-            except OverflowError:  # an exact divisor beyond the float range
+            except OverflowError:  # a divisor beyond the float range
                 mag = math.inf
             min_div = mag if min_div is None else min(min_div, mag)
-            if mode != MODE_EXACT and mag < max(tol, DIVISOR_FLOOR):
-                raise NearResonanceError(j, sigma, d)
             coef = val / d
             h[(j, sigma)] = coef
             for m, w in cross_terms(sigma).items():
@@ -241,8 +234,8 @@ def distinguished_normal_form(germ: GermSpec, tol: float = DEFAULT_TOL) -> Norma
 
     Returns the normal form G (resonant nonlinearity only), the
     normalization jet h with x = y + h(y), and per-degree diagnostics.
-    Raises :class:`NearResonanceError` when a float-mode divisor is too
-    small to divide honestly.  Exact germs run on the dict kernel, float
+    Raises :class:`NearResonanceError` when a float divisor is too small
+    to divide honestly.  Exact germs run on the dict kernel, float
     germs on dense graded arrays; both walk the same recursion.
     """
     if germ.mode == MODE_EXACT:
@@ -270,7 +263,7 @@ def _exact_normal_form(germ: GermSpec, tol: float) -> NormalFormResult:
         # degree k of F(y + h) - (y + h)(Ay + g) with h, g known below k
         defect = _add_into(X.degree_slice(f, k), Y.degree_slice(h, k).items(), -1)
         h_k, g_k, min_div = _homological_rows(
-            tri, PolyJet(n, N, mode, defect), k, tol, index.of_degree(k), resonant, Y
+            tri, PolyJet(n, N, mode, defect), k, index.of_degree(k), resonant, Y
         )
         X.extend(h_k)
         Y.extend(g_k)
@@ -427,7 +420,7 @@ def _diagonal_rows(defect, nonzero, resonant, lam, lam_power, floor, mons):
             if abs(complex(powers[s] - lam[j])) < floor:
                 raise NearResonanceError(j, mons[s], powers[s] - lam[j])
     divisor = powers[cols] - np.asarray(lam)[rows]
-    sizes = list(map(abs, divisor.tolist()))  # Python's complex abs, as on the dict kernel
+    sizes = list(map(abs, divisor.tolist()))  # Python's complex abs, as in _triangular_rows
     least = min(sizes)
     if least < floor:
         t = next(t for t, size in enumerate(sizes) if size < floor)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .jets import MODE_EXACT, MODE_FLOAT, PolyJet, RealPairing
 from .scalars import EigenScalar, ExactnessError, QQi
-from .tolerances import DEFAULT_TOL, REAL_EXP
+from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "JordanBlock",
@@ -64,7 +64,6 @@ __all__ = [
     "real_log",
     "weakly_nonresonant_branch",
     "BRANCH_BOUND",
-    "dense_exp",
 ]
 
 # Branch integers |k| <= BRANCH_BOUND per block are searched for a weakly
@@ -731,26 +730,6 @@ def _real_log(a: BlockMatrix, branch: BranchChoice) -> BlockMatrix:
     return log
 
 
-def dense_exp(m: np.ndarray, terms=40) -> np.ndarray:
-    """Matrix exponential by scaling and squaring a Taylor sum."""
-    m = np.asarray(m, dtype=complex)
-    norm = np.linalg.norm(m, 1)
-    s = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0 else 0
-    a = m / (2**s)
-    out = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    for k in range(1, terms + 1):
-        term = term @ a / k
-        out = out + term
-        if np.linalg.norm(term, 1) < 1e-20 * max(1.0, np.linalg.norm(out, 1)):
-            break
-    for _ in range(s):
-        out = out @ out
-    if np.max(np.abs(np.imag(out))) < REAL_EXP * max(1.0, np.max(np.abs(out))):
-        out = np.real(out).astype(float)
-    return out
-
-
 def log_residual(a: BlockMatrix, b: BlockMatrix) -> float:
     """Max-entry residual |exp(B) - A| of a proposed logarithm.
 
@@ -758,17 +737,14 @@ def log_residual(a: BlockMatrix, b: BlockMatrix) -> float:
     diagonal of logs mu and N nilpotent, coupling only coordinates of equal
     mu, so that S and N commute and exp(B) = diag(e^mu) sum_(k<n) N^k/k!
     in closed form.  That is compared with A's triangular form, entry by
-    entry.  When the pairings differ the two forms sit in different
-    coordinates, and the real dense matrices are compared through
-    :func:`dense_exp` instead.  Kept on ``a`` per B, by B's identity (B is
-    kept alongside, so that its id passes to no other object).
+    entry, so B must have A's pairing: in other coordinates the two forms
+    are not comparable.  Kept on ``a`` per B, by B's identity (B is kept
+    alongside, so that its id passes to no other object).
     """
     return _keep(a, ("log_residual", id(b)), lambda: (b, _log_residual(a, b)))[1]
 
 
 def _log_residual(a: BlockMatrix, b: BlockMatrix) -> float:
-    if a.pairing() != b.pairing():  # RealPairing holds the dimension too
-        return float(np.max(np.abs(dense_exp(b.to_dense()) - a.to_dense())))
     tri = b.triangular()
     total = term = np.eye(b.dim, dtype=complex)
     if tri.nil:
@@ -804,44 +780,35 @@ def _branch_shifts(a: BlockMatrix):
     return [i for i, _, _ in branchable], S
 
 
-def weakly_nonresonant_branch(
-    a: BlockMatrix,
-    degree: int,
-    bound: int = BRANCH_BOUND,
-    tol=DEFAULT_TOL,
-    principal=None,
-):
+def weakly_nonresonant_branch(a: BlockMatrix, degree: int, tol=DEFAULT_TOL):
     """Search for a branch whose log eigenvalues have no weak resonance.
 
     Candidates are ordered by total branch magnitude, then lexicographic,
     so the principal branch is tried first.  Returns a
     :class:`BranchChoice` or ``None`` when every candidate within
-    ``|k|, |l| <= bound`` has a weak resonance up to ``degree``.
+    ``|k|, |l| <= BRANCH_BOUND`` has a weak resonance up to ``degree``.
 
-    The principal logarithm is scanned once.  A branch shift moves
-    <m, mu> - mu_j by 2*pi*i times an integer, so the pairs in 2*pi*i*Z are
-    the same on every branch, and the witness of such a pair on branch k is
-    l0 + c.k (l0 its principal witness, 0 when field resonant).  The search
-    is for the first candidate k that zeroes every row (l0, c).  A caller
-    that already holds that scan, ``field_resonances(real_log(a).eigen(),
-    degree, tol)``, passes it as ``principal``.
+    The principal logarithm is scanned once, and the scan is kept on its
+    eigen data, which are A's.  A branch shift moves <m, mu> - mu_j by
+    2*pi*i times an integer, so the pairs in 2*pi*i*Z are the same on every
+    branch, and the witness of such a pair on branch k is l0 + c.k (l0 its
+    principal witness, 0 when field resonant).  The search is for the first
+    candidate k that zeroes every row (l0, c).
     """
     from .resonance import field_resonances
 
-    report = principal
-    if report is None:
-        report = field_resonances(real_log(a).eigen(), degree, tol=tol)
+    report = field_resonances(real_log(a).eigen(), degree, tol=tol)
     slots, S = _branch_shifts(a)
     hits = [(j, m, 0) for j, m in report.field_resonant] + list(report.weak)
     rows = set()
     for j, m, l0 in hits:
         c = np.asarray(m, dtype=np.int64) @ S - S[j]
-        if abs(l0) > bound * int(np.abs(c).sum()):
-            return None  # no |k| <= bound zeroes this witness
+        if abs(l0) > BRANCH_BOUND * int(np.abs(c).sum()):
+            return None  # no |k| <= BRANCH_BOUND zeroes this witness
         if c.any():
             rows.add((l0, tuple(int(v) for v in c)))
     candidates = sorted(
-        itertools.product(range(-bound, bound + 1), repeat=len(slots)),
+        itertools.product(range(-BRANCH_BOUND, BRANCH_BOUND + 1), repeat=len(slots)),
         key=lambda k: (sum(abs(v) for v in k), k),
     )
     L0 = np.array([l0 for l0, _ in rows], dtype=np.int64)

@@ -18,9 +18,8 @@ logs, within ``tol`` absolute in mu.  With exact logs the normal form's
 by design: 4 and 4.0000004 are not resonant, and their divisor 4e-7 is
 below the floor.
 
-The series stopping rule of ``spectral.dense_exp`` belongs to its
-algorithm and stays there.  The flow needs no threshold: its frequencies
-are the integer witnesses of the one resonance rule.
+The flow needs no threshold: its frequencies are the integer witnesses of
+the one resonance rule.
 """
 
 import sys
@@ -49,7 +48,8 @@ DIVISOR_FLOOR = 1e-9
 # logarithm of A.  The exponential of a true logarithm reproduces A
 # to a few units of roundoff; another branch or a wrong block misses it by
 # order one, so any cut between the two decides, and 1e-8 sits far from
-# both.
+# both.  A B whose complex pairing differs from A's is refused before this
+# check: its triangular form is in other coordinates.
 LOG_RESIDUAL = 1e-8
 
 # A float coefficient of Y = log(e^(-S) G) above STRAY_DEMAND (absolute) on
@@ -78,12 +78,6 @@ CONJUGATE_SYMMETRY = 1e-9
 # roundings; a true coefficient that small is already within the
 # representation error of the float inputs that form it.
 ROUNDING = 2.0**-44
-
-# dense_exp returns a real matrix when every imaginary part is below
-# REAL_EXP times max(1, largest entry): the exponential of a real matrix,
-# computed in complex arithmetic, has imaginary parts of roundoff size,
-# far below that.
-REAL_EXP = 1e-12
 
 # verify (verdict.certify) accepts the ODE oracle's time-one residual up to
 # max(ODE_BOUND, tol) * scale, scale = max(1, max |map jet coefficient|).

@@ -20,17 +20,23 @@ the pipeline the verbs run:
 * :func:`hyperbolic_by_description` decides hyperbolicity on the full
   block description (QQi eigenvalues, EigenScalar logs), as
   :func:`embedflow.spectral.is_hyperbolic` did before it read the block
-  parameters alone.
+  parameters alone;
+* :func:`homological_rows` is the row-by-row solve of the normal form's
+  homological equation on dicts in either coefficient mode, the kernel
+  that the package keeps for exact germs only; in float mode it refuses a
+  divisor below ``max(tol, DIVISOR_FLOOR)`` as the graded kernel does.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
-from embedflow.jets import MODE_FLOAT, MultiIndex, PolyJet, multiindices
+from embedflow.jets import MODE_EXACT, MODE_FLOAT, MultiIndex, PolyJet, multiindices
+from embedflow.normal_form import NearResonanceError
 from embedflow.resonance import _mu, _power
 from embedflow.scalars import EigenScalar, QQi
 from embedflow.spectral import (
@@ -39,11 +45,12 @@ from embedflow.spectral import (
     JordanBlock,
     RotationBlock,
     SpectralError,
+    _cast,
     _check_nonsingular,
     _is_rational,
     real_log,
 )
-from embedflow.tolerances import DEFAULT_TOL
+from embedflow.tolerances import DEFAULT_TOL, DIVISOR_FLOOR
 
 
 # -- dense loaders ---------------------------------------------------------------
@@ -265,3 +272,74 @@ def hyperbolic_by_description(a: BlockMatrix, tol=DEFAULT_TOL) -> bool:
     return not any(
         _modulus_is_one(lams[0], mus[0], tol) for _, (_, _, lams, mus) in a._described
     )
+
+
+# -- the homological equation on dicts --------------------------------------------
+
+
+def homological_rows(tri, rhs, k, tol, order, resonant, Y):
+    """Row-by-row accumulator solve over the degree-k exponents ``order``;
+    ``resonant`` holds the map-resonant (j, sigma), and ``Y`` is an
+    :class:`embedflow.jets._OnlineComposition` whose degree-1 part is Ay,
+    from which (Ay)^sigma is read.  The divisors live in ``rhs``'s mode,
+    and a float one below ``max(tol, DIVISOR_FLOOR)`` raises
+    :class:`NearResonanceError`.  Returns (h, g, min divisor)."""
+    mode = rhs.mode
+    lam = list(tri.diag) if mode == MODE_EXACT else [complex(d) for d in tri.diag]
+    nil = [(i, kk, _cast(c, mode)) for i, kk, c in tri.nil]
+    lam_power = cache(lambda sigma: _power(lam, sigma))
+
+    def cross_terms(sigma):
+        """(Ay)^sigma minus its leading term, as {exponent: coeff}."""
+        if tri.is_diagonal:
+            return {}
+        sigma = MultiIndex(sigma)
+        out = Y.power_slice(sigma, k)
+        rest = out[sigma] - lam_power(sigma)
+        if rest:
+            out[sigma] = rest
+        else:
+            out.pop(sigma, None)
+        return out
+
+    h: dict = {}
+    g: dict = {}
+    min_div = None
+    for j in range(tri.dim):
+        acc = {m: c for m, c in rhs.component(j).items() if m.degree == k}
+        for i, kk, c in nil:
+            if i != j:
+                continue
+            for (jj, m), hc in h.items():
+                if jj == kk:
+                    val = c * hc if m not in acc else acc[m] + c * hc
+                    if val:
+                        acc[m] = val
+                    else:
+                        acc.pop(m, None)
+        for sigma in order:
+            val = acc.get(sigma)
+            if not val:
+                continue
+            if (j, sigma) in resonant:
+                g[(j, sigma)] = val
+                continue
+            d = lam_power(sigma) - lam[j]
+            try:
+                mag = abs(complex(d))
+            except OverflowError:  # an exact divisor beyond the float range
+                mag = math.inf
+            min_div = mag if min_div is None else min(min_div, mag)
+            if mode != MODE_EXACT and mag < max(tol, DIVISOR_FLOOR):
+                raise NearResonanceError(j, sigma, d)
+            coef = val / d
+            h[(j, sigma)] = coef
+            for m, w in cross_terms(sigma).items():
+                if m == sigma:
+                    continue
+                val2 = -coef * w if m not in acc else acc[m] - coef * w
+                if val2:
+                    acc[m] = val2
+                else:
+                    acc.pop(m, None)
+    return h, g, min_div

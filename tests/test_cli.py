@@ -185,17 +185,17 @@ class TestAnalyze:
     def test_principal_log_scanned_once(self, capsys, monkeypatch):
         # on the principal branch the printed resonances and the branch
         # search read one scan
-        from embedflow import cli, resonance
+        from embedflow import resonance
 
         calls = []
-        scan = resonance.field_resonances
+        classify = resonance._classify
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args)
-            return scan(*args, **kwargs)
+            return classify(*args)
 
-        monkeypatch.setattr(resonance, "field_resonances", counted)
-        monkeypatch.setattr(cli, "map_resonances", counted)
+        monkeypatch.setattr(resonance, "_classify", counted)
+        clear_process_tables()  # paper-Astar's scans are kept from earlier tests
         code, out, _ = run(capsys, "analyze", "--fixture", "paper-Astar")
         assert code == 0
         assert machine(out)["weakly_nonresonant_branch"] == "none"
@@ -1082,3 +1082,27 @@ class TestModeAgreement:
         runs = self._runs(capsys, monkeypatch, text.replace("mode float", "mode exact"))
         self._agree(runs)
         assert runs["float", "verify"][1]["status"] == status
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a Jordan chain feeding its square: the coupled exact kernel and
+            # the float _triangular_rows
+            "dimension 3\ndegree 5\nmode exact\nLINEAR\njordan 3 2\njordan 9 1\nNONLINEAR\n"
+            "3 2 0 0 1/2\n3 1 1 0 1/4\n3 0 2 0 -1/3\n1 1 1 0 1/3\n2 0 2 0 -2/7\n3 1 1 1 1/5\n",
+            # a rotation by a quarter turn, its parameters kept exact
+            "dimension 3\ndegree 4\nmode exact\nLINEAR\nrotation 0 2 1\njordan 4 1\nNONLINEAR\n"
+            "3 2 0 0 1/3\n3 0 2 0 1/3\n1 1 0 1 1/5\n",
+            # two coupled rotation cells and a Jordan block fed by z * conj(z)
+            "dimension 5\ndegree 3\nmode exact\nLINEAR\nrotation 0 2 2\njordan 4 1\nNONLINEAR\n"
+            "5 2 0 0 0 0 1/3\n5 0 0 2 0 0 1/3\n5 1 0 1 0 0 -1/2\n1 2 0 0 0 0 1/3\n"
+            "3 0 1 1 0 0 -1/4\n4 0 0 1 2 0 1/5\n",
+        ],
+        ids=["jordan-chain", "rotation", "rotation-cells"],
+    )
+    def test_coupled_and_rotation_germs(self, capsys, monkeypatch, text):
+        runs = self._runs(capsys, monkeypatch, "HEADER\n" + text)
+        self._agree(runs)
+        for mode in ("exact", "float"):
+            code, tail = runs[mode, "verify"]
+            assert code == 0 and tail["status"] == "field" and tail["verified"] == "yes", mode

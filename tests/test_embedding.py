@@ -42,6 +42,7 @@ from embedflow import (
     is_hyperbolic,
     jet_distance,
     multiindices,
+    pair_negative_blocks,
     parse_germ,
     real_log,
     solve_embedding,
@@ -317,7 +318,7 @@ class TestSolveEmbedding:
             # a wrong rotation angle, on every branch: lambda = 2i for -2i
             ((RotationBlock(0, 2, 1), JordanBlock(2, 1)), (RotationBlock(0, -2, 1), JordanBlock(2, 1))),
             # a rotation cell where A has two real coordinates: the pairings
-            # differ, and the real dense matrices are compared instead
+            # differ, and B is refused before exp(B) is formed
             ((JordanBlock(2, 1), JordanBlock(2, 1)), (RotationBlock(2, 1, 1),)),
         ],
     )
@@ -326,12 +327,28 @@ class TestSolveEmbedding:
         # eigenvalue or one coupling; every branch of A's own log passes
         a = BlockMatrix(blocks)
         G = GermSpec(a, PolyJet.build(a.dim, 2, mode, []), 2)
+        if BlockMatrix(other).pairing() == a.pairing():
+            message = "exp\\(B\\) differs"
+        else:
+            message = "other coordinates: its complex pairing differs"
         for branch in (0, 1, -1):
             values = tuple(branch if isinstance(b, RotationBlock) else 0 for b in other)
-            with pytest.raises(SpectralError, match="exp\\(B\\) differs"):
+            with pytest.raises(SpectralError, match=message):
                 solve_embedding(G, real_log(BlockMatrix(other), BranchChoice(values)))
             values = tuple(branch if isinstance(b, RotationBlock) else 0 for b in blocks)
             assert isinstance(solve_embedding(G, real_log(a, BranchChoice(values))), FieldGerm)
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_FLOAT])
+    def test_rejects_a_log_in_other_coordinates(self, mode):
+        # exp(B) = A as real dense matrices, but B is the log of A's paired
+        # form: diag(ln 2 - i*pi, ln 2 + i*pi) is complex in A's coordinates
+        a = BlockMatrix((JordanBlock(-2, 1), JordanBlock(-2, 1)))
+        paired, _ = pair_negative_blocks(a)
+        B = real_log(paired)
+        assert np.max(np.abs(expm(B.to_dense()) - a.to_dense())) < 1e-12
+        G = GermSpec(a, PolyJet.build(2, 2, mode, []), 2)
+        with pytest.raises(SpectralError, match="other coordinates"):
+            solve_embedding(G, B)
 
     def test_rejects_non_normal_form(self):
         a = BlockMatrix((JordanBlock(4, 1), JordanBlock(2, 1)))

@@ -65,6 +65,15 @@ class TestParse:
         assert isinstance(c, QQi)
         assert c == QQi(Fraction(7, 10), Fraction(-1, 3))
 
+    def test_exact_mode_keeps_rotation_fractions(self):
+        text = "HEADER\ndimension 2\ndegree 2\nmode {}\nLINEAR\nrotation 3/2 -1/3 1\nNONLINEAR\n"
+        (exact,) = parse_germ(text.format("exact")).blocks.blocks
+        assert (exact.alpha, exact.beta) == (Fraction(3, 2), Fraction(-1, 3))
+        assert isinstance(exact.alpha, Fraction) and isinstance(exact.beta, Fraction)
+        (floats,) = parse_germ(text.format("float")).blocks.blocks
+        assert (floats.alpha, floats.beta) == (1.5, -1 / 3)
+        assert isinstance(floats.alpha, float) and isinstance(floats.beta, float)
+
     def test_rational_literal_in_float_mode(self):
         gf = parse_germ(
             "HEADER\ndimension 2\ndegree 2\nmode float\nLINEAR\n"
@@ -213,6 +222,15 @@ class TestSerialize:
         assert "1 0 2 7/10 -1/3" in canon
         assert serialize_germ(parse_germ(canon)) == canon
 
+    def test_exact_rotation_prints_fractions(self):
+        text = (
+            "HEADER\ndimension 2\ndegree 2\nmode exact\nLINEAR\n"
+            "rotation 3/2 -1/3 1\nNONLINEAR\n1 2 0 1/7\n"
+        )
+        canon = serialize_germ(parse_germ(text))
+        assert "rotation 3/2 -1/3 1" in canon
+        assert serialize_germ(parse_germ(canon)) == canon
+
     def test_all_block_kinds(self):
         gf = parse_germ(
             "HEADER\ndimension 9\ndegree 2\nmode float\nLINEAR\n"
@@ -350,3 +368,17 @@ class TestSharedLinearPart:
         with pytest.raises(GermParseError, match="record needs"):
             parse_germ(BASIC.replace("1 0 2 1", "1 0 2"))
         assert germfile._linear_parts == {}
+
+    @pytest.mark.parametrize("first", ["float", "exact"])
+    def test_rotation_lines_are_kept_apart_by_mode(self, first):
+        # float germs read rotation parameters as floats and exact germs as
+        # fractions, so the same lines give each mode its own matrix, in
+        # either order
+        text = "HEADER\ndimension 3\ndegree 2\nmode {}\nLINEAR\nrotation 0 2 1\njordan 4 1\nNONLINEAR\n"
+        second = "exact" if first == "float" else "float"
+        blocks = {mode: parse_germ(text.format(mode)).blocks for mode in (first, second)}
+        assert isinstance(blocks["float"].blocks[0].alpha, float)
+        assert isinstance(blocks["exact"].blocks[0].alpha, Fraction)
+        assert blocks["exact"].eigen().exact and not blocks["float"].eigen().exact
+        for mode in (first, second):
+            assert parse_germ(text.format(mode)).blocks is blocks[mode]

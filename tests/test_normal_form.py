@@ -32,10 +32,11 @@ from embedflow import (
     multiindices,
 )
 from embedflow.jets import _OnlineComposition
-from embedflow.normal_form import _homological_rows
+from embedflow.normal_form import NormalFormResult
 from embedflow.resonance import monomial_index
 from embedflow.tolerances import DEFAULT_TOL
 from _gens import random_exact_germ, random_hyperbolic_germ, resonant_map_blocks
+from _reference import homological_rows
 
 # sympy-solved transform for F = (4x1 + x2^2 + x1 x2, 2x2), N = 6
 _H_2D = {
@@ -205,8 +206,9 @@ def test_float_normal_form_residual_three_resonant_rates():
 
 def _reference_normal_form(germ, tol=DEFAULT_TOL):
     """The recursion as first written: at every degree k two full
-    compositions truncated at k give the defect, and two more at N give the
-    residual.  Returns (h, g, residual, diagnostics)."""
+    compositions truncated at k give the defect, which the dict row solve
+    of either mode solves, and two more at N give the residual.  Returns
+    (h, g, residual, diagnostics)."""
     tri = germ.linear.triangular()
     n, N, mode = germ.dim, germ.degree, germ.mode
     F = germ.map_jet()
@@ -222,7 +224,7 @@ def _reference_normal_form(germ, tol=DEFAULT_TOL):
         lhs = compose(F, identity + h_acc, degree=k)
         rhs = compose(identity + h_acc, lin + g_acc, degree=k)
         defect = (lhs - rhs).degree_slice(k)
-        h_map, g_map, min_div = _homological_rows(
+        h_map, g_map, min_div = homological_rows(
             tri, defect, k, tol, index.of_degree(k), resonant, ay
         )
         h_acc = h_acc + PolyJet.build(n, N, mode, [(j, m, c) for (j, m), c in h_map.items()])
@@ -335,8 +337,9 @@ def test_normal_form_composes_online(monkeypatch):
 
 # -- float germs on graded arrays --------------------------------------------
 #
-# Float germs normalize on embedflow.graded; the dict kernel still runs the
-# same recursion for exact germs, and on a float germ it is the reference.
+# Float germs normalize on embedflow.graded; the package runs the dict
+# kernel for exact germs only, and on a float germ the dict recursion of
+# _reference_normal_form is the reference.
 
 
 def _outcome(normal_form, germ, tol):
@@ -374,11 +377,15 @@ def test_float_refusals_at_the_first_nonzero_defect(lams, terms, want):
     """Both refusals, the near-resonant divisor and the eigenvalue power
     outside the float range, come at the same first (j, sigma) as on the
     dict kernel, and only where the defect is nonzero."""
-    from embedflow.normal_form import _exact_normal_form, _float_normal_form
+    from embedflow.normal_form import _float_normal_form
+
+    def dict_kernel(germ, tol):
+        h, g, residual, diagnostics = _reference_normal_form(germ, tol)
+        return NormalFormResult(GermSpec(germ.linear, g, germ.degree), h, residual, diagnostics)
 
     germ = _diagonal_float_germ(lams, terms, 3)
     got = _outcome(_float_normal_form, germ, 1e-12)
-    assert got == _outcome(_exact_normal_form, germ, 1e-12)
+    assert got == _outcome(dict_kernel, germ, 1e-12)
     assert got[: len(want)] == want
     if want[0] == "range":
         assert "outside the float range" in got[1]

@@ -23,7 +23,6 @@ from embedflow import (
     NegativePairBlock,
     RotationBlock,
     SpectralError,
-    dense_exp,
     field_resonances,
     has_real_log,
     is_hyperbolic,
@@ -80,11 +79,8 @@ def test_exp_log_roundtrip_random():
         paired, _ = pair_negative_blocks(a)
         b = real_log(paired)
         dense_b = b.to_dense().astype(complex)
-        back = dense_exp(dense_b)
         target = paired.to_dense().astype(complex)
         scale = max(1.0, np.max(np.abs(target)))
-        assert np.max(np.abs(back - target)) < 1e-10 * scale
-        # independent exponential
         assert np.max(np.abs(expm(dense_b) - target)) < 1e-10 * scale
         assert np.max(np.abs(dense_b.imag)) == 0.0  # the log is real
 
