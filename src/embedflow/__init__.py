@@ -1,6 +1,6 @@
 """Embedding flows for hyperbolic polynomial jets."""
 
-from .scalars import EigenScalar, ExactnessError, PiPoly, QQi
+from .scalars import EigenScalar, ExactnessError, QQi
 from .jets import (
     MODE_EXACT,
     MODE_FLOAT,

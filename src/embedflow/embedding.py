@@ -19,7 +19,7 @@ exact whenever the eigenvalues are Gaussian rational and the input jet
 carries exact coefficients.
 
 The solve is checked by two routes that it shares no code with and does
-not import: the closed-form flow of :mod:`embedflow.flow` and the ODE
+not import: the Lie-series flow of :mod:`embedflow.flow` and the ODE
 oracle of :mod:`embedflow.oracle`, compared by :mod:`embedflow.verdict`.
 """
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .jets import MODE_EXACT, MODE_FLOAT, MultiIndex, PolyJet, _composer, _one
 from .normal_form import GermSpec
-from .resonance import ResonanceReport, _lattice_witnesses, field_resonances
+from .resonance import ResonanceReport, _not_field_resonant, field_resonances
 from .scalars import ExactnessError
 from .spectral import BlockMatrix, SpectralError, TriangularLinear, log_residual
 from .tolerances import DEFAULT_TOL, LOG_RESIDUAL, STRAY_DEMAND
@@ -45,12 +45,13 @@ __all__ = ["FieldGerm", "Obstruction", "solve_embedding"]
 
 @dataclass(frozen=True)
 class FieldGerm:
-    """Vector field jet X(y) = By + v(y) with resonant/weak support.
+    """Vector field jet X(y) = By + v(y) with field-resonant support.
 
     ``linear`` must be a logarithm block matrix (see
-    :func:`embedflow.spectral.real_log`); its eigen data fixes the
-    resonance classes that constrain the support of ``v``, decided at
-    ``tol``: the tolerance of the solve that built the field.
+    :func:`embedflow.spectral.real_log`); its eigen data decides, at
+    ``tol``, the tolerance of the solve that built the field, that every
+    term of ``v`` is field resonant, so that v commutes with B's diagonal.
+    A weakly resonant term is refused.
     """
 
     linear: BlockMatrix
@@ -69,11 +70,9 @@ class FieldGerm:
             raise ValueError("nonlinear jet truncation must match degree")
         if self.nonlinear.coeffs and self.nonlinear.min_degree() < 2:
             raise ValueError("nonlinear part must vanish to second order")
-        _, bad = _lattice_witnesses(self.nonlinear.coeffs, self.linear.triangular().eigen, self.tol)
+        bad = _not_field_resonant(self.nonlinear.coeffs, self.linear.triangular().eigen, self.tol)
         if bad:
-            raise ValueError(
-                f"field support must be resonant or weakly resonant; got {bad}"
-            )
+            raise ValueError(f"field support must be field resonant; got {bad}")
 
     @property
     def dim(self) -> int:

@@ -3,18 +3,19 @@
 A jet is a polynomial self-map of R^n (or C^n) stored sparsely as
 ``{(component, exponent): coefficient}`` and truncated at a fixed total
 degree.  Coefficients are machine complex numbers in ``float`` mode and
-Gaussian rationals (or Laurent polynomials in pi) in ``exact`` mode.
+Gaussian rationals in ``exact`` mode.
 
 The composition and Jacobian operations here are the workhorses of the
 normalization and embedding recursions.  Every jet composition on dicts
 runs on one kernel, ``_OnlineComposition`` (online truncated
 composition): the degree-d slice of each monomial of the inner jet is
 formed once, from the inner jet's slices below d, and kept.  ``compose``
-puts a known inner jet in place at once; the exact normal form and the
-flow of :func:`embedflow.flow.flow_jet` let it grow one degree per step.
-It serves both modes in ``compose``, the embedding solve and the flow,
-and exact mode in the normal form; the float normal form runs the same
-recursion on dense graded arrays instead (:mod:`embedflow.graded`).
+puts a known inner jet in place at once; the exact normal form lets it
+grow one degree per step.  It serves both modes in ``compose`` and the
+embedding solve, and exact mode in the normal form; the float normal form
+runs the same recursion on dense graded arrays instead
+(:mod:`embedflow.graded`).  The flow of :func:`embedflow.flow.flow_jet`
+runs on ``jacobian_apply``.
 ``complexify``/``realify`` move a real jet to coordinates in which a
 rotation-block linear part becomes diagonal, by conjugating with
 z = x_i + i*x_{i+1} on each designated pair; ``complexify`` folds a
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .scalars import ExactnessError, PiPoly, QQi
+from .scalars import ExactnessError, QQi
 from .tolerances import CONJUGATE_SYMMETRY, ROUNDING
 
 __all__ = [
@@ -123,7 +124,7 @@ def multiindices(n: int, degree: int):
 def _coerce_scalar(c, mode):
     if mode == MODE_FLOAT:
         return complex(c)
-    if isinstance(c, (QQi, PiPoly)):
+    if isinstance(c, QQi):
         return c
     if isinstance(c, (int, Fraction)):
         return QQi(c)
@@ -616,8 +617,6 @@ def _imag_violation(jet: PolyJet) -> float:
     for c in jet.coeffs.values():
         if isinstance(c, QQi):
             worst = max(worst, abs(c._b / c._d))
-        elif isinstance(c, PiPoly):
-            worst = max(worst, sum(abs(q._b / q._d) for q in c.terms.values()))
         else:
             worst = max(worst, abs(c.imag))
     return worst
@@ -639,8 +638,6 @@ def _drop_imag(jet: PolyJet) -> PolyJet:
     for k, c in jet.coeffs.items():
         if isinstance(c, QQi):
             c = _real_part(c)
-        elif isinstance(c, PiPoly):
-            c = PiPoly({e: _real_part(q) for e, q in c.terms.items()})
         else:
             c = complex(c.real, 0.0)
         if c:

@@ -15,9 +15,9 @@ is fixed.  :func:`_witness` answers the question, and it is the only
 resonance decision in the package: :func:`field_resonances` (also named
 :func:`map_resonances`) scans every (j, m) up to a degree with it and fills
 every class at once, the normal form and the embedding solve each take
-their classes from one such report, and :func:`_lattice_witnesses` reads
+their classes from one such report, and :func:`_not_field_resonant` reads
 it on a field's support, which :class:`embedflow.embedding.FieldGerm`
-checks and whose witnesses :mod:`embedflow.flow` takes as frequencies.
+checks.
 
 Exact log data (``EigenScalar`` entries) are decided on an integer lattice
 and never look at ``tol``.  All other data are decided on the complex logs:
@@ -171,21 +171,14 @@ def _classify(mu, M, tol):
     return hit.reshape(shape), l.reshape(shape), None if dist is None else dist.reshape(shape)
 
 
-def _lattice_witnesses(support, eigen: EigenData, tol: float):
-    """``(on, off)``: the witness l of each (j, m) of ``support`` that lies
-    on the resonance lattice, as ``{(j, m): l}`` in the order of
-    ``support``, and the list of the (j, m) off it.  A field's support must
-    lie on it; its flow reads the witnesses as frequencies."""
+def _not_field_resonant(support, eigen: EigenData, tol: float) -> list:
+    """The (j, m) of ``support``, in its order, that are not field
+    resonant: off the resonance lattice, or on it with a witness l != 0.
+    A field's support holds none of them."""
     support = list(support)
     M = np.array([m for _, m in support], dtype=np.int64).reshape(len(support), len(eigen))
     hit, l, _ = _classify(_mu(eigen), M, tol)
-    on, off = {}, []
-    for t, (j, m) in enumerate(support):
-        if hit[j, t]:
-            on[(j, m)] = int(l[j, t])
-        else:
-            off.append((j, tuple(m)))
-    return on, off
+    return [(j, tuple(m)) for t, (j, m) in enumerate(support) if not hit[j, t] or l[j, t]]
 
 
 @dataclass(frozen=True)

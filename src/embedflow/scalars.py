@@ -1,6 +1,6 @@
-"""Exact scalar arithmetic underpinning resonance tests and flow coefficients.
+"""Exact scalar arithmetic underpinning resonance tests and exact jets.
 
-Three small scalar domains cover everything the library needs beyond machine
+Two small scalar domains cover everything the library needs beyond machine
 complex numbers:
 
 ``QQi``
@@ -8,10 +8,6 @@ complex numbers:
     form: d > 0 and gcd(a, b, d) = 1.  Equal values have equal fields, so
     equality is a field compare, and arithmetic is integer multiplication
     and one gcd, without :class:`fractions.Fraction` normalisation.
-``PiPoly``
-    Laurent polynomials in pi with ``QQi`` coefficients.  Time-one integrals
-    over weakly resonant directions produce exact 1/(2*pi*l) factors, which
-    live here.
 ``EigenScalar``
     Exact logarithms of eigenvalues, of the form
 
@@ -39,7 +35,6 @@ from math import gcd
 __all__ = [
     "ExactnessError",
     "QQi",
-    "PiPoly",
     "EigenScalar",
     "factor_positive_rational",
 ]
@@ -235,137 +230,7 @@ def _reduced(a: int, b: int, d: int) -> QQi:
     return z
 
 
-_QQI_ZERO = QQi(0)
 _QQI_ONE = QQi(1)
-
-
-class PiPoly:
-    """Laurent polynomial sum_e c_e * pi**e with QQi coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                c = QQi.coerce(c)
-                if c:
-                    clean[int(e)] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PiPoly is immutable")
-
-    @staticmethod
-    def coerce(x) -> "PiPoly":
-        if isinstance(x, PiPoly):
-            return x
-        if isinstance(x, (int, Fraction, QQi)):
-            return PiPoly({0: QQi.coerce(x)})
-        raise TypeError(f"cannot coerce {type(x).__name__} to PiPoly")
-
-    @staticmethod
-    def monomial(coeff, power: int = 0) -> "PiPoly":
-        return PiPoly({power: QQi.coerce(coeff)})
-
-    def __add__(self, other):
-        try:
-            other = PiPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, _QQI_ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return PiPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        try:
-            other = PiPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        try:
-            other = PiPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return PiPoly({e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        try:
-            other = PiPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        out: dict[int, QQi] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = out.get(e, _QQI_ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return PiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, PiPoly):
-            if len(other.terms) != 1:
-                raise ExactnessError("PiPoly division only by monomials")
-            (e, c), = other.terms.items()
-            return PiPoly({ee - e: cc / c for ee, cc in self.terms.items()})
-        if isinstance(other, (int, Fraction, QQi)):
-            c = QQi.coerce(other)
-            return PiPoly({e: cc / c for e, cc in self.terms.items()})
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        try:
-            other = PiPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        # a value free of pi equals, so hashes as, its QQi
-        q = self.as_qqi()
-        if q is not None:
-            return hash(q)
-        return hash(frozenset(self.terms.items()))
-
-    def as_qqi(self):
-        """Return the QQi value if no pi powers are present, else None."""
-        if not self.terms:
-            return _QQI_ZERO
-        if set(self.terms) == {0}:
-            return self.terms[0]
-        return None
-
-    def __complex__(self) -> complex:
-        return sum(
-            (complex(c) * math.pi**e for e, c in self.terms.items()),
-            complex(0),
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "PiPoly(0)"
-        parts = [f"pi^{e}*({c!r})" for e, c in sorted(self.terms.items())]
-        return "PiPoly(" + " + ".join(parts) + ")"
 
 
 def factor_positive_rational(q: Fraction) -> tuple[tuple[int, int], ...]:
@@ -476,24 +341,28 @@ class EigenScalar:
         return self.real_is_zero and self.pi_part == 0
 
     def exp_exact(self):
-        """exp(self) as a QQi, or None when that value is irrational."""
+        """exp(self) as a QQi, or None when that value is irrational.
+
+        A pi part that is a multiple of 1/2 needs integer log powers.  An
+        odd multiple of 1/4, an eighth turn, needs a half-integer power of
+        2 and integer powers of the other primes, since
+        sqrt(2) e^(i*pi/4) = 1 + i.
+        """
         if self.rat != 0:
             return None
-        mod = Fraction(1)
-        for p, c in self.logs:
-            if c.denominator != 1:
-                return None
-            mod *= Fraction(p) ** c
         q = self.pi_part % 2
-        if q == 0:
-            return QQi(mod)
-        if q == 1:
-            return QQi(-mod)
-        if q == Fraction(1, 2):
-            return QQi(0, mod)
-        if q == Fraction(3, 2):
-            return QQi(0, -mod)
-        return None
+        logs = dict(self.logs)
+        unit = _QQI_ONE
+        if q.denominator == 4:
+            logs[2] = logs.get(2, 0) - Fraction(1, 2)
+            unit = QQi(1, 1)
+            q -= Fraction(1, 4)
+        if q.denominator > 2 or any(c.denominator != 1 for c in logs.values()):
+            return None
+        mod = Fraction(1)
+        for p, c in logs.items():
+            mod *= Fraction(p) ** c
+        return QQi(mod) * unit * QQi(0, 1) ** int(2 * q)
 
     def __complex__(self) -> complex:
         re = float(self.rat) + sum(float(c) * math.log(p) for p, c in self.logs)

@@ -396,7 +396,7 @@ class TriangularLinear:
 
     def exact_ring(self, mode: str) -> bool:
         """Whether the solve and the flow keep a ``mode`` jet's coefficients
-        exact (QQi/PiPoly): exact mode, exact eigen data, QQi couplings."""
+        exact (QQi): exact mode, exact eigen data, QQi couplings."""
         return (
             mode == MODE_EXACT
             and self.eigen.exact

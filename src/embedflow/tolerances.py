@@ -18,16 +18,16 @@ logs, within ``tol`` absolute in mu.  With exact logs the normal form's
 by design: 4 and 4.0000004 are not resonant, and their divisor 4e-7 is
 below the floor.
 
-The flow needs no threshold: its frequencies are the integer witnesses of
-the one resonance rule.
+The flow needs no threshold: its Lie series ends by exact zero, on the
+field-resonant support that the one resonance rule admitted.
 """
 
 import sys
 
 # The default of every ``tol`` parameter and of a germ file's ``tol``
 # option.  Absolute in mu (logs, of order one) in the one resonance rule,
-# which decides map, field and weak resonance alike and so the integer
-# frequencies of the flow, and in | |lambda| - 1 | for hyperbolicity.  1e-9
+# which decides map, field and weak resonance alike and so the support a
+# field may carry, and in | |lambda| - 1 | for hyperbolicity.  1e-9
 # sits about seven digits above double roundoff on eigenvalues of order one
 # and far below any resonance gap a user means.
 DEFAULT_TOL = 1e-9

@@ -1,7 +1,7 @@
 """The verdict on a field: its residuals, their bounds and the pass rule.
 
 :func:`certify` is the one place where ``verify`` decides.  It compares e^X
-with G by two routes that share no code, the flow of :mod:`embedflow.flow`
+with G by two routes that share no code, the Lie series of :mod:`embedflow.flow`
 and the ODE oracle of :mod:`embedflow.oracle` (this is the only module
 that imports both), checks the embedding equation X o G = DG X by jet
 composition (:func:`embedding_residual`), and bounds each residual by the
@@ -38,7 +38,7 @@ def time_one_steps(X: FieldGerm, G: GermSpec):
     """The two independent time-one oracles, against G's map jet.
 
     Returns ``(residual_exp, residual_ode, residual_ode_err, steps)``: the
-    max-abs distance from the map jet of the closed-form flow of X at t = 1
+    max-abs distance from the map jet of the Lie-series flow of X at t = 1
     and of the Dormand-Prince ODE oracle, the oracle's own error estimate,
     and the step count the oracle chose (:func:`embedflow.oracle._ode_oracle`).
     The estimate bounds the ODE residual at the rate count.  One step is

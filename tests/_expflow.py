@@ -3,10 +3,12 @@
 Terms c * t^k * e^(a*t) keyed by (k, a), with ``a`` an
 :class:`EigenScalar` (exact) or complex, close exponents snapped onto
 2*pi*i*Z: the ring the flow of an embedding field was first built on.
-The package builds its flow on integer frequencies instead
+The package's flow is the Lie series of a field-resonant field
 (:mod:`embedflow.flow`); this module is an independent check of that
 flow, of the averaging operator T^r (:func:`Tr_matrix`) and of the
-forward-substitution solve in ``test_embedding``.
+forward-substitution solve in ``test_embedding``.  It also serves fields
+with weakly resonant terms, which :class:`embedflow.embedding.FieldGerm`
+refuses, through :class:`WeakField`.
 
 The ring (``ExpPoly`` and its integrals) is followed by the flow on it:
 ``FlowJet``, the substitution, the matrices e^(+-tB), one degree step
@@ -20,12 +22,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from embedflow.flow import _nil_powers
+from embedflow.embedding import FieldGerm
 from embedflow.jets import MODE_EXACT, MODE_FLOAT, MultiIndex, PolyJet, _OnlineComposition, _one
 from embedflow.resonance import field_resonances
-from embedflow.scalars import EigenScalar, ExactnessError, PiPoly, QQi
+from embedflow.scalars import EigenScalar, ExactnessError, QQi
 from embedflow.spectral import BlockMatrix, TriangularLinear
 from embedflow.tolerances import DEFAULT_TOL
+
+from _pipoly import PiPoly
 
 # An unsnapped float exponent closer than this to 0 (absolute) is refused
 # by ExpPoly.integrate_to_t: its closed-form antiderivative divides by the
@@ -426,6 +430,31 @@ def _snap(jet: FlowJet, tol: float) -> FlowJet:
 # -- linear exponentials -------------------------------------------------------
 
 
+def _nil_powers(tri: TriangularLinear, exact_ring: bool):
+    """Powers N^p as sparse dicts {(i,k): scalar}, p >= 1, until N^p = 0:
+    N is strictly lower triangular, so within ``tri.dim`` powers."""
+    first = {(i, k): (c if exact_ring else complex(c)) for i, k, c in tri.nil}
+    out = []
+    cur = first
+    while cur:
+        out.append(cur)
+        nxt: dict = {}
+        for (i, k), c in first.items():
+            for (i2, k2), c2 in cur.items():
+                if i2 != k:
+                    continue
+                key = (i, k2)
+                v = c * c2
+                if key in nxt:
+                    v = nxt[key] + v
+                if v:
+                    nxt[key] = v
+                else:
+                    nxt.pop(key, None)
+        cur = nxt
+    return out
+
+
 def exp_tB_jet_matrix(tri: TriangularLinear, sign: int, exact_ring: bool):
     """Matrix of e^(sign*t*B) with ExpPoly entries.
 
@@ -531,6 +560,19 @@ def Tr_matrix(B, r: int, basis=None, tol: float = DEFAULT_TOL):
             matrix[row][col] = p.integrate_unit()
     return matrix, tuple(basis)
 
+
+
+class WeakField(FieldGerm):
+    """A field B y + v whose support lies on the resonance lattice, weakly
+    resonant terms included: a :class:`FieldGerm` without its refusal of
+    weak terms, for the reference flow and the ODE oracle."""
+
+    def __post_init__(self):
+        report = field_resonances(self.linear.triangular().eigen, max(self.degree, 2), self.tol)
+        allowed = report.field_set() | report.weak_set()
+        bad = [k for k in self.nonlinear.coeffs if k not in allowed]
+        if bad:
+            raise ValueError(f"field support must be resonant or weakly resonant; got {bad}")
 
 
 def flow_jet(X: FieldGerm, degree=None) -> FlowJet:

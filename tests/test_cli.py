@@ -32,12 +32,11 @@ def machine(out: str) -> dict:
 def clear_process_tables():
     """Empty every process-wide table of the package: the shared LINEAR
     matrices, with every analysis kept on them, and the caches by size."""
-    from embedflow import cli, flow, germfile, graded, resonance
+    from embedflow import cli, germfile, graded, resonance
 
     germfile._linear_parts.clear()
     for cached in (
-        cli._build_parser, flow._weights, graded._grading, graded.product_bound,
-        resonance.monomial_index,
+        cli._build_parser, graded._grading, graded.product_bound, resonance.monomial_index,
     ):
         cached.cache_clear()
 
@@ -292,10 +291,12 @@ WEAK_GERM = (
 def _verify_weak_field(capsys, monkeypatch, steps):
     """``verify`` on WEAK_GERM, with the solve's field plus the weak term
     0.35 z^4 e1: a second embedding, whose oracle row z^4 e1 moves at
-    2*pi in the frame of B's diagonal.  ``steps`` forces the oracle's step
+    2*pi in the frame of B's diagonal.  FieldGerm refuses the weak term, so
+    the field is a test-side WeakField and the verdict reads its time-one
+    map off the reference flow.  ``steps`` forces the oracle's step
     count; None keeps its own.  Returns the exit code and the machine tail."""
-    from embedflow import cli, oracle
-    from embedflow.embedding import FieldGerm
+    import _expflow
+    from embedflow import cli, oracle, verdict
     from embedflow.jets import MultiIndex, PolyJet
 
     solve = cli.solve_embedding
@@ -304,9 +305,10 @@ def _verify_weak_field(capsys, monkeypatch, steps):
         X = solve(G, B, tol=tol)
         terms = [(j, m, c) for (j, m), c in X.nonlinear.coeffs.items()]
         terms.append((0, MultiIndex((0, 4, 0)), 0.35))
-        return FieldGerm(B, PolyJet.build(3, 4, X.mode, terms), 4, tol)
+        return _expflow.WeakField(B, PolyJet.build(3, 4, X.mode, terms), 4, tol)
 
     monkeypatch.setattr(cli, "solve_embedding", with_weak_term)
+    monkeypatch.setattr(verdict, "flow_jet", _expflow.flow_jet)
     if steps is not None:
         monkeypatch.setattr(oracle, "_ode_steps", lambda tri, v, degree: steps)
     monkeypatch.setattr(sys, "stdin", io.StringIO(WEAK_GERM))
@@ -1097,8 +1099,12 @@ class TestModeAgreement:
             "dimension 5\ndegree 3\nmode exact\nLINEAR\nrotation 0 2 2\njordan 4 1\nNONLINEAR\n"
             "5 2 0 0 0 0 1/3\n5 0 0 2 0 0 1/3\n5 1 0 1 0 0 -1/2\n1 2 0 0 0 0 1/3\n"
             "3 0 1 1 0 0 -1/4\n4 0 0 1 2 0 1/5\n",
+            # a rotation by an eighth turn: lambda = 1 -+ i has the exact
+            # log ln(2)/2 -+ i*pi/4, and exp of that log is exact again
+            "dimension 3\ndegree 4\nmode exact\nLINEAR\nrotation 1 1 1\njordan 4 1\nNONLINEAR\n"
+            "3 2 2 0 1/3\n",
         ],
-        ids=["jordan-chain", "rotation", "rotation-cells"],
+        ids=["jordan-chain", "rotation", "rotation-cells", "eighth-turn"],
     )
     def test_coupled_and_rotation_germs(self, capsys, monkeypatch, text):
         runs = self._runs(capsys, monkeypatch, "HEADER\n" + text)

@@ -602,19 +602,3 @@ def test_composer_forms_each_slice_once(monkeypatch, mode):
     assert count and max(formed.values()) == 1
     assert apply(f) == first
     assert len(formed) == count and max(formed.values()) == 1
-
-
-def test_flow_forms_each_slice_once(monkeypatch):
-    """flow_jet at N = 6 composes online: each (monomial, degree) slice of
-    the flow is formed once, not once per degree."""
-    from embedflow import BlockMatrix, FieldGerm, JordanBlock, flow_jet, real_log
-
-    # a saddle: y1^2 y2 e1 and y1 y2^2 e2 are resonant, and the flow is
-    # no polynomial
-    B = real_log(BlockMatrix((JordanBlock(2, 1), JordanBlock(Fraction(1, 2), 1))))
-    terms = [(0, (2, 1), Fraction(1, 2)), (1, (1, 2), Fraction(-3, 4))]
-    X = FieldGerm(B, PolyJet.build(2, 6, MODE_EXACT, terms), 6)
-    formed = _count_formed_slices(monkeypatch)
-    phi = flow_jet(X)
-    assert max(k[1].degree for k in phi.coeffs) == 5
-    assert formed and max(formed.values()) == 1

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from embedflow import EigenScalar, ExactnessError, PiPoly, QQi
+from embedflow import EigenScalar, ExactnessError, QQi
 from embedflow.scalars import factor_positive_rational
 
 from _expflow import two_pi_integer
+from _pipoly import PiPoly
 
 
 def _to_sympy(q: QQi):
@@ -152,6 +153,20 @@ class TestEigenScalar:
         assert EigenScalar.from_parts(rat=1).exp_exact() is None
         assert EigenScalar.from_parts(log_of=2, pi_part=Fraction(1, 4)).exp_exact() is None
 
+    @pytest.mark.parametrize("eighths", (1, 3, 5, 7, -1, -3))
+    @pytest.mark.parametrize("power", (Fraction(1, 2), Fraction(-1, 2), Fraction(5, 2), Fraction(-3, 2)))
+    def test_exp_exact_at_eighth_turns(self, eighths, power):
+        # 2^c e^(i*pi*k/4), c a half-integer and k odd: sqrt(2) e^(i*pi/4)
+        # is 1 + i, so the value is 2^(c - 1/2) (1 + i) i^((k - 1)/2)
+        v = EigenScalar(Fraction(0), ((2, power),), Fraction(eighths, 4))
+        got = v.exp_exact()
+        assert got == QQi(Fraction(2) ** (power - Fraction(1, 2))) * QQi(1, 1) * QQi(0, 1) ** ((eighths - 1) // 2 % 4)
+        assert complex(got) == pytest.approx(cmath.exp(complex(v)), rel=1e-14)
+        # the same turn with an integer power of 2, or with a half power of
+        # another prime, is irrational
+        assert EigenScalar(Fraction(0), ((2, power + Fraction(1, 2)),), v.pi_part).exp_exact() is None
+        assert EigenScalar(Fraction(0), ((3, power),), v.pi_part).exp_exact() is None
+
     def test_exp_complex_matches_cmath(self):
         v = EigenScalar.from_parts(rat=Fraction(1, 2), log_of=Fraction(3, 5),
                                    pi_part=Fraction(2, 7))
@@ -169,8 +184,9 @@ class TestEigenScalar:
 # -- QQi against a Fraction-pair reference -----------------------------------
 #
 # The reference holds a Gaussian rational as a pair (re, im) of Fractions.
-# The helpers use only the standard library and the names QQi and PiPoly,
-# so they also run as a plain script against scalars.py loaded by path.
+# The helpers use only the standard library and the names QQi and PiPoly
+# (the reference flow's, tests/_pipoly.py), so they also run as a plain
+# script against scalars.py and _pipoly.py loaded by path.
 
 
 def _ref_of(x):
