@@ -47,6 +47,7 @@ from .flow import FlowJet, flow_jet
 from .verdict import Verdict, certify, embedding_residual, time_one_residuals, time_one_steps
 from .classify import PlanarVerdict, classify_2d
 from .germfile import GermFile, GermParseError, parse_germ, serialize_germ
+from .pipeline import GermRun, run, run_normal_form
 from .reports import Report, fmt_complex, fmt_entry, parse_machine
 
 __version__ = "0.1.0"

@@ -13,8 +13,14 @@ Verbs:
 Exit codes: 0 success (field constructed / embeddable), 2 obstruction or
 not embeddable, 3 precondition failure (non-hyperbolic, no real log,
 verification failure, a header above MAX_JET_SIZE or MAX_PRODUCTS, an
-eigenvalue beyond MAX_FIELD_SCALE in embed or verify), 4 parse error
-(including a tolerance that is not a finite positive number).
+eigenvalue beyond MAX_FIELD_SCALE in embed or verify, a near-resonance:
+a normal-form divisor below max(tol, DIVISOR_FLOOR), or a nonresonant
+coefficient above STRAY_DEMAND that the solve meets in log U), 4 parse
+error (including a tolerance that is not a finite positive number).
+
+normal-form, embed and verify compute the germ's record
+(:mod:`embedflow.pipeline`) first and then print it; a refusal prints the
+Error section alone.
 """
 
 from __future__ import annotations
@@ -28,14 +34,11 @@ from functools import cache
 from importlib import resources
 
 from .classify import classify_2d
-from .embedding import Obstruction, solve_embedding
+from .embedding import Obstruction
 from .germfile import GermFile, GermParseError, parse_germ, serialize_germ
-from .graded import product_bound
-from .jets import realify
-from .normal_form import NearResonanceError, distinguished_normal_form
+from .pipeline import GermRun, refuse_oversize, run, run_normal_form
 from .reports import Report, fmt_complex, fmt_entry
 from .resonance import map_resonances
-from .scalars import ExactnessError
 from .spectral import (
     BRANCH_BOUND,
     BranchChoice,
@@ -44,8 +47,7 @@ from .spectral import (
     real_log,
     weakly_nonresonant_branch,
 )
-from .tolerances import MAX_FIELD_SCALE, MAX_JET_SIZE, MAX_PRODUCTS, NEAR_FACTOR
-from .verdict import certify
+from .tolerances import NEAR_FACTOR
 
 __all__ = ["main"]
 
@@ -112,12 +114,6 @@ def _apply_overrides(gf: GermFile, args) -> GermFile:
     return replace(gf, **changes)
 
 
-def _branch_for(gf: GermFile, paired):
-    if gf.branch_k or gf.branch_l:
-        return BranchChoice.assign(paired, gf.branch_k, gf.branch_l)
-    return BranchChoice.zeros(paired)
-
-
 def _put_resonances(report: Report, eigen, degree: int, tol: float):
     rep = map_resonances(eigen, degree, tol)
     report.section("Resonances")
@@ -150,62 +146,30 @@ def _put_jet(report: Report, key: str, jet, show: bool = True):
     report.put_set(key, (f"{entry}:{value}" for entry, value in entries))
 
 
-def _linear_section(gf: GermFile, report: Report) -> bool:
+def _linear_section(gf: GermFile, report: Report, ok: bool):
     report.section("Linear part")
     report.line(f"dimension {gf.dim}, degree {gf.degree}, mode {gf.mode}")
-    ok, _ = has_real_log(gf.blocks)
     report.line(f"real logarithm exists: {'yes' if ok else 'no'}")
     report.put("real_log", "yes" if ok else "no")
-    return ok
 
 
-def _coordinates_section(gf: GermFile, report: Report, paired, perm):
-    """Print the coordinate order and the principal log eigenvalues, which
-    it returns."""
+def _coordinates_section(gf: GermFile, report: Report, perm, mus):
+    """Print the coordinate order and the principal log eigenvalues."""
     if perm != tuple(range(gf.dim)):
         report.line(f"negative pairs interleaved; coordinate order {perm}")
-    mus = [complex(m) for m in paired.triangular().eigen.entries]
     report.line("log eigenvalues (principal): " + ", ".join(fmt_complex(m) for m in mus))
-    return mus
 
 
-def _refuse_oversize(gf: GermFile):
-    """Raise before any work on a germ whose header asks for more than
-    MAX_JET_SIZE jet coefficients."""
-    n, N = gf.dim, gf.degree
-    size = n * math.comb(N + n, n)
-    if size > MAX_JET_SIZE:
-        raise ValueError(
-            f"dimension {n} at degree {N} asks for n*C(N+n, n) = {size} jet "
-            f"coefficients, above MAX_JET_SIZE = {MAX_JET_SIZE}"
-        )
-
-
-def _refuse_overwork(gf: GermFile):
-    """Raise before any work on a germ whose normal form may form more
-    than MAX_PRODUCTS coefficient products."""
-    n, N = gf.dim, gf.degree
-    products = product_bound(n, N)
-    if products > MAX_PRODUCTS:
-        raise ValueError(
-            f"dimension {n} at degree {N} lets the normal form form up to "
-            f"{products:.3g} coefficient products, above MAX_PRODUCTS = {MAX_PRODUCTS:.0e}"
-        )
-
-
-def _prepare(gf: GermFile, report: Report):
-    """Refuse an oversized germ, complexify it and print its linear part:
-    (spec, paired, perm, principal log eigenvalues)."""
-    _refuse_oversize(gf)
-    _refuse_overwork(gf)
-    spec, paired, perm = gf.to_spec()
-    _linear_section(gf, report)
-    return spec, paired, perm, _coordinates_section(gf, report, paired, perm)
+def _run_sections(gf: GermFile, report: Report, record: GermRun):
+    """Print the linear part of a record, which exists only when the
+    germ's negative blocks paired, so when a real logarithm exists."""
+    _linear_section(gf, report, True)
+    _coordinates_section(gf, report, record.perm, record.mus)
 
 
 def cmd_analyze(gf: GermFile, report: Report) -> int:
-    _refuse_oversize(gf)
-    _linear_section(gf, report)
+    refuse_oversize(gf)
+    _linear_section(gf, report, has_real_log(gf.blocks)[0])
     try:
         paired, perm = gf.linear_spec()
     except SpectralError as exc:
@@ -217,8 +181,10 @@ def cmd_analyze(gf: GermFile, report: Report) -> int:
         report.line("resonances above use the principal complex logarithm")
         report.put("status", "no-real-log")
         return EXIT_PRECONDITION
-    _coordinates_section(gf, report, paired, perm)
-    B = real_log(paired, _branch_for(gf, paired))
+    _coordinates_section(
+        gf, report, perm, [complex(m) for m in paired.triangular().eigen.entries]
+    )
+    B = real_log(paired, BranchChoice.assign(paired, gf.branch_k, gf.branch_l))
     _put_resonances(report, B.triangular().eigen, gf.degree, gf.tol)
     # on the principal branch B's eigen data are A's, and the branch search
     # reads the scan just printed
@@ -243,8 +209,9 @@ def cmd_analyze(gf: GermFile, report: Report) -> int:
 
 
 def cmd_normal_form(gf: GermFile, report: Report) -> int:
-    spec, _, _, _ = _prepare(gf, report)
-    result = distinguished_normal_form(spec, tol=gf.tol)
+    record = run_normal_form(gf)
+    result = record.normal_form
+    _run_sections(gf, report, record)
     report.section("Distinguished normal form")
     report.line("resonant coefficients g (complexified coordinates):")
     _put_jet(report, "normal_form", result.germ.nonlinear)
@@ -263,38 +230,18 @@ def cmd_normal_form(gf: GermFile, report: Report) -> int:
     return EXIT_OK
 
 
-def _refuse_field_overflow(mus):
-    """Raise, before the normal form, on log eigenvalues ``mus`` with an
-    eigenvalue lambda whose |lambda * ln lambda|, the scale of the
-    embedding residual, is above MAX_FIELD_SCALE; compared in logarithms,
-    which stay finite."""
-    for mu in mus:
-        if mu and mu.real + math.log(abs(mu)) > math.log(MAX_FIELD_SCALE):
-            raise ValueError(
-                f"eigenvalue e^({mu.real:.6g}{mu.imag:+.6g}i): |lambda * ln lambda|, "
-                "the scale of the embedding residual, is outside the float range "
-                f"(above MAX_FIELD_SCALE = {MAX_FIELD_SCALE:.6g})"
-            )
-
-
-def _embed_pipeline(gf: GermFile, report: Report):
-    """Normalize, solve and certify, printing each stage: ``(outcome,
-    verdict)``, the verdict None when the outcome is an obstruction."""
-    spec, paired, perm, mus = _prepare(gf, report)
-    _refuse_field_overflow(mus)
-    result = distinguished_normal_form(spec, tol=gf.tol)
-    G = result.germ
+def _embed_sections(gf: GermFile, report: Report, record: GermRun):
+    """Print the sections that embed and verify share."""
+    _run_sections(gf, report, record)
+    result = record.normal_form
     report.section("Normal form")
     report.line(f"conjugacy residual {result.residual:.3e}")
-    _put_jet(report, "normal_form", G.nonlinear, show=False)
-    branch = _branch_for(gf, paired)
-    branch.validate(paired)
-    B = real_log(paired, branch)
+    _put_jet(report, "normal_form", result.germ.nonlinear, show=False)
     report.section("Logarithm")
-    report.put("branch", ":".join(map(str, branch.values)))
-    mus = [complex(m) for m in B.triangular().eigen.entries]
+    report.put("branch", ":".join(map(str, record.branch.values)))
+    mus = [complex(m) for m in record.B.triangular().eigen.entries]
     report.line("field eigenvalues: " + ", ".join(fmt_complex(m) for m in mus))
-    outcome = solve_embedding(G, B, tol=gf.tol)
+    outcome = record.outcome
     if isinstance(outcome, Obstruction):
         report.section("Obstruction")
         report.line(outcome.cause)
@@ -308,20 +255,16 @@ def _embed_pipeline(gf: GermFile, report: Report):
         report.put_set(
             "blocked", (fmt_entry(j, m, l) for j, m, l, _ in outcome.entries)
         )
-        return outcome, None
-    X = outcome
+        return
     report.section("Embedding field")
     report.line("nonlinear coefficients (complexified coordinates):")
-    _put_jet(report, "field", X.nonlinear)
-    pairing = paired.pairing()
-    if not pairing.trivial:
-        try:
-            real_v = realify(X.nonlinear.to_float(), pairing)
-            report.line("realified coefficients:")
-            _put_jet(report, "field_real", real_v)
-        except ValueError:
-            report.line("field is not conjugate-symmetric; left complex")
-    verdict = certify(G, X, gf.tol)
+    _put_jet(report, "field", outcome.nonlinear)
+    if record.field_real is not None:
+        report.line("realified coefficients:")
+        _put_jet(report, "field_real", record.field_real)
+    elif not record.pairing.trivial:
+        report.line("field is not conjugate-symmetric; left complex")
+    verdict = record.verdict
     report.section("Verification")
     report.line(f"time-one residual (exact flow): {verdict.residual_exp:.3e}")
     report.line(f"time-one residual (ODE oracle): {verdict.residual_ode:.3e}")
@@ -334,20 +277,22 @@ def _embed_pipeline(gf: GermFile, report: Report):
     report.put("ode_steps", verdict.ode_steps)
     report.put("residual_embedding", repr(verdict.residual_embedding))
     report.put("status", "field")
-    return X, verdict
 
 
 def cmd_embed(gf: GermFile, report: Report) -> int:
-    outcome, _ = _embed_pipeline(gf, report)
-    if isinstance(outcome, Obstruction):
+    record = run(gf)
+    _embed_sections(gf, report, record)
+    if isinstance(record.outcome, Obstruction):
         return EXIT_OBSTRUCTION
     return EXIT_OK
 
 
 def cmd_verify(gf: GermFile, report: Report) -> int:
-    outcome, verdict = _embed_pipeline(gf, report)
-    if isinstance(outcome, Obstruction):
+    record = run(gf)
+    _embed_sections(gf, report, record)
+    if isinstance(record.outcome, Obstruction):
         return EXIT_OBSTRUCTION
+    verdict = record.verdict
     report.section("Verdict")
     report.line(
         f"verified: {'yes' if verdict.ok else 'NO'} "
@@ -442,7 +387,7 @@ def main(argv=None) -> int:
             report.line(line)
     try:
         code = _COMMANDS[args.verb](gf, report)
-    except (SpectralError, NearResonanceError, ExactnessError, ValueError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         report.section("Error")
         report.line(str(exc))
         report.put("status", "error")

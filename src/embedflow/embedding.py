@@ -155,7 +155,9 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
     or, at the lowest degree where Y has a nonzero weakly resonant
     coefficient, an :class:`Obstruction` naming those coefficients.
     Raises :class:`SpectralError` when B's complex pairing is not the
-    germ's (B is then a logarithm in other coordinates) or exp(B) != A.
+    germ's (B is then a logarithm in other coordinates) or exp(B) != A,
+    and ``ArithmeticError`` when Y has a coefficient above STRAY_DEMAND on
+    a monomial that is neither field resonant nor weak.
     """
     if not B.is_log:
         raise ValueError("B must be a logarithm block matrix")
@@ -224,7 +226,9 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
         )
         if stray:
             raise ArithmeticError(
-                f"nonresonant coefficient appeared at degree {r}: {stray}"
+                f"nonresonant coefficient appeared at degree {r}: {stray} "
+                "(near-resonant spectrum: resonances kept within tol compose "
+                "to monomials that are not)"
             )
         blocked = [
             (j, m, weak[(j, m)], complex(c))

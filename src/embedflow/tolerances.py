@@ -54,10 +54,14 @@ LOG_RESIDUAL = 1e-8
 
 # A float coefficient of Y = log(e^(-S) G) above STRAY_DEMAND (absolute) on
 # a monomial that is neither field-resonant nor weak is a defect of the
-# normal form, not roundoff; the solve raises rather than drop it.  In
-# exact arithmetic such coefficients cancel exactly; in float they are
-# roundoff of the log series' compositions, many decades below 1e-7 for
-# coefficients of order one.
+# normal form, not roundoff; the solve raises rather than drop it.  A
+# near-resonant spectrum gives one: the normal form keeps each resonance
+# within tol, and a composite of kept terms can miss resonance by more.
+# With lambda2 = lambda1^2 e^-d, lambda3 = lambda2^2 e^-d and d < tol <
+# 2d, both squares are kept, but lambda3 misses lambda1^2 lambda2 by 2d in
+# the logs.  In exact arithmetic such coefficients cancel exactly; in
+# float they are roundoff of the log series' compositions, many decades
+# below 1e-7 for coefficients of order one.
 STRAY_DEMAND = 1e-7
 
 # The largest imaginary part (absolute) that complexify accepts on a real

@@ -288,6 +288,17 @@ WEAK_GERM = (
 )
 
 
+# a near-resonant float spectrum on which the solve meets a stray demand
+STRAY_GERM = (
+    "HEADER\ndimension 6\ndegree 3\nmode float\nLINEAR\n"
+    "rotation 1.910672978251212 -0.5910404133226791 1\n"
+    "rotation 3.3013424576579076 -2.2585698922249993 1\n"
+    "rotation 5.797724061190874 -14.912625348632895 1\n"
+    "NONLINEAR\n3 2 0 0 0 0 0 1\n3 0 2 0 0 0 0 -1\n4 1 1 0 0 0 0 2\n"
+    "5 0 0 2 0 0 0 1\n5 0 0 0 2 0 0 -1\n6 0 0 1 1 0 0 2\n"
+)
+
+
 def _verify_weak_field(capsys, monkeypatch, steps):
     """``verify`` on WEAK_GERM, with the solve's field plus the weak term
     0.35 z^4 e1: a second embedding, whose oracle row z^4 e1 moves at
@@ -296,10 +307,10 @@ def _verify_weak_field(capsys, monkeypatch, steps):
     map off the reference flow.  ``steps`` forces the oracle's step
     count; None keeps its own.  Returns the exit code and the machine tail."""
     import _expflow
-    from embedflow import cli, oracle, verdict
+    from embedflow import oracle, pipeline, verdict
     from embedflow.jets import MultiIndex, PolyJet
 
-    solve = cli.solve_embedding
+    solve = pipeline.solve_embedding
 
     def with_weak_term(G, B, tol):
         X = solve(G, B, tol=tol)
@@ -307,7 +318,7 @@ def _verify_weak_field(capsys, monkeypatch, steps):
         terms.append((0, MultiIndex((0, 4, 0)), 0.35))
         return _expflow.WeakField(B, PolyJet.build(3, 4, X.mode, terms), 4, tol)
 
-    monkeypatch.setattr(cli, "solve_embedding", with_weak_term)
+    monkeypatch.setattr(pipeline, "solve_embedding", with_weak_term)
     monkeypatch.setattr(verdict, "flow_jet", _expflow.flow_jet)
     if steps is not None:
         monkeypatch.setattr(oracle, "_ode_steps", lambda tri, v, degree: steps)
@@ -382,6 +393,20 @@ class TestVerify:
         assert m["verified"] == "yes"
         assert float(m["residual_exp"]) < 1e-12
 
+    def test_stray_nonresonant_demand_is_refused(self, capsys, monkeypatch):
+        """lambda2 = lambda1^2 e^-d and lambda3 = lambda2^2 e^-d with
+        d = 6e-10 < tol: the normal form keeps both squares, but lambda3
+        misses lambda1^2 lambda2 by 2d, so log U meets z1^2 z2 in the
+        fifth coordinate (and its conjugate in the sixth), neither field
+        resonant nor weak.  embed and verify refuse the germ, naming those
+        monomials, with exit 3 and no traceback."""
+        for verb in ("embed", "verify"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(STRAY_GERM))
+            code, out, err = run(capsys, verb, "-")
+            m = machine(out)
+            assert (code, m["status"], err) == (3, "error", ""), out
+            assert "[(4, (2, 0, 1, 0, 0, 0)), (5, (0, 2, 0, 1, 0, 0))]" in m["error"]
+
 
 # each residual of the verdict and the bound that gates it
 GATES = {
@@ -395,7 +420,7 @@ GATES = {
 def _certify_paper_23(capsys, monkeypatch):
     """``(G, X, tol, verdict)`` of the one ``certify`` call that ``verify``
     makes on paper-2.3."""
-    from embedflow import cli, verdict
+    from embedflow import pipeline, verdict
 
     calls = []
 
@@ -403,7 +428,7 @@ def _certify_paper_23(capsys, monkeypatch):
         calls.append((G, X, tol, verdict.certify(G, X, tol)))
         return calls[-1][-1]
 
-    monkeypatch.setattr(cli, "certify", record)
+    monkeypatch.setattr(pipeline, "certify", record)
     run(capsys, "verify", "--fixture", "paper-2.3")
     monkeypatch.undo()
     (call,) = calls

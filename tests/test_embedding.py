@@ -647,11 +647,11 @@ class TestFlow:
         ident = PolyJet.identity(X.dim, X.degree)
         assert jet_distance(phi.at_time(0.0), ident) < 1e-15
 
-    def test_weak_direction_closed_form(self):
-        # B = diag(8, 2 pi i): X = B y + c y_2^4 e_1 has
-        # phi_1(t) = e^{8t} y_1 + c e^{8t} (e^{(8 pi i - 8) t} - ... ) --
-        # checked against direct numeric integration instead of a formula:
-        # the exact-flow jet must satisfy d/dt phi = X(phi) sampled in t.
+    def test_field_resonant_flow_solves_its_ode(self):
+        # B = diag(8, 2 + pi i/2, 2 - pi i/2) and the solve's field
+        # X = B y + c y_2^2 y_3^2 e_1, whose one term is field resonant: the
+        # flow jet must satisfy d/dt phi = X(phi), checked by central
+        # differences at two times.
         mu1 = EigenScalar.from_parts(rat=8)
         mu2 = EigenScalar.from_parts(rat=2, pi_part=Fraction(1, 2))
         lam2 = cmath.exp(complex(mu2))
