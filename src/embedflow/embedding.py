@@ -32,12 +32,18 @@ import numpy as np
 
 from .jets import MODE_EXACT, MODE_FLOAT, MultiIndex, PolyJet, _composer, _one
 from .normal_form import GermSpec
+from .reports import fmt_entry
 from .resonance import ResonanceReport, _not_field_resonant, field_resonances
 from .scalars import ExactnessError
 from .spectral import BlockMatrix, SpectralError, TriangularLinear, log_residual
 from .tolerances import DEFAULT_TOL, LOG_RESIDUAL, STRAY_DEMAND
 
 __all__ = ["FieldGerm", "Obstruction", "solve_embedding"]
+
+
+def _entries(pairs) -> str:
+    """The 0-based entries (j, m) as a 1-based list for a message."""
+    return "[" + ", ".join(fmt_entry(j, m) for j, m in pairs) + "]"
 
 
 # -- public types ---------------------------------------------------------------
@@ -72,7 +78,7 @@ class FieldGerm:
             raise ValueError("nonlinear part must vanish to second order")
         bad = _not_field_resonant(self.nonlinear.coeffs, self.linear.triangular().eigen, self.tol)
         if bad:
-            raise ValueError(f"field support must be field resonant; got {bad}")
+            raise ValueError(f"field support must be field resonant; got {_entries(bad)}")
 
     @property
     def dim(self) -> int:
@@ -141,7 +147,7 @@ def _validate_normal_form(G: GermSpec, report: ResonanceReport, tol: float):
     if bad:
         raise ValueError(
             "germ is not in distinguished normal form for this logarithm: "
-            f"nonresonant monomials {bad}"
+            f"nonresonant monomials {_entries(bad)}"
         )
 
 
@@ -226,7 +232,7 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
         )
         if stray:
             raise ArithmeticError(
-                f"nonresonant coefficient appeared at degree {r}: {stray} "
+                f"nonresonant coefficient appeared at degree {r}: {_entries(stray)} "
                 "(near-resonant spectrum: resonances kept within tol compose "
                 "to monomials that are not)"
             )

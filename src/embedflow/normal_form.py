@@ -53,6 +53,7 @@ import numpy as np
 
 from .graded import _GradedPowers, _grading
 from .jets import MODE_EXACT, MultiIndex, PolyJet, _OnlineComposition, _one
+from .reports import fmt_entry
 from .resonance import _power, map_resonances, monomial_index
 from .spectral import BlockMatrix, is_hyperbolic
 from .tolerances import DEFAULT_TOL, DIVISOR_FLOOR
@@ -66,15 +67,17 @@ __all__ = [
 
 
 class NearResonanceError(ArithmeticError):
-    """A nonresonant divisor fell below tolerance in float mode."""
+    """A nonresonant divisor fell below tolerance in float mode.
+
+    ``target`` and ``exponent`` are 0-based; the message names the entry
+    1-based, as the reports do."""
 
     def __init__(self, target: int, exponent, divisor):
         self.target = target
         self.exponent = MultiIndex(exponent)
         self.divisor = complex(divisor)
         super().__init__(
-            f"near-resonant divisor {self.divisor:.3e} at component "
-            f"{target}, exponent {tuple(exponent)}"
+            f"near-resonant divisor {self.divisor:.3e} at {fmt_entry(target, exponent)}"
         )
 
 

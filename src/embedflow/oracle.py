@@ -5,19 +5,19 @@ X = By + v from the identity to time one, on the columns (j, m) that can
 become nonzero, with its own error estimate.  v(C) comes from its own
 gather/scatter plan, so it shares no code with the flow of
 :mod:`embedflow.flow` or the solve of :mod:`embedflow.embedding`; it
-imports numpy, math, operator, jet types and the ``ODE_*`` tolerances
-only.  ``tri`` is B's :class:`embedflow.spectral.TriangularLinear`.
+imports numpy, operator, jet types and the ``ODE_*`` tolerances only.
+It takes one step, or ODE_STEPS when one step's error estimate is above
+roundoff.  ``tri`` is B's :class:`embedflow.spectral.TriangularLinear`.
 """
 
 from __future__ import annotations
 
-import math
 from operator import add
 
 import numpy as np
 
 from .jets import MODE_FLOAT, MultiIndex, PolyJet
-from .tolerances import ODE_ROUNDOFF, ODE_STEPS_PER_RATE
+from .tolerances import ODE_ROUNDOFF, ODE_STEPS
 
 
 def _reachable(tri, v: PolyJet, degree: int):
@@ -206,34 +206,6 @@ _DP_E = np.array(
 )
 
 
-def _row_rate(tri, v: PolyJet, degree: int) -> float:
-    """The fastest row rate of the ODE oracle's equations.
-
-    In the frame of :func:`_dp5_run`, a row of the composition plan
-    for the term c y^p of component j moves at ``<p, mu> - mu_j``, whichever
-    columns it picks: 0 on field-resonant terms, 2*pi*|l| on weak ones.
-    B's couplings join coordinates of equal mu, so their rows do not move.
-    The modulus, not the real part, so that oscillating rows are resolved.
-    """
-    mu = tri.eigen.mu_complex()
-    return max(
-        (
-            abs(sum(e * mu_i for e, mu_i in zip(p, mu) if e) - mu[j])
-            for j, p in v.coeffs
-            if p.degree <= degree
-        ),
-        default=0.0,
-    )
-
-
-def _ode_steps(tri, v: PolyJet, degree: int) -> int:
-    """The rate count of the ODE oracle: ODE_STEPS_PER_RATE steps per unit
-    of the fastest row rate of its equations (:func:`_row_rate`), a rate
-    below 1 counting as 1.  :func:`_ode_oracle` runs it on every field that
-    one step does not resolve."""
-    return math.ceil(ODE_STEPS_PER_RATE * max(1.0, _row_rate(tri, v, degree)))
-
-
 def _dp5_plan(tri, v: PolyJet, degree: int):
     """``(cols, g)``: the reachable columns of the oracle's equations
     (:func:`_reachable`) and the plan of g = B C + v(C) less D C on them
@@ -253,8 +225,9 @@ def _dp5_run(tri, plan, steps: int):
     The state is z = e^(-tD) C, D the rate mu_j of each column (j, m), so
     z' = e^(-tD) g(e^(tD) z) with g = B C + v(C) less D C (Lawson, SIAM J.
     Numer. Anal. 4, 1967; Hochbruck & Ostermann, Acta Numerica 19, 2010):
-    a row moves at sum mu_i - mu_j (:func:`_row_rate`), not at the rates
-    of e^(tB).  e^(+-tD) at a step's nodes is formed once per step.
+    the row of a term c y^p of component j moves at <p, mu> - mu_j, 0 on
+    field-resonant terms and on B's couplings, not at the rates of e^(tB).
+    e^(+-tD) at a step's nodes is formed once per step.
     """
     n = tri.dim
     cols, g = plan
@@ -295,23 +268,20 @@ def _dp5_jet(tri, cols, degree: int, y) -> PolyJet:
 
 def _ode_oracle(tri, v: PolyJet, degree: int):
     """``(jet, err, steps)``: the map jet of the field By + v at time one,
-    to ``degree``, by :func:`_dp5_run` at a step count chosen from the
-    integrator's own error estimate (Hairer, Norsett & Wanner, Solving
-    ODEs I, II.4); ``err`` is the sum of the steps' local errors plus the
-    roundoff floor.
+    to ``degree``, by :func:`_dp5_run`, with ``err`` the sum of the steps'
+    local errors plus the roundoff floor.
 
-    A field whose rows one step already resolves, ODE_STEPS_PER_RATE * rate
-    <= 1 on every row (:func:`_row_rate`), first takes one step, kept when
-    that step's local error is within the roundoff floor of the estimate.
-    Rate-0 fields whose coefficients are polynomials of low degree in t
-    keep it; long Jordan chains do not.  Every other field runs the rate
-    count of :func:`_ode_steps` on the same plan.
+    The step count comes from the integrator's own error estimate
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.4): one step, kept when
+    its local error is within the roundoff floor, as on rate-0 fields whose
+    coefficients are polynomials of low degree in t; otherwise ODE_STEPS
+    steps on the same plan, as on long Jordan chains and on any field with
+    a moving row, whose estimate the verdict then gates.
     """
     plan = _dp5_plan(tri, v, degree)
-    if ODE_STEPS_PER_RATE * _row_rate(tri, v, degree) <= 1:
-        y, local, floor = _dp5_run(tri, plan, 1)
-        if local <= floor:
-            return _dp5_jet(tri, plan[0], degree, y), local + floor, 1
-    steps = _ode_steps(tri, v, degree)
-    y, local, floor = _dp5_run(tri, plan, steps)
+    y, local, floor = _dp5_run(tri, plan, 1)
+    steps = 1
+    if local > floor:
+        steps = ODE_STEPS
+        y, local, floor = _dp5_run(tri, plan, steps)
     return _dp5_jet(tri, plan[0], degree, y), local + floor, steps

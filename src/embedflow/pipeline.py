@@ -2,9 +2,9 @@
 
 :func:`run` takes a parsed :class:`GermFile` through the chain that
 ``embed`` and ``verify`` report, in this order: refuse by size and by
-predicted work, complexify, refuse by field scale, normalize, pick and
-validate the branch, take the real logarithm B, solve, realify and
-certify.  :func:`run_normal_form` stops after the normal form, which is
+predicted work, complexify, refuse by field scale, normalize, pick the
+branch, take the real logarithm B (which validates the branch), solve,
+realify and certify.  :func:`run_normal_form` stops after the normal form, which is
 all that ``normal-form`` reports.  A refusal or a failed precondition
 raises (a ``ValueError`` or an ``ArithmeticError``), so a record exists
 only for a germ that went through its whole chain.
@@ -118,7 +118,6 @@ def run(gf: GermFile) -> GermRun:
     result = distinguished_normal_form(spec, tol=gf.tol)
     G = result.germ
     branch = BranchChoice.assign(paired, gf.branch_k, gf.branch_l)
-    branch.validate(paired)
     B = real_log(paired, branch)
     outcome = solve_embedding(G, B, tol=gf.tol)
     pairing = paired.pairing()

@@ -86,7 +86,7 @@ ROUNDING = 2.0**-44
 # verify (verdict.certify) accepts the ODE oracle's time-one residual up to
 # max(ODE_BOUND, tol) * scale, scale = max(1, max |map jet coefficient|).
 # The oracle is a fixed-step integrating-factor Dormand-Prince 5(4)
-# integration (see ODE_STEPS_PER_RATE) whose own error is measured, and
+# integration (see ODE_STEPS) whose own error is measured, and
 # gated by ODE_ERR_SHARE.  On paper-2.3, whose state moves at rate 8 under
 # e^(tB), one step leaves a residual of 8.9e-16 (3.0e-19 relative to its
 # scale 2981).  ODE_BOUND leaves room for fields whose rows oscillate
@@ -97,22 +97,25 @@ ODE_BOUND = 1e-6
 # that B's couplings and v's terms can make nonzero from the identity, in
 # the frame z = e^(-tD) C that moves with B's diagonal (D = mu_j on column
 # (j, m)).  There a row of the composition plan, a term c y^p of component
-# j, moves at |<p, mu> - mu_j|: 0 on field-resonant terms and on B's
-# couplings, 2*pi*|l| on weak ones.  The rate count is ODE_STEPS_PER_RATE
-# steps per unit of the fastest row rate (a rate below 1 counts as 1), so
-# h * rate <= 1/ODE_STEPS_PER_RATE on every row; the modulus, so that
-# oscillating rows are resolved.  DP5's error falls as h^5.  A field on
-# which one step already meets that rule (ODE_STEPS_PER_RATE * rate <= 1)
-# first takes one step and keeps it when its local error is within
-# ODE_ROUNDOFF; the fixtures and the resonant verify germs do, long Jordan
-# chains (sizes (4, 1) at N = 5, (2, 2, 2) at N = 3) read about 1e-4 and
-# run the rate count, like every field with a moving row.  23 no longer
-# binds any assert: at 4 every accuracy assert of the test suite still
-# passes, and only at 1 do the DOP853 comparison and the Jordan-chain
-# time-one checks fail.  23 is kept so that a moving row is resolved to
-# h * rate <= 1/23 and its estimate sits far under its gate: the weak
-# field of the tests (rate 2*pi, 145 steps) reads 1.0e-10 against 7.4e-7.
-ODE_STEPS_PER_RATE = 23
+# j, moves at <p, mu> - mu_j: 0 on B's couplings and on the field-resonant
+# terms that are all a FieldGerm carries.  The oracle first takes one step
+# and keeps it when its local error is within ODE_ROUNDOFF; the fixtures
+# and the resonant verify germs do.  Otherwise it reruns at ODE_STEPS
+# equal steps.  Long Jordan chains need that: their coefficients are
+# polynomials in t of higher degree than one step integrates exactly.
+# Relative to the map jet's scale, at 1, 4 and 23 steps, on the chains of
+# the tests (eigenvalues 2, 4, 8, random resonant coefficients):
+#   sizes (4, 1) at N = 5:    residual 6.0e-5, 1.5e-8, 4.1e-13;
+#                             estimate 5.1e-5, 2.0e-7, 1.8e-10;
+#   sizes (2, 2, 2) at N = 3: residual 1.4e-7, 1.5e-10, 2.5e-14;
+#                             estimate 1.7e-5, 6.7e-8,  6.1e-11.
+# At 4 steps the (4, 1) estimate would exceed ODE_ERR_SHARE * ODE_BOUND =
+# 1e-7 and fail the verdict; 23 keeps both estimates more than 500 times
+# under it, at six right-hand sides a step.  A field with a moving row,
+# which no FieldGerm is, also runs at ODE_STEPS and the estimate gate
+# decides: the weak field of the tests, whose row moves at 2*pi, reads a
+# residual of 4.4e-16 and an estimate of 1.6e-7 against its gate of 7.4e-7.
+ODE_STEPS = 23
 
 # verify (verdict.certify) also requires the oracle's error estimate to be at most
 # ODE_ERR_SHARE * bound_ode.  The estimate is the sum over the steps of
@@ -135,7 +138,7 @@ ODE_ERR_SHARE = 0.1
 # also the oracle's acceptance test for one step: a one-step local error
 # within it is roundoff, and the step stands with an estimate of at most
 # twice the floor (4.5e-13 against residuals of at most 1.8e-15 on the
-# resonant verify germs); above it the rate count runs.
+# resonant verify germs); above it the oracle reruns at ODE_STEPS.
 ODE_ROUNDOFF = 2.0**-44
 
 # The CLI refuses a germ whose header asks for more than MAX_JET_SIZE jet

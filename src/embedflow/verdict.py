@@ -41,7 +41,7 @@ def time_one_steps(X: FieldGerm, G: GermSpec):
     max-abs distance from the map jet of the Lie-series flow of X at t = 1
     and of the Dormand-Prince ODE oracle, the oracle's own error estimate,
     and the step count the oracle chose (:func:`embedflow.oracle._ode_oracle`).
-    The estimate bounds the ODE residual at the rate count.  One step is
+    The estimate bounds the ODE residual at ODE_STEPS steps.  One step is
     kept only where its estimate reads at roundoff: on a long Jordan chain,
     sizes (4, 1) at N = 5, one step can miss by 2.4e-4 against an estimate
     of 2.0e-4.

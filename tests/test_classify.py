@@ -5,6 +5,7 @@ closed form and through scipy's expm back to the input matrix.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.linalg import expm
 from embedflow import (
     MODE_FLOAT,
     BlockMatrix,
+    EigenScalar,
     FieldGerm,
     GermSpec,
     JordanBlock,
@@ -26,11 +28,74 @@ from embedflow import (
     complexify,
     distinguished_normal_form,
     field_resonances,
+    has_real_log,
+    pair_negative_blocks,
     real_log,
     solve_embedding,
     time_one_steps,
 )
 from _reference import planar_from_dense, positive_spectrum_log
+
+
+LOGGABLE_KINDS = (
+    "positive-cells", "positive-chain", "jordan-exp", "rotation", "rotation-exp",
+    "negpair", "equal-negative",
+)
+PLANAR_KINDS = LOGGABLE_KINDS + ("negative-chain", "negative-beside-positive", "distinct-negative")
+
+
+def _modulus(rng, exact: bool):
+    """A positive eigenvalue modulus away from 1, Fraction or float."""
+    while True:
+        x = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        if not exact:
+            x = float(x) * float(rng.uniform(0.9, 1.1))
+        if abs(x - 1) > 0.05:
+            return x
+
+
+def _planar_spectrum(rng, kind: str, exact: bool) -> BlockMatrix:
+    """A hyperbolic planar linear part of the given kind with random
+    parameters, Fraction ones when ``exact``, float ones otherwise."""
+    lam = _modulus(rng, exact)
+    if kind == "positive-cells":
+        return BlockMatrix((JordanBlock(lam, 1), JordanBlock(_modulus(rng, exact), 1)))
+    if kind == "positive-chain":
+        return BlockMatrix((JordanBlock(lam, 2),))
+    if kind == "jordan-exp":
+        u = Fraction(int(rng.choice([-3, -1, 1, 2])), int(rng.integers(1, 4)))
+        w = Fraction(int(rng.choice([-2, 1, 3])), 2)
+        return BlockMatrix(tuple(
+            JordanBlock(math.exp(x), 1, mu=EigenScalar.from_parts(rat=x)) for x in (u, w)
+        ))
+    if kind == "rotation":
+        theta = math.pi * float(rng.uniform(0.05, 0.95)) * float(rng.choice([-1, 1]))
+        alpha, beta = float(lam) * math.cos(theta), -float(lam) * math.sin(theta)
+        if exact:
+            alpha, beta = Fraction(alpha).limit_denominator(12), Fraction(beta).limit_denominator(12)
+            if not beta or abs(alpha**2 + beta**2 - 1) < Fraction(1, 20):
+                return _planar_spectrum(rng, kind, exact)
+        return BlockMatrix((RotationBlock(alpha, beta, 1),))
+    if kind == "rotation-exp":
+        u = Fraction(int(rng.choice([-3, -1, 1, 2])), int(rng.integers(1, 4)))
+        q = Fraction(int(rng.choice([-2, -1, 1, 2])), int(rng.integers(3, 7)))
+        r, theta = math.exp(u), math.pi * q
+        mu = EigenScalar.from_parts(rat=u, pi_part=q)
+        return BlockMatrix((RotationBlock(r * math.cos(theta), -r * math.sin(theta), 1, mu=mu),))
+    if kind == "negpair":
+        return BlockMatrix((NegativePairBlock(-lam, 1),))
+    if kind == "equal-negative":
+        return BlockMatrix((JordanBlock(-lam, 1), JordanBlock(-lam, 1)))
+    if kind == "negative-chain":
+        return BlockMatrix((JordanBlock(-lam, 2),))
+    if kind == "negative-beside-positive":
+        cells = [JordanBlock(-lam, 1), JordanBlock(_modulus(rng, exact), 1)]
+        return BlockMatrix(tuple(cells[:: int(rng.choice([-1, 1]))]))
+    assert kind == "distinct-negative"
+    mu = lam
+    while mu == lam:
+        mu = _modulus(rng, exact)
+    return BlockMatrix((JordanBlock(-lam, 1), JordanBlock(-mu, 1)))
 
 
 def _dense(bm: BlockMatrix) -> np.ndarray:
@@ -103,16 +168,35 @@ class TestClassify2d:
             classify_2d(BlockMatrix((JordanBlock(1, 1), JordanBlock(2, 1))))
 
     def test_verdict_logarithms_weakly_nonresonant(self):
-        cases = [
-            BlockMatrix((JordanBlock(4, 1), JordanBlock(2, 1))),
-            BlockMatrix((JordanBlock(2, 2),)),
-            BlockMatrix((RotationBlock(1.0, 2.0, 1),)),
-            BlockMatrix((JordanBlock(-3, 1), JordanBlock(-3, 1))),
-        ]
-        for A in cases:
-            v = classify_2d(A)
-            report = field_resonances(v.log.triangular().eigen, 10)
-            assert report.weak == ()
+        # the third theorem in the plane: embeddable exactly when A has a
+        # real logarithm, and the verdict's logarithm is weakly nonresonant
+        # at every degree, which classify_2d itself no longer scans
+        rng = np.random.default_rng(46)
+        seen = set()
+        for kind in PLANAR_KINDS:
+            for exact in (True, False):
+                for _ in range(3):
+                    A = _planar_spectrum(rng, kind, exact)
+                    v = classify_2d(A)
+                    assert v.embeddable == has_real_log(A)[0], A
+                    seen.add((kind, v.embeddable))
+                    if v.log is None:
+                        continue
+                    _roundtrips(v, _dense(pair_negative_blocks(A)[0]))
+                    for degree in range(2, 13):
+                        assert field_resonances(v.log.triangular().eigen, degree).weak == (), A
+        assert seen == {(kind, kind in LOGGABLE_KINDS) for kind in PLANAR_KINDS}
+
+    def test_float_negatives_equal_within_tol_are_embeddable(self):
+        # two float negative cells equal within tol are one negative pair
+        # (has_real_log's _jordan_eq), as they are for every other verb
+        A = BlockMatrix((JordanBlock(-3.0, 1), JordanBlock(-3.0 * (1 + 1e-12), 1)))
+        assert has_real_log(A)[0]
+        v = classify_2d(A)
+        assert v.embeddable and v.reason == "equal-negative-diagonalizable"
+        assert isinstance(v.log.blocks[0].source, NegativePairBlock)
+        far = BlockMatrix((JordanBlock(-3.0, 1), JordanBlock(-3.0 * (1 + 1e-6), 1)))
+        assert classify_2d(far).reason == "distinct-negative-eigenvalues"
 
     def test_verdict_invariant(self):
         with pytest.raises(ValueError):

@@ -61,7 +61,6 @@ from embedflow.oracle import (
     _dp5_plan,
     _dp5_run,
     _ode_oracle,
-    _ode_steps,
     _reachable,
 )
 from embedflow.tolerances import (
@@ -69,7 +68,7 @@ from embedflow.tolerances import (
     ODE_BOUND,
     ODE_ERR_SHARE,
     ODE_ROUNDOFF,
-    ODE_STEPS_PER_RATE,
+    ODE_STEPS,
     STRAY_DEMAND,
 )
 import _expflow
@@ -1239,8 +1238,7 @@ class TestOdeOracle:
             MODE_FLOAT,
             [(int(rng.integers(n)), exponents[k], complex(*rng.normal(size=2))) for k in picks],
         )
-        steps = _ode_steps(tri, v, degree)
-        got, err = _dp5_time_one(tri, v, degree, steps)
+        got, err = _dp5_time_one(tri, v, degree, ODE_STEPS)
 
         cols, deriv = _ode_rhs(tri, v, degree)
         C0 = np.zeros(len(cols), dtype=complex)
@@ -1306,37 +1304,16 @@ class TestOdeOracle:
         assert fields >= 4
 
     def test_reachable_state(self):
-        # paper-2.3: the identity and the one resonant column.  Its columns
-        # move at |<(0,4,4), mu>| = |mu_1| = 8 under e^(tB), but its one row
-        # picks rates summing to the rate it feeds, so in the frame of B's
-        # diagonal every row has rate 0: 23 steps, where 8 would ask for 184
+        # paper-2.3: the identity and the one resonant column
         G, X = _fixture_field("paper-2.3")
         tri, v, N = _oracle_inputs(X, G)
         e = MultiIndex.unit
         assert _reachable(tri, v, N) == [(0, e(3, 0)), (1, e(3, 1)), (2, e(3, 2)), (0, (0, 4, 4))]
-        assert _ode_steps(tri, v, N) == ODE_STEPS_PER_RATE == 23
-        # resonant-2d: rate 0 too, where |<(0,2), mu>| = 2 ln 2 would ask for 32
         G, X = _fixture_field("resonant-2d")
         tri, v, N = _oracle_inputs(X, G)
         assert _reachable(tri, v, N) == [(0, e(2, 0)), (1, e(2, 1)), (0, (0, 2))]
-        assert _ode_steps(tri, v, N) == 23
-        # a weak term moves at 2*pi|l|: test_weak_term_gives_second_embedding's
-        # second field, whose 0.35 y2^4 e1 has l = -1
-        mu1 = EigenScalar.from_parts(rat=2)
-        mu2 = EigenScalar.from_parts(rat=Fraction(1, 2), pi_part=Fraction(1, 2))
-        B = real_log(BlockMatrix((
-            JordanBlock(math.exp(2.0), 1, mu=mu1),
-            RotationBlock(0.0, -math.exp(0.5), 1, mu=mu2),
-        )))
-        v = PolyJet.build(
-            3, 4, MODE_FLOAT,
-            [(0, MultiIndex((0, 2, 2)), math.exp(-2.0)), (0, MultiIndex((0, 4, 0)), 0.35)],
-        )
-        assert _ode_steps(B.triangular(), v, 4) == math.ceil(ODE_STEPS_PER_RATE * 2 * math.pi) == 145
         # diag(8, 2, 4) with v = (y2^3 + y2 y3) e1 + y2^2 e3: y3 gains the
-        # column y2^2, and y2 y3 then reaches y2^3 again; 6 of 165 entries.
-        # Every term is field-resonant: 23 steps, where the rate ln 8 of
-        # e^(tB) would ask for 48
+        # column y2^2, and y2 y3 then reaches y2^3 again; 6 of 165 entries
         tri = real_log(BlockMatrix(tuple(JordanBlock(c, 1) for c in (8, 2, 4)))).triangular()
         v = PolyJet.build(
             3, 5, MODE_FLOAT, [(0, (0, 3, 0), 1.0), (0, (0, 1, 1), 1.0), (2, (0, 2, 0), 1.0)]
@@ -1345,7 +1322,6 @@ class TestOdeOracle:
             (0, e(3, 0)), (1, e(3, 1)), (2, e(3, 2)),
             (0, (0, 1, 1)), (2, (0, 2, 0)), (0, (0, 3, 0)),
         ]
-        assert _ode_steps(tri, v, 5) == 23
         # a Jordan block couples y1's columns into y2's; v = y2^2 e1 then
         # reaches y1^2 and y1 y2 through the coupling
         tri = real_log(BlockMatrix((JordanBlock(3, 2),))).triangular()
@@ -1359,8 +1335,8 @@ class TestOdeOracle:
         "case", ["paper-2.3", "resonant-2d", "paper-F1", "jordan", "random"]
     )
     def test_reachable_state_matches_full_state(self, case):
-        # at the germ-chosen step count the reachable oracle gives the jet
-        # and the estimate of the full-state integration to 1e-15 of the
+        # at ODE_STEPS steps the reachable oracle gives the jet and the
+        # estimate of the full-state integration to 1e-15 of the
         # jet's scale.  The estimate is a difference of nearly equal slopes,
         # so relative to itself it shows the last-bit rounding of the stage
         # sums, which BLAS rounds differently at different state lengths
@@ -1373,9 +1349,8 @@ class TestOdeOracle:
         else:
             G, X = _fixture_field(case)
         tri, v, N = _oracle_inputs(X, G)
-        steps = _ode_steps(tri, v, N)
-        got, err = _dp5_time_one(tri, v, N, steps)
-        want, want_err = _full_state_dp5(tri, v, N, steps)
+        got, err = _dp5_time_one(tri, v, N, ODE_STEPS)
+        want, want_err = _full_state_dp5(tri, v, N, ODE_STEPS)
         assert set(got.coeffs) == set(want.coeffs)
         assert jet_distance(got, want) <= 1e-15 * want.max_abs()
         assert abs(err - want_err) <= 1e-15 * want.max_abs()
@@ -1398,37 +1373,24 @@ class TestOdeOracle:
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     @pytest.mark.parametrize("sizes, degree", [((4, 1), 5), ((2, 2, 2), 3)])
-    def test_long_jordan_chains_fall_back_to_the_rate_count(
+    def test_long_jordan_chains_fall_back_to_ode_steps(
         self, sizes, degree, exact, monkeypatch
     ):
         # rate 0 too, but the chain makes the coefficients polynomials of
         # higher degree in t: one step's estimate reads about 1e-4, eight
-        # decades above the roundoff floor, and the oracle reruns the rate
-        # count on the plan it built once
+        # decades above the roundoff floor, and the oracle reruns at
+        # ODE_STEPS on the plan it built once
         G, B = _jordan_germ(sizes, degree, exact, np.random.default_rng(7))
         X = solve_embedding(G, B)
         tri, v, N = _oracle_inputs(X, G)
-        steps = _ode_steps(tri, v, N)
-        assert steps == ODE_STEPS_PER_RATE
-        want, want_err = _dp5_time_one(tri, v, N, steps)
+        want, want_err = _dp5_time_one(tri, v, N, ODE_STEPS)
         _, one_err = _dp5_time_one(tri, v, N, 1)
         assert one_err > 1e6 * ODE_ROUNDOFF * want.max_abs()
         runs, plans = _record_oracle_work(monkeypatch)
-        jet, err, got_steps = _ode_oracle(tri, v, N)
-        assert runs == [1, steps] and got_steps == steps
+        jet, err, steps = _ode_oracle(tri, v, N)
+        assert runs == [1, ODE_STEPS] and steps == ODE_STEPS == 23
         assert plans == ["_reachable", "_composition_table"]
         assert jet.coeffs == want.coeffs and err == want_err
-
-    def test_moving_rows_never_take_the_trial(self, monkeypatch):
-        # the weak row of test_weak_term_gives_second_embedding's second
-        # field moves at 2*pi: the rate count runs at once
-        X = _weak_term_field()
-        tri, v = X.linear.triangular(), X.nonlinear
-        runs, plans = _record_oracle_work(monkeypatch)
-        _, _, steps = _ode_oracle(tri, v, 4)
-        assert steps == math.ceil(ODE_STEPS_PER_RATE * 2 * math.pi) == 145
-        assert runs == [145]
-        assert plans == ["_reachable", "_composition_table"]
 
 
 class TestAppendixIdentity:
