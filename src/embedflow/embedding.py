@@ -14,9 +14,10 @@ linear part is unipotent, so the series ends: D_k vanishes after finitely
 many rounds, and the solve needs nothing but jet composition.  The
 nonlinear part of Y is field-resonant or weakly resonant; a nonzero weakly
 resonant coefficient is a certificate that no field supported on these
-monomials embeds G with this logarithm branch.  Coefficient arithmetic is
-exact whenever the eigenvalues are Gaussian rational and the input jet
-carries exact coefficients.
+monomials embeds G with this logarithm branch.  The coefficient ring is
+the germ's: in exact mode G's eigenvalues and coefficients are Gaussian
+rational, and the solve never exponentiates a logarithm, so it stays
+exact when B's logs are floats (a rotation at a generic angle).
 
 The solve is checked by two routes that it shares no code with and does
 not import: the Lie-series flow of :mod:`embedflow.flow` and the ODE
@@ -28,15 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .jets import MODE_EXACT, MODE_FLOAT, MultiIndex, PolyJet, _composer, _one
 from .normal_form import GermSpec
 from .reports import fmt_entry
 from .resonance import ResonanceReport, _not_field_resonant, field_resonances
-from .scalars import ExactnessError
-from .spectral import BlockMatrix, SpectralError, TriangularLinear, log_residual
-from .tolerances import DEFAULT_TOL, LOG_RESIDUAL, STRAY_DEMAND
+from .spectral import BlockMatrix, SpectralError
+from .tolerances import DEFAULT_TOL, STRAY_DEMAND
 
 __all__ = ["FieldGerm", "Obstruction", "solve_embedding"]
 
@@ -121,18 +119,8 @@ class Obstruction:
 # -- the solve ------------------------------------------------------------------
 
 
-def _ring_flags(tri: TriangularLinear, mode: str) -> bool:
-    exact_ring = tri.exact_ring(mode) and tri.eigen.lambda_exact() is not None
-    if mode == MODE_EXACT and not exact_ring:
-        raise ExactnessError(
-            "exact solve needs exact eigen data and Gaussian-rational "
-            "eigenvalues; rerun in float mode"
-        )
-    return exact_ring
-
-
-def _is_zero(c, exact_ring: bool, tol: float) -> bool:
-    if exact_ring:
+def _is_zero(c, exact: bool, tol: float) -> bool:
+    if exact:
         return not c
     return abs(c) <= tol
 
@@ -160,44 +148,41 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
     ``B + v`` with v the nonlinear part of Y on field-resonant monomials,
     or, at the lowest degree where Y has a nonzero weakly resonant
     coefficient, an :class:`Obstruction` naming those coefficients.
-    Raises :class:`SpectralError` when B's complex pairing is not the
-    germ's (B is then a logarithm in other coordinates) or exp(B) != A,
-    and ``ArithmeticError`` when Y has a coefficient above STRAY_DEMAND on
-    a monomial that is neither field resonant nor weak.
+    B must be a real logarithm of the germ's linear part A as
+    :func:`embedflow.spectral.real_log` builds it, on any branch: its
+    ``LogBlock`` sources are A's blocks, so exp(B) = A by construction.
+    Any other B raises :class:`SpectralError`.  e^S is read from G, not
+    formed from B's logs: its diagonal is that of A's triangular form, QQi
+    in exact mode.  Raises ``ArithmeticError`` when Y has a coefficient
+    above STRAY_DEMAND on a monomial that is neither field resonant nor
+    weak.
     """
     if not B.is_log:
         raise ValueError("B must be a logarithm block matrix")
-    if B.pairing() != G.linear.pairing():  # RealPairing holds the dimension too
+    if tuple(b.source for b in B.blocks) != G.linear.blocks:
         raise SpectralError(
-            "B is a logarithm in other coordinates: its complex pairing "
-            "differs from the germ's"
+            "B is not a logarithm of the germ's linear part: its source "
+            "blocks are not the germ's blocks"
         )
     N = G.degree
-    scale = float(np.max(np.abs(G.linear.to_dense())))
-    res = log_residual(G.linear, B)
-    if res > LOG_RESIDUAL * max(1.0, scale):
-        raise SpectralError(
-            f"exp(B) differs from the germ's linear part by {res:.2e}"
-        )
     tri = B.triangular()
-    exact_ring = _ring_flags(tri, G.mode)
     report = field_resonances(tri.eigen, max(N, 2), tol)  # N = 1 solves nothing
     _validate_normal_form(G, report, tol)
     n = tri.dim
-    jet_mode = MODE_EXACT if exact_ring else MODE_FLOAT
-    one = _one(jet_mode)
-    lam = tri.eigen.lambda_exact() if exact_ring else tri.eigen.lambda_complex()
-    inv = [one / x for x in lam]
+    exact = G.mode == MODE_EXACT
+    one = _one(G.mode)
+    G_jet = G.map_jet()  # exact mode refuses a diagonal that is not QQi
+    # e^S has the eigenvalues that the normal form divided by, the diagonal
+    # of G's triangular form, on every branch of B
+    inv = [one / (d if exact else complex(d)) for d in G.linear.triangular().diag]
+    units = [MultiIndex.unit(n, j) for j in range(n)]
     # U = e^(-S) G.  Its linear diagonal is set to exactly 1, so that a
     # round keeps only terms that a coupling or a nonlinear term moved.
     U = PolyJet(
         n,
         N,
-        jet_mode,
-        {
-            (j, m): one if m == MultiIndex.unit(n, j) else inv[j] * c
-            for (j, m), c in G.map_jet().coeffs.items()
-        },
+        G.mode,
+        {(j, m): one if m == units[j] else inv[j] * c for (j, m), c in G_jet.coeffs.items()},
     )
     # Give y_i the weight 2s - 1 - c_i, where c_i < s counts the couplings
     # from coordinate i up to the head of its Jordan chain.  A coupling
@@ -209,15 +194,15 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
     for i, k, _ in sorted(tri.nil, key=lambda e: e[:2]):
         c[i] = max(c[i], c[k] + 1)
     s = max(c) + 1
-    D = PolyJet.identity(n, N, jet_mode)
-    Y = PolyJet.zero(n, N, jet_mode)
+    D = PolyJet.identity(n, N, G.mode)
+    Y = PolyJet.zero(n, N, G.mode)
     compose_u = _composer(U, N)  # U's powers serve every round
     for k in range(1, N * (2 * s - 1) - s + 1):
         D = compose_u(D) - D
         if not D.coeffs:
             break
         w = Fraction((-1) ** (k + 1), k)
-        Y = Y + D.scale(w if exact_ring else complex(w))
+        Y = Y + D.scale(w if exact else complex(w))
 
     field = report.field_set()
     weak = {(j, m): l for j, m, l in report.weak}
@@ -228,7 +213,7 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
             for k, c in y_r.items()
             if k not in field
             and k not in weak
-            and not _is_zero(c, exact_ring, STRAY_DEMAND)
+            and not _is_zero(c, exact, STRAY_DEMAND)
         )
         if stray:
             raise ArithmeticError(
@@ -239,7 +224,7 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
         blocked = [
             (j, m, weak[(j, m)], complex(c))
             for (j, m), c in sorted(y_r.items())  # the order of report.basis(r)
-            if (j, m) in weak and not _is_zero(c, exact_ring, tol)
+            if (j, m) in weak and not _is_zero(c, exact, tol)
         ]
         if blocked:
             return Obstruction(
@@ -248,5 +233,5 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
                 "weakly resonant demand outside the range of the degree-"
                 f"{r} averaging operator (branch-specific certificate)",
             )
-    v = PolyJet(n, N, jet_mode, {k: c for k, c in Y.coeffs.items() if k in field})
+    v = PolyJet(n, N, G.mode, {k: c for k, c in Y.coeffs.items() if k in field})
     return FieldGerm(B, v, N, tol)

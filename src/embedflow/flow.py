@@ -17,10 +17,13 @@ for a heavier coordinate and a nonlinear term for a monomial of weight at
 least 2s, so each L_Y' raises the lowest weight, which is s in P_0; no
 monomial of degree <= N weighs more than N(2s - 1), so P_k = 0 for
 k > N(2s - 1) - s.  :func:`flow_jet` builds the terms and
-:class:`FlowJet` evaluates them at a time.  Coefficients are QQi (exact)
-or complex, never mixed.  The flow checks the solve of
-:mod:`embedflow.embedding` and is checked by the ODE oracle of
-:mod:`embedflow.oracle`; it imports and shares no code with either.
+:class:`FlowJet` evaluates them at a time.  Coefficients are in the
+field's ring, QQi in exact mode and complex otherwise, never mixed.  At
+a time t, e^(tS) is formed from the logs in floats: a route to the
+eigenvalues independent of the solve, which reads them from G.  The flow
+checks the solve of :mod:`embedflow.embedding` and is checked by the ODE
+oracle of :mod:`embedflow.oracle`; it imports and shares no code with
+either.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jets import MODE_EXACT, MODE_FLOAT, MultiIndex, PolyJet, jacobian_apply
+from .jets import MODE_FLOAT, MultiIndex, PolyJet, jacobian_apply
 
 __all__ = ["FlowJet", "flow_jet"]
 
@@ -66,25 +69,23 @@ def flow_jet(X, degree=None) -> FlowJet:
     """Flow of the field X = By + v (an :class:`embedflow.embedding.FieldGerm`)
     as the Lie series of Y' = Ny + v behind e^(tS); phi(0, y) = y.
 
-    Y' is built in the field's ring, QQi when ``tri.exact_ring(X.mode)``
-    holds and complex otherwise, and the terms P_k are formed until the
-    first that is zero, which the weight bound of the module docstring
-    guarantees.
+    Y' is built in the field's ring, ``X.mode``: QQi in exact mode, where
+    a coupling of B that is not Gaussian rational raises
+    :class:`embedflow.scalars.ExactnessError`, and complex otherwise.  The
+    terms P_k are formed until the first that is zero, which the weight
+    bound of the module docstring guarantees.
     """
     N = X.degree if degree is None else degree
     tri = X.linear.triangular()
     n = tri.dim
-    exact = tri.exact_ring(X.mode)
-    mode = MODE_EXACT if exact else MODE_FLOAT
-    v = X.nonlinear if exact else X.nonlinear.to_float()
     Y = PolyJet.build(
         n,
         N,
-        mode,
+        X.mode,
         [(i, MultiIndex.unit(n, k), c) for i, k, c in tri.nil]
-        + [(j, m, c) for (j, m), c in v.coeffs.items() if m.degree <= N],
+        + [(j, m, c) for (j, m), c in X.nonlinear.coeffs.items() if m.degree <= N],
     )
-    P = PolyJet.identity(n, N, mode)
+    P = PolyJet.identity(n, N, X.mode)
     terms = [P]
     k = 1
     while (P := jacobian_apply(P, Y, N)).coeffs:

@@ -26,7 +26,6 @@ a Fraction hashes as that number.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -257,8 +256,10 @@ class EigenScalar:
     """Exact value rat + sum_p logs[p]*ln(p) + i*pi*pi_part.
 
     Used for logarithms of eigenvalues (and their integer combinations),
-    where exactness of the zero test decides resonance.  ``logs`` is a
-    sorted tuple of (prime, Fraction) pairs with nonzero coefficients.
+    where exactness of the zero test decides resonance.  An eigenvalue is
+    read off its block, as a QQi or a complex number, never computed from
+    its log.  ``logs`` is a sorted tuple of (prime, Fraction) pairs with
+    nonzero coefficients.
     """
 
     rat: Fraction
@@ -340,39 +341,9 @@ class EigenScalar:
     def is_zero(self) -> bool:
         return self.real_is_zero and self.pi_part == 0
 
-    def exp_exact(self):
-        """exp(self) as a QQi, or None when that value is irrational.
-
-        A pi part that is a multiple of 1/2 needs integer log powers.  An
-        odd multiple of 1/4, an eighth turn, needs a half-integer power of
-        2 and integer powers of the other primes, since
-        sqrt(2) e^(i*pi/4) = 1 + i.
-        """
-        if self.rat != 0:
-            return None
-        q = self.pi_part % 2
-        logs = dict(self.logs)
-        unit = _QQI_ONE
-        if q.denominator == 4:
-            logs[2] = logs.get(2, 0) - Fraction(1, 2)
-            unit = QQi(1, 1)
-            q -= Fraction(1, 4)
-        if q.denominator > 2 or any(c.denominator != 1 for c in logs.values()):
-            return None
-        mod = Fraction(1)
-        for p, c in logs.items():
-            mod *= Fraction(p) ** c
-        return QQi(mod) * unit * QQi(0, 1) ** int(2 * q)
-
     def __complex__(self) -> complex:
         re = float(self.rat) + sum(float(c) * math.log(p) for p, c in self.logs)
         return complex(re, math.pi * float(self.pi_part))
-
-    def exp_complex(self) -> complex:
-        exact = self.exp_exact()
-        if exact is not None:
-            return complex(exact)
-        return cmath.exp(complex(self))
 
     def __repr__(self):
         bits = []

@@ -15,6 +15,10 @@ closed form; the multivalued angles carry explicit branch integers:
 
 Eigenvalue data is tracked exactly (``EigenScalar``) whenever the block
 parameters permit, so resonance questions downstream are decided exactly.
+A block's eigenvalue (QQi when its parameters are rational) and its log
+are both read off the parameters; neither is computed from the other, so
+a rotation at a generic angle has a Gaussian-rational eigenvalue and a
+float log.
 
 Complexified coordinates: each 2x2 cell gets z = x_i + i*x_{i+1}, turning
 every block lower triangular with the eigenvalues on the diagonal and
@@ -34,7 +38,6 @@ coefficient maps, so that no caller can change what a later one reads.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,7 +47,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .jets import MODE_EXACT, MODE_FLOAT, PolyJet, RealPairing
+from .jets import MODE_FLOAT, PolyJet, RealPairing
 from .scalars import EigenScalar, ExactnessError, QQi
 from .tolerances import DEFAULT_TOL
 
@@ -212,7 +215,9 @@ class EigenData:
     """Per-coordinate eigenvalue logarithms mu (map eigenvalues are e^mu).
 
     Entries are :class:`EigenScalar` when exact, complex otherwise; the
-    ordering matches the (complexified) coordinates.
+    ordering matches the (complexified) coordinates.  The map eigenvalues
+    themselves are read from the diagonal of A's :class:`TriangularLinear`,
+    not from these logs.
     """
 
     entries: tuple
@@ -229,33 +234,6 @@ class EigenData:
 
     def mu_complex(self) -> list[complex]:
         return [complex(e) for e in self.entries]
-
-    def lambda_complex(self) -> tuple:
-        """Map eigenvalues as complex numbers; kept."""
-        return self._lambda_complex
-
-    @cached_property
-    def _lambda_complex(self) -> tuple:
-        return tuple(
-            e.exp_complex() if isinstance(e, EigenScalar) else cmath.exp(e)
-            for e in self.entries
-        )
-
-    def lambda_exact(self):
-        """Map eigenvalues as QQi scalars, or None when any is irrational; kept."""
-        return self._lambda_exact
-
-    @cached_property
-    def _lambda_exact(self):
-        out = []
-        for e in self.entries:
-            if not isinstance(e, EigenScalar):
-                return None
-            q = e.exp_exact()
-            if q is None:
-                return None
-            out.append(q)
-        return tuple(out)
 
     @staticmethod
     def from_values(values) -> "EigenData":
@@ -393,15 +371,6 @@ class TriangularLinear:
     @property
     def is_diagonal(self) -> bool:
         return not self.nil
-
-    def exact_ring(self, mode: str) -> bool:
-        """Whether the solve and the flow keep a ``mode`` jet's coefficients
-        exact (QQi): exact mode, exact eigen data, QQi couplings."""
-        return (
-            mode == MODE_EXACT
-            and self.eigen.exact
-            and all(isinstance(c, QQi) for _, _, c in self.nil)
-        )
 
     def dense(self) -> np.ndarray:
         """The complex matrix, read-only; kept."""
@@ -728,34 +697,6 @@ def _real_log(a: BlockMatrix, branch: BranchChoice) -> BlockMatrix:
         # serves both, and with it every resonance scan kept on it
         log.__dict__["_eigen"] = a.eigen()
     return log
-
-
-def log_residual(a: BlockMatrix, b: BlockMatrix) -> float:
-    """Max-entry residual |exp(B) - A| of a proposed logarithm.
-
-    In complexified coordinates B's triangular form is S + N, S the
-    diagonal of logs mu and N nilpotent, coupling only coordinates of equal
-    mu, so that S and N commute and exp(B) = diag(e^mu) sum_(k<n) N^k/k!
-    in closed form.  That is compared with A's triangular form, entry by
-    entry, so B must have A's pairing: in other coordinates the two forms
-    are not comparable.  Kept on ``a`` per B, by B's identity (B is kept
-    alongside, so that its id passes to no other object).
-    """
-    return _keep(a, ("log_residual", id(b)), lambda: (b, _log_residual(a, b)))[1]
-
-
-def _log_residual(a: BlockMatrix, b: BlockMatrix) -> float:
-    tri = b.triangular()
-    total = term = np.eye(b.dim, dtype=complex)
-    if tri.nil:
-        nil = np.tril(tri.dense(), -1)  # a new array: the kept one is read-only
-        for k in range(1, b.dim):
-            term = term @ nil / k
-            if not term.any():
-                break
-            total = total + term
-    exp_b = np.exp(np.array(tri.diag, dtype=complex))[:, None] * total
-    return float(np.max(np.abs(exp_b - a.triangular().dense())))
 
 
 def _branch_shifts(a: BlockMatrix):

@@ -19,7 +19,9 @@ by design: 4 and 4.0000004 are not resonant, and their divisor 4e-7 is
 below the floor.
 
 The flow needs no threshold: its Lie series ends by exact zero, on the
-field-resonant support that the one resonance rule admitted.
+field-resonant support that the one resonance rule admitted.  Nor does the
+test that B is a logarithm of A: the solve compares B's source blocks
+with A's blocks, and reads A's eigenvalues rather than exponentiating B's.
 """
 
 import sys
@@ -42,15 +44,6 @@ NEAR_FACTOR = 100.0
 # order one it compares.  Below it a division amplifies the right-hand
 # side's roundoff by more than 1e9, and the solve refuses instead.
 DIVISOR_FLOOR = 1e-9
-
-# |exp(B) - A| (max entry, in the complexified coordinates where both are
-# triangular) above LOG_RESIDUAL * max(1, max |A|) means B is not a
-# logarithm of A.  The exponential of a true logarithm reproduces A
-# to a few units of roundoff; another branch or a wrong block misses it by
-# order one, so any cut between the two decides, and 1e-8 sits far from
-# both.  A B whose complex pairing differs from A's is refused before this
-# check: its triangular form is in other coordinates.
-LOG_RESIDUAL = 1e-8
 
 # A float coefficient of Y = log(e^(-S) G) above STRAY_DEMAND (absolute) on
 # a monomial that is neither field-resonant nor weak is a defect of the

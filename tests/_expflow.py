@@ -430,6 +430,13 @@ def _snap(jet: FlowJet, tol: float) -> FlowJet:
 # -- linear exponentials -------------------------------------------------------
 
 
+def qqi_ring(tri: TriangularLinear, mode: str = MODE_EXACT) -> bool:
+    """Whether the reference keeps ``mode`` coefficients in QQi: in exact
+    mode, when tri's logs, the exponent keys, are exact and its couplings
+    are Gaussian rational.  Otherwise it works in complex floats."""
+    return mode == MODE_EXACT and tri.eigen.exact and all(isinstance(c, QQi) for _, _, c in tri.nil)
+
+
 def _nil_powers(tri: TriangularLinear, exact_ring: bool):
     """Powers N^p as sparse dicts {(i,k): scalar}, p >= 1, until N^p = 0:
     N is strictly lower triangular, so within ``tri.dim`` powers."""
@@ -543,7 +550,7 @@ def Tr_matrix(B, r: int, basis=None, tol: float = DEFAULT_TOL):
         raise ValueError("degree must be at least 2")
     if basis is None:
         basis = field_resonances(tri.eigen, r, tol).basis(r)
-    exact_ring = tri.exact_ring(MODE_EXACT)
+    exact_ring = qqi_ring(tri)
     _, Em, phi1 = _linear_flow(tri, exact_ring, r)
     unit = _flow_unit(tri, exact_ring)
     index = {jm: t for t, jm in enumerate(basis)}
@@ -583,7 +590,7 @@ def flow_jet(X: FieldGerm, degree=None) -> FlowJet:
     """
     N = X.degree if degree is None else degree
     tri = X.linear.triangular()
-    exact_ring = tri.exact_ring(X.mode)
+    exact_ring = qqi_ring(tri, X.mode)
     unit = _flow_unit(tri, exact_ring)
     E, Em, phi = _linear_flow(tri, exact_ring, N)
     v = X.nonlinear if exact_ring else X.nonlinear.to_float()

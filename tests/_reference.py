@@ -45,6 +45,7 @@ from embedflow.spectral import (
     JordanBlock,
     RotationBlock,
     SpectralError,
+    TriangularLinear,
     _cast,
     _check_nonsingular,
     _is_rational,
@@ -182,17 +183,19 @@ def _delta(mu, j: int, m):
     return sum(k * v for k, v in zip(m, mu) if k) - mu[j]
 
 
-def operator_L_map_spectrum(eigen: EigenData, r: int) -> tuple[complex, ...]:
-    """Multiset { lambda_j - lambda^m : |m| = r } of the degree-r map operator.
+def operator_L_map_spectrum(tri: TriangularLinear, r: int) -> tuple[complex, ...]:
+    """Multiset { lambda_j - lambda^m : |m| = r } of the degree-r map operator
+    of the triangular form ``tri``, whose diagonal holds the lambda_j.
 
     Values are exact differences converted to complex when the map
     eigenvalues are Gaussian rational, so resonant entries are exactly 0.
     """
     if r < 2:
         raise ValueError("degree must be at least 2")
-    n = len(eigen)
-    exact = eigen.lambda_exact()
-    lam = exact if exact is not None else eigen.lambda_complex()
+    n = tri.dim
+    lam = tri.diag
+    if not all(isinstance(d, QQi) for d in lam):
+        lam = tuple(complex(d) for d in lam)
     return tuple(
         complex(lam[j] - _power(lam, m))
         for j in range(n)

@@ -205,7 +205,7 @@ def test_03_operator_spectra_match_assembled_matrices():
             a_jet = paired.triangular().linear_jet(4, MODE_FLOAT)
             b_jet = b.triangular().linear_jet(4, MODE_FLOAT)
             for r in (2, 3, 4):
-                got = operator_L_map_spectrum(paired.triangular().eigen, r)
+                got = operator_L_map_spectrum(paired.triangular(), r)
                 want = _assembled_spectrum(a_jet, n, r, field=False)
                 _multiset_close(got, want, 1e-8)
                 got = operator_L_field_spectrum(b.triangular().eigen, r)

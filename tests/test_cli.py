@@ -593,23 +593,11 @@ PLANAR_CLASSES = {
     "distinct-negative": (["jordan -3 1", "jordan -2 1"], 2),
 }
 
-# exact mode has exact log data for a rotation only at the eighth turns;
-# at a generic angle embed and verify refuse with "rerun in float mode"
-_GENERIC_EXACT_ROTATION = pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="exact generic rotations exit 3 (ROADMAP item 22)"
-)
-
-
 def _planar_cases():
     for name, (lines, want) in PLANAR_CLASSES.items():
         for mode in ("exact", "float"):
             for seed in range(2):
-                generic = name in ("rotation", "rotation-small") and mode == "exact"
-                yield pytest.param(
-                    lines, want, mode, seed,
-                    id=f"{name}-{mode}-{seed}",
-                    marks=[_GENERIC_EXACT_ROTATION] if generic else [],
-                )
+                yield pytest.param(lines, want, mode, seed, id=f"{name}-{mode}-{seed}")
 
 
 def _planar_germ(lines, mode, seed) -> str:
@@ -1085,8 +1073,7 @@ class TestSharedLinearParts:
         built = []
         for module, name in (
             (spectral, "_has_real_log"), (spectral, "_pair_negative_blocks"),
-            (spectral, "_is_hyperbolic"), (spectral, "_real_log"), (spectral, "_log_residual"),
-            (resonance, "_scan"),
+            (spectral, "_is_hyperbolic"), (spectral, "_real_log"), (resonance, "_scan"),
         ):
             def counted(*args, _build=getattr(module, name), _name=name):
                 built.append((_name, *(id(a) if isinstance(a, spectral.BlockMatrix) else a
@@ -1203,11 +1190,17 @@ class TestModeAgreement:
             "5 2 0 0 0 0 1/3\n5 0 0 2 0 0 1/3\n5 1 0 1 0 0 -1/2\n1 2 0 0 0 0 1/3\n"
             "3 0 1 1 0 0 -1/4\n4 0 0 1 2 0 1/5\n",
             # a rotation by an eighth turn: lambda = 1 -+ i has the exact
-            # log ln(2)/2 -+ i*pi/4, and exp of that log is exact again
+            # log ln(2)/2 -+ i*pi/4
             "dimension 3\ndegree 4\nmode exact\nLINEAR\nrotation 1 1 1\njordan 4 1\nNONLINEAR\n"
             "3 2 2 0 1/3\n",
+            # rotations by a generic angle: lambda = 1 -+ 2i has float logs,
+            # and the solve stays exact on the Gaussian-rational lambda
+            "dimension 2\ndegree 4\nmode exact\nLINEAR\nrotation 1 2 1\nNONLINEAR\n"
+            "1 2 0 1/3\n2 1 1 -1/2\n1 0 3 1/5\n",
+            "dimension 3\ndegree 4\nmode exact\nLINEAR\nrotation 1 2 1\njordan 5 1\nNONLINEAR\n"
+            "3 2 0 0 1/3\n3 0 2 0 1/3\n1 1 0 1 1/5\n3 2 0 1 1/7\n",
         ],
-        ids=["jordan-chain", "rotation", "rotation-cells", "eighth-turn"],
+        ids=["jordan-chain", "rotation", "rotation-cells", "eighth-turn", "generic-planar", "generic-angle"],
     )
     def test_coupled_and_rotation_germs(self, capsys, monkeypatch, text):
         runs = self._runs(capsys, monkeypatch, "HEADER\n" + text)

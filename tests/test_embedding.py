@@ -23,6 +23,7 @@ from embedflow import (
     BlockMatrix,
     BranchChoice,
     EigenScalar,
+    ExactnessError,
     FieldGerm,
     GermSpec,
     JordanBlock,
@@ -308,6 +309,9 @@ class TestSolveEmbedding:
         [
             # a wrong eigenvalue
             ((JordanBlock(3, 2),), (JordanBlock(4, 2),)),
+            # one 1e-12 away: exp(B) is within roundoff of A, yet B is
+            # not built from A's blocks
+            ((JordanBlock(3, 2),), (JordanBlock(3 + Fraction(1, 10**12), 2),)),
             # a Jordan coupling that A has and B's exponential lacks
             ((JordanBlock(3, 2), JordanBlock(5, 1)), (JordanBlock(3, 1), JordanBlock(3, 1), JordanBlock(5, 1))),
             # and one that B's exponential has and A lacks
@@ -315,7 +319,7 @@ class TestSolveEmbedding:
             # a wrong rotation angle, on every branch: lambda = 2i for -2i
             ((RotationBlock(0, 2, 1), JordanBlock(2, 1)), (RotationBlock(0, -2, 1), JordanBlock(2, 1))),
             # a rotation cell where A has two real coordinates: the pairings
-            # differ, and B is refused before exp(B) is formed
+            # differ too
             ((JordanBlock(2, 1), JordanBlock(2, 1)), (RotationBlock(2, 1, 1),)),
         ],
     )
@@ -324,13 +328,9 @@ class TestSolveEmbedding:
         # eigenvalue or one coupling; every branch of A's own log passes
         a = BlockMatrix(blocks)
         G = GermSpec(a, PolyJet.build(a.dim, 2, mode, []), 2)
-        if BlockMatrix(other).pairing() == a.pairing():
-            message = "exp\\(B\\) differs"
-        else:
-            message = "other coordinates: its complex pairing differs"
         for branch in (0, 1, -1):
             values = tuple(branch if isinstance(b, RotationBlock) else 0 for b in other)
-            with pytest.raises(SpectralError, match=message):
+            with pytest.raises(SpectralError, match="source blocks are not the germ's"):
                 solve_embedding(G, real_log(BlockMatrix(other), BranchChoice(values)))
             values = tuple(branch if isinstance(b, RotationBlock) else 0 for b in blocks)
             assert isinstance(solve_embedding(G, real_log(a, BranchChoice(values))), FieldGerm)
@@ -344,7 +344,7 @@ class TestSolveEmbedding:
         B = real_log(paired)
         assert np.max(np.abs(expm(B.to_dense()) - a.to_dense())) < 1e-12
         G = GermSpec(a, PolyJet.build(2, 2, mode, []), 2)
-        with pytest.raises(SpectralError, match="other coordinates"):
+        with pytest.raises(SpectralError, match="source blocks are not the germ's"):
             solve_embedding(G, B)
 
     def test_rejects_non_normal_form(self):
@@ -381,11 +381,12 @@ class TestSolveEmbedding:
 # -- the forward-substitution solve, kept as a reference ---------------------
 
 
-def _exp_minus_B(tri, exact_ring):
-    """Scalar matrix e^(-B) = diag(1/lambda) sum_p (-N)^p / p!, as {(i, k): c}."""
-    lam = tri.eigen.lambda_exact() if exact_ring else tri.eigen.lambda_complex()
+def _exp_minus_B(G, tri, exact_ring):
+    """Scalar matrix e^(-B) = diag(1/lambda) sum_p (-N)^p / p!, as {(i, k): c},
+    with lambda the diagonal of G's triangular form and N that of B's."""
+    lam = G.linear.triangular().diag
     one = jets._one(MODE_EXACT if exact_ring else MODE_FLOAT)
-    mat = {(i, i): one / lam[i] for i in range(tri.dim)}
+    mat = {(i, i): one / (lam[i] if exact_ring else complex(lam[i])) for i in range(tri.dim)}
     fact = 1
     for p, npow in enumerate(_expflow._nil_powers(tri, exact_ring), start=1):
         fact *= p
@@ -404,7 +405,7 @@ def _reference_solve(G, B, tol=DEFAULT_TOL):
     field-resonant and weak basis, P_r the lower degrees along the flow."""
     N = G.degree
     tri = B.triangular()
-    exact_ring = embedding._ring_flags(tri, G.mode)
+    exact_ring = _expflow.qqi_ring(tri, G.mode)
     report = field_resonances(tri.eigen, max(N, 2), tol)
     embedding._validate_normal_form(G, report, tol)
     weak = {(j, m): l for j, m, l in report.weak}
@@ -413,7 +414,7 @@ def _reference_solve(G, B, tol=DEFAULT_TOL):
     zero = QQi(0) if exact_ring else 0j
     g = G.nonlinear if exact_ring else G.nonlinear.to_float()
     E, Em, phi = _expflow._linear_flow(tri, exact_ring, N)
-    eBm = _exp_minus_B(tri, exact_ring)
+    eBm = _exp_minus_B(G, tri, exact_ring)
     x_coeffs = {}
     for r in range(2, N + 1):
         P = _expflow._substitute_flow(x_coeffs, phi, r, unit)
@@ -511,6 +512,13 @@ FIXTURES = ("resonant-2d", "paper-2.3", "paper-2.3-blocked", "paper-F1", "paper-
 EIGHTH_TURN = (
     "HEADER\ndimension 3\ndegree 4\nmode exact\nLINEAR\nrotation 1 1 1\njordan 4 1\n"
     "NONLINEAR\n3 2 2 0 1/3\n"
+)
+
+# an exact rotation by a generic angle: lambda = 1 -+ 2i is Gaussian
+# rational, its log ln(5)/2 -+ i*atan(2) is not exact
+GENERIC_ANGLE = (
+    "HEADER\ndimension 3\ndegree 4\nmode exact\nLINEAR\nrotation 1 2 1\njordan 5 1\n"
+    "NONLINEAR\n3 2 0 0 1/3\n3 0 2 0 1/3\n1 1 0 1 1/5\n3 2 0 1 1/7\n"
 )
 
 
@@ -776,8 +784,8 @@ def _random_exact_normal_form(i):
 def _solve_cases():
     """Germs that embed, as ``(id, build)`` with ``build() -> (G, B)``, built
     when run: the field-resonant cases of TestLogSeriesMatchesReference
-    beyond the fixtures and random normal forms, the eighth-turn rotation,
-    and two Jordan chains at N = 5 in both modes."""
+    beyond the fixtures and random normal forms, the eighth-turn and a
+    generic-angle rotation, and two Jordan chains at N = 5 in both modes."""
     cases = [
         (f"exact-jordan-{size}-{degree}", lambda size=size, degree=degree: _jordan_germ(
             (size, 1), degree, True, np.random.default_rng(10 * size + degree)
@@ -787,6 +795,7 @@ def _solve_cases():
     ]
     cases += [(f"random-exact-{i}", lambda i=i: _random_exact_normal_form(i)) for i in range(3)]
     cases.append(("eighth-turn", lambda: _text_germ(EIGHTH_TURN)[:2]))
+    cases.append(("generic-angle", lambda: _text_germ(GENERIC_ANGLE)[:2]))
     for exact in (True, False):
         mode = MODE_EXACT if exact else MODE_FLOAT
         cases.append((f"long-series-{mode}", lambda exact=exact: _jordan_germ(
@@ -852,7 +861,7 @@ def test_lie_series_time_one_is_the_map_exactly(build):
     G, B = build()
     X = solve_embedding(G, B)
     assert isinstance(X, FieldGerm) and X.mode == MODE_EXACT
-    lam = B.triangular().eigen.lambda_exact()
+    lam = G.linear.triangular().diag
     phi = flow_jet(X)
     total = {}
     for P in phi.terms:
@@ -860,6 +869,14 @@ def test_lie_series_time_one_is_the_map_exactly(build):
             total[key] = total[key] + c if key in total else c
     got = {(j, m): lam[j] * c for (j, m), c in total.items() if c}
     assert got == G.map_jet().coeffs
+
+
+def test_exact_flow_refuses_a_float_coupling():
+    """An exact field's flow is built in QQi: a logarithm whose Jordan
+    coupling is a float raises, rather than fall back to float."""
+    X = FieldGerm(real_log(BlockMatrix((JordanBlock(2.0, 2),))), PolyJet.zero(2, 2, MODE_EXACT), 2)
+    with pytest.raises(ExactnessError):
+        flow_jet(X)
 
 
 def test_field_germ_refuses_a_weak_term():
@@ -945,8 +962,7 @@ class TestSubstitutionKernel:
         rng = np.random.default_rng(17 + 2 * len(blocks) + exact)
         X = _resonant_field(blocks, degree, exact, rng)
         tri = X.linear.triangular()
-        exact_ring = tri.exact_ring(X.mode)
-        assert exact_ring == exact
+        assert _expflow.qqi_ring(tri, X.mode) == exact
         phi = _expflow.flow_jet(X)
         n = X.dim
         terms = []

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from embedflow import EigenScalar, ExactnessError, QQi
+from embedflow import BlockMatrix, EigenScalar, ExactnessError, QQi, RotationBlock
 from embedflow.scalars import factor_positive_rational
 
 from _expflow import two_pi_integer
@@ -145,32 +145,20 @@ class TestEigenScalar:
         assert two_pi_integer(EigenScalar.from_parts(rat=1)) is None
         assert two_pi_integer(EigenScalar.from_parts(log_of=2, pi_part=4)) is None
 
-    def test_exp_exact(self):
-        assert EigenScalar.from_parts(log_of=4).exp_exact() == QQi(4)
-        assert EigenScalar.from_signed_rational(-2).exp_exact() == QQi(-2)
-        half = EigenScalar.from_parts(log_of=9, pi_part=Fraction(1, 2))
-        assert half.exp_exact() == QQi(0, 9)
-        assert EigenScalar.from_parts(rat=1).exp_exact() is None
-        assert EigenScalar.from_parts(log_of=2, pi_part=Fraction(1, 4)).exp_exact() is None
-
     @pytest.mark.parametrize("eighths", (1, 3, 5, 7, -1, -3))
     @pytest.mark.parametrize("power", (Fraction(1, 2), Fraction(-1, 2), Fraction(5, 2), Fraction(-3, 2)))
     def test_exp_exact_at_eighth_turns(self, eighths, power):
         # 2^c e^(i*pi*k/4), c a half-integer and k odd: sqrt(2) e^(i*pi/4)
-        # is 1 + i, so the value is 2^(c - 1/2) (1 + i) i^((k - 1)/2)
+        # is 1 + i, so the value is 2^(c - 1/2) (1 + i) i^((k - 1)/2).  The
+        # rotation block with that Gaussian-rational eigenvalue carries it
+        # on its diagonal, and this exact log, up to 2*pi*i, in its eigen
+        # data: the solve reads the one and the resonance scan the other.
         v = EigenScalar(Fraction(0), ((2, power),), Fraction(eighths, 4))
-        got = v.exp_exact()
-        assert got == QQi(Fraction(2) ** (power - Fraction(1, 2))) * QQi(1, 1) * QQi(0, 1) ** ((eighths - 1) // 2 % 4)
-        assert complex(got) == pytest.approx(cmath.exp(complex(v)), rel=1e-14)
-        # the same turn with an integer power of 2, or with a half power of
-        # another prime, is irrational
-        assert EigenScalar(Fraction(0), ((2, power + Fraction(1, 2)),), v.pi_part).exp_exact() is None
-        assert EigenScalar(Fraction(0), ((3, power),), v.pi_part).exp_exact() is None
-
-    def test_exp_complex_matches_cmath(self):
-        v = EigenScalar.from_parts(rat=Fraction(1, 2), log_of=Fraction(3, 5),
-                                   pi_part=Fraction(2, 7))
-        assert v.exp_complex() == pytest.approx(cmath.exp(complex(v)))
+        lam = QQi(Fraction(2) ** (power - Fraction(1, 2))) * QQi(1, 1) * QQi(0, 1) ** ((eighths - 1) // 2 % 4)
+        assert complex(lam) == pytest.approx(cmath.exp(complex(v)), rel=1e-14)
+        tri = BlockMatrix((RotationBlock(lam.re, -lam.im, 1),)).triangular()
+        assert tri.diag[0] == lam
+        assert two_pi_integer(tri.eigen[0] - v) is not None
 
     def test_scaled_and_conjugate(self):
         v = EigenScalar.from_parts(rat=2, log_of=6, pi_part=Fraction(1, 3))

@@ -34,7 +34,7 @@ from embedflow import (
 from embedflow import spectral
 from embedflow.jets import MODE_EXACT, MODE_FLOAT
 from embedflow.scalars import ExactnessError
-from embedflow.spectral import BRANCH_BOUND, log_residual
+from embedflow.spectral import BRANCH_BOUND
 from _reference import block_matrix_from_dense, hyperbolic_by_description
 from _gens import random_branch_spectrum, random_loggable_blocks
 
@@ -453,20 +453,16 @@ def _analysis(a, fresh=False):
         paired, perm = spectral._pair_negative_blocks(a)
         linear_jet, hyperbolic, culver = tri._linear_jet, spectral._is_hyperbolic, spectral._has_real_log
         scan = embedflow.resonance._scan
-        residual = spectral._log_residual(paired, spectral._real_log(paired, BranchChoice.zeros(paired)))
     else:
         log = real_log(a)
         paired, perm = pair_negative_blocks(a)
         linear_jet, hyperbolic, culver, scan = tri.linear_jet, is_hyperbolic, has_real_log, field_resonances
-        residual = log_residual(paired, real_log(paired))
     try:
         exact_jet = repr(sorted(linear_jet(2, MODE_EXACT).coeffs.items()))
     except ExactnessError:
         exact_jet = "refused"
     return (
         repr(tri.diag),
-        repr(tri.eigen.lambda_exact()),
-        repr(tri.eigen.lambda_complex()),
         repr(log.triangular().diag),
         repr(log.eigen().entries),
         exact_jet,
@@ -477,7 +473,6 @@ def _analysis(a, fresh=False):
         hyperbolic(a, 1e-9),
         culver(a),
         a.to_dense().tolist(),
-        residual,
     )
 
 
@@ -488,8 +483,7 @@ def test_kept_analyses_belong_to_objects_not_to_values(first):
         assert _analysis(pair[i]) == _analysis(_twins()[i], fresh=True), i
     fresh = [_analysis(a, fresh=True) for a in _twins()]
     assert fresh[0][0] == "((2+0j), (3+0j))" and fresh[1][0] == "(QQi(2), QQi(3))"
-    assert fresh[0][1] == "None" and fresh[1][1] == "(QQi(2), QQi(3))"
-    assert fresh[0][5] == "refused" != fresh[1][5]
+    assert fresh[0][3] == "refused" != fresh[1][3]
 
 
 def test_kept_values_are_shared_and_read_only():
@@ -507,7 +501,6 @@ def test_kept_values_are_shared_and_read_only():
     tri = paired.triangular()
     assert tri.linear_jet(3, MODE_EXACT) is tri.linear_jet(3, MODE_EXACT)
     assert tri.linear_jet(3) is tri.linear_jet(3, MODE_FLOAT) is not tri.linear_jet(2)
-    assert tri.eigen.lambda_exact() is tri.eigen.lambda_exact()
     for array in (paired.to_dense(), tri.dense(), b.to_dense(), b.triangular().dense()):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 7.0
@@ -546,24 +539,3 @@ def test_a_call_that_raises_keeps_nothing(monkeypatch):
             is_hyperbolic(singular)
     assert not singular.__dict__.get("_kept")
 
-
-def test_log_residual_is_kept_per_logarithm_object(monkeypatch):
-    calls = []
-    build = spectral._log_residual
-
-    def counted(a, b):
-        calls.append(b)
-        return build(a, b)
-
-    monkeypatch.setattr(spectral, "_log_residual", counted)
-    a = BlockMatrix((JordanBlock(Fraction(1, 3), 2), NegativePairBlock(-2, 1)))
-    b = real_log(a)
-    twin = BlockMatrix(b.blocks)
-    assert twin == b and twin is not b
-    nil = b.triangular().dense().copy()
-    r = log_residual(a, b)
-    assert r < 1e-12
-    assert log_residual(a, b) == r and log_residual(a, twin) == r
-    assert log_residual(a, twin) == r
-    assert calls == [b, twin]
-    assert np.array_equal(b.triangular().dense(), nil)
