@@ -10,11 +10,12 @@ with Y = Ny + v, and Y is the logarithm of the unipotent map
 
 with D_0 = id and D_k = D_(k-1) o U - D_(k-1) (Takens 1974; Ilyashenko &
 Yakovenko, Lectures on Analytic Differential Equations, 2008).  U's
-linear part is unipotent, so the series ends: D_k vanishes after finitely
-many rounds, and the solve needs nothing but jet composition.  The
-nonlinear part of Y is field-resonant or weakly resonant; a nonzero weakly
-resonant coefficient is a certificate that no field supported on these
-monomials embeds G with this logarithm branch.  The coefficient ring is
+linear part is unipotent, so D_k = 0 after finitely many rounds (the
+weight argument of :mod:`embedflow.flow`); the solve stops at the first
+zero D_k and needs nothing but jet composition.  The nonlinear part of Y
+is field-resonant or weakly resonant; a nonzero weakly resonant
+coefficient is a certificate that no field supported on these monomials
+embeds G with this logarithm branch.  The coefficient ring is
 the germ's: in exact mode G's eigenvalues and coefficients are Gaussian
 rational, and the solve never exponentiates a logarithm, so it stays
 exact when B's logs are floats (a rotation at a generic angle).
@@ -32,7 +33,7 @@ from fractions import Fraction
 from .jets import MODE_EXACT, MODE_FLOAT, MultiIndex, PolyJet, _composer, _one
 from .normal_form import GermSpec
 from .reports import fmt_entry
-from .resonance import ResonanceReport, _not_field_resonant, field_resonances
+from .resonance import ResonanceReport, field_resonances
 from .spectral import BlockMatrix, SpectralError
 from .tolerances import DEFAULT_TOL, STRAY_DEMAND
 
@@ -52,10 +53,10 @@ class FieldGerm:
     """Vector field jet X(y) = By + v(y) with field-resonant support.
 
     ``linear`` must be a logarithm block matrix (see
-    :func:`embedflow.spectral.real_log`); its eigen data decides, at
-    ``tol``, the tolerance of the solve that built the field, that every
-    term of ``v`` is field resonant, so that v commutes with B's diagonal.
-    A weakly resonant term is refused.
+    :func:`embedflow.spectral.real_log`).  Every term of ``v`` must be
+    field resonant, so that v commutes with B's diagonal, in the scan of
+    B's eigen data up to ``degree`` at ``tol``: for a field the solve
+    built, the solve's own scan.  A weakly resonant term is refused.
     """
 
     linear: BlockMatrix
@@ -74,7 +75,9 @@ class FieldGerm:
             raise ValueError("nonlinear jet truncation must match degree")
         if self.nonlinear.coeffs and self.nonlinear.min_degree() < 2:
             raise ValueError("nonlinear part must vanish to second order")
-        bad = _not_field_resonant(self.nonlinear.coeffs, self.linear.triangular().eigen, self.tol)
+        report = field_resonances(self.linear.triangular().eigen, max(self.degree, 2), self.tol)
+        field = report.field_set()
+        bad = [key for key in self.nonlinear.coeffs if key not in field]
         if bad:
             raise ValueError(f"field support must be field resonant; got {_entries(bad)}")
 
@@ -144,10 +147,11 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
 
     Computes Y = log U for the unipotent map U = e^(-S) G, S the diagonal
     of B, by the series ``Y = sum_k (-1)^(k+1)/k D_k`` with ``D_0 = id``
-    and ``D_k = D_(k-1) o U - D_(k-1)``.  Returns a :class:`FieldGerm`
-    ``B + v`` with v the nonlinear part of Y on field-resonant monomials,
-    or, at the lowest degree where Y has a nonzero weakly resonant
-    coefficient, an :class:`Obstruction` naming those coefficients.
+    and ``D_k = D_(k-1) o U - D_(k-1)``, to the first zero D_k.  Returns
+    a :class:`FieldGerm` ``B + v`` with v the nonlinear part of Y on
+    field-resonant monomials, or, at the lowest degree where Y has a
+    nonzero weakly resonant coefficient, an :class:`Obstruction` naming
+    those coefficients.
     B must be a real logarithm of the germ's linear part A as
     :func:`embedflow.spectral.real_log` builds it, on any branch: its
     ``LogBlock`` sources are A's blocks, so exp(B) = A by construction.
@@ -184,25 +188,14 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
         G.mode,
         {(j, m): one if m == units[j] else inv[j] * c for (j, m), c in G_jet.coeffs.items()},
     )
-    # Give y_i the weight 2s - 1 - c_i, where c_i < s counts the couplings
-    # from coordinate i up to the head of its Jordan chain.  A coupling
-    # term of U trades y_i for a heavier coordinate and a nonlinear term
-    # for a monomial of weight at least 2s, so every round raises the
-    # lowest weight in D_k, which is s in D_0.  No monomial of degree <= N
-    # weighs more than N(2s - 1), so D_k = 0 for k > N(2s - 1) - s.
-    c = [0] * n  # by rows ascending, a coupling (i, k), k < i, reads c_k when final
-    for i, k, _ in sorted(tri.nil, key=lambda e: e[:2]):
-        c[i] = max(c[i], c[k] + 1)
-    s = max(c) + 1
     D = PolyJet.identity(n, N, G.mode)
     Y = PolyJet.zero(n, N, G.mode)
     compose_u = _composer(U, N)  # U's powers serve every round
-    for k in range(1, N * (2 * s - 1) - s + 1):
-        D = compose_u(D) - D
-        if not D.coeffs:
-            break
+    k = 1
+    while (D := compose_u(D) - D).coeffs:  # it ends: see embedflow.flow
         w = Fraction((-1) ** (k + 1), k)
         Y = Y + D.scale(w if exact else complex(w))
+        k += 1
 
     field = report.field_set()
     weak = {(j, m): l for j, m, l in report.weak}

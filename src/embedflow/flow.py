@@ -10,20 +10,21 @@ Yakovenko, Lectures on Analytic Differential Equations, 2008, I.3):
     e^(tY')(y) = sum_k t^k P_k(y),   P_0 = id,   P_k = L_Y' P_(k-1) / k,
 
 with L_Y' f = Df . Y' (:func:`embedflow.jets.jacobian_apply`).  On the
-N-jet it ends by exact zero: give y_i the weight 2s - 1 - c_i of the
-embedding solve (s the longest Jordan chain, c_i < s the couplings from
-coordinate i up to the head of its chain).  A coupling of Y' trades y_i
-for a heavier coordinate and a nonlinear term for a monomial of weight at
-least 2s, so each L_Y' raises the lowest weight, which is s in P_0; no
-monomial of degree <= N weighs more than N(2s - 1), so P_k = 0 for
-k > N(2s - 1) - s.  :func:`flow_jet` builds the terms and
-:class:`FlowJet` evaluates them at a time.  Coefficients are in the
-field's ring, QQi in exact mode and complex otherwise, never mixed.  At
-a time t, e^(tS) is formed from the logs in floats: a route to the
-eigenvalues independent of the solve, which reads them from G.  The flow
-checks the solve of :mod:`embedflow.embedding` and is checked by the ODE
-oracle of :mod:`embedflow.oracle`; it imports and shares no code with
-either.
+N-jet it ends by exact zero, as does the log series of the embedding
+solve, by one weight argument: give y_i the weight 2s - 1 - c_i (s the
+longest Jordan chain, c_i < s the couplings from coordinate i up to the
+head of its chain).  A coupling of Y' (or of the solve's U) trades y_i
+for a heavier coordinate and a nonlinear term for a monomial of weight
+at least 2s, so each L_Y' (or round D_k) raises the lowest weight, s in
+the identity.  No monomial of degree <= N weighs more than N(2s - 1), so
+either series is 0 after N(2s - 1) - s steps and runs to its first zero
+term with no cap.  :func:`flow_jet` builds the terms and
+:class:`FlowJet` evaluates them at a time, in the field's ring: QQi in
+exact mode and complex otherwise, never mixed.  At a time t, e^(tS) is
+formed from the logs in floats: a route to the eigenvalues independent
+of the solve, which reads them from G.  The flow checks the solve of
+:mod:`embedflow.embedding` and is checked by the ODE oracle of
+:mod:`embedflow.oracle`; it imports and shares no code with either.
 """
 
 from __future__ import annotations

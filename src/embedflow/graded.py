@@ -1,13 +1,15 @@
-"""Float polynomial maps on dense graded arrays, for the float normal form.
+"""The package's one exponent table, and dense graded float arrays.
 
-The float normal form holds polynomial maps of C^n as complex arrays
-whose columns are graded: the degree-d coefficients of a polynomial sit in
-the M_d = C(d + n - 1, n - 1) columns from ``offsets[d]`` on, in
-:func:`multiindices` order.  Products of slices run on product lists: for
-every pair of a degree-a and a degree-b monomial, the slot of their
-product in degree a + b, found by adding packed keys.  A row's products
-are formed by one gather and one multiply and summed into its slots by
-one ``np.add.reduceat``.
+:func:`_grading` keeps the exponents of degree 1 to N in n variables, by
+degree in :func:`multiindices` order: the resonance scan reads them as
+rows, the exact normal form by degree and the float normal form as
+columns.  A float polynomial map of C^n is a complex array whose
+degree-d coefficients sit in the M_d = C(d + n - 1, n - 1) columns from
+``offsets[d]`` on.  Products of slices run on product lists: for every
+pair of a degree-a and a degree-b monomial, the slot of their product in
+degree a + b, found by adding packed keys, the pairs sorted by slot.  A
+chunk of rows is formed by one multiply of two gathers, summed into its
+slots by one ``np.add.reduceat``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 
 from .jets import MultiIndex, _pack, _packing, multiindices
 
-# The most coefficient products one numpy multiply forms; longer products
-# run in chunks of rows, or of slots when one row alone is longer.
+# The most coefficient products one numpy multiply forms, in chunks of
+# whole rows; a row with more products runs alone.
 _CHUNK = 1 << 14
 
 # What one more numpy pass over a product list costs, in coefficient
@@ -32,28 +34,18 @@ _PASS = 4096
 class _Products:
     """Coefficient products into one degree, sorted by the slot they land
     in: pair p multiplies column ``left[p]`` of one factor by column
-    ``right[p]`` of the other.  Every slot is hit."""
+    ``right[p]`` of the other.  Every slot is hit, so the pairs of slot s
+    start at ``starts[s]``."""
 
     def __init__(self, left, right, slots, size: int):
         order = np.argsort(slots, kind="stable")
-        left, right, slots = left[order], right[order], slots[order]
         self.size, self.slots = len(slots), size
-        # cut at slot boundaries into runs of about _CHUNK pairs
-        cuts, first = [0], 0
-        while first + _CHUNK < len(slots):
-            cuts.append(max(int(slots[first + _CHUNK]), cuts[-1] + 1))
-            first = int(np.searchsorted(slots, cuts[-1]))
-        if cuts[-1] < size:
-            cuts.append(size)
-        self.segments = []
-        for c0, c1 in zip(cuts, cuts[1:]):
-            p0, p1 = np.searchsorted(slots, [c0, c1])
-            lc, rc = left[p0:p1], right[p0:p1]
-            # each factor is gathered from the window of columns it reads
-            lw = slice(int(lc.min()), int(lc.max()) + 1)
-            rw = slice(int(rc.min()), int(rc.max()) + 1)
-            starts = np.searchsorted(slots[p0:p1], np.arange(c0, c1))
-            self.segments.append((slice(c0, c1), lw, lc - lw.start, rw, rc - rw.start, starts))
+        self.starts = np.searchsorted(slots[order], np.arange(size))
+        # each factor is gathered from the window of columns it reads
+        self.factors = []
+        for columns in (left[order], right[order]):
+            window = slice(int(columns.min()), int(columns.max()) + 1)
+            self.factors.append((window, columns - window.start))
 
     def multiply(self, left, lrows, right, rrows):
         """The products ``left[lrows[r]] * right[rrows[r]]`` for every r, as
@@ -61,19 +53,19 @@ class _Products:
         many r."""
         out = np.empty((len(lrows), self.slots), dtype=complex)
         step = max(1, _CHUNK // max(1, self.size))
-        for cols, lw, lc, rw, rc, starts in self.segments:
-            factor = right[:, rw].take(rc, axis=1)
-            for r0 in range(0, len(lrows), step):
-                rows = slice(r0, r0 + step)
-                prod = left[lrows[rows], lw].take(lc, axis=1)
-                prod *= factor[rrows[rows]]
-                out[rows, cols] = np.add.reduceat(prod, starts, axis=1)
+        (lw, lc), (rw, rc) = self.factors
+        for r0 in range(0, len(lrows), step):
+            rows = slice(r0, r0 + step)
+            prod = left[lrows[rows], lw].take(lc, axis=1)
+            prod *= right[rrows[rows], rw].take(rc, axis=1)
+            out[rows] = np.add.reduceat(prod, self.starts, axis=1)
         return out
 
 
 class _Grading:
     """The exponents of degree 1 to N in n variables, per degree in
-    :func:`multiindices` order, and the product lists between degrees,
+    :func:`multiindices` order, those of degree 2 to N also as the rows of
+    one read-only int64 ``matrix``, and the product lists between degrees,
     built on first use and kept."""
 
     def __init__(self, n: int, degree: int):
@@ -85,6 +77,8 @@ class _Grading:
             self.offsets.append(self.offsets[-1] + size)
         self.slot = [{m: s for s, m in enumerate(mons)} for mons in self.monomials]
         self.flat = [m for mons in self.monomials for m in mons]  # by column
+        self.matrix = np.array(self.flat[n:], dtype=np.int64).reshape(-1, n)
+        self.matrix.flags.writeable = False
         b, _ = _packing(n, degree)
         # packed keys stay below 2**63 unless n is large at low degree
         dtype = np.int64 if (degree + 1).bit_length() + b * n < 63 else object

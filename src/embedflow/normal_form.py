@@ -33,7 +33,8 @@ Gaussian rationals.  Float germs compose on dense graded arrays
 support for X and of h's for Y, and solve a diagonal spectrum by one
 masked divide; a triangular one keeps the row-by-row accumulator on
 arrays.  Both take lambda^sigma from :func:`embedflow.resonance._power`
-where the defect is nonzero, in row order.
+where the defect is nonzero, in row order, and both walk the exponents
+of :func:`embedflow.graded._grading`, the table the resonance scan reads.
 
 Which (j, sigma) are resonant is read from one
 :func:`embedflow.resonance.map_resonances` report per normal form, the
@@ -54,7 +55,7 @@ import numpy as np
 from .graded import _GradedPowers, _grading
 from .jets import MODE_EXACT, MultiIndex, PolyJet, _OnlineComposition, _one
 from .reports import fmt_entry
-from .resonance import _power, map_resonances, monomial_index
+from .resonance import _power, map_resonances
 from .spectral import BlockMatrix, is_hyperbolic
 from .tolerances import DEFAULT_TOL, DIVISOR_FLOOR
 
@@ -256,7 +257,7 @@ def _exact_normal_form(germ: GermSpec, tol: float) -> NormalFormResult:
     Y = _OnlineComposition([lin.component(j) for j in range(n)], N)
     a_columns = [[(j, c) for (j, m), c in lin.coeffs.items() if m[i]] for i in range(n)]
     f = germ.nonlinear.coeffs
-    index = monomial_index(n, N)
+    mons = _grading(n, N).monomials
     resonant = map_resonances(tri.eigen, max(N, 2), tol).map_set()  # N = 1 solves nothing
     h: dict = {}
     g: dict = {}
@@ -266,7 +267,7 @@ def _exact_normal_form(germ: GermSpec, tol: float) -> NormalFormResult:
         # degree k of F(y + h) - (y + h)(Ay + g) with h, g known below k
         defect = _add_into(X.degree_slice(f, k), Y.degree_slice(h, k).items(), -1)
         h_k, g_k, min_div = _homological_rows(
-            tri, PolyJet(n, N, mode, defect), k, index.of_degree(k), resonant, Y
+            tri, PolyJet(n, N, mode, defect), k, mons[k], resonant, Y
         )
         X.extend(h_k)
         Y.extend(g_k)

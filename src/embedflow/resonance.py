@@ -14,30 +14,30 @@ are exactly the union of field and weak ones once the logarithm branch mu
 is fixed.  :func:`_witness` answers the question, and it is the only
 resonance decision in the package: :func:`field_resonances` (also named
 :func:`map_resonances`) scans every (j, m) up to a degree with it and fills
-every class at once, the normal form and the embedding solve each take
-their classes from one such report, and :func:`_not_field_resonant` reads
-it on a field's support, which :class:`embedflow.embedding.FieldGerm`
-checks.
+every class at once.  The normal form and the embedding solve each take
+their classes from one such report, and
+:class:`embedflow.embedding.FieldGerm` checks its support against the
+field-resonant set of the solve's report.
 
 Exact log data (``EigenScalar`` entries) are decided on an integer lattice
 and never look at ``tol``.  All other data are decided on the complex logs:
 a hit lies within ``tol`` (absolute in mu) of 2*pi*i*Z, and a miss within
 NEAR_FACTOR times ``tol`` is reported as near, so borderline spectra are
 never classified silently.  The default ``tol`` and NEAR_FACTOR live in
-:mod:`embedflow.tolerances`.  The exponents scanned come from one cached
-:class:`MonomialIndex` per dimension and degree, and each report is kept
-on the :class:`EigenData` it scanned, per degree and ``tol``.
+:mod:`embedflow.tolerances`.  The exponents scanned are the rows of the
+package's one exponent table per dimension and degree,
+:func:`embedflow.graded._grading`, and each report is kept on the
+:class:`EigenData` it scanned, per degree and ``tol``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .jets import multiindices
+from .graded import _grading
 from .scalars import EigenScalar
 from .spectral import EigenData, _keep
 from .tolerances import DEFAULT_TOL, NEAR_FACTOR
@@ -46,7 +46,6 @@ __all__ = [
     "ResonanceReport",
     "field_resonances",
     "map_resonances",
-    "monomial_index",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -171,52 +170,13 @@ def _classify(mu, M, tol):
     return hit.reshape(shape), l.reshape(shape), None if dist is None else dist.reshape(shape)
 
 
-def _not_field_resonant(support, eigen: EigenData, tol: float) -> list:
-    """The (j, m) of ``support``, in its order, that are not field
-    resonant: off the resonance lattice, or on it with a witness l != 0.
-    A field's support holds none of them."""
-    support = list(support)
-    M = np.array([m for _, m in support], dtype=np.int64).reshape(len(support), len(eigen))
-    hit, l, _ = _classify(_mu(eigen), M, tol)
-    return [(j, tuple(m)) for t, (j, m) in enumerate(support) if not hit[j, t] or l[j, t]]
-
-
-@dataclass(frozen=True)
-class MonomialIndex:
-    """Exponents m with 2 <= |m| <= degree: by degree, then as
-    :func:`embedflow.jets.multiindices` lists them (ascending tuples).
-
-    ``matrix`` holds them as read-only int64 rows, and the rows of degree r
-    are ``offsets[r - 2]:offsets[r - 1]``.
-    """
-
-    monomials: tuple
-    matrix: np.ndarray
-    offsets: tuple
-
-    def of_degree(self, r: int) -> tuple:
-        return self.monomials[self.offsets[r - 2] : self.offsets[r - 1]]
-
-
-@cache
-def monomial_index(dim: int, degree: int) -> MonomialIndex:
-    """The one :class:`MonomialIndex` of ``dim`` variables up to ``degree``."""
-    mons, offsets = [], [0]
-    for r in range(2, degree + 1):
-        mons.extend(multiindices(dim, r))
-        offsets.append(len(mons))
-    matrix = np.array(mons, dtype=np.int64).reshape(len(mons), dim)
-    matrix.flags.writeable = False
-    return MonomialIndex(tuple(mons), matrix, tuple(offsets))
-
-
 def field_resonances(eigen: EigenData, degree: int, tol: float = DEFAULT_TOL) -> ResonanceReport:
     """Every resonance class of (j, m) with 2 <= |m| <= degree, from one scan.
 
     A pair with <m, mu> - mu_j in 2*pi*i*Z is map resonant; it is field
     resonant when its witness l is 0 and weak, listed as (j, m, l), when it
     is not.  Float misses within NEAR_FACTOR*tol are listed as near.  Pairs
-    run j outer, then as in :func:`monomial_index`.
+    run j outer, then as the rows of :func:`embedflow.graded._grading`.
     """
     if degree < 2:
         raise ValueError("degree must be at least 2")
@@ -230,9 +190,9 @@ def _scan(eigen: EigenData, degree: int, tol: float) -> ResonanceReport:
     normal form's scan again whenever its branch leaves A's log eigenvalues
     as they are."""
     n = len(eigen)
-    index = monomial_index(n, degree)
-    hit, l, dist = _classify(_mu(eigen), index.matrix, tol)
-    mons = index.monomials
+    grading = _grading(n, degree)
+    hit, l, dist = _classify(_mu(eigen), grading.matrix, tol)
+    mons = grading.flat[n:]
     found, resonant, weak, near = [], [], [], []
     for j, t in zip(*np.nonzero(hit)):
         pair = (int(j), mons[t])

@@ -29,7 +29,8 @@ import sys
 # The default of every ``tol`` parameter and of a germ file's ``tol``
 # option.  Absolute in mu (logs, of order one) in the one resonance rule,
 # which decides map, field and weak resonance alike and so the support a
-# field may carry, and in | |lambda| - 1 | for hyperbolicity.  1e-9
+# field may carry, and in | |lambda| - 1 | for hyperbolicity, which always
+# reads this default, never a germ file's ``tol`` or ``--tol``.  1e-9
 # sits about seven digits above double roundoff on eigenvalues of order one
 # and far below any resonance gap a user means.
 DEFAULT_TOL = 1e-9
@@ -136,10 +137,10 @@ ODE_ROUNDOFF = 2.0**-44
 
 # The CLI refuses a germ whose header asks for more than MAX_JET_SIZE jet
 # coefficients, n * C(N + n, n) for dimension n and degree N, with exit 3
-# and before any monomial index or normal form is built.  The index, the
+# and before any exponent table or normal form is built.  The table, the
 # resonance scan and the normal form grow with that count whatever terms
-# the germ lists: at (n, N) = (6, 10), 48,048, the index takes 0.03 s; at
-# (8, 12), 1,007,760, it takes 0.6 to 0.8 s and 37 to 68 MB before the
+# the germ lists: on a 2-CPU x86 VM the table takes 0.04 s at (n, N) =
+# (6, 10), 48,048, and 1.1 s and 77 MB at (8, 12), 1,007,760, before the
 # first coefficient is solved.  The largest germ of the benchmark
 # workloads has 2,310 (n = 5, N = 6).  100,000 admits (6, 10) twice over
 # and refuses (8, 12) tenfold.
@@ -148,7 +149,7 @@ MAX_JET_SIZE = 100_000
 # normal-form, embed and verify also refuse a germ whose dimension n and
 # degree N let the normal form's compositions form more than MAX_PRODUCTS
 # coefficient products, counted by embedflow.graded.product_bound (the
-# dense germ's count), with exit 3 and before any monomial index or product
+# dense germ's count), with exit 3 and before any exponent table or product
 # list is built.  The cost follows the degree, not the coefficient count:
 # a planar germ at N = 60 has 3,782 coefficients and 1.6e9 products.  The
 # exact path (Gaussian rationals on the dict kernel) is the slower one.

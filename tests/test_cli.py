@@ -32,11 +32,11 @@ def machine(out: str) -> dict:
 def clear_process_tables():
     """Empty every process-wide table of the package: the shared LINEAR
     matrices, with every analysis kept on them, and the caches by size."""
-    from embedflow import cli, germfile, graded, resonance
+    from embedflow import cli, germfile, graded
 
     germfile._linear_parts.clear()
     for cached in (
-        cli._build_parser, graded._grading, graded.product_bound, resonance.monomial_index,
+        cli._build_parser, graded._grading, graded.product_bound,
     ):
         cached.cache_clear()
 
@@ -697,6 +697,28 @@ class TestTolerance:
         code, out, _ = run(capsys, "verify", "--fixture", "paper-2.3", "--tol", "1e-6")
         assert code == 0 and machine(out)["verified"] == "yes"
 
+    def test_file_tol_does_not_reach_the_hyperbolicity_refusal(self, capsys, monkeypatch):
+        # |lambda| = 1.00018 lies within the file's tol 1e-3 of the unit
+        # circle, and that tol decides the resonances, but hyperbolicity is
+        # decided at DEFAULT_TOL: the germ is admitted and verifies.  This
+        # pins the behaviour as it stands (ROADMAP item 4 rescopes tol).
+        from embedflow import parse_germ
+        from embedflow.spectral import is_hyperbolic
+
+        text = (
+            "HEADER\ndimension 2\ndegree 3\nmode float\nLINEAR\nrotation 0.6003 0.8 1\n"
+            "NONLINEAR\n1 2 0 1/3\n2 1 1 -1/2\nOPTIONS\ntol 1e-3\n"
+        )
+        gf = parse_germ(text)
+        assert gf.tol == 1e-3
+        assert is_hyperbolic(gf.blocks) and not is_hyperbolic(gf.blocks, gf.tol)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "analyze", "-")
+        assert code == 0 and machine(out)["field_resonant"] == "(1,(2,1));(2,(1,2))"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "verify", "-")
+        assert code == 0 and machine(out)["verified"] == "yes"
+
 
 def _fixture_with(name: str, old: str, new: str) -> str:
     """A bundled fixture's text with the line ``old`` replaced by ``new``."""
@@ -822,7 +844,7 @@ class TestRefusals:
 
 class TestJetSizeLimit:
     """A germ whose header asks for more than MAX_JET_SIZE jet coefficients
-    is refused before any monomial index or normal form is built."""
+    is refused before any exponent table or normal form is built."""
 
     @staticmethod
     def _germ(dim, degree):
@@ -836,8 +858,8 @@ class TestJetSizeLimit:
         def started(*args):
             raise AssertionError("the work started")
 
-        monkeypatch.setattr(resonance, "monomial_index", started)
-        monkeypatch.setattr(normal_form, "monomial_index", started)
+        monkeypatch.setattr(resonance, "_grading", started)
+        monkeypatch.setattr(normal_form, "_grading", started)
 
     @pytest.mark.parametrize("dim, degree, flags", [(8, 12, ()), (8, 2, ("--degree", "12"))])
     @pytest.mark.parametrize("verb", ["analyze", "normal-form", "embed", "verify"])
@@ -865,8 +887,8 @@ FIXTURES = ("paper-2.3", "paper-2.3-blocked", "paper-Astar", "paper-F1", "resona
 
 class TestProductLimit:
     """normal-form, embed and verify refuse a germ whose normal form may
-    form more than MAX_PRODUCTS coefficient products, before any monomial
-    index or product list is built; the verbs that compose nothing do not."""
+    form more than MAX_PRODUCTS coefficient products, before any exponent
+    table or product list is built; the verbs that compose nothing do not."""
 
     @staticmethod
     def _germ(dim, degree, mode="float"):
@@ -884,8 +906,8 @@ class TestProductLimit:
         def started(*args):
             raise AssertionError("the work started")
 
-        for module, name in ((resonance, "monomial_index"), (normal_form, "monomial_index"),
-                             (normal_form, "_grading"), (graded, "_grading")):
+        for module, name in ((resonance, "_grading"), (normal_form, "_grading"),
+                             (graded, "_grading")):
             monkeypatch.setattr(module, name, started)
 
     @pytest.mark.parametrize("verb", ["normal-form", "embed", "verify"])
@@ -947,8 +969,8 @@ class TestProductLimit:
 
 class TestWithoutProductLists:
     """The verbs that compose nothing never build a product list: with the
-    builder raising, analyze and classify2d still end every fixture as the
-    console-script table says."""
+    product-list builders raising, analyze and classify2d still end every
+    fixture as the console-script table says."""
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_analyze_and_classify2d(self, capsys, monkeypatch, name):
@@ -957,8 +979,8 @@ class TestWithoutProductLists:
         def builder(*args):
             raise AssertionError("a product list was built")
 
-        monkeypatch.setattr(graded._Grading, "__init__", builder)
-        monkeypatch.setattr(graded._Grading, "products", builder)
+        for method in ("_pairs", "products", "lowest"):
+            monkeypatch.setattr(graded._Grading, method, builder)
         graded._grading.cache_clear()
         for verb, want in (("analyze", 0), ("classify2d", 0 if name == "resonant-2d" else 3)):
             code, out, _ = run(capsys, verb, "--fixture", name)
@@ -1018,6 +1040,32 @@ class TestOneProcess:
         assert code == 2
         assert set(machine(out)["blocked"].split(";")) == blocked
         assert len(calls) == scans
+
+    def test_field_reads_the_solve_scan(self, capsys, monkeypatch):
+        # FieldGerm checks the field's support against the scan that the
+        # solve kept on B's eigen data: every _classify runs inside a scan
+        from embedflow import resonance
+
+        inside, outside, scanning = [], [], []
+        classify, scan = resonance._classify, resonance._scan
+
+        def counted(*args):
+            (inside if scanning else outside).append(args)
+            return classify(*args)
+
+        def scanned(*args):
+            scanning.append(args)
+            try:
+                return scan(*args)
+            finally:
+                scanning.pop()
+
+        monkeypatch.setattr(resonance, "_classify", counted)
+        monkeypatch.setattr(resonance, "_scan", scanned)
+        clear_process_tables()  # paper-2.3's scans are kept from earlier tests
+        code, out, _ = run(capsys, "verify", "--fixture", "paper-2.3")
+        assert code == 0 and machine(out)["verified"] == "yes"
+        assert inside and not outside
 
 
 class TestSharedLinearParts:

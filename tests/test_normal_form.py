@@ -33,7 +33,7 @@ from embedflow import (
 )
 from embedflow.jets import _OnlineComposition
 from embedflow.normal_form import NormalFormResult
-from embedflow.resonance import monomial_index
+from embedflow.graded import _grading
 from embedflow.tolerances import DEFAULT_TOL
 from _gens import random_exact_germ, random_hyperbolic_germ, resonant_map_blocks
 from _reference import homological_rows
@@ -216,7 +216,7 @@ def _reference_normal_form(germ, tol=DEFAULT_TOL):
     h_acc = PolyJet.zero(n, N, mode)
     g_acc = PolyJet.zero(n, N, mode)
     lin = tri.linear_jet(N, mode)
-    index = monomial_index(n, N)
+    mons = _grading(n, N).monomials
     resonant = map_resonances(tri.eigen, max(N, 2), tol).map_set()
     ay = _OnlineComposition([lin.component(j) for j in range(n)], N)
     diagnostics = []
@@ -225,7 +225,7 @@ def _reference_normal_form(germ, tol=DEFAULT_TOL):
         rhs = compose(identity + h_acc, lin + g_acc, degree=k)
         defect = (lhs - rhs).degree_slice(k)
         h_map, g_map, min_div = homological_rows(
-            tri, defect, k, tol, index.of_degree(k), resonant, ay
+            tri, defect, k, tol, mons[k], resonant, ay
         )
         h_acc = h_acc + PolyJet.build(n, N, mode, [(j, m, c) for (j, m), c in h_map.items()])
         g_acc = g_acc + PolyJet.build(n, N, mode, [(j, m, c) for (j, m), c in g_map.items()])

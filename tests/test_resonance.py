@@ -32,6 +32,22 @@ from _gens import random_branch_spectrum, random_loggable_blocks
 from _reference import operator_L_field_spectrum, operator_L_map_spectrum
 
 
+@pytest.mark.parametrize("n, N", [(1, 2), (3, 2), (2, 7), (3, 5), (4, 3)])
+def test_scan_rows_are_the_exponent_table(n, N):
+    # the scan reads the one exponent table: degree 2 to N, by degree, in
+    # multiindices order, as a read-only int64 matrix and as tuples
+    from embedflow.graded import _grading
+
+    grading = _grading(n, N)
+    want = [m for r in range(2, N + 1) for m in multiindices(n, r)]
+    assert grading.matrix.dtype == np.int64 and grading.matrix.shape == (len(want), n)
+    assert not grading.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        grading.matrix[0, 0] = 0
+    assert [tuple(row) for row in grading.matrix.tolist()] == want
+    assert list(grading.flat[n:]) == want
+
+
 def _eigen_2_3() -> EigenData:
     mu1 = EigenScalar.from_parts(rat=8)
     mu2 = EigenScalar.from_parts(rat=1, pi_part=Fraction(1, 4))
