@@ -12,13 +12,13 @@ with D_0 = id and D_k = D_(k-1) o U - D_(k-1) (Takens 1974; Ilyashenko &
 Yakovenko, Lectures on Analytic Differential Equations, 2008).  U's
 linear part is unipotent, so D_k = 0 after finitely many rounds (the
 weight argument of :mod:`embedflow.flow`); the solve stops at the first
-zero D_k and needs nothing but jet composition.  The nonlinear part of Y
-is field-resonant or weakly resonant; a nonzero weakly resonant
-coefficient is a certificate that no field supported on these monomials
-embeds G with this logarithm branch.  The coefficient ring is
-the germ's: in exact mode G's eigenvalues and coefficients are Gaussian
-rational, and the solve never exponentiates a logarithm, so it stays
-exact when B's logs are floats (a rotation at a generic angle).
+zero D_k or at that bound, and needs nothing but jet composition.  The
+nonlinear part of Y is field-resonant or weakly resonant; a nonzero
+weakly resonant coefficient is a certificate that no field supported on
+these monomials embeds G with this logarithm branch.  The coefficient
+ring is the germ's: in exact mode G's eigenvalues and coefficients are
+Gaussian rational, and the solve never exponentiates a logarithm, so it
+stays exact when B's logs are floats (a rotation at a generic angle).
 
 The solve is checked by two routes that it shares no code with and does
 not import: the Lie-series flow of :mod:`embedflow.flow` and the ODE
@@ -147,7 +147,8 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
 
     Computes Y = log U for the unipotent map U = e^(-S) G, S the diagonal
     of B, by the series ``Y = sum_k (-1)^(k+1)/k D_k`` with ``D_0 = id``
-    and ``D_k = D_(k-1) o U - D_(k-1)``, to the first zero D_k.  Returns
+    and ``D_k = D_(k-1) o U - D_(k-1)``, to the first zero D_k or the
+    round after which every D_k is zero.  Returns
     a :class:`FieldGerm` ``B + v`` with v the nonlinear part of Y on
     field-resonant monomials, or, at the lowest degree where Y has a
     nonzero weakly resonant coefficient, an :class:`Obstruction` naming
@@ -188,14 +189,22 @@ def solve_embedding(G: GermSpec, B: BlockMatrix, tol: float = DEFAULT_TOL):
         G.mode,
         {(j, m): one if m == units[j] else inv[j] * c for (j, m), c in G_jet.coeffs.items()},
     )
+    # D_k = 0 for k > N(2s - 1) - s, s the longest Jordan chain (the weight
+    # argument of embedflow.flow).  The cap ends the series when D_k does
+    # not: an inf or nan coefficient keeps D o U - D from cancelling.
+    c = [0] * n  # by rows ascending, a coupling (i, k), k < i, reads c_k when final
+    for i, k, _ in sorted(tri.nil, key=lambda e: e[:2]):
+        c[i] = max(c[i], c[k] + 1)
+    s = max(c) + 1
     D = PolyJet.identity(n, N, G.mode)
     Y = PolyJet.zero(n, N, G.mode)
     compose_u = _composer(U, N)  # U's powers serve every round
-    k = 1
-    while (D := compose_u(D) - D).coeffs:  # it ends: see embedflow.flow
+    for k in range(1, N * (2 * s - 1) - s + 1):
+        D = compose_u(D) - D
+        if not D.coeffs:
+            break
         w = Fraction((-1) ** (k + 1), k)
         Y = Y + D.scale(w if exact else complex(w))
-        k += 1
 
     field = report.field_set()
     weak = {(j, m): l for j, m, l in report.weak}

@@ -17,8 +17,12 @@ head of its chain).  A coupling of Y' (or of the solve's U) trades y_i
 for a heavier coordinate and a nonlinear term for a monomial of weight
 at least 2s, so each L_Y' (or round D_k) raises the lowest weight, s in
 the identity.  No monomial of degree <= N weighs more than N(2s - 1), so
-either series is 0 after N(2s - 1) - s steps and runs to its first zero
-term with no cap.  :func:`flow_jet` builds the terms and
+either series is 0 after N(2s - 1) - s steps.  P_k is a sum of products,
+whose support keeps to the weights whatever the coefficients, so the Lie
+series runs to its first zero term with no cap.  D_k is a difference
+whose lowest terms cancel only in arithmetic, which an inf or nan
+coefficient defeats, so the solve also caps its rounds at that bound.
+:func:`flow_jet` builds the terms and
 :class:`FlowJet` evaluates them at a time, in the field's ring: QQi in
 exact mode and complex otherwise, never mixed.  At a time t, e^(tS) is
 formed from the logs in floats: a route to the eigenvalues independent

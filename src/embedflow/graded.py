@@ -7,9 +7,9 @@ columns.  A float polynomial map of C^n is a complex array whose
 degree-d coefficients sit in the M_d = C(d + n - 1, n - 1) columns from
 ``offsets[d]`` on.  Products of slices run on product lists: for every
 pair of a degree-a and a degree-b monomial, the slot of their product in
-degree a + b, found by adding packed keys, the pairs sorted by slot.  A
-chunk of rows is formed by one multiply of two gathers, summed into its
-slots by one ``np.add.reduceat``.
+degree a + b, found by adding packed keys.  A row's products are formed
+by one gather and one multiply and summed into its slots by one
+``np.add.reduceat``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 
 from .jets import MultiIndex, _pack, _packing, multiindices
 
-# The most coefficient products one numpy multiply forms, in chunks of
-# whole rows; a row with more products runs alone.
+# The most coefficient products one numpy multiply forms; longer products
+# run in chunks of rows, or of slots when one row alone is longer.
 _CHUNK = 1 << 14
 
 # What one more numpy pass over a product list costs, in coefficient
@@ -34,18 +34,28 @@ _PASS = 4096
 class _Products:
     """Coefficient products into one degree, sorted by the slot they land
     in: pair p multiplies column ``left[p]`` of one factor by column
-    ``right[p]`` of the other.  Every slot is hit, so the pairs of slot s
-    start at ``starts[s]``."""
+    ``right[p]`` of the other.  Every slot is hit."""
 
     def __init__(self, left, right, slots, size: int):
         order = np.argsort(slots, kind="stable")
+        left, right, slots = left[order], right[order], slots[order]
         self.size, self.slots = len(slots), size
-        self.starts = np.searchsorted(slots[order], np.arange(size))
-        # each factor is gathered from the window of columns it reads
-        self.factors = []
-        for columns in (left[order], right[order]):
-            window = slice(int(columns.min()), int(columns.max()) + 1)
-            self.factors.append((window, columns - window.start))
+        # cut at slot boundaries into runs of about _CHUNK pairs
+        cuts, first = [0], 0
+        while first + _CHUNK < len(slots):
+            cuts.append(max(int(slots[first + _CHUNK]), cuts[-1] + 1))
+            first = int(np.searchsorted(slots, cuts[-1]))
+        if cuts[-1] < size:
+            cuts.append(size)
+        self.segments = []
+        for c0, c1 in zip(cuts, cuts[1:]):
+            p0, p1 = np.searchsorted(slots, [c0, c1])
+            lc, rc = left[p0:p1], right[p0:p1]
+            # each factor is gathered from the window of columns it reads
+            lw = slice(int(lc.min()), int(lc.max()) + 1)
+            rw = slice(int(rc.min()), int(rc.max()) + 1)
+            starts = np.searchsorted(slots[p0:p1], np.arange(c0, c1))
+            self.segments.append((slice(c0, c1), lw, lc - lw.start, rw, rc - rw.start, starts))
 
     def multiply(self, left, lrows, right, rrows):
         """The products ``left[lrows[r]] * right[rrows[r]]`` for every r, as
@@ -53,12 +63,13 @@ class _Products:
         many r."""
         out = np.empty((len(lrows), self.slots), dtype=complex)
         step = max(1, _CHUNK // max(1, self.size))
-        (lw, lc), (rw, rc) = self.factors
-        for r0 in range(0, len(lrows), step):
-            rows = slice(r0, r0 + step)
-            prod = left[lrows[rows], lw].take(lc, axis=1)
-            prod *= right[rrows[rows], rw].take(rc, axis=1)
-            out[rows] = np.add.reduceat(prod, self.starts, axis=1)
+        for cols, lw, lc, rw, rc, starts in self.segments:
+            factor = right[:, rw].take(rc, axis=1)
+            for r0 in range(0, len(lrows), step):
+                rows = slice(r0, r0 + step)
+                prod = left[lrows[rows], lw].take(lc, axis=1)
+                prod *= factor[rrows[rows]]
+                out[rows, cols] = np.add.reduceat(prod, starts, axis=1)
         return out
 
 

@@ -336,6 +336,36 @@ class TestVerify:
         assert code == 0
         assert m["verified"] == "yes"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_log_series_ends_at_its_round_cap(self, capsys, monkeypatch):
+        # lambda = (2, 1/2) keeps x1^2 x2 e1 resonant with its 1e200, so the
+        # log series meets inf and nan, D o U - D stops cancelling, and only
+        # the cap N(2s - 1) - s = 4 ends the solve; verify then fails (exit 3)
+        from embedflow import embedding
+
+        rounds, composer = [], embedding._composer
+
+        def counted(U, N):
+            compose = composer(U, N)
+
+            def one_round(D):
+                rounds.append(D)
+                assert len(rounds) <= 100, "the log series did not end"
+                return compose(D)
+
+            return one_round
+
+        monkeypatch.setattr(embedding, "_composer", counted)
+        germ = (
+            "HEADER\ndimension 2\ndegree 5\nmode float\nLINEAR\njordan 2 1\n"
+            "jordan 0.5 1\nNONLINEAR\n1 2 1 1e200\n"
+        )
+        monkeypatch.setattr(sys, "stdin", io.StringIO(germ))
+        code, out, _ = run(capsys, "verify", "-")
+        m = machine(out)
+        assert code == 3 and m["status"] == "field" and m["verified"] == "no"
+        assert "nan" in m["field"] and len(rounds) == 4
+
     def test_ode_estimate_within_a_tenth_of_the_bound(self, capsys):
         from embedflow.tolerances import ODE_BOUND, ODE_ERR_SHARE
 
@@ -901,14 +931,13 @@ class TestProductLimit:
 
     @staticmethod
     def _forbid_the_work(monkeypatch):
-        from embedflow import graded, normal_form, resonance
+        from embedflow import normal_form, resonance
 
         def started(*args):
             raise AssertionError("the work started")
 
-        for module, name in ((resonance, "_grading"), (normal_form, "_grading"),
-                             (graded, "_grading")):
-            monkeypatch.setattr(module, name, started)
+        for module in (resonance, normal_form):
+            monkeypatch.setattr(module, "_grading", started)
 
     @pytest.mark.parametrize("verb", ["normal-form", "embed", "verify"])
     def test_planar_degree_120_refused_at_once(self, capsys, monkeypatch, verb):
@@ -932,7 +961,12 @@ class TestProductLimit:
     def test_verbs_that_compose_nothing_take_it(self, capsys, monkeypatch, verb, want):
         from embedflow import graded
 
-        monkeypatch.setattr(graded, "_grading", None)  # no product list either
+        def builder(*args):
+            raise AssertionError("a product list was built")
+
+        for method in ("_pairs", "products", "lowest"):  # no product list either
+            monkeypatch.setattr(graded._Grading, method, builder)
+        graded._grading.cache_clear()
         monkeypatch.setattr(sys, "stdin", io.StringIO(self._germ(2, 120)))
         code, out, _ = run(capsys, verb, "-")
         assert code == want and machine(out)["status"] == "ok"
