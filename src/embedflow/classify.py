@@ -19,7 +19,6 @@ from .spectral import (
     JordanBlock,
     NegativePairBlock,
     has_real_log,
-    is_hyperbolic,
     pair_negative_blocks,
     real_log,
 )
@@ -56,12 +55,12 @@ def classify_2d(A: BlockMatrix) -> PlanarVerdict:
     Embeddable exactly when A has a real logarithm
     (:func:`embedflow.spectral.has_real_log`).  The verdict's logarithm is
     the principal real logarithm of :func:`pair_negative_blocks`'s
-    matrix, in which two equal negative cells are one negative pair.
+    matrix, in which two equal negative cells are one negative pair.  A
+    must be hyperbolic; :func:`embedflow.pipeline.admit` decides that for
+    the CLI, and it is not checked here.
     """
     if A.dim != 2:
         raise ValueError("classify_2d expects order 2")
-    if not is_hyperbolic(A):
-        raise ValueError("linear part must be hyperbolic")
     if has_real_log(A)[0]:
         paired, _ = pair_negative_blocks(A)
         negative = any(isinstance(b, NegativePairBlock) for b in paired.blocks)

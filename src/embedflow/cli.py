@@ -11,16 +11,18 @@ Verbs:
     classify2d  planar embeddability verdict with the explicit logarithm
 
 Exit codes: 0 success (field constructed / embeddable), 2 obstruction or
-not embeddable, 3 precondition failure (non-hyperbolic, no real log,
-verification failure, a header above MAX_JET_SIZE or MAX_PRODUCTS, an
-eigenvalue beyond MAX_FIELD_SCALE in embed or verify, a near-resonance:
-a normal-form divisor below max(tol, DIVISOR_FLOOR), or a nonresonant
-coefficient above STRAY_DEMAND that the solve meets in log U), 4 parse
-error (including a tolerance that is not a finite positive number).
+not embeddable, 3 precondition failure (a germ the verb does not admit, no
+real log, verification failure, a near-resonance: a normal-form divisor
+below max(tol, DIVISOR_FLOOR), a nonresonant coefficient above
+STRAY_DEMAND that the solve meets in log U, or an inf or nan in a float
+G, h or field), 4 parse error (including a tolerance that is not a finite
+positive number).
 
-normal-form, embed and verify compute the germ's record
-(:mod:`embedflow.pipeline`) first and then print it; a refusal prints the
-Error section alone.
+:func:`embedflow.pipeline.admit` decides once, before the verb's handler
+and from one table of what each verb needs, whether the verb takes the
+germ; hyperbolicity reads the germ's tol.  normal-form, embed and verify
+then compute the germ's record (:mod:`embedflow.pipeline`) and print it;
+a refusal prints the Error section alone.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from importlib import resources
 from .classify import classify_2d
 from .embedding import Obstruction
 from .germfile import GermFile, GermParseError, parse_germ, serialize_germ
-from .pipeline import GermRun, refuse_oversize, run, run_normal_form
+from .pipeline import GermRun, admit, run, run_normal_form
 from .reports import Report, fmt_complex, fmt_entry
 from .resonance import map_resonances
 from .spectral import (
@@ -44,6 +46,7 @@ from .spectral import (
     BranchChoice,
     SpectralError,
     has_real_log,
+    pair_negative_blocks,
     real_log,
     weakly_nonresonant_branch,
 )
@@ -168,10 +171,9 @@ def _run_sections(gf: GermFile, report: Report, record: GermRun):
 
 
 def cmd_analyze(gf: GermFile, report: Report) -> int:
-    refuse_oversize(gf)
     _linear_section(gf, report, has_real_log(gf.blocks)[0])
     try:
-        paired, perm = gf.linear_spec()
+        paired, perm = pair_negative_blocks(gf.blocks)
     except SpectralError as exc:
         # unpaired negative blocks: the resonance structure is still
         # defined through the principal complex logarithm
@@ -386,6 +388,7 @@ def main(argv=None) -> int:
         for line in serialize_germ(gf).splitlines():
             report.line(line)
     try:
+        admit(gf, args.verb)
         code = _COMMANDS[args.verb](gf, report)
     except (ValueError, ArithmeticError) as exc:
         report.section("Error")

@@ -45,17 +45,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
-from .jets import (
-    MODE_EXACT,
-    MODE_FLOAT,
-    MultiIndex,
-    PolyJet,
-    _require_real,
-    complexify,
-)
-from .normal_form import GermSpec, _check_germ
+from .jets import MODE_EXACT, MODE_FLOAT, MultiIndex, PolyJet, complexify
+from .normal_form import GermSpec
 from .scalars import EigenScalar, QQi
 from .spectral import (
     BlockMatrix,
@@ -96,6 +90,11 @@ class GermFile:
     branch_l: tuple = ()
 
     def real_jet(self) -> PolyJet:
+        """The jet of ``terms``, built once per germ file."""
+        return self._real_jet
+
+    @cached_property
+    def _real_jet(self) -> PolyJet:
         return PolyJet.build(self.dim, self.degree, self.mode, self.terms)
 
     def to_spec(self):
@@ -109,17 +108,6 @@ class GermFile:
         paired, perm = pair_negative_blocks(self.blocks)
         zjet = complexify(self.real_jet(), paired.pairing(), perm)
         return GermSpec(paired, zjet, self.degree), paired, perm
-
-    def linear_spec(self):
-        """``(paired, perm)`` of :meth:`to_spec`, with its refusals in its
-        order, but without permuting or complexifying the jet: a change of
-        coordinates keeps the dimension and degrees that the refusals read.
-        """
-        paired, perm = pair_negative_blocks(self.blocks)
-        jet = self.real_jet()
-        _require_real(jet)
-        _check_germ(paired, jet, self.degree)
-        return paired, perm
 
 
 _MODES = (MODE_FLOAT, MODE_EXACT)

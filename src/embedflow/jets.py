@@ -42,6 +42,7 @@ Jets are value objects: no operation mutates its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -219,7 +220,8 @@ class PolyJet:
         return out
 
     def max_abs(self) -> float:
-        return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
+        """The largest coefficient modulus; nan when any coefficient is nan."""
+        return _max_or_nan([abs(complex(c)) for c in self.coeffs.values()])
 
     def to_float(self) -> "PolyJet":
         if self.mode == MODE_FLOAT:
@@ -287,16 +289,19 @@ class PolyJet:
 
 
 def jet_distance(f: PolyJet, g: PolyJet) -> float:
-    """Max coefficient distance, comparing over the common truncation."""
+    """Max coefficient distance, comparing over the common truncation;
+    nan when any distance is nan."""
     degree = min(f.degree, g.degree)
     keys = {k for k in f.coeffs if k[1].degree <= degree}
     keys |= {k for k in g.coeffs if k[1].degree <= degree}
-    worst = 0.0
-    for k in keys:
-        a = complex(f.coeffs.get(k, 0))
-        b = complex(g.coeffs.get(k, 0))
-        worst = max(worst, abs(a - b))
-    return worst
+    return _max_or_nan(
+        [abs(complex(f.coeffs.get(k, 0)) - complex(g.coeffs.get(k, 0))) for k in keys]
+    )
+
+
+def _max_or_nan(moduli: list) -> float:
+    """``max(moduli, default=0.0)``, or nan when their sum, so one of them, is."""
+    return math.nan if math.isnan(sum(moduli)) else max(moduli, default=0.0)
 
 
 # -- packed monomial keys -------------------------------------------------

@@ -56,7 +56,7 @@ from .graded import _GradedPowers, _grading
 from .jets import MODE_EXACT, MultiIndex, PolyJet, _OnlineComposition, _one
 from .reports import fmt_entry
 from .resonance import _power, map_resonances
-from .spectral import BlockMatrix, is_hyperbolic
+from .spectral import BlockMatrix
 from .tolerances import DEFAULT_TOL, DIVISOR_FLOOR
 
 __all__ = [
@@ -82,27 +82,14 @@ class NearResonanceError(ArithmeticError):
         )
 
 
-def _check_germ(linear: BlockMatrix, nonlinear: PolyJet, degree: int):
-    """The refusals of :class:`GermSpec`.  They read the dimension and the
-    degrees of ``nonlinear``, which a change of coordinates keeps."""
-    if nonlinear.dim != linear.dim:
-        raise ValueError("linear and nonlinear dimensions differ")
-    if nonlinear.degree != degree:
-        raise ValueError("nonlinear jet truncation must match degree")
-    if nonlinear.coeffs and nonlinear.min_degree() < 2:
-        raise ValueError("nonlinear part must vanish to second order")
-    if degree < 1:
-        raise ValueError("degree must be positive")
-    if not is_hyperbolic(linear):
-        raise ValueError("linear part must be hyperbolic")
-
-
 @dataclass(frozen=True)
 class GermSpec:
     """Hyperbolic jet F = Ax + f(x) in complexified coordinates.
 
     ``nonlinear`` is O(|x|^2) and truncated at ``degree``; its mode
-    ("float" or "exact") is the coefficient mode of the whole germ.
+    ("float" or "exact") is the coefficient mode of the whole germ.  A
+    must be hyperbolic (:func:`embedflow.pipeline.admit` decides it for
+    the CLI); it is not checked here.
     """
 
     linear: BlockMatrix
@@ -110,7 +97,14 @@ class GermSpec:
     degree: int
 
     def __post_init__(self):
-        _check_germ(self.linear, self.nonlinear, self.degree)
+        if self.nonlinear.dim != self.linear.dim:
+            raise ValueError("linear and nonlinear dimensions differ")
+        if self.nonlinear.degree != self.degree:
+            raise ValueError("nonlinear jet truncation must match degree")
+        if self.nonlinear.coeffs and self.nonlinear.min_degree() < 2:
+            raise ValueError("nonlinear part must vanish to second order")
+        if self.degree < 1:
+            raise ValueError("degree must be positive")
 
     @property
     def dim(self) -> int:

@@ -232,8 +232,13 @@ class EigenData:
     def exact(self) -> bool:
         return all(isinstance(e, EigenScalar) for e in self.entries)
 
-    def mu_complex(self) -> list[complex]:
-        return [complex(e) for e in self.entries]
+    def mu_complex(self) -> tuple:
+        """The logs as complex floats; kept."""
+        return self._mu_complex
+
+    @cached_property
+    def _mu_complex(self) -> tuple:
+        return tuple(complex(e) for e in self.entries)
 
     @staticmethod
     def from_values(values) -> "EigenData":

@@ -29,9 +29,11 @@ import sys
 # The default of every ``tol`` parameter and of a germ file's ``tol``
 # option.  Absolute in mu (logs, of order one) in the one resonance rule,
 # which decides map, field and weak resonance alike and so the support a
-# field may carry, and in | |lambda| - 1 | for hyperbolicity, which always
-# reads this default, never a germ file's ``tol`` or ``--tol``.  1e-9
-# sits about seven digits above double roundoff on eigenvalues of order one
+# field may carry, and in | |lambda| - 1 | for hyperbolicity, which every
+# verb's admission (embedflow.pipeline.admit) decides at the germ's own
+# ``tol``, from the file or ``--tol``: the cut that decides a germ's
+# resonances also keeps its eigenvalues off the unit circle.  1e-9 sits
+# about seven digits above double roundoff on eigenvalues of order one
 # and far below any resonance gap a user means.
 DEFAULT_TOL = 1e-9
 

@@ -163,10 +163,6 @@ class TestClassify2d:
         with pytest.raises(ValueError):
             classify_2d(BlockMatrix((JordanBlock(2, 3),)))
 
-    def test_rejects_nonhyperbolic(self):
-        with pytest.raises(ValueError):
-            classify_2d(BlockMatrix((JordanBlock(1, 1), JordanBlock(2, 1))))
-
     def test_verdict_logarithms_weakly_nonresonant(self):
         # the third theorem in the plane: embeddable exactly when A has a
         # real logarithm, and the verdict's logarithm is weakly nonresonant

@@ -340,7 +340,8 @@ class TestVerify:
     def test_non_finite_log_series_ends_at_its_round_cap(self, capsys, monkeypatch):
         # lambda = (2, 1/2) keeps x1^2 x2 e1 resonant with its 1e200, so the
         # log series meets inf and nan, D o U - D stops cancelling, and only
-        # the cap N(2s - 1) - s = 4 ends the solve; verify then fails (exit 3)
+        # the cap N(2s - 1) - s = 4 ends the solve; the non-finite field is
+        # then refused (exit 3) before any verdict reads it
         from embedflow import embedding
 
         rounds, composer = [], embedding._composer
@@ -363,8 +364,9 @@ class TestVerify:
         monkeypatch.setattr(sys, "stdin", io.StringIO(germ))
         code, out, _ = run(capsys, "verify", "-")
         m = machine(out)
-        assert code == 3 and m["status"] == "field" and m["verified"] == "no"
-        assert "nan" in m["field"] and len(rounds) == 4
+        assert code == 3 and m["status"] == "error" and "verified" not in m
+        assert m["error"] == "the embedding field has a non-finite coefficient at (1,(3,2))"
+        assert len(rounds) == 4
 
     def test_ode_estimate_within_a_tenth_of_the_bound(self, capsys):
         from embedflow.tolerances import ODE_BOUND, ODE_ERR_SHARE
@@ -727,27 +729,24 @@ class TestTolerance:
         code, out, _ = run(capsys, "verify", "--fixture", "paper-2.3", "--tol", "1e-6")
         assert code == 0 and machine(out)["verified"] == "yes"
 
-    def test_file_tol_does_not_reach_the_hyperbolicity_refusal(self, capsys, monkeypatch):
-        # |lambda| = 1.00018 lies within the file's tol 1e-3 of the unit
-        # circle, and that tol decides the resonances, but hyperbolicity is
-        # decided at DEFAULT_TOL: the germ is admitted and verifies.  This
-        # pins the behaviour as it stands (ROADMAP item 4 rescopes tol).
+    def test_file_tol_reaches_the_hyperbolicity_refusal(self, capsys, monkeypatch):
+        # |lambda| = 1.00018 lies within tol 1e-3 of the unit circle, and the
+        # tol that decides the resonances decides hyperbolicity too: every
+        # verb refuses the germ, whether the file or --tol sets that tol
         from embedflow import parse_germ
         from embedflow.spectral import is_hyperbolic
 
         text = (
             "HEADER\ndimension 2\ndegree 3\nmode float\nLINEAR\nrotation 0.6003 0.8 1\n"
-            "NONLINEAR\n1 2 0 1/3\n2 1 1 -1/2\nOPTIONS\ntol 1e-3\n"
+            "NONLINEAR\n1 2 0 1/3\n2 1 1 -1/2\n"
         )
-        gf = parse_germ(text)
-        assert gf.tol == 1e-3
-        assert is_hyperbolic(gf.blocks) and not is_hyperbolic(gf.blocks, gf.tol)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-        code, out, _ = run(capsys, "analyze", "-")
-        assert code == 0 and machine(out)["field_resonant"] == "(1,(2,1));(2,(1,2))"
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-        code, out, _ = run(capsys, "verify", "-")
-        assert code == 0 and machine(out)["verified"] == "yes"
+        blocks = parse_germ(text).blocks
+        assert is_hyperbolic(blocks) and not is_hyperbolic(blocks, 1e-3)
+        for verb in ("analyze", "normal-form", "embed", "verify", "classify2d"):
+            for germ, flags in ((text + "OPTIONS\ntol 1e-3\n", ()), (text, ("--tol", "1e-3"))):
+                monkeypatch.setattr(sys, "stdin", io.StringIO(germ))
+                code, out, _ = run(capsys, verb, "-", *flags)
+                assert (code, machine(out)["error"]) == (3, "linear part must be hyperbolic"), verb
 
 
 def _fixture_with(name: str, old: str, new: str) -> str:
@@ -999,6 +998,84 @@ class TestProductLimit:
         monkeypatch.setattr(sys, "stdin", io.StringIO(self._germ(2, 12)))
         code, out, _ = run(capsys, verb, "-")
         assert code == 0 and machine(out)["status"] in ("ok", "field")
+
+
+VERBS = ("analyze", "normal-form", "embed", "verify", "classify2d")
+
+
+def _germ_text(dim, degree, mode, lines, terms=()) -> str:
+    return "\n".join(
+        ["HEADER", f"dimension {dim}", f"degree {degree}", f"mode {mode}", "LINEAR", *lines,
+         "NONLINEAR", *terms]
+    ) + "\n"
+
+
+class TestAdmission:
+    """One table says what each verb needs of a germ: a germ that fails a
+    need is refused, exit 3 with that need's message, by every verb that
+    needs it, and every other verb runs it to its usual exit code."""
+
+    NEEDS = {
+        "analyze": {"size", "real", "hyperbolic"},
+        "normal-form": {"size", "work", "real", "hyperbolic", "exact"},
+        "embed": {"size", "work", "real", "hyperbolic", "exact", "scale", "finite"},
+        "verify": {"size", "work", "real", "hyperbolic", "exact", "scale", "finite"},
+        "classify2d": {"planar", "real", "hyperbolic"},
+    }
+    PLANAR_TERMS = ("1 2 0 1/3", "2 1 1 -1/2", "1 0 3 1/5")
+    HYPERBOLIC = "linear part must be hyperbolic"
+    EXACT = "exact mode needs Gaussian-rational linear entries; use float mode"
+    PLANAR = "classify_2d expects order 2"
+    # name, germ text or fixture name, {need it fails: message}, and the
+    # exit codes of the verbs (in VERBS order) that do not need it
+    GERMS = [
+        ("1e200", _germ_text(2, 5, "float", ["jordan 2 1", "jordan 0.5 1"], ["1 2 1 1e200"]),
+         {"finite": "the embedding field has a non-finite coefficient at (1,(3,2))"},
+         (0, 0, None, None, 0)),
+        ("rotation-exp", _germ_text(2, 4, "exact", ["rotation-exp 1/2 1/3 1"], PLANAR_TERMS),
+         {"exact": EXACT}, (0, None, None, None, 0)),
+        ("jordan-exp", _germ_text(2, 4, "exact", ["jordan-exp 1/2 1", "jordan 3 1"], PLANAR_TERMS),
+         {"exact": EXACT}, (0, None, None, None, 0)),
+        ("tol-1e-3", _germ_text(2, 3, "float", ["rotation 0.6003 0.8 1"], PLANAR_TERMS[:2]
+                                + ("OPTIONS", "tol 1e-3")),
+         {"hyperbolic": HYPERBOLIC}, ()),
+        ("imaginary", _germ_text(2, 2, "float", ["jordan 2 1", "jordan 4 1"], ["1 0 2 1 0.5"]),
+         {"real": "complexify expects a real-coefficient jet"}, ()),
+        ("unit-chain", _germ_text(2, 2, "float", ["jordan 1 2"]), {"hyperbolic": HYPERBOLIC}, ()),
+        ("unit-cell", _germ_text(2, 2, "float", ["jordan 1 1", "jordan 2 1"]),
+         {"hyperbolic": HYPERBOLIC}, ()),
+        ("minus-one", _germ_text(2, 2, "float", ["jordan -1 1", "jordan 2 1"]),
+         {"hyperbolic": HYPERBOLIC}, ()),
+        ("8x12", _germ_text(8, 12, "float", ["jordan 2 8"]),
+         {"planar": PLANAR, "size": "dimension 8 at degree 12 asks for n*C(N+n, n) = 1007760 jet "
+                                   "coefficients, above MAX_JET_SIZE = 100000"}, ()),
+        ("planar-120", _germ_text(2, 120, "float", ["jordan 2 1", "jordan 3 1"], ["2 2 0 1"]),
+         {"work": "dimension 2 at degree 120 lets the normal form form up to 9.28e+10 "
+                  "coefficient products, above MAX_PRODUCTS = 1e+09"},
+         (0, None, None, None, 0)),
+        ("paper-2.3", "paper-2.3", {"planar": PLANAR}, (0, 0, 0, 0, None)),
+        ("paper-2.3-blocked", "paper-2.3-blocked", {"planar": PLANAR}, (0, 0, 2, 2, None)),
+        ("paper-Astar", "paper-Astar", {"planar": PLANAR}, (0, 0, 2, 2, None)),
+        ("paper-F1", "paper-F1", {"planar": PLANAR}, (0, 0, 2, 2, None)),
+        ("resonant-2d", "resonant-2d", {}, (0, 0, 0, 0, 0)),
+    ]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("verb", VERBS)
+    @pytest.mark.parametrize("name, germ, fails, codes", GERMS, ids=[g[0] for g in GERMS])
+    def test_each_verb_refuses_by_its_needs(self, capsys, monkeypatch, verb, name, germ, fails, codes):
+        if name in FIXTURES:
+            code, out, _ = run(capsys, verb, "--fixture", germ)
+        else:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(germ))
+            code, out, _ = run(capsys, verb, "-")
+        m = machine(out)
+        refusals = [message for need, message in fails.items() if need in self.NEEDS[verb]]
+        assert len(refusals) <= 1
+        if refusals:
+            assert (code, m["status"], m["error"]) == (3, "error", refusals[0]), out
+        else:
+            assert code == codes[VERBS.index(verb)] and "error" not in m, out
 
 
 class TestWithoutProductLists:

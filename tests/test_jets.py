@@ -184,6 +184,14 @@ def test_jet_distance_and_truncate():
     assert f.degree_slice(3).support() == {(1, (0, 3))}
 
 
+def test_max_abs_and_jet_distance_read_nan():
+    # a running max keeps 1.0 over a later nan; the largest modulus does not
+    f = PolyJet.build(1, 3, MODE_FLOAT, [(0, (2,), 1.0), (0, (3,), float("nan"))])
+    g = PolyJet.build(1, 3, MODE_FLOAT, [(0, (2,), 5.0)])
+    assert np.isnan(f.max_abs()) and np.isnan(jet_distance(f, g)) and np.isnan(jet_distance(g, f))
+    assert (g.max_abs(), jet_distance(g, g), PolyJet.zero(1, 3).max_abs()) == (5.0, 0.0, 0.0)
+
+
 def test_complexify_realify_roundtrip():
     rng = np.random.default_rng(9)
     pairing = RealPairing(4, ((1, 2),))
