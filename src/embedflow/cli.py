@@ -16,7 +16,7 @@ real log, verification failure, a near-resonance: a normal-form divisor
 below max(tol, DIVISOR_FLOOR), a nonresonant coefficient above
 STRAY_DEMAND that the solve meets in log U, or an inf or nan in a float
 G, h or field), 4 parse error (including a tolerance that is not a finite
-positive number).
+positive number and a ``--degree`` below 2).
 
 :func:`embedflow.pipeline.admit` decides once, before the verb's handler
 and from one table of what each verb needs, whether the verb takes the
@@ -100,6 +100,8 @@ def _parse_branch_flag(text: str):
 def _apply_overrides(gf: GermFile, args) -> GermFile:
     changes = {}
     if args.degree is not None:
+        if args.degree < 2:
+            raise ValueError(f"--degree must be at least 2, got {args.degree}")
         changes["degree"] = args.degree
     if args.tol is not None:
         if not (math.isfinite(args.tol) and args.tol > 0):

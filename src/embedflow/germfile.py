@@ -30,8 +30,12 @@ logarithm branch integers ``branch-k``/``branch-l`` (one per negative
 pair / rotation block).  Rational literals (``7/10``) parse in either
 mode; decimals are accepted and, in exact mode, converted exactly.  Every
 number must convert to a finite float, nonzero when it is, and e^U of a
-``-exp`` block too, and ``tol`` must be positive; other numbers are parse
-errors that name their line.
+``-exp`` block too; ``tol`` must be positive, the degree at least 2, block
+sizes and cell counts positive, a ``negpair`` eigenvalue negative and
+exponents nonnegative, and no two records may share (j, m).  Each such
+error is a parse error that names its line; a missing HEADER key and
+LINEAR blocks that do not cover the dimension, which no one line holds,
+read line 0.
 
 Every germ of a process whose LINEAR section has the same lines gets the
 same :class:`BlockMatrix` object, from a table of the last
@@ -261,8 +265,17 @@ def parse_germ(text: str) -> GermFile:
                 header[key] = parts[1]
             else:
                 header[key] = _parse_int(parts[1], line_no, raw)
+                if key == "dimension" and header[key] < 1:
+                    raise GermParseError(line_no, raw, "dimension must be positive")
+                if key == "degree" and header[key] < 2:
+                    raise GermParseError(line_no, raw, "degree must be at least 2")
         elif section == "LINEAR":
-            blocks.append(_linear_block(parts, line_no, raw))
+            try:
+                blocks.append(_linear_block(parts, line_no, raw))
+            except GermParseError:
+                raise
+            except ValueError as exc:  # a block's own check: its size, cells or sign
+                raise GermParseError(line_no, raw, str(exc)) from None
             linear.append(tuple(parts))
         elif section == "NONLINEAR":
             records.append((line_no, raw, parts))
@@ -287,10 +300,6 @@ def parse_germ(text: str) -> GermFile:
         if key not in header:
             raise GermParseError(0, "", f"HEADER is missing {key!r}")
     n, N, mode = header["dimension"], header["degree"], header["mode"]
-    if n < 1:
-        raise GermParseError(0, "", "dimension must be positive")
-    if N < 2:
-        raise GermParseError(0, "", "degree must be at least 2")
     if mode == MODE_FLOAT:
         # float germs read rotation parameters as floats; their key tells
         # them from the same lines of an exact germ, which keeps fractions
@@ -304,7 +313,7 @@ def parse_germ(text: str) -> GermFile:
         raise GermParseError(
             0, "", f"LINEAR blocks cover {covered} coordinates, dimension says {n}"
         )
-    terms = []
+    terms, seen = [], set()
     for line_no, raw, parts in records:
         if len(parts) not in (n + 2, n + 3):
             raise GermParseError(
@@ -314,7 +323,11 @@ def parse_germ(text: str) -> GermFile:
         j = _parse_int(parts[0], line_no, raw)
         if not 1 <= j <= n:
             raise GermParseError(line_no, raw, f"component {j} out of range 1..{n}")
-        m = MultiIndex(_parse_int(t, line_no, raw) for t in parts[1 : n + 1])
+        exponents = [_parse_int(t, line_no, raw) for t in parts[1 : n + 1]]
+        try:
+            m = MultiIndex(exponents)
+        except ValueError as exc:  # a negative entry
+            raise GermParseError(line_no, raw, str(exc)) from None
         if not 2 <= m.degree <= N:
             raise GermParseError(
                 line_no, raw, f"exponent degree {m.degree} outside 2..{N}"
@@ -328,12 +341,12 @@ def parse_germ(text: str) -> GermFile:
             coeff = QQi(re, im)
         else:
             coeff = complex(re, im)
-        terms.append((j - 1, m, coeff))
-    seen = set()
-    for j, m, _ in terms:
         if (j, m) in seen:
-            raise GermParseError(0, "", f"duplicate record for component {j + 1}, exponent {tuple(m)}")
+            raise GermParseError(
+                line_no, raw, f"duplicate record for component {j}, exponent {tuple(m)}"
+            )
         seen.add((j, m))
+        terms.append((j - 1, m, coeff))
     return GermFile(
         dim=n,
         degree=N,

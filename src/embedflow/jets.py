@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .scalars import ExactnessError, QQi
@@ -97,7 +98,9 @@ class MultiIndex(tuple):
         )
 
     @staticmethod
+    @cache
     def unit(n: int, i: int) -> "MultiIndex":
+        """e_i in n coordinates, one kept instance per (n, i)."""
         return MultiIndex(1 if k == i else 0 for k in range(n))
 
     @staticmethod
@@ -628,8 +631,8 @@ def _imag_violation(jet: PolyJet) -> float:
 
 
 def _require_real(f: PolyJet):
-    """Refuse a jet with an imaginary part above CONJUGATE_SYMMETRY, as
-    :func:`complexify` does."""
+    """Refuse a jet with an imaginary part above CONJUGATE_SYMMETRY: the
+    precondition of :func:`complexify`."""
     if _imag_violation(f) > CONJUGATE_SYMMETRY:
         raise ValueError("complexify expects a real-coefficient jet")
 
@@ -713,11 +716,14 @@ def complexify(f: PolyJet, pairing: RealPairing, perm=None) -> PolyJet:
     when ``perm`` is None).  Then on each pair the new coordinates are
     z = x_i + i*x_{i+1} and its conjugate; a rotation block
     [[a, b], [-b, a]] becomes diag(a - i*b, a + i*b).
+
+    ``f`` must be real, its imaginary parts within CONJUGATE_SYMMETRY
+    (:func:`embedflow.pipeline.admit` decides it for the CLI); it is not
+    checked here.
     """
     n = f.dim
     if pairing.dim != n:
         raise ValueError("pairing dimension mismatch")
-    _require_real(f)
     perm = tuple(range(n) if perm is None else perm)
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation")

@@ -2,10 +2,12 @@
 
 It integrates the jet-coefficient equations C' = B C + v(C) of a field
 X = By + v from the identity to time one, on the columns (j, m) that can
-become nonzero, with its own error estimate.  v(C) comes from its own
-gather/scatter plan, so it shares no code with the flow of
-:mod:`embedflow.flow` or the solve of :mod:`embedflow.embedding`; it
-imports numpy, operator, jet types and the ``ODE_*`` tolerances only.
+become nonzero, with its own error estimate.  One walk up the degrees
+(:func:`_plan`) finds those columns and builds the gather/scatter plan of
+v(C) on them, rows grouped by degree.  The plan is the oracle's own, so it
+shares no code with the flow of :mod:`embedflow.flow` or the solve of
+:mod:`embedflow.embedding`; it imports numpy, operator, jet types and the
+``ODE_*`` tolerances only.
 It takes one step, or ODE_STEPS when one step's error estimate is above
 roundoff.  ``tri`` is B's :class:`embedflow.spectral.TriangularLinear`.
 """
@@ -20,38 +22,55 @@ from .jets import MODE_FLOAT, MultiIndex, PolyJet
 from .tolerances import ODE_ROUNDOFF, ODE_STEPS
 
 
-def _reachable(tri, v: PolyJet, degree: int):
-    """The columns (j, m) of the jet-coefficient equations that can become
-    nonzero between the identity and time one, sorted by degree, then
-    component, then monomial.
+def _plan(terms, seeds, degree: int):
+    """``(cols, out, factors, mult)``: the columns (j, m) of the
+    jet-coefficient equations that the field ``terms`` can make nonzero
+    from ``seeds``, and its gather/scatter plan on them, from one walk up
+    the degrees.
 
-    The closure, from supports only, of the identity columns (k, e_k) under
-    B's couplings, which copy (k, m) to (i, m) for each coupling (i, k),
-    and under v's terms: a term y^p of component j reaches (j, sum of the
-    picks) for every pick of p_i columns of component i.  The picks of a
-    term of degree at least 2 lie below the degree they reach, so one pass
-    up the degrees closes the set.
+    ``seeds``, by degree, take slots 0, 1, ... of ``cols``; the walk adds
+    each column it reaches, so ``cols`` stays sorted by degree.  At degree
+    d a term (j, p, c), c y^p in component j with |p| >= 2, takes every
+    pick of p_i columns of component i for each coordinate i, of total
+    degree d, from the columns below d, which are final; then each linear
+    term (i, e_k, c), taken by row so that a chain of couplings closes,
+    copies the columns (k, m) of degree d to (i, m).  One row per pick:
+    ``out`` is the slot of the summed column, ``factors[k]`` the slot of
+    its k-th factor (slot len(cols), which holds 1, for rows with fewer
+    factors) and ``mult`` is c times the multinomial count of the pick.
+    The rows are grouped by the degree of their output.
     """
-    n = tri.dim
-    # levels[i][d]: the monomials of degree d reached in component i
-    levels = [[set() for _ in range(degree + 1)] for _ in range(n)]
-    couplings = sorted((i, k) for i, k, _ in tri.nil)
-    terms = [(j, [(i, e) for i, e in enumerate(p) if e]) for j, p in v.coeffs]
+    n = len(seeds[0][1])
+    cols = list(seeds)
+    index = {col: s for s, col in enumerate(cols)}
+    # levels[i][d]: the slots of the columns of component i of degree d
+    levels = [[[] for _ in range(degree + 1)] for _ in range(n)]
+    for s, (j, m) in enumerate(cols):
+        levels[j][m.degree].append(s)
+    linear = sorted(((i, m.index(1), c) for i, m, c in terms if m.degree == 1), key=lambda t: t[:2])
+    wide = [(j, [(i, e) for i, e in enumerate(p) if e], c) for j, p, c in terms if p.degree > 1]
     powers: dict = {}
+    out, flats, mult = [], [], []
 
     def power(i, e, d):
-        """Sums of e reached monomials of component i, of degree d; for
-        e >= 2 only degrees below d enter, so the cached set is final."""
-        if e == 1:
-            return levels[i][d]
+        """(slots, monomial, multiset count) of each pick of e columns of
+        component i of total degree d, by nondecreasing slot; for e >= 2
+        only degrees below d enter, so the cached list is final."""
         key = (i, e, d)
         if key not in powers:
-            powers[key] = {
-                a.plus(b)
-                for d1 in range(1, d - e + 2)
-                for a in levels[i][d1]
-                for b in power(i, e - 1, d - d1)
-            }
+            if e == 1:
+                found = [((s,), cols[s][1], 1) for s in levels[i][d]]
+            else:
+                # slots go by degree, so the first factor is of the lowest;
+                # rest starts at s or later, so count(s) is its leading run
+                found = [
+                    ((s,) + rest, tuple(map(add, cols[s][1], mon)), k * e // (rest.count(s) + 1))
+                    for d1 in range(1, d // e + 1)
+                    for s in levels[i][d1]
+                    for rest, mon, k in power(i, e - 1, d - d1)
+                    if rest[0] >= s
+                ]
+            powers[key] = found
         return powers[key]
 
     def picks(factors, d):
@@ -59,112 +78,48 @@ def _reachable(tri, v: PolyJet, degree: int):
         if not rest:
             return power(i, e, d)
         low = sum(f for _, f in rest)
-        return {
-            a.plus(b)
+        return [
+            (a + b, tuple(map(add, ma, mb)), ca * cb)
             for d1 in range(e, d - low + 1)
-            for a in power(i, e, d1)
-            for b in picks(rest, d - d1)
-        }
+            for a, ma, ca in power(i, e, d1)
+            for b, mb, cb in picks(rest, d - d1)
+        ]
 
-    for k in range(n):
-        levels[k][1].add(MultiIndex.unit(n, k))
+    def row(j, mon, d, slots, c):
+        s = index.get((j, mon))
+        if s is None:
+            s = index[(j, mon)] = len(cols)
+            cols.append((j, MultiIndex(mon)))
+            levels[j][d].append(s)
+        out.append(s)
+        flats.append(slots)
+        mult.append(c)
+
     for d in range(1, degree + 1):
-        for j, factors in terms:
-            if sum(e for _, e in factors) <= d:
-                levels[j][d] |= picks(factors, d)
-        for i, k in couplings:  # by row, so a chain of couplings closes
-            levels[i][d] |= levels[k][d]
-    return [
-        (j, m) for d in range(1, degree + 1) for j in range(n) for m in sorted(levels[j][d])
-    ]
-
-
-def _composition_table(terms, cols, degree: int):
-    """Gather/scatter plan of a field on the jet coefficients ``cols``.
-
-    Applied to the flat vector C of the coefficients of ``cols`` (slot s
-    holds the coefficient of y^m in component j for cols[s] = (j, m)), a
-    term (j, p, c), c y^p in component j, contributes, for every way of
-    picking a p_i-element multiset of the columns of component i for each
-    coordinate i within the degree budget, ``mult * prod C[t]`` to the
-    coefficient of the summed monomial in component j.  One row per such
-    pick: ``out`` is its output slot, ``factors[k]`` the slot of its k-th
-    factor (slot len(cols), which holds 1, for rows with fewer factors) and
-    ``mult`` is c times the multinomial count of the pick.  Every summed
-    column must be among ``cols``; the closure of :func:`_reachable` is.
-    """
-    n = len(cols[0][1])
-    index = {col: s for s, col in enumerate(cols)}
-    # the columns of each component, as (slot, monomial), by degree
-    own = [[(s, m) for s, (j, m) in enumerate(cols) if j == i] for i in range(n)]
-    memo: dict = {}
-
-    def multisets(i, power, budget, start):
-        """(slots, degree, exponent sum, multiset coefficient) of each
-        nondecreasing pick of ``power`` columns of component i from
-        ``start`` on, within a degree budget.
-
-        Memoized: every term and component asks for the same few tables.
-        """
-        key = (i, power, budget, start)
-        if key in memo:
-            return memo[key]
-        if power == 0:
-            found = [((), 0, (0,) * n, 1)]
-        else:
-            found = []
-            for idx in range(start, len(own[i])):
-                s, mon = own[i][idx]
-                d = mon.degree
-                if d > budget:
-                    break  # own[i] is sorted by degree
-                for rest, dd, total, count in multisets(i, power - 1, budget - d, idx):
-                    # rest starts at s or later: count(s) is its leading run
-                    found.append(
-                        (
-                            (s,) + rest,
-                            d + dd,
-                            tuple(map(add, mon, total)),
-                            count * power // (rest.count(s) + 1),
-                        )
-                    )
-        memo[key] = found
-        return found
-
-    out, flats, mult = [], [], []
-    for j, m, c in terms:
-        combos = [((), 0, (0,) * n, 1)]
-        later = sum(m)  # factors still to pick, each of degree at least 1
-        for i, e in enumerate(m):
-            if not e:
-                continue
-            later -= e
-            combos = [
-                (flat + idxs, dtot + dd, tuple(map(add, total, sub)), count * sub_count)
-                for flat, dtot, total, count in combos
-                for idxs, dd, sub, sub_count in multisets(i, e, degree - later - dtot, 0)
-            ]
-        for flat, _, total, count in combos:
-            out.append(index[(j, total)])
-            flats.append(flat)
-            mult.append(c * count)
+        for j, factors, c in wide:
+            for slots, mon, count in picks(factors, d):
+                row(j, mon, d, slots, c * count)
+        for i, k, c in linear:  # by row, so a chain of couplings closes
+            for s in levels[k][d]:
+                row(i, cols[s][1], d, (s,), c)
     pad = len(cols)
     width = max(map(len, flats), default=1)  # a linear diagonal field has no rows
     factors = np.array(
         [f + (pad,) * (width - len(f)) for f in flats], dtype=np.intp
     ).reshape(len(flats), width).T
-    return np.array(out, dtype=np.intp), factors, np.array(mult, dtype=complex)
+    return cols, np.array(out, dtype=np.intp), factors, np.array(mult, dtype=complex)
 
 
-def _coefficient_plan(cols, terms, degree: int):
-    """The map C -> (sum of ``terms``)(C) on the columns ``cols``.
+def _coefficient_plan(terms, seeds, degree: int):
+    """``(cols, g)``: the columns of :func:`_plan` and the map C ->
+    (sum of ``terms``)(C) on them.
 
-    C is the flat vector of the coefficients of ``cols``; the result is the
-    jet of the terms composed with it, truncated at ``degree``.  The plan of
-    :func:`_composition_table` is built once; each evaluation is one gather,
-    one product over the factors and one ``bincount`` scatter.
+    C is the flat vector of the coefficients of ``cols``; g(C) is the jet
+    of the terms composed with it, truncated at ``degree``.  The plan is
+    built once; each evaluation is one gather, one product over the
+    factors and one ``bincount`` scatter.
     """
-    out, factors, mult = _composition_table(terms, cols, degree)
+    cols, out, factors, mult = _plan(terms, seeds, degree)
     size = len(cols)
     # real and imaginary parts of row r land in float slots 2*out[r], 2*out[r]+1
     slots = np.stack([2 * out, 2 * out + 1], axis=1).ravel()
@@ -176,15 +131,7 @@ def _coefficient_plan(cols, terms, degree: int):
         contrib *= mult
         return np.bincount(slots, contrib.view(np.float64), 2 * size).view(complex)
 
-    return apply
-
-
-def _coupled_terms(tri, v: PolyJet) -> list:
-    """B's couplings and v's terms as ``(j, m, c)``: the field without B's
-    diagonal."""
-    n = tri.dim
-    terms = [(i, MultiIndex.unit(n, k), complex(c)) for i, k, c in tri.nil]
-    return terms + [(j, m, complex(c)) for (j, m), c in v.coeffs.items()]
+    return cols, apply
 
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed.,
@@ -207,11 +154,14 @@ _DP_E = np.array(
 
 
 def _dp5_plan(tri, v: PolyJet, degree: int):
-    """``(cols, g)``: the reachable columns of the oracle's equations
-    (:func:`_reachable`) and the plan of g = B C + v(C) less D C on them
-    (:func:`_coefficient_plan`)."""
-    cols = _reachable(tri, v, degree)
-    return cols, _coefficient_plan(cols, _coupled_terms(tri, v), degree)
+    """``(cols, g)``: :func:`_coefficient_plan` of B's couplings and v's
+    terms, g = B C + v(C) less D C, seeded with the identity columns
+    (k, e_k) in slots k = 0..n-1."""
+    n = tri.dim
+    units = [MultiIndex.unit(n, k) for k in range(n)]
+    terms = [(i, units[k], complex(c)) for i, k, c in tri.nil]
+    terms += [(j, m, complex(c)) for (j, m), c in v.coeffs.items()]
+    return _coefficient_plan(terms, list(enumerate(units)), degree)
 
 
 def _dp5_run(tri, plan, steps: int):
@@ -229,12 +179,10 @@ def _dp5_run(tri, plan, steps: int):
     field-resonant terms and on B's couplings, not at the rates of e^(tB).
     e^(+-tD) at a step's nodes is formed once per step.
     """
-    n = tri.dim
     cols, g = plan
     rate = np.array([complex(tri.diag[j]) for j, _ in cols])
     z = np.zeros(len(cols), dtype=complex)
-    for k in range(n):
-        z[cols.index((k, MultiIndex.unit(n, k)))] = 1.0
+    z[: tri.dim] = 1.0  # the identity, in the seed slots of :func:`_dp5_plan`
     h = 1.0 / steps
     # complex weights, so that no product below casts them on each call
     a = (h * _DP_A).astype(complex)

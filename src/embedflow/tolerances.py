@@ -60,9 +60,10 @@ DIVISOR_FLOOR = 1e-9
 # below 1e-7 for coefficients of order one.
 STRAY_DEMAND = 1e-7
 
-# The largest imaginary part (absolute) that complexify accepts on a real
-# jet, and that realify accepts on the real form of a float jet before it
-# drops the imaginary parts.  The same order as DEFAULT_TOL.
+# The largest imaginary part (absolute) that admission (pipeline.admit)
+# accepts on the real jet that complexify takes, and that realify accepts
+# on the real form of a float jet before it drops the imaginary parts.
+# The same order as DEFAULT_TOL.
 CONJUGATE_SYMMETRY = 1e-9
 
 # complexify and realify conjugate a float jet by the pair change of
@@ -90,7 +91,8 @@ ROUNDING = 2.0**-44
 ODE_BOUND = 1e-6
 
 # The ODE oracle integrates only the reachable coefficients (j, m), those
-# that B's couplings and v's terms can make nonzero from the identity, in
+# that B's couplings and v's terms can make nonzero from the identity,
+# which its plan's one walk up the degrees finds as it builds the rows, in
 # the frame z = e^(-tD) C that moves with B's diagonal (D = mu_j on column
 # (j, m)).  There a row of the composition plan, a term c y^p of component
 # j, moves at <p, mu> - mu_j: 0 on B's couplings and on the field-resonant

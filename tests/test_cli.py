@@ -704,6 +704,23 @@ class TestErrors:
         assert "hyperbolic" in m["error"]
 
 
+class TestDegreeFlag:
+    """--degree is refused below 2, as a germ file's degree is, by every
+    verb and before it runs."""
+
+    @pytest.mark.parametrize("value", ["1", "0", "-3"])
+    @pytest.mark.parametrize("verb", ["analyze", "normal-form", "embed", "verify", "classify2d"])
+    def test_below_two_refused(self, capsys, monkeypatch, verb, value):
+        text = (
+            "HEADER\ndimension 2\ndegree 3\nmode float\nLINEAR\n"
+            "jordan 2 1\njordan 3 1\nNONLINEAR\n"
+        )
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, verb, "-", "--degree", value)
+        assert code == 4 and out == ""
+        assert err == f"error: --degree must be at least 2, got {value}\n"
+
+
 class TestTolerance:
     """A tolerance must be a finite positive number: every bound of the
     verdict is tol times a scale, and every float resonance test reads it."""
@@ -850,8 +867,8 @@ class TestRefusals:
         "jordan 2 1\njordan 4 1\nNONLINEAR\n1 0 2 1 0.5\n"
     )
     RESONANT_2D = (
-        "HEADER\ndimension 2\ndegree 2\nmode exact\nLINEAR\n"
-        "jordan 2 1\njordan 4 1\nNONLINEAR\n2 2 0 1\n"
+        "HEADER\ndimension 2\ndegree 3\nmode exact\nLINEAR\n"
+        "jordan 2 1\njordan 4 1\nNONLINEAR\n2 2 0 1\n2 3 0 1\n"
     )
 
     @pytest.mark.parametrize(
@@ -859,7 +876,7 @@ class TestRefusals:
         [
             (NONHYPERBOLIC, (), "linear part must be hyperbolic"),
             (IMAGINARY, (), "complexify expects a real-coefficient jet"),
-            (RESONANT_2D, ("--degree", "1"), "term of degree 2 exceeds truncation 1"),
+            (RESONANT_2D, ("--degree", "2"), "term of degree 3 exceeds truncation 2"),
         ],
     )
     @pytest.mark.parametrize("verb", ["analyze", "normal-form", "embed"])

@@ -56,13 +56,11 @@ from embedflow.oracle import (
     _DP_C,
     _DP_E,
     _coefficient_plan,
-    _composition_table,
-    _coupled_terms,
     _dp5_jet,
     _dp5_plan,
     _dp5_run,
     _ode_oracle,
-    _reachable,
+    _plan,
 )
 from embedflow.tolerances import (
     DEFAULT_TOL,
@@ -1004,15 +1002,17 @@ class TestSubstitutionKernel:
 def _ode_rhs(tri, v, degree):
     """Right-hand side C -> B C + v(C) of the jet-coefficient equations.
 
-    C is the flat vector of the coefficients of the returned columns, the
-    reachable ones of ``_reachable``; v(C) is the jet of v composed with
-    it, truncated at ``degree``.  B's entries are terms of degree one in
-    the same plan as v's (``_coefficient_plan``).
+    C is the flat vector of the coefficients of the returned columns, those
+    that the plan's own walk reaches from the identity; v(C) is the jet of
+    v composed with it, truncated at ``degree``.  B's entries, its diagonal
+    too, are terms of degree one in the same plan as v's
+    (``_coefficient_plan``).
     """
-    n = tri.dim
-    cols = _reachable(tri, v, degree)
-    diagonal = [(j, MultiIndex.unit(n, j), complex(d)) for j, d in enumerate(tri.diag)]
-    return cols, _coefficient_plan(cols, diagonal + _coupled_terms(tri, v), degree)
+    units = [MultiIndex.unit(tri.dim, k) for k in range(tri.dim)]
+    terms = [(j, units[j], complex(d)) for j, d in enumerate(tri.diag)]
+    terms += [(i, units[k], complex(c)) for i, k, c in tri.nil]
+    terms += [(j, m, complex(c)) for (j, m), c in v.coeffs.items()]
+    return _coefficient_plan(terms, list(enumerate(units)), degree)
 
 
 def _linear_on_columns(tri, cols, C):
@@ -1033,6 +1033,22 @@ def _oracle_inputs(X, G):
     passes them: B's triangular form and v at the smaller jet degree N."""
     N = min(G.degree, X.degree)
     return X.linear.triangular(), X.nonlinear.truncate(N), N
+
+
+def _oracle_case(case):
+    """``(tri, v, N)`` of the ODE oracle on a fixture's field, a Jordan
+    chain, a random resonant normal form or a diag(8, 2, 4) germ."""
+    if case == "jordan":
+        G, B = _jordan_germ((3, 1), 4, False, np.random.default_rng(3))
+        X = solve_embedding(G, B)
+    elif case == "random":
+        G, B = random_resonant_normal_form(np.random.default_rng(1720), degree=5)
+        X = solve_embedding(G, B)
+    elif case == "diag-float":
+        G, X = _resonant_diag_germ(MODE_FLOAT)
+    else:
+        G, X = _fixture_field(case)
+    return _oracle_inputs(X, G)
 
 
 def _reference_time_one(X, G):
@@ -1057,13 +1073,15 @@ def _dp5_time_one(tri, v, degree, steps):
 def _full_state_dp5(tri, v, degree, steps):
     """The ODE oracle's fixed-step integrating-factor DP5 over every column
     (j, m), m of degree 1 to ``degree``: the state before its restriction to
-    the reachable columns, with e^(+-tD) formed afresh at every stage node.
-    Returns ``(jet, err)`` as ``_dp5_time_one`` does."""
+    the reachable columns, with e^(+-tD) formed afresh at every stage node:
+    the plan is seeded with every column, so its walk adds none.  Returns
+    ``(jet, err)`` as ``_dp5_time_one`` does."""
     n = tri.dim
     cols = [(j, m) for r in range(1, degree + 1) for j in range(n) for m in multiindices(n, r)]
     terms = [(i, MultiIndex.unit(n, k), complex(c)) for i, k, c in tri.nil]
     terms += [(j, m, complex(c)) for (j, m), c in v.coeffs.items()]
-    out, factors, mult = _composition_table(terms, cols, degree)
+    reached, out, factors, mult = _plan(terms, cols, degree)
+    assert reached == cols
     rate = np.array([complex(tri.diag[j]) for j, _ in cols])
     flat = np.ones(len(cols) + 1, dtype=complex)
 
@@ -1138,8 +1156,7 @@ def _record_oracle_work(monkeypatch):
         monkeypatch.setattr(oracle, name, wrapper)
 
     recorded("_dp5_run", lambda args: runs.append(args[2]))
-    for name in ("_reachable", "_composition_table"):
-        recorded(name, lambda args, name=name: plans.append(name))
+    recorded("_plan", lambda args: plans.append("_plan"))
     return runs, plans
 
 
@@ -1324,17 +1341,17 @@ class TestOdeOracle:
         G, X = _fixture_field("paper-2.3")
         tri, v, N = _oracle_inputs(X, G)
         e = MultiIndex.unit
-        assert _reachable(tri, v, N) == [(0, e(3, 0)), (1, e(3, 1)), (2, e(3, 2)), (0, (0, 4, 4))]
+        assert _dp5_plan(tri, v, N)[0] == [(0, e(3, 0)), (1, e(3, 1)), (2, e(3, 2)), (0, (0, 4, 4))]
         G, X = _fixture_field("resonant-2d")
         tri, v, N = _oracle_inputs(X, G)
-        assert _reachable(tri, v, N) == [(0, e(2, 0)), (1, e(2, 1)), (0, (0, 2))]
+        assert _dp5_plan(tri, v, N)[0] == [(0, e(2, 0)), (1, e(2, 1)), (0, (0, 2))]
         # diag(8, 2, 4) with v = (y2^3 + y2 y3) e1 + y2^2 e3: y3 gains the
         # column y2^2, and y2 y3 then reaches y2^3 again; 6 of 165 entries
         tri = real_log(BlockMatrix(tuple(JordanBlock(c, 1) for c in (8, 2, 4)))).triangular()
         v = PolyJet.build(
             3, 5, MODE_FLOAT, [(0, (0, 3, 0), 1.0), (0, (0, 1, 1), 1.0), (2, (0, 2, 0), 1.0)]
         )
-        assert _reachable(tri, v, 5) == [
+        assert _dp5_plan(tri, v, 5)[0] == [
             (0, e(3, 0)), (1, e(3, 1)), (2, e(3, 2)),
             (0, (0, 1, 1)), (2, (0, 2, 0)), (0, (0, 3, 0)),
         ]
@@ -1342,7 +1359,7 @@ class TestOdeOracle:
         # reaches y1^2 and y1 y2 through the coupling
         tri = real_log(BlockMatrix((JordanBlock(3, 2),))).triangular()
         v = PolyJet.build(2, 2, MODE_FLOAT, [(0, (0, 2), 1.0)])
-        assert _reachable(tri, v, 2) == [
+        assert _dp5_plan(tri, v, 2)[0] == [
             (0, e(2, 0)), (1, e(2, 1)), (1, e(2, 0)),
             (0, (0, 2)), (0, (1, 1)), (0, (2, 0)), (1, (0, 2)), (1, (1, 1)), (1, (2, 0)),
         ]
@@ -1356,20 +1373,36 @@ class TestOdeOracle:
         # jet's scale.  The estimate is a difference of nearly equal slopes,
         # so relative to itself it shows the last-bit rounding of the stage
         # sums, which BLAS rounds differently at different state lengths
-        if case == "jordan":
-            G, B = _jordan_germ((3, 1), 4, False, np.random.default_rng(3))
-            X = solve_embedding(G, B)
-        elif case == "random":
-            G, B = random_resonant_normal_form(np.random.default_rng(1720), degree=5)
-            X = solve_embedding(G, B)
-        else:
-            G, X = _fixture_field(case)
-        tri, v, N = _oracle_inputs(X, G)
+        tri, v, N = _oracle_case(case)
         got, err = _dp5_time_one(tri, v, N, ODE_STEPS)
         want, want_err = _full_state_dp5(tri, v, N, ODE_STEPS)
         assert set(got.coeffs) == set(want.coeffs)
         assert jet_distance(got, want) <= 1e-15 * want.max_abs()
         assert abs(err - want_err) <= 1e-15 * want.max_abs()
+
+    @pytest.mark.parametrize(
+        "case", ["paper-2.3", "resonant-2d", "paper-F1", "jordan", "random", "diag-float"]
+    )
+    def test_plan_is_triangular_by_degree(self, case, monkeypatch):
+        # the rows come grouped by the degree of their output, and a row
+        # with two or more factors reads only columns below that degree,
+        # which the walk up the degrees has finished before it
+        tri, v, N = _oracle_case(case)
+        plan, built = oracle._plan, []
+
+        def kept(*args):
+            built.append(plan(*args))
+            return built[-1]
+
+        monkeypatch.setattr(oracle, "_plan", kept)
+        _dp5_plan(tri, v, N)
+        ((cols, out, factors, _),) = built
+        degree = np.array([m.degree for _, m in cols] + [0])  # the pad slot reads 0
+        assert len(out) and (np.diff(degree[out]) >= 0).all()
+        wide = (factors < len(cols)).sum(axis=0) >= 2
+        assert wide.any()
+        assert (degree[factors[:, wide]] < degree[out[wide]]).all()
+        assert (degree[factors[:, ~wide]].max(axis=0) == degree[out[~wide]]).all()
 
     @pytest.mark.parametrize("case", FIXTURES + ("diag-exact", "diag-float"))
     def test_rate_zero_fields_take_one_step(self, case, monkeypatch):
@@ -1382,7 +1415,7 @@ class TestOdeOracle:
         runs, plans = _record_oracle_work(monkeypatch)
         _, r_ode, err, steps = time_one_steps(X, G)
         assert steps == 1 and runs == [1]
-        assert plans == ["_reachable", "_composition_table"]
+        assert plans == ["_plan"]
         assert r_ode <= err
         v = certify(G, X, X.tol)
         assert (v.residual_exp, v.residual_ode, v.residual_ode_err, v.ode_steps) == time_one_steps(X, G)
@@ -1405,7 +1438,7 @@ class TestOdeOracle:
         runs, plans = _record_oracle_work(monkeypatch)
         jet, err, steps = _ode_oracle(tri, v, N)
         assert runs == [1, ODE_STEPS] and steps == ODE_STEPS == 23
-        assert plans == ["_reachable", "_composition_table"]
+        assert plans == ["_plan"]
         assert jet.coeffs == want.coeffs and err == want_err
 
 

@@ -163,6 +163,28 @@ class TestParse:
         with pytest.raises(GermParseError, match="line 11"):
             parse_germ(BASIC.replace("1 0 2 1", "1 0 2 one"))
 
+    @pytest.mark.parametrize(
+        "old, new, line_no, needle",
+        [
+            ("dimension 2", "dimension 0", 3, "dimension must be positive"),
+            ("degree 4", "degree 1", 4, "degree must be at least 2"),
+            ("jordan 4 1", "jordan 2 0", 8, "block size must be positive"),
+            ("jordan 4 1", "jordan-exp 1 0", 8, "block size must be positive"),
+            ("jordan 4 1", "rotation 1 1 0", 8, "cell count must be positive"),
+            ("jordan 4 1", "negpair -2 0", 8, "cell count must be positive"),
+            ("jordan 4 1", "negpair 2 1", 8, "negative-pair block needs a negative eigenvalue"),
+            ("1 0 2 1", "1 -1 3 1", 11, "multi-index entries must be nonnegative"),
+            ("2.25", "2.25\n1 0 2 3", 13, "duplicate record for component 1, exponent (0, 2)"),
+        ],
+    )
+    def test_malformed_line_is_named(self, old, new, line_no, needle):
+        # a check of a block, a multi-index or the header, and the second
+        # of two records for one (j, m), each name the line that fails it
+        with pytest.raises(GermParseError) as info:
+            parse_germ(BASIC.replace(old, new))
+        assert info.value.line_no == line_no
+        assert str(info.value).startswith(f"line {line_no}: {needle}")
+
     def test_degree_floor(self):
         with pytest.raises(GermParseError, match="at least 2"):
             parse_germ(BASIC.replace("degree 4", "degree 1"))

@@ -64,6 +64,7 @@ def test_multiindex_basics():
     m = MultiIndex((2, 0, 1))
     assert m.degree == 3
     assert m.plus(MultiIndex.unit(3, 1)) == (2, 1, 1)
+    assert MultiIndex.unit(3, 1) is MultiIndex.unit(3, 1)  # one kept instance per (n, i)
     assert m.minus_unit(0) == (1, 0, 1)
     with pytest.raises(ValueError):
         m.minus_unit(1)
